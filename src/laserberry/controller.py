@@ -7,6 +7,11 @@ with the oscillating laser until the etch model severs the stem, keep the
 laser on until an interrupter beam confirms the fall, then open the
 trapper and descend toward the next fruit. Cycle time decomposes exactly
 into motion time plus laser-on-to-severed cut time.
+
+The semantics are 1 ms ticks (``HarvestConfig.dt_s``), evaluated by jumping:
+before each step the loop skips to the tick before the current phase's
+check first holds, then takes that tick as an ordinary step, bit-identical
+to stepping every tick. Only a falling or unseen severed fruit is stepped.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import MotionError, ValidationError
+from .errors import MotionError
 from .gantry import GRAVITY, GantryConfig, GantrySim, check_interrupters
-from .laser import CutModel, EtchState, etch_step
+from .laser import CutModel, EtchState, _require_positive, etch_step
 from .localization import BerryBox
 from .scene import FruitBody
 
@@ -67,10 +72,9 @@ class HarvestConfig:
     fall_timeout_s: float = 2.0
 
     def __post_init__(self):
-        for name in ("below_offset_m", "above_offset_m", "dt_s",
-                     "cut_timeout_s", "fall_timeout_s"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+        _require_positive(**{name: getattr(self, name) for name in (
+            "below_offset_m", "above_offset_m", "dt_s", "cut_timeout_s",
+            "fall_timeout_s")})
 
 
 @dataclass(frozen=True)
@@ -185,9 +189,9 @@ class _Cycle:
         self.cut_time = 0.0
         self.target: FruitBody | None = None
         self.etch: EtchState | None = None
+        self.etch_rate = 0.0             # mm^2/s while cutting, as in etch_step
         self.waypoints: list[tuple[float, float, float]] = []
         self.fall_deadline = math.inf
-        self.cleanup_started = False
 
     # -- helpers -----------------------------------------------------------
 
@@ -219,6 +223,19 @@ class _Cycle:
             if not fruit.attached and not fruit.landed:
                 fruit.fall_step(dt, GRAVITY)
 
+    def _skip_to_event(self, phase: HarvestPhase) -> None:
+        """Jump to the tick before ``phase``'s check first holds."""
+        sim, dt = self.sim, self.cfg.dt_s
+        if sim.interrupters.watching(self.world):
+            return
+        ticks = _ticks_to_event(sim, dt, phase, self) - 1
+        sim.skip(ticks, dt)
+        if phase is HarvestPhase.CUTTING and ticks > 0:
+            area, target = self.etch.cut_area, self.etch.target_area
+            for _ in range(ticks):
+                area = min(target, area + dt * self.etch_rate)
+            self.etch = EtchState(area, target, False)
+
     # -- the state machine --------------------------------------------------
 
     def run(self) -> CycleRecord:
@@ -234,6 +251,7 @@ class _Cycle:
                 advanced = self._try_advance(fall_event)
             if self.phase in (HarvestPhase.DONE, HarvestPhase.FAILED):
                 break
+            self._skip_to_event(self.phase)
             sim.step(cfg.dt_s)
             self._world_step(cfg.dt_s)
             event = check_interrupters(sim, self.world)
@@ -315,6 +333,8 @@ class _Cycle:
             sim.set_laser(True)
             self.t_laser_on = sim.time
             self.etch = EtchState.for_stem(self.target.stem_diameter_mm)
+            if cfg.lateral_velocity_mm_s >= self.model.v_l_min:
+                self.etch_rate = self.model.cp(cfg.spot_diameter_mm) / self.model.toughness
             self._goto(HarvestPhase.CUTTING)
             return True
 
@@ -365,21 +385,58 @@ class _Cycle:
             self._goto(HarvestPhase.DONE)
             return True
 
-        if phase is HarvestPhase.FAILED and not self.cleanup_started:
-            return False
         return False
 
     def cleanup(self) -> None:
         """Leave the mechanism safe after a failed cycle."""
         sim = self.sim
-        self.cleanup_started = True
         if sim.laser_on:
             sim.set_laser(False)
         sim.stop_lens_oscillation()
         sim.set_trapper(closed=False)
         while not sim.trapper.idle:
+            self._skip_to_event(HarvestPhase.OPEN_TRAPPER)   # the same trapper wait
             sim.step(self.cfg.dt_s)
             self._world_step(self.cfg.dt_s)
+
+
+_AXIS_PHASES = (HarvestPhase.MOVE_BELOW_XY, HarvestPhase.RAISE_Z,
+                HarvestPhase.RETRACT, HarvestPhase.DESCEND_Z)
+
+
+def _ticks_to_event(sim: GantrySim, dt: float, phase: HarvestPhase,
+                    cycle: _Cycle | None = None) -> int:
+    """Ticks of ``dt`` until the check that ends ``phase`` first holds.
+
+    Replays on scalars the float operations of stepping (``time += dt``,
+    the trapper slew, the etch update) and tests each tick with the stepped
+    predicate. Phases that end on a fall event answer 1: they are stepped.
+    """
+    now, ticks = sim.time + dt, 1
+    if phase is HarvestPhase.HOMING_LENS:
+        while not sim.lens.homing_done_at(now):
+            now += dt
+            ticks += 1
+    elif phase in _AXIS_PHASES:
+        for axis in (sim.x, sim.y, sim.z):     # each check only turns true
+            while not axis.done_at(now):
+                now += dt
+                ticks += 1
+    elif phase in (HarvestPhase.CLOSE_TRAPPER, HarvestPhase.OPEN_TRAPPER):
+        probe = dataclasses.replace(sim.trapper)
+        probe.advance(dt)
+        while not probe.idle:
+            probe.advance(dt)
+            ticks += 1
+    elif phase is HarvestPhase.CUTTING:
+        target, rate = cycle.etch.target_area, cycle.etch_rate
+        t_on, timeout = cycle.t_laser_on, cycle.cfg.cut_timeout_s
+        area = min(target, cycle.etch.cut_area + dt * rate)
+        while not (area == target or now - t_on >= timeout):
+            now += dt
+            area = min(target, area + dt * rate)
+            ticks += 1
+    return ticks
 
 
 def run_cycle(sim: GantrySim, world: list[FruitBody], box: BerryBox,
@@ -414,6 +471,7 @@ def run_demo(sim: GantrySim, world: list[FruitBody], boxes: list[BerryBox],
     cfg = config if config is not None else HarvestConfig()
     sim.home_lens()
     while not sim.lens.homing_done:
+        sim.skip(_ticks_to_event(sim, cfg.dt_s, HarvestPhase.HOMING_LENS) - 1, cfg.dt_s)
         sim.step(cfg.dt_s)
     records = []
     for i, box in enumerate(boxes):

@@ -1,12 +1,13 @@
-"""Stepped kinematic simulation of the three-axis harvester gantry.
+"""Kinematic simulation of the three-axis harvester gantry on fixed ticks.
 
 Axes follow trapezoidal velocity profiles (triangular when the move is too
 short to reach cruise speed), the focus lens homes against a limit switch
 and oscillates the beam laterally, the v-groove trapper sweeps between its
 open and closed angles, and three interrupter beams below the groove report
-when a severed fruit falls past. Everything advances on a fixed timestep;
-per-step state is evaluated from closed-form profiles so repeated runs are
-bit-identical.
+when a severed fruit falls past. Everything advances on a fixed timestep,
+one tick (:meth:`GantrySim.step`) or many at once (:meth:`GantrySim.skip`)
+with results bit-identical to stepping: axes and lens are closed forms of
+sim time, and time and trapper angle repeat the same float operations.
 """
 
 from __future__ import annotations
@@ -104,9 +105,13 @@ class AxisState:
     def advance(self, now: float) -> None:
         if self.profile is not None:
             self.position, self.velocity = self.profile.sample(now)
-            if now - self.profile.t0 >= self.profile.duration:
+            if self.done_at(now):
                 self.profile = None
                 self.velocity = 0.0
+
+    def done_at(self, now: float) -> bool:
+        """Whether the active move, if any, is complete at sim time ``now``."""
+        return self.profile is None or now - self.profile.t0 >= self.profile.duration
 
     @property
     def idle(self) -> bool:
@@ -165,13 +170,13 @@ class LensAxis:
 
     def advance(self, now: float) -> None:
         if self.mode is LensMode.HOMING:
-            travelled = self.homing_speed_mm_s * (now - self._t_start)
-            if travelled >= self._start_pos:
+            if self.homing_done_at(now):
                 self.position_mm = 0.0
                 self.homed = True
                 self.mode = LensMode.IDLE
             else:
-                self.position_mm = self._start_pos - travelled
+                self.position_mm = (self._start_pos
+                                    - self.homing_speed_mm_s * (now - self._t_start))
         elif self.mode is LensMode.OSCILLATING:
             # triangle wave over [0, stroke] starting from the home end
             u = (self._osc_speed * (now - self._t_start)) % (2.0 * self.stroke_mm)
@@ -180,6 +185,11 @@ class LensAxis:
     @property
     def homing_done(self) -> bool:
         return self.mode is not LensMode.HOMING
+
+    def homing_done_at(self, now: float) -> bool:
+        """Whether homing, if under way, has reached the switch by ``now``."""
+        return (self.mode is not LensMode.HOMING
+                or self.homing_speed_mm_s * (now - self._t_start) >= self._start_pos)
 
 
 class TrapperMode(Enum):
@@ -262,6 +272,15 @@ class InterrupterBank:
                     return FallEvent(now, fruit.uid, i)
         return None
 
+    def watching(self, fruits) -> bool:
+        """True while a detached fruit is still falling or not yet seen.
+
+        Such a fruit must be integrated and checked on every tick; with
+        none, ticks can be skipped without missing an event.
+        """
+        return any(not f.attached and (not f.landed or f.uid not in self._fired)
+                   for f in fruits)
+
 
 # ---------------------------------------------------------------------------
 # the gantry
@@ -291,8 +310,8 @@ class GantryConfig:
     home_position: tuple[float, float, float] = (0.0, -0.25, 0.30)
 
     def __post_init__(self):
-        if self.max_velocity <= 0 or self.max_accel <= 0:
-            raise ValidationError("axis speed and acceleration limits must be positive")
+        if not (0.0 < self.max_velocity < math.inf and 0.0 < self.max_accel < math.inf):
+            raise ValidationError("axis speed and acceleration limits must be positive and finite")
         for name in ("x_limits", "y_limits", "z_limits"):
             lo, hi = getattr(self, name)
             if lo >= hi:
@@ -375,15 +394,31 @@ class GantrySim:
 
     def step(self, dt: float) -> None:
         """Advance the whole mechanism by ``dt`` seconds."""
-        if dt <= 0:
-            raise ValidationError(f"timestep must be positive, got {dt}")
-        self.time += dt
-        now = self.time
+        self.skip(1, dt)
+
+    def skip(self, ticks: int, dt: float) -> None:
+        """Advance ``ticks`` ticks of ``dt`` at once, as ``ticks`` steps would.
+
+        Time and trapper angle repeat their float operation per tick; axes
+        and lens are closed forms of time, evaluated at the last tick. Fruit
+        are not advanced: skip only while none is watched.
+        """
+        if not 0.0 < dt < math.inf:    # also rejects NaN
+            raise ValidationError(f"timestep must be positive and finite, got {dt}")
+        if ticks <= 0:
+            return
+        now, trapper = self.time, self.trapper
+        for _ in range(ticks):
+            now += dt
+        for _ in range(ticks):
+            if trapper.idle:
+                break
+            trapper.advance(dt)
+        self.time = now
         self.x.advance(now)
         self.y.advance(now)
         self.z.advance(now)
         self.lens.advance(now)
-        self.trapper.advance(dt)
 
 
 def check_interrupters(sim: GantrySim, fruits) -> FallEvent | None:

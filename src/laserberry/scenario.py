@@ -10,6 +10,7 @@ are parse errors. See ``docs/formats.md`` for the key reference.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -85,6 +86,12 @@ class DemoSettings:
     dt_s: float = 0.001
     cut_timeout_s: float = 30.0
     fall_timeout_s: float = 2.0
+
+    def __post_init__(self):
+        for key, value in (("dt", self.dt_s), ("cut_timeout_s", self.cut_timeout_s),
+                           ("fall_timeout_s", self.fall_timeout_s)):
+            if not 0.0 < value < math.inf:    # also rejects NaN
+                raise ScenarioError(f"[demo] {key} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -143,3 +143,10 @@ def test_console_script_end_to_end():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_non_finite_timestep_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[scenario]\nseed = 1\n[demo]\ndt = nan\n")
+    assert main(["simulate", "--scenario", str(bad)]) == 1
+    assert "[demo] dt" in capsys.readouterr().err

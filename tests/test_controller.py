@@ -9,7 +9,7 @@ from laserberry import (Aabb, BerryBox, CutModel, GantryConfig, GantrySim,
                         HarvestConfig, HarvestPhase, cut_time, load_datasets,
                         plan_approach, run_cycle, run_demo)
 from laserberry.controller import (CYCLE_ORDER, FAIL_PLAN, FAIL_TRAP)
-from laserberry.errors import MotionError
+from laserberry.errors import MotionError, ValidationError
 from laserberry.scene import FruitBody
 
 DT = 0.001
@@ -204,3 +204,10 @@ def test_harvest_config_validation():
         HarvestConfig(dt_s=0.0)
     with pytest.raises(Exception):
         HarvestConfig(below_offset_m=-0.01)
+
+
+@pytest.mark.parametrize("name", ["dt_s", "cut_timeout_s", "fall_timeout_s"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.5])
+def test_harvest_config_timing_must_be_positive_and_finite(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+        HarvestConfig(**{name: value})

@@ -295,3 +295,36 @@ def test_sim_determinism():
 
     a, b = run(), run()
     assert a == b
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.001])
+def test_sim_rejects_bad_timestep_before_moving(dt):
+    sim = GantrySim()
+    for advance in (sim.step, lambda dt: sim.skip(10, dt)):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            advance(dt)
+    assert sim.time == 0.0
+
+
+@pytest.mark.parametrize("limit", ["max_velocity", "max_accel"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_gantry_speed_limits_must_be_positive_and_finite(limit, value):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        GantryConfig(**{limit: value})
+
+
+def test_skip_matches_stepping():
+    def run(skip):
+        sim = GantrySim(GantryConfig(max_velocity=0.168))
+        sim.home_lens()
+        sim.command_move(0.12, -0.1, 0.55)
+        sim.set_trapper(closed=True)
+        if skip:
+            sim.skip(700, DT)
+        else:
+            for _ in range(700):
+                sim.step(DT)
+        return (sim.time, sim.tool_position(), sim.lens.position_mm,
+                sim.lens.homing_done, sim.trapper.angle_deg, sim.axes_idle)
+
+    assert run(skip=True) == run(skip=False)

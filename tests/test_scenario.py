@@ -189,3 +189,10 @@ def test_bundled_demo_layout():
     over = load_scenario(bundled_scenario_path("demo_overreach"))
     assert len(over.berries) == 12
     assert max(abs(b.center[0]) for b in over.berries) > over.gantry.x_limits[1]
+
+
+@pytest.mark.parametrize("key", ["dt", "cut_timeout_s", "fall_timeout_s"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
+def test_demo_timing_must_be_positive_and_finite(tmp_path, key, value):
+    with pytest.raises(ScenarioError, match=rf"\[demo\] {key} must be positive and finite"):
+        load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[demo]\n{key} = {value}\n"))

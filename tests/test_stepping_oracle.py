@@ -1,0 +1,109 @@
+"""Jumping to each phase boundary reproduces 1 ms stepping bit for bit.
+
+The controller skips the ticks before each phase's check first holds.
+Patching ``controller._ticks_to_event`` to answer one tick turns every
+wait back into plain stepping, which serves as the oracle: both runs must
+leave every record, the sim clock, the lens, the fruit and the beams in
+exactly the same state.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from laserberry import (Aabb, BerryBox, CutModel, GantryConfig, GantrySim,
+                        HarvestConfig, controller, load_datasets, run_demo)
+from laserberry.pipeline import simulate_scenario
+from laserberry.scenario import bundled_scenario_path, load_scenario
+from laserberry.scene import FruitBody
+
+LAYOUT = [(-0.02, -0.03, 0.58), (0.03, 0.00, 0.61), (0.00, 0.03, 0.57),
+          (0.05, 0.05, 0.60)]
+
+
+@dataclasses.dataclass(frozen=True)
+class World:
+    speed: float = 0.3
+    toughness: float = 1.0
+    lateral: float = 50.0
+    dt: float = 0.001
+    fruit: int = 3
+    cut_timeout: float = 30.0
+    fall_timeout: float = 2.0
+    stem_offsets: tuple = ()        # (fruit, dx) pairs: fruit off its box
+    unreachable: bool = False       # last box beyond the x stroke
+
+
+WORLDS = [
+    World(speed=0.05, toughness=0.5),
+    World(speed=0.50, toughness=3.0, lateral=90.0, fruit=4),
+    World(speed=0.168, toughness=0.5, lateral=10.0, dt=0.002),
+    World(speed=0.30, lateral=5.0, cut_timeout=0.3),                  # cut-timeout
+    World(speed=0.25, toughness=0.5, fall_timeout=0.02),              # fall-timeout
+    World(speed=0.40, toughness=0.5, stem_offsets=((1, 0.021),), dt=0.0007),
+    World(speed=0.12, toughness=0.5, stem_offsets=((0, -0.021),), dt=0.002),
+    World(speed=0.50, toughness=2.0, dt=0.0007),
+    World(speed=0.20, toughness=0.5, unreachable=True),               # plan failure
+    World(speed=0.35, toughness=1.5, lateral=30.0, dt=0.002, fruit=4,
+          stem_offsets=((2, 0.021),)),
+    World(speed=0.08, toughness=0.5, lateral=70.0, dt=0.0007),
+    World(speed=0.45, lateral=5.0, cut_timeout=0.05, dt=0.002, fruit=4),
+]
+
+
+def _box(cx, cy, cz, half=0.0144):
+    return BerryBox(box=Aabb(np.array([cx - half, cy - half, cz - half]),
+                             np.array([cx + half, cy + half, cz + half])),
+                    centroid=np.array([cx, cy, cz]), point_count=600, rank=0)
+
+
+def _run(world: World):
+    centers = LAYOUT[:world.fruit]
+    if world.unreachable:
+        centers = centers[:-1] + [(0.30, 0.0, 0.60)]
+    offsets = dict(world.stem_offsets)
+    bodies = [FruitBody(uid=i, x=x + offsets.get(i, 0.0), y=y, z=z,
+                        stem_x=x + offsets.get(i, 0.0), stem_y=y,
+                        stem_diameter_mm=2.0 + 0.1 * i, toughness=world.toughness)
+              for i, (x, y, z) in enumerate(centers)]
+    sim = GantrySim(GantryConfig(max_velocity=world.speed,
+                                 home_position=(0.0, 0.0, 0.50)))
+    config = HarvestConfig(lateral_velocity_mm_s=world.lateral, dt_s=world.dt,
+                           cut_timeout_s=world.cut_timeout,
+                           fall_timeout_s=world.fall_timeout)
+    metrics = run_demo(sim, bodies, [_box(*c) for c in centers],
+                       CutModel(load_datasets().fine), config)
+    return (metrics.records, sim.time, sim.tool_position(), sim.lens.position_mm,
+            [(f.z, f.prev_z, f.fall_velocity, f.landed) for f in bodies],
+            set(sim.interrupters._fired))
+
+
+@pytest.mark.parametrize("world", WORLDS)
+def test_jumped_cycle_matches_stepping(world, monkeypatch):
+    jumped = _run(world)
+    monkeypatch.setattr(controller, "_ticks_to_event", lambda *args: 1)
+    stepped = _run(world)
+    assert jumped == stepped
+
+
+def test_worlds_cover_every_outcome():
+    reasons = {r.failure_reason for w in WORLDS for r in _run(w)[0]}
+    assert reasons == {"", "plan", "trap-miss", "cut-timeout", "fall-timeout"}
+
+
+def test_demo_run_steps_only_near_events(monkeypatch):
+    calls = {"step": 0, "cp": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GantrySim, "step", counted("step", GantrySim.step))
+    monkeypatch.setattr(CutModel, "cp", counted("cp", CutModel.cp))
+    result = simulate_scenario(load_scenario(bundled_scenario_path("demo_11")))
+    assert result.metrics.attempted == 11
+    assert calls["step"] <= 8000
+    assert calls["cp"] <= 2 * result.metrics.attempted
