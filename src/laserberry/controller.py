@@ -224,7 +224,7 @@ class _Cycle:
                 fruit.fall_step(dt, GRAVITY)
 
     def _skip_to_event(self, phase: HarvestPhase) -> None:
-        """Jump to the tick before ``phase``'s check first holds."""
+        """Jump to the tick before ``phase``'s check first holds, unless watching."""
         sim, dt = self.sim, self.cfg.dt_s
         if sim.interrupters.watching(self.world):
             return
