@@ -14,50 +14,38 @@ Scenario files tie the layers together (:mod:`scenario`, :mod:`scene`,
 :mod:`pipeline`); the ``laserberry`` CLI fronts the common runs.
 """
 
-from .controller import (CycleMetrics, CycleRecord, HarvestConfig,
-                         HarvestPhase, plan_approach, run_cycle, run_demo)
-from .datasets import Datasets, load_datasets, load_lateral_csv, load_pierce_csv
+from .controller import (HarvestConfig, HarvestPhase, plan_approach, run_cycle,
+                         run_demo)
+from .datasets import load_datasets, load_lateral_csv, load_pierce_csv
 from .errors import (CalibrationError, DomainError, MotionError,
                      PcdParseError, ScenarioError, UnsupportedRegimeError,
                      ValidationError)
 from .gantry import GantryConfig, GantrySim, MotionProfile
-from .geometry import (Aabb, ColoredPoint, KdTree, PointCloud,
-                       RigidTransform, build_kdtree, radius_search,
-                       transform_cloud)
-from .laser import (CutModel, EtchState, LateralCutRecord, PierceRecord,
-                    TableAudit, cut_time, etch_step, interpolate_cp,
-                    optimal_spot, pierce_constant, pierce_velocity,
-                    verify_tables)
+from .geometry import Aabb, KdTree, PointCloud, RigidTransform, transform_cloud
+from .laser import (CutModel, EtchState, PierceRecord, cut_time, etch_step,
+                    interpolate_cp, optimal_spot, pierce_constant,
+                    pierce_velocity, verify_tables)
 from .localization import (BerryBox, ClusterParams, ColorReference,
-                           LocalizationConfig, SpatialWindow,
-                           bounding_boxes, calibration_reference,
-                           euclidean_clusters, extract_window, filter_red,
-                           localize, localize_clusters, merge_clouds)
+                           SpatialWindow, bounding_boxes,
+                           calibration_reference, euclidean_clusters,
+                           extract_window, filter_red, localize, merge_clouds)
 from .pcdio import read_pcd, write_pcd
-from .pipeline import (SimulationResult, cut_model_for, harvest_config_for,
-                       localize_scenario, simulate_scenario)
-from .scenario import (BerrySpec, Scenario, bundled_scenario_path,
-                       load_scenario)
-from .scene import SceneTruth, apply_color_gain, generate_scene, make_world
+from .pipeline import simulate_scenario
+from .scenario import load_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aabb", "BerryBox", "BerrySpec", "CalibrationError", "ClusterParams",
-    "ColorReference", "ColoredPoint", "CutModel", "CycleMetrics",
-    "CycleRecord", "Datasets", "DomainError", "EtchState", "GantryConfig",
-    "GantrySim", "HarvestConfig", "HarvestPhase", "KdTree",
-    "LateralCutRecord", "LocalizationConfig", "MotionError", "MotionProfile",
+    "Aabb", "BerryBox", "CalibrationError", "ClusterParams", "ColorReference",
+    "CutModel", "DomainError", "EtchState", "GantryConfig", "GantrySim",
+    "HarvestConfig", "HarvestPhase", "KdTree", "MotionError", "MotionProfile",
     "PcdParseError", "PierceRecord", "PointCloud", "RigidTransform",
-    "Scenario", "ScenarioError", "SceneTruth", "SimulationResult",
-    "SpatialWindow", "TableAudit", "UnsupportedRegimeError",
-    "ValidationError", "apply_color_gain", "bounding_boxes", "build_kdtree",
-    "bundled_scenario_path", "calibration_reference", "cut_model_for",
-    "cut_time", "etch_step", "euclidean_clusters", "extract_window",
-    "filter_red", "generate_scene", "harvest_config_for", "interpolate_cp",
-    "load_datasets", "load_lateral_csv", "load_pierce_csv", "load_scenario",
-    "localize", "localize_clusters", "localize_scenario", "make_world",
-    "merge_clouds", "optimal_spot", "pierce_constant", "pierce_velocity",
-    "plan_approach", "radius_search", "read_pcd", "run_cycle", "run_demo",
-    "simulate_scenario", "transform_cloud", "verify_tables", "write_pcd",
+    "ScenarioError", "SpatialWindow", "UnsupportedRegimeError",
+    "ValidationError", "bounding_boxes", "calibration_reference", "cut_time",
+    "etch_step", "euclidean_clusters", "extract_window", "filter_red",
+    "interpolate_cp", "load_datasets", "load_lateral_csv", "load_pierce_csv",
+    "load_scenario", "localize", "merge_clouds", "optimal_spot",
+    "pierce_constant", "pierce_velocity", "plan_approach", "read_pcd",
+    "run_cycle", "run_demo", "simulate_scenario", "transform_cloud",
+    "verify_tables", "write_pcd",
 ]

@@ -26,7 +26,7 @@ from .errors import (CalibrationError, PcdParseError, ScenarioError,
 from .laser import interpolate_cp, optimal_spot, verify_tables
 from .localization import bounding_boxes, localize_clusters
 from .pcdio import read_pcd, write_pcd
-from .pipeline import localize_scenario, simulate_scenario
+from .pipeline import simulate_scenario
 from .scenario import Scenario, bundled_scenario_path, load_scenario
 from .scene import generate_scene
 

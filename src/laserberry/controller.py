@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import MotionError
+from .errors import MotionError, require_positive
 from .gantry import GRAVITY, GantryConfig, GantrySim, check_interrupters
-from .laser import CutModel, EtchState, _require_positive, etch_step
+from .laser import CutModel, EtchState, etch_step
 from .localization import BerryBox
 from .scene import FruitBody
 
@@ -72,9 +72,9 @@ class HarvestConfig:
     fall_timeout_s: float = 2.0
 
     def __post_init__(self):
-        _require_positive(**{name: getattr(self, name) for name in (
-            "below_offset_m", "above_offset_m", "dt_s", "cut_timeout_s",
-            "fall_timeout_s")})
+        require_positive(**{name: getattr(self, name) for name in (
+            "below_offset_m", "above_offset_m", "spot_diameter_mm",
+            "lateral_velocity_mm_s", "dt_s", "cut_timeout_s", "fall_timeout_s")})
 
 
 @dataclass(frozen=True)
@@ -287,6 +287,8 @@ class _Cycle:
             if not sim.lens.homing_done:
                 return False
             self.target = self._pick_target()
+            if self.target is not None and self.target.toughness != self.model.toughness:
+                self.model = dataclasses.replace(self.model, toughness=self.target.toughness)
             try:
                 self.waypoints = plan_approach(self.box, sim.config,
                                                cfg.below_offset_m, cfg.above_offset_m)
@@ -445,8 +447,10 @@ def run_cycle(sim: GantrySim, world: list[FruitBody], box: BerryBox,
               fruit_index: int = 0) -> CycleRecord:
     """Harvest one localized fruit; see the module docstring for the cycle.
 
-    On failure the mechanism is left safe (laser off, trapper open) and
-    the record carries the failure reason; timing always satisfies
+    The body cut is the nearest attached, unattempted fruit to the box
+    centroid; its toughness overrides ``model.toughness``. On failure the
+    mechanism is left safe (laser off, trapper open) and the record
+    carries the failure reason; timing always satisfies
     ``cycle == motion + cut`` exactly.
     """
     cfg = config if config is not None else HarvestConfig()
@@ -465,8 +469,8 @@ def run_demo(sim: GantrySim, world: list[FruitBody], boxes: list[BerryBox],
     """Harvest every localized fruit in rank order.
 
     The lens is referenced once at the start of operation and again by
-    every cycle, so a run over n fruits homes n + 1 times. Per-fruit
-    toughness from the world overrides the model default.
+    every cycle, so a run over n fruits homes n + 1 times. Each cut takes
+    its toughness from the body being cut, as in :func:`run_cycle`.
     """
     cfg = config if config is not None else HarvestConfig()
     sim.home_lens()
@@ -476,12 +480,6 @@ def run_demo(sim: GantrySim, world: list[FruitBody], boxes: list[BerryBox],
     records = []
     for i, box in enumerate(boxes):
         next_box = boxes[i + 1] if i + 1 < len(boxes) else None
-        cx, cy, cz = box.centroid
-        nearest = min(world, key=lambda f: (f.x - cx) ** 2 + (f.y - cy) ** 2
-                      + (f.z - cz) ** 2, default=None)
-        fruit_model = model
-        if nearest is not None and nearest.toughness != model.toughness:
-            fruit_model = dataclasses.replace(model, toughness=nearest.toughness)
-        records.append(run_cycle(sim, world, box, fruit_model, cfg,
+        records.append(run_cycle(sim, world, box, model, cfg,
                                  next_box=next_box, fruit_index=i))
     return CycleMetrics(tuple(records))

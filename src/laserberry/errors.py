@@ -1,12 +1,22 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one positive-value check.
 
 The command line front-end maps these onto exit codes: file and parse
 problems exit with 1, domain and validation problems exit with 2.
 """
 
+import math
+
 
 class ValidationError(ValueError):
     """An argument or state is outside its documented domain."""
+
+
+def require_positive(**values: float) -> None:
+    """Raise :class:`ValidationError` naming the first value that is not
+    finite and > 0 (NaN fails every comparison, so it cannot slip through)."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValidationError(f"{name} must be positive and finite, got {value}")
 
 
 class MotionError(ValidationError):

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import MotionError, ValidationError
+from .errors import MotionError, ValidationError, require_positive
 
 GRAVITY = 9.81  # m/s^2
 
@@ -158,8 +158,7 @@ class LensAxis:
     def begin_oscillation(self, lateral_velocity_mm_s: float, now: float) -> None:
         if not self.homed:
             raise ValidationError("lens oscillation requested before homing")
-        if lateral_velocity_mm_s <= 0:
-            raise ValidationError("lens oscillation speed must be positive")
+        require_positive(lateral_velocity_mm_s=lateral_velocity_mm_s)
         self.mode = LensMode.OSCILLATING
         self._t_start = now
         self._start_pos = self.position_mm
@@ -310,12 +309,14 @@ class GantryConfig:
     home_position: tuple[float, float, float] = (0.0, -0.25, 0.30)
 
     def __post_init__(self):
-        if not (0.0 < self.max_velocity < math.inf and 0.0 < self.max_accel < math.inf):
-            raise ValidationError("axis speed and acceleration limits must be positive and finite")
-        for name in ("x_limits", "y_limits", "z_limits"):
-            lo, hi = getattr(self, name)
+        require_positive(max_velocity=self.max_velocity, max_accel=self.max_accel)
+        for axis, home in zip("xyz", self.home_position):
+            lo, hi = getattr(self, f"{axis}_limits")
+            for key, value in ((f"{axis}_min", lo), (f"{axis}_max", hi), (f"home_{axis}", home)):
+                if not math.isfinite(value):
+                    raise ValidationError(f"{key} must be finite, got {value}")
             if lo >= hi:
-                raise ValidationError(f"{name} must be an increasing pair")
+                raise ValidationError(f"{axis}_limits must be an increasing pair")
 
 
 class GantrySim:
@@ -403,8 +404,7 @@ class GantrySim:
         and lens are closed forms of time, evaluated at the last tick. Fruit
         are not advanced: skip only while none is watched.
         """
-        if not 0.0 < dt < math.inf:    # also rejects NaN
-            raise ValidationError(f"timestep must be positive and finite, got {dt}")
+        require_positive(timestep=dt)
         if ticks <= 0:
             return
         now, trapper = self.time, self.trapper

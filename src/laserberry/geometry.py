@@ -7,7 +7,7 @@ shared freely between the localization pipeline and tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,26 +26,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class ColoredPoint:
-    """A single metric point with an 8-bit RGB color."""
-
-    x: float
-    y: float
-    z: float
-    r: int
-    g: int
-    b: int
-
-    def __post_init__(self):
-        if not all(np.isfinite((self.x, self.y, self.z))):
-            raise ValidationError("point coordinates must be finite")
-        for name in ("r", "g", "b"):
-            c = getattr(self, name)
-            if not 0 <= c <= 255:
-                raise ValidationError(f"channel {name}={c} outside [0, 255]")
 
 
 @dataclass(frozen=True)
@@ -86,23 +66,8 @@ class PointCloud:
     def empty(cls, frame: str) -> "PointCloud":
         return cls(np.empty((0, 3)), np.empty((0, 3), dtype=np.uint8), frame)
 
-    @classmethod
-    def from_points(cls, points, frame: str) -> "PointCloud":
-        """Build a cloud from an iterable of :class:`ColoredPoint`."""
-        pts = list(points)
-        if not pts:
-            return cls.empty(frame)
-        xyz = np.array([(p.x, p.y, p.z) for p in pts], dtype=np.float64)
-        rgb = np.array([(p.r, p.g, p.b) for p in pts], dtype=np.uint8)
-        return cls(xyz, rgb, frame)
-
     def __len__(self) -> int:
         return self.xyz.shape[0]
-
-    def __getitem__(self, i: int) -> ColoredPoint:
-        x, y, z = self.xyz[i]
-        r, g, b = self.rgb[i]
-        return ColoredPoint(float(x), float(y), float(z), int(r), int(g), int(b))
 
     def select(self, mask_or_indices) -> "PointCloud":
         """Return the sub-cloud at the given boolean mask or index array."""
@@ -152,11 +117,6 @@ class RigidTransform:
         """Transform an (n, 3) array of points."""
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Return the transform equivalent to applying ``other`` first."""
-        return RigidTransform(self.rotation @ other.rotation,
-                              self.rotation @ other.translation + self.translation)
 
     def inverse(self) -> "RigidTransform":
         rot_t = self.rotation.T
@@ -246,12 +206,3 @@ class KdTree:
             return np.empty((0, 2), dtype=np.int64)
         return self._tree.query_pairs(radius, output_type="ndarray")
 
-
-def build_kdtree(cloud: PointCloud) -> KdTree:
-    """Index a cloud's coordinates for radius queries."""
-    return KdTree(cloud.xyz)
-
-
-def radius_search(tree: KdTree, query, radius: float) -> np.ndarray:
-    """Functional alias for :meth:`KdTree.radius_search`."""
-    return tree.radius_search(query, radius)

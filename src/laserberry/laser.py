@@ -23,19 +23,14 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedRegimeError, ValidationError
+from .errors import (DomainError, UnsupportedRegimeError, ValidationError,
+                     require_positive)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datasets import Datasets
 
 #: Lateral beam speeds below this (mm/s) are outside the calibrated regime.
 DEFAULT_V_L_MIN = 10.0
-
-
-def _require_positive(**values: float) -> None:
-    for name, value in values.items():
-        if not (np.isfinite(value) and value > 0):
-            raise ValidationError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -49,11 +44,11 @@ class PierceRecord:
     pierce_constant_mm2_s: float
 
     def __post_init__(self):
-        _require_positive(spot_diameter_mm=self.spot_diameter_mm,
-                          stem_diameter_mm=self.stem_diameter_mm,
-                          pierce_time_s=self.pierce_time_s,
-                          pierce_velocity_mm_s=self.pierce_velocity_mm_s,
-                          pierce_constant_mm2_s=self.pierce_constant_mm2_s)
+        require_positive(spot_diameter_mm=self.spot_diameter_mm,
+                         stem_diameter_mm=self.stem_diameter_mm,
+                         pierce_time_s=self.pierce_time_s,
+                         pierce_velocity_mm_s=self.pierce_velocity_mm_s,
+                         pierce_constant_mm2_s=self.pierce_constant_mm2_s)
 
 
 @dataclass(frozen=True)
@@ -67,18 +62,18 @@ class LateralCutRecord:
     cut_velocity_mm_s: float
 
     def __post_init__(self):
-        _require_positive(spot_diameter_mm=self.spot_diameter_mm,
-                          lateral_velocity_mm_s=self.lateral_velocity_mm_s,
-                          stem_diameter_mm=self.stem_diameter_mm,
-                          cut_time_s=self.cut_time_s,
-                          cut_velocity_mm_s=self.cut_velocity_mm_s)
+        require_positive(spot_diameter_mm=self.spot_diameter_mm,
+                         lateral_velocity_mm_s=self.lateral_velocity_mm_s,
+                         stem_diameter_mm=self.stem_diameter_mm,
+                         cut_time_s=self.cut_time_s,
+                         cut_velocity_mm_s=self.cut_velocity_mm_s)
 
 
 def pierce_velocity(stem_diameter_mm: float, pierce_time_s: float) -> float:
     """Stem diameter over pierce time, mm/s. Zero diameter gives zero."""
     if stem_diameter_mm < 0:
         raise ValidationError(f"stem diameter must be non-negative, got {stem_diameter_mm}")
-    _require_positive(pierce_time_s=pierce_time_s)
+    require_positive(pierce_time_s=pierce_time_s)
     return stem_diameter_mm / pierce_time_s
 
 
@@ -87,7 +82,7 @@ def pierce_constant(pierce_velocity_mm_s: float, spot_diameter_mm: float) -> flo
     if pierce_velocity_mm_s < 0:
         raise ValidationError(
             f"pierce velocity must be non-negative, got {pierce_velocity_mm_s}")
-    _require_positive(spot_diameter_mm=spot_diameter_mm)
+    require_positive(spot_diameter_mm=spot_diameter_mm)
     return pierce_velocity_mm_s * spot_diameter_mm
 
 
@@ -127,7 +122,7 @@ class CutModel:
     def __post_init__(self):
         if not self.records:
             raise ValidationError("cut model needs at least one pierce record")
-        _require_positive(toughness=self.toughness, v_l_min=self.v_l_min)
+        require_positive(toughness=self.toughness, v_l_min=self.v_l_min)
         ordered = tuple(sorted(self.records, key=lambda r: r.spot_diameter_mm))
         diameters = [r.spot_diameter_mm for r in ordered]
         if len(set(diameters)) != len(diameters):
@@ -174,7 +169,7 @@ class EtchState:
 
     @classmethod
     def for_stem(cls, stem_diameter_mm: float) -> "EtchState":
-        _require_positive(stem_diameter_mm=stem_diameter_mm)
+        require_positive(stem_diameter_mm=stem_diameter_mm)
         return cls(0.0, math.pi * (stem_diameter_mm / 2.0) ** 2, False)
 
 
@@ -298,7 +293,7 @@ def verify_tables(datasets: "Datasets", tolerance: float = 0.03) -> TableAudit:
     Published values carry rounding, so deviations up to ``tolerance``
     (default 0.03) are expected.
     """
-    _require_positive(tolerance=tolerance)
+    require_positive(tolerance=tolerance)
     out: list[RowDeviation] = []
     for table, records in (("pierce-coarse", datasets.coarse),
                            ("pierce-fine", datasets.fine)):

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import CalibrationError, ValidationError
+from .errors import CalibrationError, ValidationError, require_positive
 from .geometry import Aabb, BASE_FRAME, KdTree, PointCloud, RigidTransform, transform_cloud
 
 
@@ -71,9 +71,7 @@ class ColorReference:
     b_th: float
 
     def __post_init__(self):
-        for name in ("r_th", "g_th", "b_th"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+        require_positive(r_th=self.r_th, g_th=self.g_th, b_th=self.b_th)
 
     @property
     def mean(self) -> np.ndarray:
@@ -124,8 +122,7 @@ class ClusterParams:
     max_size: int
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValidationError("cluster tolerance must be positive")
+        require_positive(tolerance=self.tolerance)
         if not (0 < self.min_size <= self.max_size):
             raise ValidationError("cluster size band must satisfy 0 < min <= max")
 

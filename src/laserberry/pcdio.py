@@ -71,6 +71,7 @@ def read_pcd(path: str | Path) -> PointCloud:
     text = Path(path).read_text()
     frame = "unknown"
     header: dict[str, str] = {}
+    header_line: dict[str, int] = {}
     data_start = None
     lines = text.splitlines()
     lineno = 0
@@ -89,6 +90,7 @@ def read_pcd(path: str | Path) -> PointCloud:
         if key in header:
             raise PcdParseError(f"duplicate header field {key!r}", lineno)
         header[key] = value.strip()
+        header_line[key] = lineno
         if key in _EXPECTED and header[key] != _EXPECTED[key]:
             raise PcdParseError(
                 f"unsupported {key} {header[key]!r} (expected {_EXPECTED[key]!r})", lineno)
@@ -106,6 +108,12 @@ def read_pcd(path: str | Path) -> PointCloud:
         raise PcdParseError(f"bad POINTS value {header['POINTS']!r}", data_start) from None
     if header["WIDTH"] != header["POINTS"]:
         raise PcdParseError("WIDTH does not match POINTS", data_start)
+    # bound n before allocating: every row needs a line after DATA
+    if n < 0:
+        raise PcdParseError(f"negative POINTS value {n}", header_line["POINTS"])
+    if n > len(lines) - data_start:
+        raise PcdParseError(f"expected {n} data rows, only {len(lines) - data_start} "
+                            "lines follow DATA", header_line["POINTS"])
 
     xyz = np.empty((n, 3), dtype=np.float64)
     rgb = np.empty((n, 3), dtype=np.uint8)

@@ -150,3 +150,21 @@ def test_non_finite_timestep_exits_1(tmp_path, capsys):
     bad.write_text("[scenario]\nseed = 1\n[demo]\ndt = nan\n")
     assert main(["simulate", "--scenario", str(bad)]) == 1
     assert "[demo] dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key", [("localization", "r_th"),
+                                         ("localization", "tolerance"),
+                                         ("gantry", "z_max")])
+def test_non_finite_value_exits_2_naming_key(tmp_path, capsys, section, key):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[scenario]\nseed = 1\n[{section}]\n{key} = nan\n")
+    assert main(["simulate", "--scenario", str(bad)]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+
+
+def test_negative_pcd_points_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.pcd"
+    bad.write_text("VERSION 0.7\nFIELDS x y z rgb\nWIDTH -1\nPOINTS -1\nDATA ascii\n")
+    assert main(["localize", "--scenario", "demo_11",
+                 "--cloud1", str(bad), "--cloud2", str(bad)]) == 1
+    assert "line 4: negative POINTS" in capsys.readouterr().err

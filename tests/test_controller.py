@@ -187,6 +187,23 @@ def test_per_fruit_toughness_scales_cut(model):
         2.0 * cut_time(2.2, model, 0.9, 50.0), abs=DT + 1e-9)
 
 
+def test_toughness_comes_from_the_body_cut(model):
+    # fruit 0 is nearest both boxes, but its stem sits 25 mm off the groove:
+    # the first cycle misses it, so the second cuts fruit 1 (toughness 3)
+    missed = _fruit(0, 0.0, 0.0, 0.60)
+    missed.stem_x += 0.025
+    tough = _fruit(1, 0.015, 0.0, 0.60)
+    tough.toughness = 3.0
+    sim = GantrySim(GantryConfig(max_velocity=0.168))
+    boxes = [_box(0.0, 0.0, 0.60), _box(0.0, 0.0, 0.60, rank=1)]
+    metrics = run_demo(sim, [missed, tough], boxes, model)
+    first, second = metrics.records
+    assert first.failure_reason == FAIL_TRAP and missed.attached
+    assert second.success and not tough.attached
+    assert second.cut_time_s == pytest.approx(
+        3.0 * cut_time(2.2, model, 0.9, 50.0), abs=DT)
+
+
 def test_metrics_csv_shape(model):
     sim = GantrySim(GantryConfig(max_velocity=0.168))
     box = _box(0.05, 0.0, 0.60)
@@ -209,5 +226,12 @@ def test_harvest_config_validation():
 @pytest.mark.parametrize("name", ["dt_s", "cut_timeout_s", "fall_timeout_s"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.5])
 def test_harvest_config_timing_must_be_positive_and_finite(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+        HarvestConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["spot_diameter_mm", "lateral_velocity_mm_s"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.5])
+def test_harvest_config_cut_parameters_must_be_positive_and_finite(name, value):
     with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
         HarvestConfig(**{name: value})

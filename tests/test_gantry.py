@@ -328,3 +328,21 @@ def test_skip_matches_stepping():
                 sim.lens.homing_done, sim.trapper.angle_deg, sim.axes_idle)
 
     assert run(skip=True) == run(skip=False)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -5.0])
+def test_lens_oscillation_speed_must_be_positive_and_finite(value):
+    lens = LensAxis(position_mm=0.0)
+    lens.begin_homing(0.0)
+    with pytest.raises(ValidationError, match="lateral_velocity_mm_s must be positive"):
+        lens.begin_oscillation(value, 0.0)
+    assert lens.mode is LensMode.IDLE
+
+
+@pytest.mark.parametrize("field,value,key", [
+    ("x_limits", (math.nan, 0.24), "x_min"), ("z_limits", (0.0, math.inf), "z_max"),
+    ("home_position", (math.nan, -0.25, 0.30), "home_x"),
+    ("home_position", (0.0, -0.25, -math.inf), "home_z")])
+def test_gantry_config_rejects_non_finite_geometry(field, value, key):
+    with pytest.raises(ValidationError, match=f"{key} must be finite"):
+        GantryConfig(**{field: value})

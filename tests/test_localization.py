@@ -4,6 +4,8 @@ Clustering is checked against a quadratic union-find reference; windows
 and color filters against per-point predicates.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,11 @@ def test_berry_and_foliage_label_pass_rates(demo_scene):
     foliage = labels == -1
     assert keep[berry].mean() > 0.99
     assert keep[foliage].mean() < 0.01
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_color_and_cluster_parameters_must_be_positive_and_finite(value):
+    with pytest.raises(ValidationError, match="g_th must be positive and finite"):
+        ColorReference(100.0, 50.0, 50.0, 10.0, value, 10.0)
+    with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+        ClusterParams(tolerance=value, min_size=1, max_size=10)

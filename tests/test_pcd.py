@@ -126,3 +126,14 @@ def test_shortest_float_repr_roundtrip(tmp_path):
     write_pcd(cloud, path)
     np.testing.assert_array_equal(read_pcd(path).xyz[:, 0].astype(np.float32),
                                   vals)
+
+
+@pytest.mark.parametrize("points,message", [("-1", "negative POINTS"),
+                                            ("5", "expected 5 data rows")])
+def test_points_bounded_before_allocating(tmp_path, points, message):
+    path = tmp_path / "bad.pcd"
+    path.write_text(_valid_text().replace("POINTS 2", f"POINTS {points}")
+                    .replace("WIDTH 2", f"WIDTH {points}"))
+    with pytest.raises(PcdParseError, match=message) as err:
+        read_pcd(path)
+    assert err.value.line == 10       # the POINTS header line

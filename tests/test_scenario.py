@@ -2,7 +2,7 @@
 
 import pytest
 
-from laserberry import ScenarioError, load_scenario
+from laserberry import ScenarioError, ValidationError, load_scenario
 from laserberry.scenario import bundled_scenario_path
 
 
@@ -196,3 +196,11 @@ def test_bundled_demo_layout():
 def test_demo_timing_must_be_positive_and_finite(tmp_path, key, value):
     with pytest.raises(ScenarioError, match=rf"\[demo\] {key} must be positive and finite"):
         load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[demo]\n{key} = {value}\n"))
+
+
+@pytest.mark.parametrize("section,key", [("gantry", "home_x"), ("gantry", "z_max"),
+                                         ("localization", "tolerance")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_values_fail_at_load(tmp_path, section, key, value):
+    with pytest.raises(ValidationError, match=rf"{key} must be"):
+        load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[{section}]\n{key} = {value}\n"))
