@@ -3,6 +3,11 @@
 Coordinates are metric and expressed in named frames; color channels are
 8-bit RGB. All containers are immutable after construction so they can be
 shared freely between the localization pipeline and tests.
+
+:class:`KdTree` answers radius queries. Clustering builds its own voxel
+grid (see :mod:`laserberry.localization`) and asks the tree for every
+linked pair only for a cloud too wide for that grid with no gap wider
+than the tolerance along any axis.
 """
 
 from __future__ import annotations

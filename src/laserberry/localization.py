@@ -4,10 +4,20 @@ The pipeline restricts each camera cloud to the scene volume, calibrates a
 reference color from a palette patch visible to both cameras, keeps only
 points near that reference, merges the survivors in the gantry base frame,
 and groups them into per-fruit clusters ordered along the picking axis.
+
+:func:`localize_clusters` does this with one transform, three masks and
+one gather per camera; the public stage functions (:func:`extract_window`,
+:func:`filter_red`, :func:`merge_clouds`) give the same points cloud by
+cloud. Clustering is an exact voxel-grid union: points are binned into
+cells a little under ``tolerance / sqrt(3)`` wide, and distances are
+tested only between cells up to two apart along each axis, so the list
+of every linked pair is never built.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +25,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import CalibrationError, ValidationError, require_positive
-from .geometry import Aabb, BASE_FRAME, KdTree, PointCloud, RigidTransform, transform_cloud
+from .geometry import Aabb, BASE_FRAME, KdTree, PointCloud, RigidTransform
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,16 @@ class ColorReference:
     def thresholds(self) -> np.ndarray:
         return np.array([self.r_th, self.g_th, self.b_th])
 
+    def mask(self, rgb: np.ndarray) -> np.ndarray:
+        """Boolean mask of colors within the half-width on every channel.
+
+        A channel value ``v`` passes when ``|v - mean| < threshold``; the
+        test is tabulated once for the 256 possible values of each channel
+        and looked up per point.
+        """
+        table = (np.abs(np.arange(256.0)[:, None] - self.mean) < self.thresholds).T
+        return table[0].take(rgb[:, 0]) & table[1].take(rgb[:, 1]) & table[2].take(rgb[:, 2])
+
 
 def calibration_reference(palette_cloud: PointCloud, r_th: float, g_th: float,
                           b_th: float) -> ColorReference:
@@ -102,8 +122,7 @@ def filter_red(cloud: PointCloud, ref: ColorReference) -> PointCloud:
     than the per-channel threshold on every channel."""
     if len(cloud) == 0:
         return cloud
-    delta = np.abs(cloud.rgb.astype(np.float64) - ref.mean)
-    return cloud.select((delta < ref.thresholds).all(axis=1))
+    return cloud.select(ref.mask(cloud.rgb))
 
 
 def merge_clouds(a: PointCloud, b: PointCloud) -> PointCloud:
@@ -127,33 +146,175 @@ class ClusterParams:
             raise ValidationError("cluster size band must satisfy 0 < min <= max")
 
 
+#: Grid cell side over the tolerance: a hair under 1/sqrt(3), so two points
+#: binned into one cell are within the tolerance even after the rounding
+#: of the binning arithmetic.
+_CELL_SIDE = (1.0 - 2.0 ** -20) / math.sqrt(3.0)
+#: A linked pair can lie sqrt(3) cells apart along an axis, so candidate
+#: cells reach two cells each way (62 forward offsets).
+_REACH = 2
+_OFFSETS = np.array([o for o in itertools.product(range(-_REACH, _REACH + 1), repeat=3)
+                     if o > (0, 0, 0)], dtype=np.int64)
+#: Cells per axis, padding included, stay below this so that the packed
+#: cell key fits an int64 and binning rounding stays far below the margin
+#: in ``_CELL_SIDE``; wider clouds are split first (``_component_labels``).
+_MAX_CELLS = 2 ** 21
+#: Cells whose candidate neighbours are looked up at once, and point pairs
+#: tested at once when cell pairs are checked exhaustively: both bound the
+#: memory a large cloud needs.
+_CELL_BLOCK = 2 ** 12
+_PAIR_CHUNK = 2 ** 17
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected-component labels of ``n`` nodes joined by edges ``a``-``b``."""
+    adj = coo_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n))
+    return connected_components(adj, directed=False)[1]
+
+
+def _within(xyz: np.ndarray, i: np.ndarray, j: np.ndarray, tol: float) -> np.ndarray:
+    return ((xyz[i] - xyz[j]) ** 2).sum(1) <= tol * tol
+
+
+def _any_pair_within(xyz, start, count, a, b, tol) -> np.ndarray:
+    """For each cell pair ``(a[k], b[k])``, whether any point of one lies
+    within ``tol`` of any point of the other. Cells are runs ``start``,
+    ``count`` of ``xyz``; point pairs are enumerated ``_PAIR_CHUNK`` at a
+    time so memory stays bounded however many there are."""
+    width = count[b]
+    total = count[a] * width
+    ends = np.cumsum(total)
+    linked = np.zeros(len(a), dtype=bool)
+    for lo in range(0, int(ends[-1]), _PAIR_CHUNK):
+        g = np.arange(lo, min(lo + _PAIR_CHUNK, int(ends[-1])))
+        k = np.searchsorted(ends, g, side="right")
+        r = g - (ends[k] - total[k])
+        near = _within(xyz, start[a[k]] + r // width[k], start[b[k]] + r % width[k], tol)
+        linked[k[near]] = True
+    return linked
+
+
+def _grid_labels(xyz: np.ndarray, tol: float) -> np.ndarray | None:
+    """Component label of each point, or None when the grid would not fit.
+
+    Points are binned into cells of side just under ``tol / sqrt(3)``, so
+    the points of one cell are linked without a distance test. Phase 1
+    tests one representative pair (the first point of each cell) per
+    candidate cell pair and labels the cell components. Phase 2 tests
+    every point pair of the candidate cell pairs whose cells are still in
+    different components (unless both cells hold one point, so the
+    representative pair was the only one), then labels again. Every pair
+    within ``tol`` lies in one cell or in a candidate cell pair, so the
+    result is exact.
+    """
+    lo = xyz.min(axis=0)
+    side = tol * _CELL_SIDE
+    with np.errstate(over="ignore"):
+        extent = (xyz.max(axis=0) - lo) / side
+    if not (extent < _MAX_CELLS - 2 * _REACH - 1).all():
+        return None
+    dims = extent.astype(np.int64) + 2 * _REACH + 1
+    stride = np.array([dims[1] * dims[2], dims[2], 1])
+    key = (((xyz - lo) / side).astype(np.int64) + _REACH) @ stride
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    cells = key[start]
+    count = np.diff(np.r_[start, len(key)])
+    xs = xyz[order]
+    step = _OFFSETS @ stride
+    linked, undecided = [], []
+    for block in range(0, len(cells), _CELL_BLOCK):
+        wanted = cells[block:block + _CELL_BLOCK, None] + step
+        pos = np.minimum(np.searchsorted(cells, wanted), len(cells) - 1)
+        a, hit = np.nonzero(cells[pos] == wanted)
+        b = pos[a, hit]
+        a += block
+        near = _within(xs, start[a], start[b], tol)
+        linked.append((a[near], b[near]))
+        # with one point in each cell the representative test was exhaustive
+        far = ~near & (count[a] * count[b] > 1)
+        undecided.append((a[far], b[far]))
+    a, b = (np.concatenate(x) for x in zip(*linked))
+    comp = _components(len(cells), a, b)
+    a2, b2 = (np.concatenate(x) for x in zip(*undecided))
+    unresolved = comp[a2] != comp[b2]
+    if unresolved.any():
+        a2, b2 = a2[unresolved], b2[unresolved]
+        second = _any_pair_within(xs, start, count, a2, b2, tol)
+        comp = _components(len(cells), np.r_[a, a2[second]], np.r_[b, b2[second]])
+    labels = np.empty(len(xyz), dtype=np.int64)
+    labels[order] = np.repeat(comp, count)
+    return labels
+
+
+def _split_at_gap(xyz: np.ndarray, tol: float) -> list[np.ndarray] | None:
+    """Row sets of the runs left after cutting the cloud at every gap wider
+    than ``tol`` along the first axis that has one, or None."""
+    for axis in range(3):
+        order = np.argsort(xyz[:, axis], kind="stable")
+        with np.errstate(over="ignore"):
+            cuts = np.flatnonzero(np.diff(xyz[order, axis]) > tol) + 1
+        if len(cuts):
+            return np.split(order, cuts)
+    return None
+
+
+def _component_labels(xyz: np.ndarray, tol: float) -> np.ndarray:
+    """Component label of each point of the proximity graph.
+
+    A cloud too wide for one grid is cut at gaps wider than ``tol`` (no
+    pair straddles one), and each run is labelled on its own, on a grid
+    if it fits or cut again. A run with no such gap on any axis spans at
+    most ``n * tol`` per axis, so it only misses the grid when it holds
+    about a million points; its labels come from every linked pair of a
+    k-d tree instead.
+    """
+    labels = np.empty(len(xyz), dtype=np.int64)
+    found = 0
+    todo = [np.arange(len(xyz))]
+    while todo:
+        rows = todo.pop()
+        part = xyz[rows]
+        sub = _grid_labels(part, tol)
+        if sub is None:
+            runs = _split_at_gap(part, tol)
+            if runs is not None:
+                todo.extend(rows[run] for run in runs)
+                continue
+            pairs = KdTree(part).pairs_within(tol)
+            sub = _components(len(part), pairs[:, 0], pairs[:, 1])
+        labels[rows] = sub + found
+        found += int(sub.max()) + 1
+    return labels
+
+
 def euclidean_clusters(cloud: PointCloud, params: ClusterParams) -> list[PointCloud]:
     """Group points into connected components of the proximity graph.
 
-    Two points are linked when their distance is at most ``tolerance``;
+    Two points are linked when ``sum((p - q)**2) <= tolerance**2``;
     components outside the size band are discarded. Clusters are returned
-    sorted by ascending centroid y (ties broken by centroid x), with each
-    cluster's points in their original order.
+    sorted by ascending centroid y (ties broken by centroid x, then by the
+    first point's index), with each cluster's points in their original
+    order.
+
+    Components come from an exact voxel-grid union (the grid form of
+    Euclidean cluster extraction) that never builds the full list of
+    linked pairs. A cloud spanning more than about two million cells along
+    an axis (points near +-1e300, say) is first cut at its gaps wider
+    than the tolerance.
     """
     n = len(cloud)
     if n == 0:
         return []
-    pairs = KdTree(cloud.xyz).pairs_within(params.tolerance)
-    if len(pairs):
-        ones = np.ones(len(pairs), dtype=np.int8)
-        adj = coo_matrix((ones, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-        _, labels = connected_components(adj, directed=False)
-    else:
-        labels = np.arange(n)
+    labels = _component_labels(cloud.xyz, params.tolerance)
     sizes = np.bincount(labels)
-    keep = (sizes >= params.min_size) & (sizes <= params.max_size)
     order = np.argsort(labels, kind="stable")
-    boundaries = np.searchsorted(labels[order], np.arange(sizes.size))
-    clusters = []
-    for lab in np.flatnonzero(keep):
-        start = boundaries[lab]
-        stop = boundaries[lab + 1] if lab + 1 < sizes.size else n
-        clusters.append(cloud.select(np.sort(order[start:stop])))
+    stop = np.cumsum(sizes)
+    start = stop - sizes
+    keep = np.flatnonzero((sizes >= params.min_size) & (sizes <= params.max_size))
+    keep = keep[np.argsort(order[start[keep]])]
+    clusters = [cloud.select(order[start[k]:stop[k]]) for k in keep]
     clusters.sort(key=lambda c: (c.xyz[:, 1].mean(), c.xyz[:, 0].mean()))
     return clusters
 
@@ -214,9 +375,15 @@ def localize_clusters(cloud_1: PointCloud, cloud_2: PointCloud,
                       config: LocalizationConfig | None = None) -> list[PointCloud]:
     """Per-fruit point clusters from a pair of camera clouds.
 
-    Each cloud is re-expressed in the base frame through its camera pose,
-    cropped to the reduced scene volume, color-filtered against that
-    camera's palette calibration, merged, and clustered.
+    Each cloud is re-expressed in the base frame through its camera pose.
+    Its palette rows give that camera's color calibration; its rows that
+    pass the color test and lie inside the reduced scene volume are kept
+    (the color test runs first: in a cluttered frame most points are
+    foliage, so the window is then tested on few rows). The kept rows of
+    both cameras (camera 1 first) form one merged cloud, which is
+    clustered. The result equals :func:`extract_window`,
+    :func:`filter_red` and :func:`merge_clouds` chained, without building
+    the intermediate clouds.
 
     Raises
     ------
@@ -224,14 +391,18 @@ def localize_clusters(cloud_1: PointCloud, cloud_2: PointCloud,
         If either camera sees no palette points.
     """
     cfg = config if config is not None else LocalizationConfig()
-    red_parts = []
+    xyz_parts, rgb_parts = [], []
     for cloud, pose in ((cloud_1, t_base_cam1), (cloud_2, t_base_cam2)):
-        base = transform_cloud(pose, cloud, BASE_FRAME)
-        palette = extract_window(base, cfg.palette_window)
-        ref = calibration_reference(palette, cfg.r_th, cfg.g_th, cfg.b_th)
-        scene = extract_window(base, cfg.reduced_window)
-        red_parts.append(filter_red(scene, ref))
-    merged = merge_clouds(red_parts[0], red_parts[1])
+        xyz = pose.apply(cloud.xyz)
+        palette = cfg.palette_window.mask(xyz)
+        ref = calibration_reference(
+            PointCloud(xyz[palette], cloud.rgb[palette], BASE_FRAME),
+            cfg.r_th, cfg.g_th, cfg.b_th)
+        red = np.flatnonzero(ref.mask(cloud.rgb))
+        keep = red[cfg.reduced_window.mask(xyz[red])]
+        xyz_parts.append(xyz[keep])
+        rgb_parts.append(cloud.rgb[keep])
+    merged = PointCloud(np.vstack(xyz_parts), np.vstack(rgb_parts), BASE_FRAME)
     return euclidean_clusters(merged, cfg.cluster)
 
 

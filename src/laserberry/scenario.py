@@ -187,6 +187,13 @@ class _Section:
         except ValueError as exc:
             raise ScenarioError(f"[{self.name}] {key}: not a number: {text!r}") from exc
 
+    def get_finite(self, key: str, default: float | None = None, required: bool = False):
+        """:meth:`get_float` that also rejects ``nan`` and ``inf``."""
+        value = self.get_float(key, default, required)
+        if value is not None and not math.isfinite(value):
+            raise ScenarioError(f"[{self.name}] {key} must be finite, got {value}")
+        return value
+
     def get_int(self, key: str, default: int | None = None, required: bool = False):
         text = self._fetch(key, required)
         if text is None:
@@ -309,13 +316,13 @@ def load_scenario(path: str | Path) -> Scenario:
     for _, name in berry_names:
         b = sec(name)
         berries.append(BerrySpec(
-            center=(b.get_float("x", required=True),
-                    b.get_float("y", required=True),
-                    b.get_float("z", required=True)),
-            diameter_m=b.get_float("diameter", 0.025),
-            stem_diameter_mm=b.get_float("stem_diameter_mm", None),
-            stem_length_m=b.get_float("stem_length", 0.035),
-            toughness=b.get_float("toughness", None),
+            center=(b.get_finite("x", required=True),
+                    b.get_finite("y", required=True),
+                    b.get_finite("z", required=True)),
+            diameter_m=b.get_finite("diameter", 0.025),
+            stem_diameter_mm=b.get_finite("stem_diameter_mm", None),
+            stem_length_m=b.get_finite("stem_length", 0.035),
+            toughness=b.get_finite("toughness", None),
         ))
 
     col = sec("colors")
@@ -339,10 +346,10 @@ def load_scenario(path: str | Path) -> Scenario:
 
     pal = sec("palette")
     palette = PaletteSpec(
-        center=(pal.get_float("x", -0.08), pal.get_float("y", 0.105),
-                pal.get_float("z", 0.325)),
-        size=(pal.get_float("dx", 0.015), pal.get_float("dy", 0.008),
-              pal.get_float("dz", 0.040)),
+        center=(pal.get_finite("x", -0.08), pal.get_finite("y", 0.105),
+                pal.get_finite("z", 0.325)),
+        size=(pal.get_finite("dx", 0.015), pal.get_finite("dy", 0.008),
+              pal.get_finite("dz", 0.040)),
         points=pal.get_int("points", 400),
     )
 

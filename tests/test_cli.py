@@ -168,3 +168,18 @@ def test_negative_pcd_points_exits_1(tmp_path, capsys):
     assert main(["localize", "--scenario", "demo_11",
                  "--cloud1", str(bad), "--cloud2", str(bad)]) == 1
     assert "line 4: negative POINTS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key", [
+    *(("berry 1", k) for k in ("x", "y", "z", "diameter", "stem_length",
+                               "stem_diameter_mm", "toughness")),
+    *(("palette", k) for k in ("x", "y", "z", "dx", "dy", "dz"))])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_berry_or_palette_value_exits_1(tmp_path, capsys, section, key, value):
+    fields = {"x": "0.0", "y": "0.0", "z": "0.6"} if section == "berry 1" else {}
+    fields[key] = value
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[scenario]\nseed = 1\n[{section}]\n"
+                   + "".join(f"{k} = {v}\n" for k, v in fields.items()))
+    assert main(["simulate", "--scenario", str(bad)]) == 1
+    assert f"[{section}] {key} must be finite" in capsys.readouterr().err

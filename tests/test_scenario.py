@@ -204,3 +204,27 @@ def test_demo_timing_must_be_positive_and_finite(tmp_path, key, value):
 def test_non_finite_values_fail_at_load(tmp_path, section, key, value):
     with pytest.raises(ValidationError, match=rf"{key} must be"):
         load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[{section}]\n{key} = {value}\n"))
+
+
+_BERRY = {"x": "0.0", "y": "0.0", "z": "0.6"}
+
+
+def _berry_scenario(key, value):
+    fields = dict(_BERRY, **{key: value})
+    return "[scenario]\nseed = 1\n[berry 1]\n" + "".join(
+        f"{k} = {v}\n" for k, v in fields.items())
+
+
+@pytest.mark.parametrize("key", ["x", "y", "z", "diameter", "stem_length",
+                                 "stem_diameter_mm", "toughness"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_berry_values_must_be_finite(tmp_path, key, value):
+    with pytest.raises(ScenarioError, match=rf"\[berry 1\] {key} must be finite"):
+        load_scenario(_write(tmp_path, _berry_scenario(key, value)))
+
+
+@pytest.mark.parametrize("key", ["x", "y", "z", "dx", "dy", "dz"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_palette_values_must_be_finite(tmp_path, key, value):
+    with pytest.raises(ScenarioError, match=rf"\[palette\] {key} must be finite"):
+        load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[palette]\n{key} = {value}\n"))
