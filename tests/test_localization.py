@@ -271,6 +271,26 @@ def test_localize_invariant_to_uniform_gain(demo_scene):
         assert a.point_count == b.point_count
 
 
+def test_localize_clusters_equals_chained_stages(demo_scene):
+    # the one-mask path keeps exactly the rows the public stages keep
+    from laserberry.geometry import transform_cloud
+    from laserberry.localization import localize_clusters
+    scenario, cloud1, cloud2, _ = demo_scene
+    cfg = scenario.localization
+    parts = []
+    for cloud, pose in ((cloud1, scenario.camera_1), (cloud2, scenario.camera_2)):
+        base = transform_cloud(pose, cloud, "harvester-base")
+        ref = calibration_reference(extract_window(base, cfg.palette_window),
+                                    cfg.r_th, cfg.g_th, cfg.b_th)
+        parts.append(filter_red(extract_window(base, cfg.reduced_window), ref))
+    want = euclidean_clusters(merge_clouds(*parts), cfg.cluster)
+    got = localize_clusters(cloud1, cloud2, scenario.camera_1, scenario.camera_2, cfg)
+    assert len(got) == len(want) == 11
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.xyz, w.xyz)
+        np.testing.assert_array_equal(g.rgb, w.rgb)
+
+
 def test_berry_and_foliage_label_pass_rates(demo_scene):
     # with calibrated thresholds, berries survive the color gate and
     # foliage does not
