@@ -1,17 +1,22 @@
-"""Harvest-cycle state machine driving the gantry simulation.
+"""Harvest cycle driving the gantry simulation.
 
 Each fruit is processed by one cycle: re-reference the lens, move below
 the localized box, rise past it, retract onto the stem line, close the
 trapper (which either funnels the stem into the groove or misses), cut
 with the oscillating laser until the etch model severs the stem, keep the
 laser on until an interrupter beam confirms the fall, then open the
-trapper and descend toward the next fruit. Cycle time decomposes exactly
-into motion time plus laser-on-to-severed cut time.
+trapper and descend toward the next fruit. Cycle time splits into motion
+time plus laser-on-to-severed cut time: motion is ``cycle - cut``, so the
+float sum ``motion + cut`` matches the cycle to within one rounding.
 
-The semantics are 1 ms ticks (``HarvestConfig.dt_s``), evaluated by jumping:
-before each step the loop skips to the tick before the current phase's
-check first holds, then takes that tick as an ordinary step, bit-identical
-to stepping every tick. Only a falling or unseen severed fruit is stepped.
+A cycle is straight-line code: each phase is its action followed by a wait
+for the check that ends it. The wait is the only loop in a cycle that
+steps the machine, on 1 ms ticks (``HarvestConfig.dt_s``). Checks run before each
+step, so an action that is already complete takes no tick. While no fruit
+is falling or unseen, a wait first jumps to the tick before its check
+first holds: it replays once per tick the float operations a step does to
+the clock, the trapper and the etch, then evaluates the axes and the lens
+there in closed form, bit-identical to stepping every tick.
 """
 
 from __future__ import annotations
@@ -21,16 +26,16 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 from .errors import MotionError, require_positive
-from .gantry import GRAVITY, GantryConfig, GantrySim, check_interrupters
-from .laser import CutModel, EtchState, etch_step
+from .gantry import GRAVITY, FallEvent, GantryConfig, GantrySim, check_interrupters
+from .laser import CutModel, EtchState, etch_rate, etch_step
 from .localization import BerryBox
 from .scene import FruitBody
 
 
 class HarvestPhase(Enum):
-    IDLE = "idle"
     HOMING_LENS = "homing-lens"
     MOVE_BELOW_XY = "move-below-xy"
     RAISE_Z = "raise-z"
@@ -167,45 +172,36 @@ def plan_approach(box: BerryBox, gantry: GantryConfig,
     return waypoints
 
 
+_APPROACH = (HarvestPhase.MOVE_BELOW_XY, HarvestPhase.RAISE_Z, HarvestPhase.RETRACT)
+
+
 class _Cycle:
-    """Runs the state machine for a single fruit."""
+    """One fruit's harvest, run as straight-line code by :meth:`run`."""
 
     def __init__(self, sim: GantrySim, world: list[FruitBody], box: BerryBox,
                  model: CutModel, config: HarvestConfig,
-                 next_box: BerryBox | None, fruit_index: int):
+                 next_box: BerryBox | None):
         self.sim = sim
         self.world = world
         self.box = box
         self.model = model
         self.cfg = config
         self.next_box = next_box
-        self.fruit_index = fruit_index
-        self.phase = HarvestPhase.IDLE
         self.phases: list[HarvestPhase] = []
         self.failure = ""
-        self.t_start = sim.time
-        self.t_laser_on = math.nan
-        self.t_severed = math.nan
         self.cut_time = 0.0
         self.target: FruitBody | None = None
-        self.etch: EtchState | None = None
-        self.etch_rate = 0.0             # mm^2/s while cutting, as in etch_step
-        self.waypoints: list[tuple[float, float, float]] = []
-        self.fall_deadline = math.inf
+        self.fall_event: FallEvent | None = None
+        self.cut_area = 0.0              # mm^2 etched so far
+        self.stem_area = 0.0             # mm^2 to etch
+        self.etch_rate = 0.0             # mm^2/s while cutting
 
-    # -- helpers -----------------------------------------------------------
-
-    def _goto(self, phase: HarvestPhase) -> None:
-        if phase is not HarvestPhase.FAILED:
-            here = CYCLE_ORDER.index(self.phase) if self.phase in CYCLE_ORDER else -1
-            if CYCLE_ORDER.index(phase) != here + 1:
-                raise AssertionError(f"illegal transition {self.phase} -> {phase}")
-        self.phase = phase
+    def _enter(self, phase: HarvestPhase) -> None:
         self.phases.append(phase)
 
     def _fail(self, reason: str) -> None:
         self.failure = reason
-        self._goto(HarvestPhase.FAILED)
+        self._enter(HarvestPhase.FAILED)
 
     def _pick_target(self) -> FruitBody | None:
         cx, cy, cz = self.box.centroid
@@ -218,176 +214,96 @@ class _Cycle:
                 best, best_d = fruit, d
         return best
 
-    def _world_step(self, dt: float) -> None:
-        for fruit in self.world:
-            if not fruit.attached and not fruit.landed:
-                fruit.fall_step(dt, GRAVITY)
+    def _wait(self, done: Callable[[float], bool]) -> None:
+        """Step until ``done(sim.time)`` holds, jumping while no fruit is watched.
 
-    def _skip_to_event(self, phase: HarvestPhase) -> None:
-        """Jump to the tick before ``phase``'s check first holds, unless watching."""
-        sim, dt = self.sim, self.cfg.dt_s
-        if sim.interrupters.watching(self.world):
-            return
-        ticks = _ticks_to_event(sim, dt, phase, self) - 1
-        sim.skip(ticks, dt)
-        if phase is HarvestPhase.CUTTING and ticks > 0:
-            area, target = self.etch.cut_area, self.etch.target_area
-            for _ in range(ticks):
-                area = min(target, area + dt * self.etch_rate)
-            self.etch = EtchState(area, target, False)
-
-    # -- the state machine --------------------------------------------------
-
-    def run(self) -> CycleRecord:
-        sim, cfg = self.sim, self.cfg
-        self._goto(HarvestPhase.HOMING_LENS)
-        sim.home_lens()
-        fall_event = None
-        while True:
-            # phase completion checks run before stepping so zero-length
-            # actions finish without consuming a timestep
-            advanced = True
-            while advanced and self.phase not in (HarvestPhase.DONE, HarvestPhase.FAILED):
-                advanced = self._try_advance(fall_event)
-            if self.phase in (HarvestPhase.DONE, HarvestPhase.FAILED):
-                break
-            self._skip_to_event(self.phase)
+        A step ticks the sim, lets detached fruit fall, checks the beams and,
+        while cutting, etches the stem.
+        """
+        sim, cfg, world = self.sim, self.cfg, self.world
+        while not done(sim.time):
+            cutting = self.phases[-1] is HarvestPhase.CUTTING
+            if not sim.interrupters.watching(world):
+                _jump(sim, cfg.dt_s, done, self if cutting else None)
             sim.step(cfg.dt_s)
-            self._world_step(cfg.dt_s)
-            event = check_interrupters(sim, self.world)
+            for fruit in world:
+                if not fruit.attached and not fruit.landed:
+                    fruit.fall_step(cfg.dt_s, GRAVITY)
+            event = check_interrupters(sim, world)
             if event is not None and self.target is not None \
                     and event.fruit_uid == self.target.uid:
-                fall_event = event
-            if self.phase is HarvestPhase.CUTTING:
-                self._etch_once()
-        cycle_time = sim.time - self.t_start
-        return CycleRecord(
-            fruit_index=self.fruit_index,
-            success=self.phase is HarvestPhase.DONE,
-            motion_time_s=cycle_time - self.cut_time,
-            cut_time_s=self.cut_time,
-            cycle_time_s=cycle_time,
-            failure_reason=self.failure,
-            phases=tuple(self.phases),
-        )
+                self.fall_event = event
+            if cutting:
+                etch = etch_step(EtchState(self.cut_area, self.stem_area, False),
+                                 cfg.dt_s, sim.laser_on, self.model,
+                                 cfg.spot_diameter_mm, cfg.lateral_velocity_mm_s)
+                self.cut_area = etch.cut_area
 
-    def _etch_once(self) -> None:
-        self.etch = etch_step(self.etch, self.cfg.dt_s, self.sim.laser_on,
-                              self.model, self.cfg.spot_diameter_mm,
-                              self.cfg.lateral_velocity_mm_s)
-        if self.etch.severed:
-            self.t_severed = self.sim.time
-            self.cut_time = self.t_severed - self.t_laser_on
+    def run(self) -> None:
+        """Run the phases in order; a failure sets ``failure`` and returns."""
+        sim, cfg = self.sim, self.cfg
+        self._enter(HarvestPhase.HOMING_LENS)
+        sim.home_lens()
+        self._wait(sim.lens.homing_done_at)
 
-    def _try_advance(self, fall_event) -> bool:
-        """Run one phase-transition check; True if the phase changed."""
-        sim, cfg, phase = self.sim, self.cfg, self.phase
+        target = self.target = self._pick_target()
+        if target is not None and target.toughness != self.model.toughness:
+            self.model = dataclasses.replace(self.model, toughness=target.toughness)
+        try:
+            waypoints = plan_approach(self.box, sim.config,
+                                      cfg.below_offset_m, cfg.above_offset_m)
+        except MotionError:
+            return self._fail(FAIL_PLAN)
+        if target is not None:
+            target.attempted = True
+        for phase, waypoint in zip(_APPROACH, waypoints):
+            sim.command_move(*waypoint)
+            self._enter(phase)
+            self._wait(sim.axes_done_at)
 
-        if phase is HarvestPhase.HOMING_LENS:
-            if not sim.lens.homing_done:
-                return False
-            self.target = self._pick_target()
-            if self.target is not None and self.target.toughness != self.model.toughness:
-                self.model = dataclasses.replace(self.model, toughness=self.target.toughness)
-            try:
-                self.waypoints = plan_approach(self.box, sim.config,
-                                               cfg.below_offset_m, cfg.above_offset_m)
-            except MotionError:
-                self._fail(FAIL_PLAN)
-                return True
-            if self.target is not None:
-                self.target.attempted = True
-            sim.command_move(*self.waypoints[0])
-            self._goto(HarvestPhase.MOVE_BELOW_XY)
-            return True
+        sim.set_trapper(closed=True)
+        self._enter(HarvestPhase.CLOSE_TRAPPER)
+        self._wait(lambda now: sim.trapper.idle)
+        if target is None or not sim.captures(target.stem_x, target.stem_y):
+            return self._fail(FAIL_TRAP)
 
-        if phase is HarvestPhase.MOVE_BELOW_XY:
-            if not sim.axes_idle:
-                return False
-            sim.command_move(*self.waypoints[1])
-            self._goto(HarvestPhase.RAISE_Z)
-            return True
+        gx, gy, _ = sim.tool_position()
+        target.snap_to(gx, gy)
+        sim.start_lens_oscillation(cfg.lateral_velocity_mm_s)
+        sim.set_laser(True)
+        t_laser_on = sim.time
+        self.stem_area = EtchState.for_stem(target.stem_diameter_mm).target_area
+        self.etch_rate = etch_rate(self.model, cfg.spot_diameter_mm,
+                                   cfg.lateral_velocity_mm_s)
+        self._enter(HarvestPhase.CUTTING)
+        self._wait(lambda now: self.cut_area == self.stem_area
+                   or now - t_laser_on >= cfg.cut_timeout_s)
+        if self.cut_area != self.stem_area:
+            return self._fail(FAIL_CUT_TIMEOUT)
+        self.cut_time = sim.time - t_laser_on
 
-        if phase is HarvestPhase.RAISE_Z:
-            if not sim.axes_idle:
-                return False
-            sim.command_move(*self.waypoints[2])
-            self._goto(HarvestPhase.RETRACT)
-            return True
+        # the laser stays energized until a beam confirms the fall
+        target.attached = False
+        target.fall_velocity = 0.0
+        deadline = sim.time + cfg.fall_timeout_s
+        self._enter(HarvestPhase.AWAIT_FALL)
+        self._wait(lambda now: self.fall_event is not None or now >= deadline)
+        if self.fall_event is None:
+            return self._fail(FAIL_FALL_TIMEOUT)
+        self._enter(HarvestPhase.LASER_OFF)
+        self._wait(lambda now: now > self.fall_event.time)   # one tick later
 
-        if phase is HarvestPhase.RETRACT:
-            if not sim.axes_idle:
-                return False
-            sim.set_trapper(closed=True)
-            self._goto(HarvestPhase.CLOSE_TRAPPER)
-            return True
-
-        if phase is HarvestPhase.CLOSE_TRAPPER:
-            if not sim.trapper.idle:
-                return False
-            if self.target is None or \
-                    not sim.captures(self.target.stem_x, self.target.stem_y):
-                self._fail(FAIL_TRAP)
-                return True
-            gx, gy, _ = sim.tool_position()
-            self.target.snap_to(gx, gy)
-            sim.start_lens_oscillation(cfg.lateral_velocity_mm_s)
-            sim.set_laser(True)
-            self.t_laser_on = sim.time
-            self.etch = EtchState.for_stem(self.target.stem_diameter_mm)
-            if cfg.lateral_velocity_mm_s >= self.model.v_l_min:
-                self.etch_rate = self.model.cp(cfg.spot_diameter_mm) / self.model.toughness
-            self._goto(HarvestPhase.CUTTING)
-            return True
-
-        if phase is HarvestPhase.CUTTING:
-            if self.etch.severed:
-                self.target.attached = False
-                self.target.fall_velocity = 0.0
-                self.fall_deadline = sim.time + cfg.fall_timeout_s
-                self._goto(HarvestPhase.AWAIT_FALL)
-                return True
-            if sim.time - self.t_laser_on >= cfg.cut_timeout_s:
-                self._fail(FAIL_CUT_TIMEOUT)
-                return True
-            return False
-
-        if phase is HarvestPhase.AWAIT_FALL:
-            # the laser stays energized until a beam confirms the fall
-            if fall_event is not None:
-                self._goto(HarvestPhase.LASER_OFF)
-                return False  # hold one step so laser-off lands after the event
-            if sim.time >= self.fall_deadline:
-                self._fail(FAIL_FALL_TIMEOUT)
-                return True
-            return False
-
-        if phase is HarvestPhase.LASER_OFF:
-            if fall_event is None or sim.time <= fall_event.time:
-                return False
-            sim.set_laser(False)
-            sim.stop_lens_oscillation()
-            sim.set_trapper(closed=False)
-            self._goto(HarvestPhase.OPEN_TRAPPER)
-            return True
-
-        if phase is HarvestPhase.OPEN_TRAPPER:
-            if not sim.trapper.idle:
-                return False
-            follow = self.next_box if self.next_box is not None else self.box
-            z_next = float(follow.box.min[2]) - cfg.below_offset_m
-            x, y, _ = sim.tool_position()
-            sim.command_move(x, y, z_next)
-            self._goto(HarvestPhase.DESCEND_Z)
-            return True
-
-        if phase is HarvestPhase.DESCEND_Z:
-            if not sim.axes_idle:
-                return False
-            self._goto(HarvestPhase.DONE)
-            return True
-
-        return False
+        sim.set_laser(False)
+        sim.stop_lens_oscillation()
+        sim.set_trapper(closed=False)
+        self._enter(HarvestPhase.OPEN_TRAPPER)
+        self._wait(lambda now: sim.trapper.idle)
+        follow = self.next_box if self.next_box is not None else self.box
+        x, y, _ = sim.tool_position()
+        sim.command_move(x, y, float(follow.box.min[2]) - cfg.below_offset_m)
+        self._enter(HarvestPhase.DESCEND_Z)
+        self._wait(sim.axes_done_at)
+        self._enter(HarvestPhase.DONE)
 
     def cleanup(self) -> None:
         """Leave the mechanism safe after a failed cycle."""
@@ -396,49 +312,36 @@ class _Cycle:
             sim.set_laser(False)
         sim.stop_lens_oscillation()
         sim.set_trapper(closed=False)
-        while not sim.trapper.idle:
-            self._skip_to_event(HarvestPhase.OPEN_TRAPPER)   # the same trapper wait
-            sim.step(self.cfg.dt_s)
-            self._world_step(self.cfg.dt_s)
+        self._wait(lambda now: sim.trapper.idle)
 
 
-_AXIS_PHASES = (HarvestPhase.MOVE_BELOW_XY, HarvestPhase.RAISE_Z,
-                HarvestPhase.RETRACT, HarvestPhase.DESCEND_Z)
+def _jump(sim: GantrySim, dt: float, done: Callable[[float], bool],
+          cut: _Cycle | None = None) -> None:
+    """Move ``sim`` to the tick before the one where ``done`` first holds.
 
-
-def _ticks_to_event(sim: GantrySim, dt: float, phase: HarvestPhase,
-                    cycle: _Cycle | None = None) -> int:
-    """Ticks of ``dt`` until the check that ends ``phase`` first holds.
-
-    Replays on scalars the float operations of stepping (``time += dt``,
-    the trapper slew, the etch update) and tests each tick with the stepped
-    predicate. Phases that end on a fall event answer 1: they are stepped.
+    Called only while no fruit is watched, when a step changes nothing but
+    the clock, the trapper angle, the axes, the lens and, while ``cut`` is
+    given, its etch. The clock, the trapper slew and the etch take one float
+    operation per tick, replayed here once per tick as a step does them; the
+    axes and the lens are closed forms of time, evaluated where the jump lands.
     """
-    now, ticks = sim.time + dt, 1
-    if phase is HarvestPhase.HOMING_LENS:
-        while not sim.lens.homing_done_at(now):
-            now += dt
-            ticks += 1
-    elif phase in _AXIS_PHASES:
-        for axis in (sim.x, sim.y, sim.z):     # each check only turns true
-            while not axis.done_at(now):
-                now += dt
-                ticks += 1
-    elif phase in (HarvestPhase.CLOSE_TRAPPER, HarvestPhase.OPEN_TRAPPER):
-        probe = dataclasses.replace(sim.trapper)
-        probe.advance(dt)
-        while not probe.idle:
-            probe.advance(dt)
-            ticks += 1
-    elif phase is HarvestPhase.CUTTING:
-        target, rate = cycle.etch.target_area, cycle.etch_rate
-        t_on, timeout = cycle.t_laser_on, cycle.cfg.cut_timeout_s
-        area = min(target, cycle.etch.cut_area + dt * rate)
-        while not (area == target or now - t_on >= timeout):
-            now += dt
-            area = min(target, area + dt * rate)
-            ticks += 1
-    return ticks
+    trapper, now = sim.trapper, sim.time
+    slewing = not trapper.idle              # an idle trapper stays idle
+    while True:
+        angle = trapper.angle_deg
+        if slewing:
+            trapper.advance(dt)
+        if cut is not None:
+            area = cut.cut_area
+            cut.cut_area = min(cut.stem_area, area + dt * cut.etch_rate)
+        if done(now + dt):
+            break
+        now += dt
+    trapper.angle_deg = angle               # the caller steps that tick
+    if cut is not None:
+        cut.cut_area = area
+    if now != sim.time:
+        sim.advance_to(now)
 
 
 def run_cycle(sim: GantrySim, world: list[FruitBody], box: BerryBox,
@@ -450,18 +353,24 @@ def run_cycle(sim: GantrySim, world: list[FruitBody], box: BerryBox,
     The body cut is the nearest attached, unattempted fruit to the box
     centroid; its toughness overrides ``model.toughness``. On failure the
     mechanism is left safe (laser off, trapper open) and the record
-    carries the failure reason; timing always satisfies
-    ``cycle == motion + cut`` exactly.
+    carries the failure reason; ``motion == cycle - cut`` always.
     """
     cfg = config if config is not None else HarvestConfig()
-    cycle = _Cycle(sim, world, box, model, cfg, next_box, fruit_index)
-    record = cycle.run()
-    if not record.success:
+    t_start = sim.time
+    cycle = _Cycle(sim, world, box, model, cfg, next_box)
+    cycle.run()
+    if cycle.failure:
         cycle.cleanup()
-        cycle_time = sim.time - cycle.t_start
-        record = dataclasses.replace(record, cycle_time_s=cycle_time,
-                                     motion_time_s=cycle_time - record.cut_time_s)
-    return record
+    cycle_time = sim.time - t_start
+    return CycleRecord(
+        fruit_index=fruit_index,
+        success=not cycle.failure,
+        motion_time_s=cycle_time - cycle.cut_time,
+        cut_time_s=cycle.cut_time,
+        cycle_time_s=cycle_time,
+        failure_reason=cycle.failure,
+        phases=tuple(cycle.phases),
+    )
 
 
 def run_demo(sim: GantrySim, world: list[FruitBody], boxes: list[BerryBox],
@@ -474,8 +383,9 @@ def run_demo(sim: GantrySim, world: list[FruitBody], boxes: list[BerryBox],
     """
     cfg = config if config is not None else HarvestConfig()
     sim.home_lens()
-    while not sim.lens.homing_done:
-        sim.skip(_ticks_to_event(sim, cfg.dt_s, HarvestPhase.HOMING_LENS) - 1, cfg.dt_s)
+    homed = sim.lens.homing_done_at
+    while not homed(sim.time):
+        _jump(sim, cfg.dt_s, homed)
         sim.step(cfg.dt_s)
     records = []
     for i, box in enumerate(boxes):

@@ -4,10 +4,11 @@ Axes follow trapezoidal velocity profiles (triangular when the move is too
 short to reach cruise speed), the focus lens homes against a limit switch
 and oscillates the beam laterally, the v-groove trapper sweeps between its
 open and closed angles, and three interrupter beams below the groove report
-when a severed fruit falls past. Everything advances on a fixed timestep,
-one tick (:meth:`GantrySim.step`) or many at once (:meth:`GantrySim.skip`)
-with results bit-identical to stepping: axes and lens are closed forms of
-sim time, and time and trapper angle repeat the same float operations.
+when a severed fruit falls past. Everything advances on a fixed timestep
+(:meth:`GantrySim.step`). Only the clock and the trapper angle carry a float
+operation per tick; axes and lens are closed forms of sim time
+(:meth:`GantrySim.advance_to`), so a caller that replays the clock and the
+trapper over many ticks lands them with one call, bit-identical to stepping.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ class InterrupterBank:
         """True while a detached fruit is still falling or not yet seen.
 
         Such a fruit must be integrated and checked on every tick; with
-        none, ticks can be skipped without missing an event.
+        none, ticks can be jumped without missing an event.
         """
         return any(not f.attached and (not f.landed or f.uid not in self._fired)
                    for f in fruits)
@@ -385,6 +386,10 @@ class GantrySim:
     def axes_idle(self) -> bool:
         return self.x.idle and self.y.idle and self.z.idle
 
+    def axes_done_at(self, now: float) -> bool:
+        """Whether every axis has finished its move by sim time ``now``."""
+        return self.x.done_at(now) and self.y.done_at(now) and self.z.done_at(now)
+
     def captures(self, stem_x: float, stem_y: float) -> bool:
         """Would closing the trapper funnel a stem at (x, y) into the groove?"""
         dx = stem_x - self.x.position
@@ -394,26 +399,20 @@ class GantrySim:
     # -- integration -------------------------------------------------------
 
     def step(self, dt: float) -> None:
-        """Advance the whole mechanism by ``dt`` seconds."""
-        self.skip(1, dt)
+        """Advance the whole mechanism by one tick of ``dt`` seconds."""
+        self.advance_to(self.time + dt)
+        self.trapper.advance(dt)
 
-    def skip(self, ticks: int, dt: float) -> None:
-        """Advance ``ticks`` ticks of ``dt`` at once, as ``ticks`` steps would.
+    def advance_to(self, now: float) -> None:
+        """Set the clock to ``now`` and evaluate the axes and the lens there.
 
-        Time and trapper angle repeat their float operation per tick; axes
-        and lens are closed forms of time, evaluated at the last tick. Fruit
-        are not advanced: skip only while none is watched.
+        They are closed forms of time, so after a jump over many ticks one
+        call lands them where stepping would. The trapper is not slewed: its
+        angle takes one float operation per tick, which a jump replays.
+        Raises :class:`ValidationError` before anything moves unless ``now``
+        is finite and later than the clock.
         """
-        require_positive(timestep=dt)
-        if ticks <= 0:
-            return
-        now, trapper = self.time, self.trapper
-        for _ in range(ticks):
-            now += dt
-        for _ in range(ticks):
-            if trapper.idle:
-                break
-            trapper.advance(dt)
+        require_positive(timestep=now - self.time)
         self.time = now
         self.x.advance(now)
         self.y.advance(now)

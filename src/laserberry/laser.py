@@ -173,19 +173,30 @@ class EtchState:
         return cls(0.0, math.pi * (stem_diameter_mm / 2.0) ** 2, False)
 
 
+def etch_rate(model: CutModel, spot_diameter_mm: float,
+              lateral_velocity_mm_s: float) -> float:
+    """Stem section removed per second by the oscillating beam, mm^2/s.
+
+    ``C_p(spot) / toughness`` inside the calibrated regime; zero when the
+    lateral speed is below ``model.v_l_min``, where the cut makes no progress.
+    """
+    if lateral_velocity_mm_s < model.v_l_min:
+        return 0.0
+    return model.cp(spot_diameter_mm) / model.toughness
+
+
 def etch_step(state: EtchState, dt: float, laser_on: bool, model: CutModel,
               spot_diameter_mm: float, lateral_velocity_mm_s: float) -> EtchState:
     """Advance a cut by one timestep.
 
-    With the laser on and the lateral speed inside the calibrated regime,
-    removed area grows at ``C_p(spot) / toughness`` per second, clamped at
-    the target; any other condition leaves the state unchanged. Integrating
-    the whole cut at a fixed dt therefore reaches severed within one step of
-    :func:`cut_time`.
+    With the laser on, removed area grows at :func:`etch_rate` per second,
+    clamped at the target; a severed stem or a dark laser leaves the state
+    unchanged. Integrating the whole cut at a fixed dt therefore reaches
+    severed within one step of :func:`cut_time`.
     """
-    if state.severed or not laser_on or lateral_velocity_mm_s < model.v_l_min:
+    if state.severed or not laser_on:
         return state
-    rate = model.cp(spot_diameter_mm) / model.toughness  # mm^2/s removed
+    rate = etch_rate(model, spot_diameter_mm, lateral_velocity_mm_s)
     area = min(state.target_area, state.cut_area + dt * rate)
     return EtchState(area, state.target_area, area == state.target_area)
 

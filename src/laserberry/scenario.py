@@ -32,12 +32,6 @@ class BerrySpec:
     stem_length_m: float = 0.035
     toughness: float | None = None              # falls back to [laser] toughness
 
-    def __post_init__(self):
-        if self.diameter_m <= 0 or self.stem_length_m <= 0:
-            raise ScenarioError("berry diameter and stem length must be positive")
-        if self.stem_diameter_mm is not None and self.stem_diameter_mm <= 0:
-            raise ScenarioError("stem diameter must be positive")
-
 
 @dataclass(frozen=True)
 class PaletteSpec:
@@ -63,6 +57,12 @@ class ColorSettings:
     foliage_base: tuple[int, int, int] = (60, 140, 60)
     foliage_jitter: int = 25
     palette_jitter: int = 3
+
+    def __post_init__(self):
+        for key in ("berry_jitter", "foliage_jitter", "palette_jitter"):
+            value = getattr(self, key)
+            if not 0 <= value <= 255:
+                raise ScenarioError(f"[colors] {key} must be in [0, 255], got {value}")
 
 
 @dataclass(frozen=True)
@@ -194,6 +194,13 @@ class _Section:
             raise ScenarioError(f"[{self.name}] {key} must be finite, got {value}")
         return value
 
+    def get_positive(self, key: str, default: float | None = None, required: bool = False):
+        """:meth:`get_finite` that also rejects zero and negative values."""
+        value = self.get_finite(key, default, required)
+        if value is not None and value <= 0:
+            raise ScenarioError(f"[{self.name}] {key} must be positive, got {value}")
+        return value
+
     def get_int(self, key: str, default: int | None = None, required: bool = False):
         text = self._fetch(key, required)
         if text is None:
@@ -237,12 +244,12 @@ def _parse_camera(sec: _Section, index: int) -> RigidTransform:
     if not sec.raw:
         return default
     return RigidTransform.from_euler_deg(
-        sec.get_float("roll_deg", 0.0),
-        sec.get_float("pitch_deg", 0.0),
-        sec.get_float("yaw_deg", 0.0),
-        (sec.get_float("x", required=True),
-         sec.get_float("y", required=True),
-         sec.get_float("z", required=True)),
+        sec.get_finite("roll_deg", 0.0),
+        sec.get_finite("pitch_deg", 0.0),
+        sec.get_finite("yaw_deg", 0.0),
+        (sec.get_finite("x", required=True),
+         sec.get_finite("y", required=True),
+         sec.get_finite("z", required=True)),
     )
 
 
@@ -254,7 +261,7 @@ def _parse_window(sec: _Section, prefix: str, default: SpatialWindow) -> Spatial
     if len(present) != 6:
         raise ScenarioError(
             f"[{sec.name}] {prefix} window needs all six bounds, got {present}")
-    return SpatialWindow(*(sec.get_float(k) for k in keys))
+    return SpatialWindow(*(sec.get_finite(k) for k in keys))
 
 
 def bundled_scenario_path(name: str) -> Path | None:
@@ -319,10 +326,10 @@ def load_scenario(path: str | Path) -> Scenario:
             center=(b.get_finite("x", required=True),
                     b.get_finite("y", required=True),
                     b.get_finite("z", required=True)),
-            diameter_m=b.get_finite("diameter", 0.025),
-            stem_diameter_mm=b.get_finite("stem_diameter_mm", None),
-            stem_length_m=b.get_finite("stem_length", 0.035),
-            toughness=b.get_finite("toughness", None),
+            diameter_m=b.get_positive("diameter", 0.025),
+            stem_diameter_mm=b.get_positive("stem_diameter_mm", None),
+            stem_length_m=b.get_positive("stem_length", 0.035),
+            toughness=b.get_positive("toughness", None),
         ))
 
     col = sec("colors")
@@ -335,14 +342,11 @@ def load_scenario(path: str | Path) -> Scenario:
     )
 
     fol = sec("foliage")
-    default_fw = SpatialWindow(-0.35, 0.35, -0.25, 0.25, 0.45, 0.75)
     if fol.raw:
-        foliage_window = SpatialWindow(
-            fol.get_float("x_min", required=True), fol.get_float("x_max", required=True),
-            fol.get_float("y_min", required=True), fol.get_float("y_max", required=True),
-            fol.get_float("z_min", required=True), fol.get_float("z_max", required=True))
+        foliage_window = SpatialWindow(*(fol.get_finite(k, required=True) for k in (
+            "x_min", "x_max", "y_min", "y_max", "z_min", "z_max")))
     else:
-        foliage_window = default_fw
+        foliage_window = SpatialWindow(-0.35, 0.35, -0.25, 0.25, 0.45, 0.75)
 
     pal = sec("palette")
     palette = PaletteSpec(

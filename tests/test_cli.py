@@ -183,3 +183,26 @@ def test_non_finite_berry_or_palette_value_exits_1(tmp_path, capsys, section, ke
                    + "".join(f"{k} = {v}\n" for k, v in fields.items()))
     assert main(["simulate", "--scenario", str(bad)]) == 1
     assert f"[{section}] {key} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[camera 1]\nx = nan\ny = 0\nz = 0.4\n", "[camera 1] x must be finite"),
+    ("[foliage]\nx_min = inf\nx_max = 0.3\ny_min = -0.2\ny_max = 0.2\n"
+     "z_min = 0.45\nz_max = 0.75\n", "[foliage] x_min must be finite"),
+    ("[localization]\npalette_x_min = nan\npalette_x_max = -0.07\n"
+     "palette_y_min = 0.1\npalette_y_max = 0.11\npalette_z_min = 0.3\n"
+     "palette_z_max = 0.35\n", "[localization] palette_x_min must be finite"),
+    ("[berry 1]\nx = 0\ny = 0\nz = 0.6\ndiameter = -0.01\n",
+     "[berry 1] diameter must be positive"),
+    ("[berry 1]\nx = 0\ny = 0\nz = 0.6\ntoughness = -1\n",
+     "[berry 1] toughness must be positive"),
+    ("[colors]\nfoliage_jitter = -5\n", "[colors] foliage_jitter must be in [0, 255]"),
+    ("[colors]\npalette_jitter = -1\n", "[colors] palette_jitter must be in [0, 255]"),
+])
+def test_bad_scenario_value_exits_1_naming_key(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[scenario]\nseed = 1\n" + text)
+    assert main(["simulate", "--scenario", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err

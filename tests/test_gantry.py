@@ -300,10 +300,14 @@ def test_sim_determinism():
 @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.001])
 def test_sim_rejects_bad_timestep_before_moving(dt):
     sim = GantrySim()
-    for advance in (sim.step, lambda dt: sim.skip(10, dt)):
+    sim.command_move(0.12, -0.1, 0.55)
+    sim.set_trapper(closed=True)
+    for advance in (sim.step, lambda dt: sim.advance_to(sim.time + dt)):
         with pytest.raises(ValidationError, match="positive and finite"):
             advance(dt)
     assert sim.time == 0.0
+    assert sim.tool_position() == GantryConfig().home_position
+    assert sim.trapper.angle_deg == sim.trapper.open_angle_deg
 
 
 @pytest.mark.parametrize("limit", ["max_velocity", "max_accel"])
@@ -313,21 +317,25 @@ def test_gantry_speed_limits_must_be_positive_and_finite(limit, value):
         GantryConfig(**{limit: value})
 
 
-def test_skip_matches_stepping():
-    def run(skip):
+def test_jump_then_advance_to_matches_stepping():
+    def run(jump):
         sim = GantrySim(GantryConfig(max_velocity=0.168))
         sim.home_lens()
         sim.command_move(0.12, -0.1, 0.55)
         sim.set_trapper(closed=True)
-        if skip:
-            sim.skip(700, DT)
+        if jump:     # replay the clock and the trapper, then commit once
+            now = sim.time
+            for _ in range(700):
+                now += DT
+                sim.trapper.advance(DT)
+            sim.advance_to(now)
         else:
             for _ in range(700):
                 sim.step(DT)
         return (sim.time, sim.tool_position(), sim.lens.position_mm,
                 sim.lens.homing_done, sim.trapper.angle_deg, sim.axes_idle)
 
-    assert run(skip=True) == run(skip=False)
+    assert run(jump=True) == run(jump=False)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -5.0])

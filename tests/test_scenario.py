@@ -228,3 +228,57 @@ def test_berry_values_must_be_finite(tmp_path, key, value):
 def test_palette_values_must_be_finite(tmp_path, key, value):
     with pytest.raises(ScenarioError, match=rf"\[palette\] {key} must be finite"):
         load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[palette]\n{key} = {value}\n"))
+
+
+@pytest.mark.parametrize("key", ["diameter", "stem_length", "stem_diameter_mm",
+                                 "toughness"])
+@pytest.mark.parametrize("value", ["0", "-0.01", "-1"])
+def test_berry_sizes_and_toughness_must_be_positive(tmp_path, key, value):
+    with pytest.raises(ScenarioError, match=rf"\[berry 1\] {key} must be positive"):
+        load_scenario(_write(tmp_path, _berry_scenario(key, value)))
+
+
+_BOUNDS = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
+
+#: camera pose and window keys, read as finite floats
+_POSE_AND_WINDOW_KEYS = [
+    *(("camera 1", k) for k in ("x", "y", "z", "roll_deg", "pitch_deg", "yaw_deg")),
+    ("camera 2", "z"),
+    *(("foliage", k) for k in _BOUNDS),
+    ("localization", "palette_x_min"), ("localization", "reduced_z_max"),
+]
+
+
+def _pose_or_window_scenario(section, key, value):
+    if section.startswith("camera"):
+        fields = {"x": "0.0", "y": "0.0", "z": "0.4"}
+    elif section == "foliage":
+        fields = dict(zip(_BOUNDS, ("-0.3", "0.3", "-0.2", "0.2", "0.45", "0.75")))
+    else:
+        prefix = key.split("_")[0]
+        fields = {f"{prefix}_{b}": v for b, v in zip(
+            _BOUNDS, ("-0.3", "0.3", "-0.2", "0.2", "0.0", "0.7"))}
+    fields[key] = value
+    return f"[scenario]\nseed = 1\n[{section}]\n" + "".join(
+        f"{k} = {v}\n" for k, v in fields.items())
+
+
+@pytest.mark.parametrize("section,key", _POSE_AND_WINDOW_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_camera_and_window_values_must_be_finite(tmp_path, section, key, value):
+    with pytest.raises(ScenarioError, match=rf"\[{section}\] {key} must be finite"):
+        load_scenario(_write(tmp_path, _pose_or_window_scenario(section, key, value)))
+
+
+@pytest.mark.parametrize("key", ["berry_jitter", "foliage_jitter", "palette_jitter"])
+@pytest.mark.parametrize("value", ["-1", "-5", "256", "99999999999999999999"])
+def test_color_jitter_must_fit_the_channel_range(tmp_path, key, value):
+    with pytest.raises(ScenarioError, match=rf"\[colors\] {key} must be in \[0, 255\]"):
+        load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[colors]\n{key} = {value}\n"))
+
+
+@pytest.mark.parametrize("value", [0, 255])
+def test_color_jitter_range_is_inclusive(tmp_path, value):
+    scn = load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[colors]\n"
+                                         f"foliage_jitter = {value}\n"))
+    assert scn.colors.foliage_jitter == value

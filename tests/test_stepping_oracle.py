@@ -1,8 +1,8 @@
 """Jumping to each phase boundary reproduces 1 ms stepping bit for bit.
 
-The controller skips the ticks before each phase's check first holds.
-Patching ``controller._ticks_to_event`` to answer one tick turns every
-wait back into plain stepping, which serves as the oracle: both runs must
+The controller jumps over the ticks before each phase's check first holds.
+Patching ``controller._jump`` to do nothing turns every wait back into
+plain stepping, which serves as the oracle: both runs must
 leave every record, the sim clock, the lens, the fruit and the beams in
 exactly the same state.
 """
@@ -82,7 +82,7 @@ def _run(world: World):
 @pytest.mark.parametrize("world", WORLDS)
 def test_jumped_cycle_matches_stepping(world, monkeypatch):
     jumped = _run(world)
-    monkeypatch.setattr(controller, "_ticks_to_event", lambda *args: 1)
+    monkeypatch.setattr(controller, "_jump", lambda *args: None)
     stepped = _run(world)
     assert jumped == stepped
 
