@@ -12,25 +12,24 @@ float sum ``motion + cut`` matches the cycle to within one rounding.
 A cycle is straight-line code: each phase is its action followed by a wait
 for the check that ends it. The wait is the only loop in a cycle that
 steps the machine, on 1 ms ticks (``HarvestConfig.dt_s``). Checks run before each
-step, so an action that is already complete takes no tick. While no fruit
-is falling or unseen, a wait first jumps to the tick before its check
-first holds: it replays once per tick the float operations a step does to
-the clock, the trapper and the etch, then evaluates the axes and the lens
-there in closed form, bit-identical to stepping every tick.
+step, so an action that is already complete takes no tick. A wait first
+jumps to the tick before its check first holds, or before a beam may see a
+fruit: it replays blocks of ticks as arrays (clock, trapper, fruit fall and
+etch, bit-identical to stepping), calls the check once per block and
+bisects the block where it first holds, then steps that one tick.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable
 
 from .errors import MotionError, require_positive
 from .gantry import GRAVITY, FallEvent, GantryConfig, GantrySim, check_interrupters
-from .laser import CutModel, EtchState, etch_rate, etch_step
+from .laser import CutModel, EtchState, etch_rate, etch_step, etch_track
 from .localization import BerryBox
 from .scene import FruitBody
 
@@ -192,8 +191,7 @@ class _Cycle:
         self.cut_time = 0.0
         self.target: FruitBody | None = None
         self.fall_event: FallEvent | None = None
-        self.cut_area = 0.0              # mm^2 etched so far
-        self.stem_area = 0.0             # mm^2 to etch
+        self.etch: EtchState | None = None
         self.etch_rate = 0.0             # mm^2/s while cutting
 
     def _enter(self, phase: HarvestPhase) -> None:
@@ -215,29 +213,22 @@ class _Cycle:
         return best
 
     def _wait(self, done: Callable[[float], bool]) -> None:
-        """Step until ``done(sim.time)`` holds, jumping while no fruit is watched.
-
-        A step ticks the sim, lets detached fruit fall, checks the beams and,
-        while cutting, etches the stem.
-        """
+        """Step until ``done(sim.time)`` holds, jumping over the ticks between;
+        a step ticks the sim, lets fruit fall, checks the beams and etches a cut."""
         sim, cfg, world = self.sim, self.cfg, self.world
+        cutting = self.phases[-1] is HarvestPhase.CUTTING
         while not done(sim.time):
-            cutting = self.phases[-1] is HarvestPhase.CUTTING
-            if not sim.interrupters.watching(world):
-                _jump(sim, cfg.dt_s, done, self if cutting else None)
+            _jump(sim, cfg.dt_s, done, world, self if cutting else None)
             sim.step(cfg.dt_s)
             for fruit in world:
                 if not fruit.attached and not fruit.landed:
                     fruit.fall_step(cfg.dt_s, GRAVITY)
             event = check_interrupters(sim, world)
-            if event is not None and self.target is not None \
-                    and event.fruit_uid == self.target.uid:
+            if event is not None and event.fruit_uid == getattr(self.target, "uid", None):
                 self.fall_event = event
             if cutting:
-                etch = etch_step(EtchState(self.cut_area, self.stem_area, False),
-                                 cfg.dt_s, sim.laser_on, self.model,
-                                 cfg.spot_diameter_mm, cfg.lateral_velocity_mm_s)
-                self.cut_area = etch.cut_area
+                self.etch = etch_step(self.etch, cfg.dt_s, sim.laser_on, self.model,
+                                      cfg.spot_diameter_mm, cfg.lateral_velocity_mm_s)
 
     def run(self) -> None:
         """Run the phases in order; a failure sets ``failure`` and returns."""
@@ -248,7 +239,7 @@ class _Cycle:
 
         target = self.target = self._pick_target()
         if target is not None and target.toughness != self.model.toughness:
-            self.model = dataclasses.replace(self.model, toughness=target.toughness)
+            self.model = replace(self.model, toughness=target.toughness)
         try:
             waypoints = plan_approach(self.box, sim.config,
                                       cfg.below_offset_m, cfg.above_offset_m)
@@ -272,13 +263,12 @@ class _Cycle:
         sim.start_lens_oscillation(cfg.lateral_velocity_mm_s)
         sim.set_laser(True)
         t_laser_on = sim.time
-        self.stem_area = EtchState.for_stem(target.stem_diameter_mm).target_area
+        self.etch = EtchState.for_stem(target.stem_diameter_mm)
         self.etch_rate = etch_rate(self.model, cfg.spot_diameter_mm,
                                    cfg.lateral_velocity_mm_s)
         self._enter(HarvestPhase.CUTTING)
-        self._wait(lambda now: self.cut_area == self.stem_area
-                   or now - t_laser_on >= cfg.cut_timeout_s)
-        if self.cut_area != self.stem_area:
+        self._wait(lambda now: self.etch.severed or now - t_laser_on >= cfg.cut_timeout_s)
+        if not self.etch.severed:
             return self._fail(FAIL_CUT_TIMEOUT)
         self.cut_time = sim.time - t_laser_on
 
@@ -315,33 +305,41 @@ class _Cycle:
         self._wait(lambda now: sim.trapper.idle)
 
 
+_FIRST_BLOCK, _MAX_BLOCK = 256, 2 ** 14    # ticks; the cap keeps a block near 1 MB
+
+
 def _jump(sim: GantrySim, dt: float, done: Callable[[float], bool],
-          cut: _Cycle | None = None) -> None:
+          world=(), cut: _Cycle | None = None) -> None:
     """Move ``sim`` to the tick before the one where ``done`` first holds.
 
-    Called only while no fruit is watched, when a step changes nothing but
-    the clock, the trapper angle, the axes, the lens and, while ``cut`` is
-    given, its etch. The clock, the trapper slew and the etch take one float
-    operation per tick, replayed here once per tick as a step does them; the
-    axes and the lens are closed forms of time, evaluated where the jump lands.
+    The jump also stops before a tick at which a beam may see a fruit. It
+    replays blocks of ticks as arrays (:meth:`GantrySim.replay`, and while
+    ``cut`` is given its etch), growing ×4 up to ``_MAX_BLOCK``, calls
+    ``done`` at each block's end and bisects the block where it first holds:
+    every wait's check is monotone in the tick.
     """
-    trapper, now = sim.trapper, sim.time
-    slewing = not trapper.idle              # an idle trapper stays idle
+    n = _FIRST_BLOCK
     while True:
-        angle = trapper.angle_deg
-        if slewing:
-            trapper.advance(dt)
+        block = sim.replay(n, dt, world)
         if cut is not None:
-            area = cut.cut_area
-            cut.cut_area = min(cut.stem_area, area + dt * cut.etch_rate)
-        if done(now + dt):
-            break
-        now += dt
-    trapper.angle_deg = angle               # the caller steps that tick
-    if cut is not None:
-        cut.cut_area = area
-    if now != sim.time:
-        sim.advance_to(now)
+            area, stem = etch_track(cut.etch, n, dt, cut.etch_rate), cut.etch.target_area
+
+        def at(k: int) -> float:
+            if cut is not None:
+                cut.etch = EtchState(float(area[k]), stem, float(area[k]) == stem)
+            return block.at(sim, k)
+
+        lo, hi = 0, min(n, block.beam - 1)
+        if hi and not done(at(hi)):
+            lo = hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if done(at(mid)) else (mid, hi)
+        at(lo)
+        block.land(sim, lo)
+        if lo < n:
+            return
+        n = min(4 * n, _MAX_BLOCK)
 
 
 def run_cycle(sim: GantrySim, world: list[FruitBody], box: BerryBox,

@@ -7,8 +7,11 @@ open and closed angles, and three interrupter beams below the groove report
 when a severed fruit falls past. Everything advances on a fixed timestep
 (:meth:`GantrySim.step`). Only the clock and the trapper angle carry a float
 operation per tick; axes and lens are closed forms of sim time
-(:meth:`GantrySim.advance_to`), so a caller that replays the clock and the
-trapper over many ticks lands them with one call, bit-identical to stepping.
+(:meth:`GantrySim.advance_to`). :meth:`GantrySim.replay` runs the clock, the
+trapper and the fall of detached fruit over a block of ticks as numpy
+running sums, which add left to right as stepping does and so match it bit
+for bit, and finds the first tick at which a beam may see a fruit from the
+tool path sampled in closed form.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .errors import MotionError, ValidationError, require_positive
 
@@ -78,6 +83,20 @@ class MotionProfile:
         return (self.start + d_acc + self.v_peak * t_cruise
                 + self.v_peak * td - 0.5 * a * td * td,
                 self.v_peak - a * td)
+
+    def position_at(self, t: np.ndarray) -> np.ndarray:
+        """The positions :meth:`sample` gives at the times ``t``, float for float."""
+        tau = t - self.t0
+        t_acc, t_cruise = self.t_acc, self.t_cruise
+        a = self.accel if self.v_peak >= 0 else -self.accel
+        d_acc = 0.5 * a * t_acc * t_acc
+        td = tau - t_acc - t_cruise
+        return np.select(
+            [tau <= 0.0, tau >= self.duration, tau < t_acc, tau < t_acc + t_cruise],
+            [self.start, self.end, self.start + 0.5 * a * tau * tau,
+             self.start + d_acc + self.v_peak * (tau - t_acc)],
+            self.start + d_acc + self.v_peak * t_cruise
+            + self.v_peak * td - 0.5 * a * td * td)
 
 
 @dataclass
@@ -272,14 +291,48 @@ class InterrupterBank:
                     return FallEvent(now, fruit.uid, i)
         return None
 
-    def watching(self, fruits) -> bool:
-        """True while a detached fruit is still falling or not yet seen.
+    def crossings(self, tool, fruit, z_prev, z_now):
+        """Where :meth:`check` would see a detached, unseen ``fruit``, per tick.
 
-        Such a fruit must be integrated and checked on every tick; with
-        none, ticks can be jumped without missing an event.
+        ``tool`` (groove x, y, z) and the fruit's heights are arrays over
+        ticks, or constants; the comparisons are :meth:`check`'s own.
         """
-        return any(not f.attached and (not f.landed or f.uid not in self._fired)
-                   for f in fruits)
+        tx, ty, tz = tool
+        hit = False
+        for off in self.offsets_m:
+            plane = tz - off
+            hit = hit | ((z_prev > plane) & (plane >= z_now))
+        return hit & ~((np.abs(fruit.x - tx) > self.halfspan_m)
+                       | (np.abs(fruit.y - ty) > self.halfspan_m))
+
+
+@dataclass
+class TickBlock:
+    """Ticks ``0..n`` of the machine from now (tick 0), built by
+    :meth:`GantrySim.replay`."""
+
+    time: np.ndarray               # clock per tick
+    trapper: np.ndarray | None     # trapper angle per tick; None while idle
+    falls: list                    # (fruit, speeds, heights, landing tick or n + 1)
+    beam: int                      # first tick a beam may fire at; n + 1 if none
+
+    def at(self, sim: "GantrySim", k: int) -> float:
+        """Set the trapper to tick ``k`` and return that tick's time."""
+        if self.trapper is not None:
+            sim.trapper.angle_deg = float(self.trapper[k])
+        return float(self.time[k])
+
+    def land(self, sim: "GantrySim", k: int) -> None:
+        """Leave the machine and the falling fruit as ``k`` steps would."""
+        now = self.at(sim, k)
+        for fruit, v, z, landing in self.falls:
+            j = min(k, landing)                 # a landed fruit stops falling
+            if j:
+                fruit.fall_velocity, fruit.prev_z, fruit.z = (
+                    float(v[j]), float(z[j - 1]), float(z[j]))
+                fruit.landed = j == landing
+        if k:
+            sim.advance_to(now)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +443,11 @@ class GantrySim:
         """Whether every axis has finished its move by sim time ``now``."""
         return self.x.done_at(now) and self.y.done_at(now) and self.z.done_at(now)
 
+    def tool_path(self, t: np.ndarray) -> tuple:
+        """Groove positions at the sim times ``t``, as stepping there reads them."""
+        return tuple(a.position if a.profile is None else a.profile.position_at(t)
+                     for a in (self.x, self.y, self.z))
+
     def captures(self, stem_x: float, stem_y: float) -> bool:
         """Would closing the trapper funnel a stem at (x, y) into the groove?"""
         dx = stem_x - self.x.position
@@ -418,6 +476,48 @@ class GantrySim:
         self.y.advance(now)
         self.z.advance(now)
         self.lens.advance(now)
+
+    def replay(self, n: int, dt: float, fruits=()) -> TickBlock:
+        """The next ``n`` ticks of :meth:`step`, each followed by the fall of
+        the detached ``fruits``, as arrays equal to stepping float for float.
+
+        The block's ``beam`` is the first tick at which a beam may see a
+        fruit; the caller steps that tick, since a check reports one fruit.
+        """
+        time = np.full(n + 1, dt)
+        time[0] = self.time
+        np.add.accumulate(time, out=time)
+        angle, tr = None, self.trapper
+        if not tr.idle:
+            step = tr.rate_deg_s * dt
+            angle = np.full(n + 1, step if tr.target_deg > tr.angle_deg else -step)
+            angle[0] = tr.angle_deg
+            np.add.accumulate(angle, out=angle)
+            there = np.abs(tr.target_deg - angle) <= step
+            j = int(there.argmax())
+            if there[j]:
+                angle[j + 1:] = tr.target_deg
+        falls, beam, tool = [], n + 1, None
+        for fruit in fruits:
+            if fruit.attached:
+                continue
+            z_prev, z_now = fruit.prev_z, fruit.z
+            if not fruit.landed:
+                v, z = fruit.fall_track(n, dt, GRAVITY)
+                down = z <= 0.0
+                down[0] = False
+                landing = int(down.argmax()) or n + 1
+                falls.append((fruit, v, z, landing))
+                k = np.minimum(np.arange(1, n + 1), landing)
+                z_prev, z_now = z[k - 1], z[k]
+            if fruit.uid in self.interrupters._fired:
+                continue
+            tool = tool or self.tool_path(time[1:])
+            seen = np.flatnonzero(np.broadcast_to(
+                self.interrupters.crossings(tool, fruit, z_prev, z_now), n)[:beam - 1])
+            if seen.size:
+                beam = int(seen[0]) + 1
+        return TickBlock(time, angle, falls, beam)
 
 
 def check_interrupters(sim: GantrySim, fruits) -> FallEvent | None:

@@ -112,7 +112,12 @@ class RigidTransform:
     @classmethod
     def from_euler_deg(cls, roll: float, pitch: float, yaw: float,
                        translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        """Build from intrinsic x-y-z Euler angles in degrees."""
+        """Build from extrinsic x-y-z Euler angles in degrees.
+
+        Roll turns about the fixed base x axis first, then pitch about the
+        fixed y axis, then yaw about the fixed z axis (scipy's lower-case
+        ``"xyz"``), so the matrix is ``Rz(yaw) @ Ry(pitch) @ Rx(roll)``.
+        """
         from scipy.spatial.transform import Rotation
 
         rot = Rotation.from_euler("xyz", [roll, pitch, yaw], degrees=True)

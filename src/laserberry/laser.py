@@ -201,6 +201,19 @@ def etch_step(state: EtchState, dt: float, laser_on: bool, model: CutModel,
     return EtchState(area, state.target_area, area == state.target_area)
 
 
+def etch_track(state: EtchState, n: int, dt: float, rate: float) -> np.ndarray:
+    """Cut areas over the next ``n`` laser-on calls of :func:`etch_step`.
+
+    Index 0 is now. The running sum adds left to right as the steps do and
+    clamping it at the target once equals clamping every step, so it matches
+    them float for float.
+    """
+    area = np.full(n + 1, dt * rate)
+    area[0] = state.cut_area
+    np.add.accumulate(area, out=area)
+    return np.minimum(state.target_area, area)
+
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio step
 
 

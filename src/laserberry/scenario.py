@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ScenarioError
-from .gantry import GantryConfig
+from .gantry import GantryConfig, MotionProfile
 from .geometry import RigidTransform
 from .localization import ClusterParams, LocalizationConfig, SpatialWindow
 
@@ -94,6 +94,35 @@ class DemoSettings:
                 raise ScenarioError(f"[demo] {key} must be positive and finite, got {value}")
 
 
+#: Most ticks one wait of a run may take; see ``[demo]`` in docs/formats.md.
+MAX_WAIT_TICKS = 10 ** 7
+
+
+def _check_tick_budget(gantry: GantryConfig, demo: DemoSettings) -> None:
+    """Reject settings under which one wait could run past ``MAX_WAIT_TICKS``.
+
+    The waits are a lens homing, a cut and a fall, each bounded by its
+    time, and the longest move across the travel box.
+    """
+    homing = gantry.lens_travel_mm / gantry.lens_homing_speed_mm_s
+    move = max((MotionProfile.plan(min(lo, home), max(hi, home), 0.0,
+                                   gantry.max_velocity, gantry.max_accel)
+                for (lo, hi), home in zip((gantry.x_limits, gantry.y_limits,
+                                           gantry.z_limits), gantry.home_position)),
+               key=lambda p: p.duration)
+    for key, seconds in (
+            ("[demo] dt", homing),
+            ("[demo] cut_timeout_s", demo.cut_timeout_s),
+            ("[demo] fall_timeout_s", demo.fall_timeout_s),
+            ("[gantry] max_velocity" if move.t_cruise > 2.0 * move.t_acc
+             else "[gantry] max_accel", move.duration)):
+        ticks = seconds / demo.dt_s
+        if not ticks <= MAX_WAIT_TICKS:
+            raise ScenarioError(
+                f"{key}: a {seconds:g} s wait at dt {demo.dt_s:g} s is {ticks:.3g} "
+                f"ticks, over the budget of {MAX_WAIT_TICKS:.0e} ticks per wait")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete, replayable bench setup."""
@@ -128,6 +157,7 @@ class Scenario:
             if ctr - sz / 2 < lo or ctr + sz / 2 > hi:
                 raise ScenarioError(
                     "palette patch extends outside the palette calibration window")
+        _check_tick_budget(self.gantry, self.demo)
 
 
 def _default_camera(index: int) -> RigidTransform:

@@ -182,6 +182,21 @@ class FruitBody:
         if self.z <= 0.0:
             self.landed = True
 
+    def fall_track(self, n: int, dt: float, gravity: float):
+        """Speeds and heights over the next ``n`` calls of :meth:`fall_step`.
+
+        Index 0 is now. The running sums add left to right as the steps do,
+        so they match them float for float (``z - v*dt`` is ``z + -(v*dt)``);
+        they run on past the landing, which is the caller's to cut.
+        """
+        v = np.full(n + 1, gravity * dt)
+        v[0] = self.fall_velocity
+        np.add.accumulate(v, out=v)
+        z = -(v * dt)
+        z[0] = self.z
+        np.add.accumulate(z, out=z)
+        return v, z
+
 
 def make_world(truth: SceneTruth) -> list[FruitBody]:
     """Instantiate fruit bodies from scene ground truth."""

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from laserberry import cli
 from laserberry.cli import main
 
 
@@ -205,4 +206,23 @@ def test_bad_scenario_value_exits_1_naming_key(tmp_path, capsys, text, message):
     assert main(["simulate", "--scenario", str(bad)]) == 1
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,text", [
+    ("[demo] dt", "[demo]\ndt = 1e-8\n"),
+    ("[demo] cut_timeout_s", "[demo]\ncut_timeout_s = 1e6\n"),
+    ("[demo] fall_timeout_s", "[demo]\nfall_timeout_s = 1e5\n"),
+    ("[gantry] max_velocity", "[gantry]\nmax_velocity = 1e-6\n"),
+    ("[gantry] max_accel", "[gantry]\nmax_accel = 1e-9\n"),
+])
+def test_wait_over_the_tick_budget_exits_1_naming_key(tmp_path, capsys, monkeypatch,
+                                                       key, text):
+    monkeypatch.setattr(cli, "simulate_scenario",
+                        lambda *args: pytest.fail("an over-budget scenario was run"))
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[scenario]\nseed = 1\n" + text)
+    assert main(["simulate", "--scenario", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"{key}: " in err and "over the budget" in err
     assert "Traceback" not in err

@@ -338,6 +338,62 @@ def test_jump_then_advance_to_matches_stepping():
     assert run(jump=True) == run(jump=False)
 
 
+def test_position_at_matches_sample_fuzz():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        start, end = rng.uniform(-0.3, 0.3, 2)
+        t0 = float(rng.uniform(0.0, 50.0))
+        profile = MotionProfile.plan(float(start), float(end), t0,
+                                     float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.5, 20.0)))
+        t = t0 + np.concatenate([rng.uniform(-0.1, profile.duration + 0.1, 50),
+                                 [0.0, profile.t_acc, profile.t_acc + profile.t_cruise,
+                                  profile.duration]])
+        assert profile.position_at(t).tolist() == [profile.sample(x)[0] for x in t.tolist()]
+
+
+@pytest.mark.parametrize("move_z,heights,n", [
+    (0.40, (0.36, 0.05, 0.30), 600),    # the rising tool's beam meets fruit 0
+    (0.05, (0.05,), 1800),              # the falling beam meets a landed fruit
+])
+def test_replay_matches_stepping(move_z, heights, n):
+    """Clock, trapper, tool, fall and the first beam tick equal stepping's."""
+    def setup():
+        sim = GantrySim(GantryConfig(max_velocity=0.168))
+        sim.command_move(0.0, -0.25, move_z)
+        sim.set_trapper(closed=True)
+        fruits = [FruitBody(uid=i, x=0.0, y=-0.25 + 0.01 * i, z=z, stem_x=0.0,
+                            stem_y=-0.25, stem_diameter_mm=2.0, toughness=1.0,
+                            attached=i == 2)
+                  for i, z in enumerate(heights)]
+        return sim, fruits
+
+    def state(sim, fruits):
+        return (sim.time, sim.tool_position(), sim.trapper.angle_deg,
+                [(f.z, f.prev_z, f.fall_velocity, f.landed) for f in fruits])
+
+    sim, fruits = setup()
+    block = sim.replay(n, DT, fruits)
+    stepped, beam = [state(sim, fruits)], None
+    ref, ref_fruits = setup()
+    for k in range(1, n + 1):
+        ref.step(DT)
+        for f in ref_fruits:
+            if not f.attached and not f.landed:
+                f.fall_step(DT, 9.81)
+        if beam is None and check_interrupters(ref, ref_fruits) is not None:
+            beam = k
+        stepped.append(state(ref, ref_fruits))
+    low = heights.index(0.05)                   # lands unseen inside the block
+    landing = next(k for k, s in enumerate(stepped) if s[3][low][3])
+    assert not fruits[low].landed and beam is not None
+    assert block.beam == beam
+    for k in (0, 1, 57, 198, 199, 200, 201, landing - 1, landing, landing + 1,
+              beam - 1, n):
+        sim, fruits = setup()
+        sim.replay(n, DT, fruits).land(sim, k)
+        assert state(sim, fruits) == stepped[k]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -5.0])
 def test_lens_oscillation_speed_must_be_positive_and_finite(value):
     lens = LensAxis(position_mm=0.0)

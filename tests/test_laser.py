@@ -11,6 +11,7 @@ from laserberry import (CutModel, DomainError, EtchState, PierceRecord,
                         etch_step, interpolate_cp, load_datasets,
                         optimal_spot, pierce_constant, pierce_velocity,
                         verify_tables)
+from laserberry.laser import etch_rate, etch_track
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +122,16 @@ def test_etch_reaches_severed_within_one_step(fine_model):
             steps += 1
             assert steps < 10_000_000
         assert abs(t - expected) <= dt + 1e-12
+
+
+def test_etch_track_matches_etch_step(fine_model):
+    state = EtchState.for_stem(2.2)
+    rate = etch_rate(fine_model, 0.9, 50.0)
+    areas = etch_track(state, 4000, 0.001, rate)
+    for k in range(1, 4001):
+        state = etch_step(state, 0.001, True, fine_model, 0.9, 50.0)
+        assert state.cut_area == areas[k]
+    assert state.severed
 
 
 def test_etch_noops(fine_model):

@@ -1,5 +1,8 @@
 """Scenario file parsing: defaults, overrides, and error reporting."""
 
+import dataclasses
+import re
+
 import pytest
 
 from laserberry import ScenarioError, ValidationError, load_scenario
@@ -189,6 +192,31 @@ def test_bundled_demo_layout():
     over = load_scenario(bundled_scenario_path("demo_overreach"))
     assert len(over.berries) == 12
     assert max(abs(b.center[0]) for b in over.berries) > over.gantry.x_limits[1]
+
+
+#: One setting per budgeted key that asks for more than 10^7 ticks in one wait.
+OVER_BUDGET = [
+    ("[demo] dt", "[demo]\ndt = 1e-8\n"),                          # 0.5 s homing
+    ("[demo] cut_timeout_s", "[demo]\ncut_timeout_s = 1e6\n"),
+    ("[demo] fall_timeout_s", "[demo]\ndt = 1e-4\nfall_timeout_s = 1000.001\n"),
+    ("[gantry] max_velocity", "[gantry]\nmax_velocity = 1e-6\n"),
+    ("[gantry] max_accel", "[gantry]\nmax_accel = 1e-9\n"),
+]
+
+
+@pytest.mark.parametrize("key,text", OVER_BUDGET)
+def test_waits_over_the_tick_budget_fail_at_load(tmp_path, key, text):
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(key)}: .* over the budget"):
+        load_scenario(_write(tmp_path, "[scenario]\nseed = 1\n" + text))
+
+
+def test_tick_budget_is_inclusive_and_spares_the_bundled_scenarios(tmp_path):
+    load_scenario(_write(tmp_path, "[scenario]\nseed = 1\n[demo]\n"
+                                   "cut_timeout_s = 1e4\nfall_timeout_s = 1e4\n"))
+    for name in ("demo_11", "demo_overreach", "perf_300k"):
+        base = load_scenario(bundled_scenario_path(name))
+        # the benchmark's slowest gantry speed: a 0.48 m x move is ~10^4 ticks
+        dataclasses.replace(base, gantry=dataclasses.replace(base.gantry, max_velocity=0.05))
 
 
 @pytest.mark.parametrize("key", ["dt", "cut_timeout_s", "fall_timeout_s"])

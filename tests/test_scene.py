@@ -150,6 +150,15 @@ def test_fruit_fall_integration():
     assert f.prev_z > f.z
 
 
+def test_fall_track_matches_fall_step():
+    f = FruitBody(uid=0, x=0.0, y=0.0, z=0.61, stem_x=0.0, stem_y=0.0,
+                  stem_diameter_mm=2.2, toughness=1.0, fall_velocity=0.3)
+    v, z = f.fall_track(300, 0.0007, 9.81)
+    for k in range(1, 301):
+        f.fall_step(0.0007, 9.81)
+        assert (f.fall_velocity, f.z) == (v[k], z[k])
+
+
 def test_snap_moves_fruit_and_stem():
     f = FruitBody(uid=0, x=0.1, y=0.2, z=0.5, stem_x=0.1, stem_y=0.2,
                   stem_diameter_mm=2.2, toughness=1.0)

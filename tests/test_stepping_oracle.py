@@ -8,12 +8,14 @@ exactly the same state.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from laserberry import (Aabb, BerryBox, CutModel, GantryConfig, GantrySim,
                         HarvestConfig, controller, load_datasets, run_demo)
+from laserberry.controller import HarvestPhase, _Cycle
 from laserberry.pipeline import simulate_scenario
 from laserberry.scenario import bundled_scenario_path, load_scenario
 from laserberry.scene import FruitBody
@@ -33,7 +35,12 @@ class World:
     fall_timeout: float = 2.0
     stem_offsets: tuple = ()        # (fruit, dx) pairs: fruit off its box
     unreachable: bool = False       # last box beyond the x stroke
+    lift: float = 0.0               # raises fruit, home and z stroke, m
+    gantry: tuple = ()              # (key, value) GantryConfig overrides
 
+
+FAST = (("max_accel", 20.0), ("lens_homing_speed_mm_s", 100.0),
+        ("trapper_rate_deg_s", 1500.0))
 
 WORLDS = [
     World(speed=0.05, toughness=0.5),
@@ -49,6 +56,15 @@ WORLDS = [
           stem_offsets=((2, 0.021),)),
     World(speed=0.08, toughness=0.5, lateral=70.0, dt=0.0007),
     World(speed=0.45, lateral=5.0, cut_timeout=0.05, dt=0.002, fruit=4),
+    # fruit 0 and 2 land below a beam set under the ground, unseen, and two
+    # successful cycles follow with them on the floor
+    World(fruit=4, gantry=(("interrupter_offsets_m", (0.62,)),)),
+    # falls from ~4.6 m outlast the next fast cycle: two fruit in the air
+    World(speed=0.5, toughness=0.1, fall_timeout=0.02, lift=4.0, gantry=FAST),
+    # a near-instant lens homing starts the next move before the fruit
+    # reaches a beam: an unseen fruit falls while the tool moves
+    World(speed=0.5, toughness=0.1, fall_timeout=0.01,
+          gantry=FAST + (("lens_homing_speed_mm_s", 1000.0),)),
 ]
 
 
@@ -59,7 +75,7 @@ def _box(cx, cy, cz, half=0.0144):
 
 
 def _run(world: World):
-    centers = LAYOUT[:world.fruit]
+    centers = [(x, y, z + world.lift) for x, y, z in LAYOUT[:world.fruit]]
     if world.unreachable:
         centers = centers[:-1] + [(0.30, 0.0, 0.60)]
     offsets = dict(world.stem_offsets)
@@ -68,7 +84,8 @@ def _run(world: World):
                         stem_diameter_mm=2.0 + 0.1 * i, toughness=world.toughness)
               for i, (x, y, z) in enumerate(centers)]
     sim = GantrySim(GantryConfig(max_velocity=world.speed,
-                                 home_position=(0.0, 0.0, 0.50)))
+                                 home_position=(0.0, 0.0, 0.50 + world.lift),
+                                 z_limits=(0.0, 0.80 + world.lift), **dict(world.gantry)))
     config = HarvestConfig(lateral_velocity_mm_s=world.lateral, dt_s=world.dt,
                            cut_timeout_s=world.cut_timeout,
                            fall_timeout_s=world.fall_timeout)
@@ -105,5 +122,52 @@ def test_demo_run_steps_only_near_events(monkeypatch):
     monkeypatch.setattr(CutModel, "cp", counted("cp", CutModel.cp))
     result = simulate_scenario(load_scenario(bundled_scenario_path("demo_11")))
     assert result.metrics.attempted == 11
-    assert calls["step"] <= 8000
+    assert calls["step"] <= 105
     assert calls["cp"] <= 2 * result.metrics.attempted
+
+
+def test_two_fruits_crossing_on_one_tick(monkeypatch):
+    """A beam reports one fruit per tick; the other passes its plane unseen."""
+    def run():
+        bodies = [FruitBody(uid=i, x=0.005 * i, y=0.0, z=0.55, stem_x=0.005 * i,
+                            stem_y=0.0, stem_diameter_mm=2.0, toughness=1.0,
+                            attached=False) for i in range(2)]
+        sim = GantrySim(GantryConfig(home_position=(0.0, 0.0, 0.60)))
+        cycle = _Cycle(sim, bodies, _box(0.0, 0.0, 0.55), CutModel(load_datasets().fine),
+                       HarvestConfig(), None)
+        cycle.phases.append(HarvestPhase.AWAIT_FALL)
+        cycle._wait(lambda now: now >= 0.5)
+        return (sim.time, [(f.z, f.prev_z, f.fall_velocity, f.landed) for f in bodies],
+                sim.interrupters._fired)
+
+    jumped = run()
+    monkeypatch.setattr(controller, "_jump", lambda *args: None)
+    assert jumped == run()
+    assert jumped[2] == {0}
+
+
+def test_long_wait_replays_in_small_blocks(monkeypatch):
+    """10^7 ticks of a cut that never severs take a few steps and flat memory."""
+    calls = {"step": 0}
+    step = GantrySim.step
+
+    def counted(sim, dt):
+        calls["step"] += 1
+        step(sim, dt)
+
+    monkeypatch.setattr(GantrySim, "step", counted)
+    fruit = FruitBody(uid=0, x=0.0, y=0.0, z=0.6, stem_x=0.0, stem_y=0.0,
+                      stem_diameter_mm=2.0, toughness=1.0)
+    sim = GantrySim(GantryConfig(home_position=(0.0, 0.0, 0.50)))
+    config = HarvestConfig(lateral_velocity_mm_s=5.0, cut_timeout_s=1e4)   # 5 < v_l_min
+    tracemalloc.start()
+    try:
+        record = controller.run_cycle(sim, [fruit], _box(0.0, 0.0, 0.6),
+                                      CutModel(load_datasets().fine), config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.failure_reason == "cut-timeout"
+    assert record.cycle_time_s > 1e4
+    assert calls["step"] <= 10
+    assert peak < 4e6
