@@ -221,7 +221,7 @@ class _Cycle:
             _jump(sim, cfg.dt_s, done, world, self if cutting else None)
             sim.step(cfg.dt_s)
             for fruit in world:
-                if not fruit.attached and not fruit.landed:
+                if not fruit.attached:
                     fruit.fall_step(cfg.dt_s, GRAVITY)
             event = check_interrupters(sim, world)
             if event is not None and event.fruit_uid == getattr(self.target, "uid", None):

@@ -313,7 +313,8 @@ class TickBlock:
 
     time: np.ndarray               # clock per tick
     trapper: np.ndarray | None     # trapper angle per tick; None while idle
-    falls: list                    # (fruit, speeds, heights, landing tick or n + 1)
+    falls: list                    # (fruit, speeds, heights, landing tick or n + 1;
+                                   #  0 for a fruit that landed on tick 0)
     beam: int                      # first tick a beam may fire at; n + 1 if none
 
     def at(self, sim: "GantrySim", k: int) -> float:
@@ -325,14 +326,14 @@ class TickBlock:
     def land(self, sim: "GantrySim", k: int) -> None:
         """Leave the machine and the falling fruit as ``k`` steps would."""
         now = self.at(sim, k)
+        if not k:
+            return
         for fruit, v, z, landing in self.falls:
-            j = min(k, landing)                 # a landed fruit stops falling
-            if j:
-                fruit.fall_velocity, fruit.prev_z, fruit.z = (
-                    float(v[j]), float(z[j - 1]), float(z[j]))
-                fruit.landed = j == landing
-        if k:
-            sim.advance_to(now)
+            j = min(k, landing)                 # a landed fruit rests at z[landing]
+            fruit.fall_velocity, fruit.prev_z, fruit.z = (
+                float(v[j]), float(z[min(k - 1, landing)]), float(z[j]))
+            fruit.landed = j == landing
+        sim.advance_to(now)
 
 
 # ---------------------------------------------------------------------------
@@ -501,20 +502,22 @@ class GantrySim:
         for fruit in fruits:
             if fruit.attached:
                 continue
-            z_prev, z_now = fruit.prev_z, fruit.z
-            if not fruit.landed:
-                v, z = fruit.fall_track(n, dt, GRAVITY)
-                down = z <= 0.0
-                down[0] = False
-                landing = int(down.argmax()) or n + 1
-                falls.append((fruit, v, z, landing))
-                k = np.minimum(np.arange(1, n + 1), landing)
-                z_prev, z_now = z[k - 1], z[k]
+            if fruit.landed:                    # at rest, so no beam sees it
+                if fruit.prev_z != fruit.z:     # it landed on the last tick
+                    falls.append((fruit, [fruit.fall_velocity], [fruit.z], 0))
+                continue
+            v, z = fruit.fall_track(n, dt, GRAVITY)
+            down = z <= 0.0
+            down[0] = False
+            landing = int(down.argmax()) or n + 1
+            falls.append((fruit, v, z, landing))
             if fruit.uid in self.interrupters._fired:
                 continue
             tool = tool or self.tool_path(time[1:])
-            seen = np.flatnonzero(np.broadcast_to(
-                self.interrupters.crossings(tool, fruit, z_prev, z_now), n)[:beam - 1])
+            k = np.arange(n)
+            z_prev, z_now = z[np.minimum(k, landing)], z[np.minimum(k + 1, landing)]
+            seen = np.flatnonzero(
+                self.interrupters.crossings(tool, fruit, z_prev, z_now)[:beam - 1])
             if seen.size:
                 beam = int(seen[0]) + 1
         return TickBlock(time, angle, falls, beam)

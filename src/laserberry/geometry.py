@@ -124,8 +124,16 @@ class RigidTransform:
         return cls(rot.as_matrix(), np.asarray(translation, dtype=np.float64))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform an (n, 3) array of points."""
+        """Transform an (n, 3) array of points.
+
+        Each row's result depends on that row alone, bit for bit, so
+        ``apply(x[rows])`` equals ``apply(x)[rows]`` for every index set.
+        """
         pts = np.asarray(points, dtype=np.float64)
+        if len(pts) == 1:
+            # numpy hands a one-row product to another BLAS routine, which
+            # may round differently; two rows take the many-row path
+            return (np.vstack([pts, pts]) @ self.rotation.T + self.translation)[:1]
         return pts @ self.rotation.T + self.translation
 
     def inverse(self) -> "RigidTransform":

@@ -5,20 +5,20 @@ reference color from a palette patch visible to both cameras, keeps only
 points near that reference, merges the survivors in the gantry base frame,
 and groups them into per-fruit clusters ordered along the picking axis.
 
-:func:`localize_clusters` does this with one transform, three masks and
-one gather per camera; the public stage functions (:func:`extract_window`,
-:func:`filter_red`, :func:`merge_clouds`) give the same points cloud by
-cloud. Clustering is an exact voxel-grid union: points are binned into
-cells a little under ``tolerance / sqrt(3)`` wide, and distances are
-tested only between cells up to two apart along each axis, so the list
-of every linked pair is never built.
+:func:`localize_clusters` transforms per camera only the palette
+candidates of a camera-frame box test and the color survivors;
+:func:`extract_window`, :func:`filter_red` and :func:`merge_clouds` give
+the same points cloud by cloud. Clustering is an exact voxel-grid union:
+points are binned into cells a little under ``tolerance / sqrt(3)`` wide,
+and distances are tested only between cells up to two apart along each
+axis, so the list of every linked pair is never built.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -91,15 +91,17 @@ class ColorReference:
     def thresholds(self) -> np.ndarray:
         return np.array([self.r_th, self.g_th, self.b_th])
 
-    def mask(self, rgb: np.ndarray) -> np.ndarray:
-        """Boolean mask of colors within the half-width on every channel.
+    def rows(self, rgb: np.ndarray) -> np.ndarray:
+        """Ascending row indices of colors within the half-width on every channel.
 
         A channel value ``v`` passes when ``|v - mean| < threshold``; the
         test is tabulated once for the 256 possible values of each channel
-        and looked up per point.
+        and looked up per point: red on every row, green and blue only on
+        the rows red passes (red rejects most of a cluttered frame).
         """
         table = (np.abs(np.arange(256.0)[:, None] - self.mean) < self.thresholds).T
-        return table[0].take(rgb[:, 0]) & table[1].take(rgb[:, 1]) & table[2].take(rgb[:, 2])
+        rows = np.flatnonzero(table[0].take(rgb[:, 0]))
+        return rows[table[1].take(rgb[rows, 1]) & table[2].take(rgb[rows, 2])]
 
 
 def calibration_reference(palette_cloud: PointCloud, r_th: float, g_th: float,
@@ -122,7 +124,7 @@ def filter_red(cloud: PointCloud, ref: ColorReference) -> PointCloud:
     than the per-channel threshold on every channel."""
     if len(cloud) == 0:
         return cloud
-    return cloud.select(ref.mask(cloud.rgb))
+    return cloud.select(ref.rows(cloud.rgb))
 
 
 def merge_clouds(a: PointCloud, b: PointCloud) -> PointCloud:
@@ -370,20 +372,39 @@ class LocalizationConfig:
         default_factory=lambda: ClusterParams(tolerance=0.010, min_size=40, max_size=50000))
 
 
+def _rows_inside(window: SpatialWindow, pose: RigidTransform,
+                 xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending rows of ``xyz`` that ``pose`` maps inside ``window``, and their
+    images. Only candidates in the box of the window's corners mapped back
+    through the inverse pose are transformed; the box is widened far beyond
+    the rounding of either transform, which grows with the magnitudes."""
+    corners = np.array(list(itertools.product(*np.reshape(astuple(window), (3, 2)))))
+    back = pose.inverse().apply(corners)
+    pad = 1e-6 * (1.0 + np.abs(corners).max() + np.abs(pose.translation).max())
+    lo, hi = back.min(axis=0) - pad, back.max(axis=0) + pad
+    x = np.ascontiguousarray(xyz[:, 0])     # compared ~3x faster than a strided column
+    rows = np.flatnonzero((x >= lo[0]) & (x <= hi[0]))
+    for axis in (1, 2):
+        v = xyz[rows, axis]
+        rows = rows[(v >= lo[axis]) & (v <= hi[axis])]
+    base = pose.apply(xyz[rows])
+    inside = window.mask(base)
+    return rows[inside], base[inside]
+
+
 def localize_clusters(cloud_1: PointCloud, cloud_2: PointCloud,
                       t_base_cam1: RigidTransform, t_base_cam2: RigidTransform,
                       config: LocalizationConfig | None = None) -> list[PointCloud]:
     """Per-fruit point clusters from a pair of camera clouds.
 
-    Each cloud is re-expressed in the base frame through its camera pose.
-    Its palette rows give that camera's color calibration; its rows that
-    pass the color test and lie inside the reduced scene volume are kept
-    (the color test runs first: in a cluttered frame most points are
-    foliage, so the window is then tested on few rows). The kept rows of
-    both cameras (camera 1 first) form one merged cloud, which is
-    clustered. The result equals :func:`extract_window`,
-    :func:`filter_red` and :func:`merge_clouds` chained, without building
-    the intermediate clouds.
+    Per camera, the rows inside the palette window (found without
+    transforming the whole cloud) give the color calibration; the rows
+    that pass the color test are then re-expressed in the base frame and
+    kept if inside the reduced scene volume. The kept rows of both cameras
+    (camera 1 first) form one merged cloud, which is clustered.
+    :meth:`RigidTransform.apply` transforms each row on its own, so the
+    result equals :func:`extract_window`, :func:`filter_red` and
+    :func:`merge_clouds` chained, without building the intermediate clouds.
 
     Raises
     ------
@@ -393,15 +414,14 @@ def localize_clusters(cloud_1: PointCloud, cloud_2: PointCloud,
     cfg = config if config is not None else LocalizationConfig()
     xyz_parts, rgb_parts = [], []
     for cloud, pose in ((cloud_1, t_base_cam1), (cloud_2, t_base_cam2)):
-        xyz = pose.apply(cloud.xyz)
-        palette = cfg.palette_window.mask(xyz)
-        ref = calibration_reference(
-            PointCloud(xyz[palette], cloud.rgb[palette], BASE_FRAME),
-            cfg.r_th, cfg.g_th, cfg.b_th)
-        red = np.flatnonzero(ref.mask(cloud.rgb))
-        keep = red[cfg.reduced_window.mask(xyz[red])]
-        xyz_parts.append(xyz[keep])
-        rgb_parts.append(cloud.rgb[keep])
+        rows, xyz = _rows_inside(cfg.palette_window, pose, cloud.xyz)
+        ref = calibration_reference(PointCloud(xyz, cloud.rgb[rows], BASE_FRAME),
+                                    cfg.r_th, cfg.g_th, cfg.b_th)
+        rows = ref.rows(cloud.rgb)
+        xyz = pose.apply(cloud.xyz[rows])
+        inside = cfg.reduced_window.mask(xyz)
+        xyz_parts.append(xyz[inside])
+        rgb_parts.append(cloud.rgb[rows[inside]])
     merged = PointCloud(np.vstack(xyz_parts), np.vstack(rgb_parts), BASE_FRAME)
     return euclidean_clusters(merged, cfg.cluster)
 

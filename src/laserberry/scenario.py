@@ -123,6 +123,24 @@ def _check_tick_budget(gantry: GantryConfig, demo: DemoSettings) -> None:
                 f"ticks, over the budget of {MAX_WAIT_TICKS:.0e} ticks per wait")
 
 
+#: Most points a generated scene may hold, both cameras together; see
+#: ``[scenario]`` in docs/formats.md.
+MAX_SCENE_POINTS = 10 ** 7
+
+
+def _check_point_budget(scenario: "Scenario") -> None:
+    """Reject a scenario whose generated clouds would exceed
+    ``MAX_SCENE_POINTS``, naming the key that contributes the most."""
+    parts = {"[scenario] berry_points": len(scenario.berries) * scenario.berry_points,
+             "[scenario] foliage_points": scenario.foliage_points,
+             "[palette] points": 2 * scenario.palette.points}   # one patch per camera
+    total = sum(parts.values())
+    if total > MAX_SCENE_POINTS:
+        raise ScenarioError(
+            f"{max(parts, key=parts.get)}: the scene would hold {total} points, "
+            f"over the budget of {MAX_SCENE_POINTS:.0e} points")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete, replayable bench setup."""
@@ -157,6 +175,7 @@ class Scenario:
             if ctr - sz / 2 < lo or ctr + sz / 2 > hi:
                 raise ScenarioError(
                     "palette patch extends outside the palette calibration window")
+        _check_point_budget(self)
         _check_tick_budget(self.gantry, self.demo)
 
 

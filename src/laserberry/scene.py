@@ -176,7 +176,11 @@ class FruitBody:
         self.y = self.stem_y = y
 
     def fall_step(self, dt: float, gravity: float) -> None:
+        """One tick of the fall. A landed fruit rests: its heights become
+        equal, so no beam plane sweeping past later sees it cross."""
         self.prev_z = self.z
+        if self.landed:
+            return
         self.fall_velocity += gravity * dt
         self.z -= self.fall_velocity * dt
         if self.z <= 0.0:

@@ -210,6 +210,22 @@ def test_bad_scenario_value_exits_1_naming_key(tmp_path, capsys, text, message):
 
 
 @pytest.mark.parametrize("key,text", [
+    ("[scenario] foliage_points", "foliage_points = 10000000\n"),
+    ("[palette] points", "[palette]\npoints = 5000000\n"),
+])
+def test_scene_over_the_point_budget_exits_1_naming_key(tmp_path, capsys, monkeypatch,
+                                                        key, text):
+    monkeypatch.setattr(cli, "simulate_scenario",
+                        lambda *args: pytest.fail("an over-budget scenario was run"))
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[scenario]\nseed = 1\n" + text)
+    assert main(["simulate", "--scenario", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"{key}: " in err and "over the budget" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,text", [
     ("[demo] dt", "[demo]\ndt = 1e-8\n"),
     ("[demo] cut_timeout_s", "[demo]\ncut_timeout_s = 1e6\n"),
     ("[demo] fall_timeout_s", "[demo]\nfall_timeout_s = 1e5\n"),

@@ -236,6 +236,71 @@ def test_check_interrupters_wrapper():
     assert event.fruit_uid == 3
 
 
+def _landing_rig(tool_z):
+    """A detached fruit 10 mm above the ground, under a groove at ``tool_z``."""
+    sim = GantrySim(GantryConfig(home_position=(0.0, -0.25, tool_z)))
+    fruit = FruitBody(uid=0, x=0.0, y=-0.25, z=0.01, stem_x=0.0, stem_y=-0.25,
+                      stem_diameter_mm=2.0, toughness=1.0, attached=False)
+    return sim, fruit
+
+
+def _tick(sim, fruit):
+    sim.step(DT)
+    fruit.fall_step(DT, 9.81)
+    return check_interrupters(sim, [fruit])
+
+
+def test_stepped_beam_sees_a_fruit_landing_but_not_at_rest():
+    # the lowest plane lies on the ground, so the fruit crosses it on the
+    # tick it lands
+    sim, fruit = _landing_rig(0.03)
+    event = None
+    while not fruit.landed:
+        assert event is None
+        event = _tick(sim, fruit)
+    assert event is not None and event.beam_index == 0
+    # a fruit that landed unseen keeps its last few millimetres of fall for
+    # one tick; a plane sweeping through them later must not fire
+    sim, fruit = _landing_rig(0.30)
+    while not fruit.landed:
+        assert _tick(sim, fruit) is None
+    lo, hi = fruit.z, fruit.prev_z
+    sim.command_move(0.0, -0.25, 0.0)
+    planes = []
+    while not sim.axes_idle:
+        assert _tick(sim, fruit) is None
+        planes.append(sim.tool_position()[2] - 0.03)
+    assert any(lo <= p < hi for p in planes)
+    assert fruit.prev_z == fruit.z == lo
+
+
+def test_replayed_beam_sees_a_fruit_landing_but_not_at_rest():
+    sim, fruit = _landing_rig(0.03)
+    block = sim.replay(300, DT, [fruit])
+    ref, ref_fruit = _landing_rig(0.03)
+    ticks = 1
+    while _tick(ref, ref_fruit) is None:
+        ticks += 1
+    assert ref_fruit.landed and block.beam == ticks
+    sim, fruit = _landing_rig(0.30)
+    while not fruit.landed:
+        _tick(sim, fruit)
+    ref, ref_fruit = _landing_rig(0.30)
+    while not ref_fruit.landed:
+        _tick(ref, ref_fruit)
+    for s in (sim, ref):
+        s.command_move(0.0, -0.25, 0.0)
+    block = sim.replay(900, DT, [fruit])
+    assert block.beam == 901
+    block.land(sim, 900)
+    for _ in range(900):
+        assert _tick(ref, ref_fruit) is None
+    assert ref.axes_idle
+    assert ((sim.time, sim.tool_position(), fruit.z, fruit.prev_z, fruit.landed)
+            == (ref.time, ref.tool_position(), ref_fruit.z, ref_fruit.prev_z, True))
+    assert fruit.prev_z == fruit.z
+
+
 # ---------------------------------------------------------------------------
 # the integrated sim
 
@@ -353,7 +418,7 @@ def test_position_at_matches_sample_fuzz():
 
 @pytest.mark.parametrize("move_z,heights,n", [
     (0.40, (0.36, 0.05, 0.30), 600),    # the rising tool's beam meets fruit 0
-    (0.05, (0.05,), 1800),              # the falling beam meets a landed fruit
+    (0.05, (0.05,), 1800),              # the falling beam sweeps past a landed fruit
 ])
 def test_replay_matches_stepping(move_z, heights, n):
     """Clock, trapper, tool, fall and the first beam tick equal stepping's."""
@@ -378,17 +443,18 @@ def test_replay_matches_stepping(move_z, heights, n):
     for k in range(1, n + 1):
         ref.step(DT)
         for f in ref_fruits:
-            if not f.attached and not f.landed:
+            if not f.attached:
                 f.fall_step(DT, 9.81)
         if beam is None and check_interrupters(ref, ref_fruits) is not None:
             beam = k
         stepped.append(state(ref, ref_fruits))
     low = heights.index(0.05)                   # lands unseen inside the block
     landing = next(k for k, s in enumerate(stepped) if s[3][low][3])
-    assert not fruits[low].landed and beam is not None
-    assert block.beam == beam
+    assert not fruits[low].landed
+    assert (beam is None) == (len(heights) == 1)    # a fruit at rest is never seen
+    assert block.beam == (beam or n + 1)
     for k in (0, 1, 57, 198, 199, 200, 201, landing - 1, landing, landing + 1,
-              beam - 1, n):
+              (beam or n) - 1, n):
         sim, fruits = setup()
         sim.replay(n, DT, fruits).land(sim, k)
         assert state(sim, fruits) == stepped[k]

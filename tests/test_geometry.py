@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from laserberry import (Aabb, KdTree, PointCloud, RigidTransform,
-                        ValidationError, transform_cloud)
+                        ValidationError, load_scenario, transform_cloud)
+from laserberry.scenario import bundled_scenario_path
+from laserberry.scene import generate_scene
 
 
 def _random_cloud(rng, n, frame="harvester-base", scale=1.0):
@@ -89,6 +91,23 @@ def test_inverse_fuzz():
         # inverse undoes apply
         np.testing.assert_allclose(t.inverse().apply(t.apply(pts)), pts,
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["demo_11", "perf_300k"])
+def test_apply_is_row_independent(name):
+    # localization transforms only the rows it uses, so apply(x[rows]) must
+    # equal apply(x)[rows] bit for bit for every index set, one row included
+    scenario = load_scenario(bundled_scenario_path(name))
+    cloud1, cloud2, _ = generate_scene(scenario)
+    rng = np.random.default_rng(59)
+    for cloud, pose in ((cloud1, scenario.camera_1), (cloud2, scenario.camera_2)):
+        full = pose.apply(cloud.xyz)
+        for size in [0, 1, 2, 3, 5, 8, 13, *rng.integers(20, min(len(cloud), 20_000), 6),
+                     len(cloud)]:
+            rows = np.sort(rng.choice(len(cloud), size, replace=False))
+            assert np.array_equal(pose.apply(cloud.xyz[rows]), full[rows]), size
+        for i in rng.choice(len(cloud), 300, replace=False):
+            assert np.array_equal(pose.apply(cloud.xyz[i:i + 1]), full[i:i + 1]), i
 
 
 def test_transform_cloud_relabels_frame():

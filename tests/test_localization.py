@@ -4,13 +4,14 @@ Clustering is checked against a quadratic union-find reference; windows
 and color filters against per-point predicates.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from laserberry import (CalibrationError, ClusterParams, ColorReference,
-                        PointCloud, SpatialWindow, ValidationError,
+                        PointCloud, RigidTransform, SpatialWindow, ValidationError,
                         bounding_boxes, calibration_reference,
                         euclidean_clusters, extract_window, filter_red,
                         load_scenario, localize, merge_clouds)
@@ -271,24 +272,156 @@ def test_localize_invariant_to_uniform_gain(demo_scene):
         assert a.point_count == b.point_count
 
 
-def test_localize_clusters_equals_chained_stages(demo_scene):
-    # the one-mask path keeps exactly the rows the public stages keep
+@pytest.fixture(scope="module")
+def perf_scene():
+    scenario = load_scenario(bundled_scenario_path("perf_300k"))
+    cloud1, cloud2, truth = generate_scene(scenario)
+    return scenario, cloud1, cloud2, truth
+
+
+def _chained_clusters(cloud1, cloud2, pose1, pose2, cfg):
+    """The public stages chained: the reference for ``localize_clusters``."""
     from laserberry.geometry import transform_cloud
-    from laserberry.localization import localize_clusters
-    scenario, cloud1, cloud2, _ = demo_scene
-    cfg = scenario.localization
     parts = []
-    for cloud, pose in ((cloud1, scenario.camera_1), (cloud2, scenario.camera_2)):
+    for cloud, pose in ((cloud1, pose1), (cloud2, pose2)):
         base = transform_cloud(pose, cloud, "harvester-base")
         ref = calibration_reference(extract_window(base, cfg.palette_window),
                                     cfg.r_th, cfg.g_th, cfg.b_th)
         parts.append(filter_red(extract_window(base, cfg.reduced_window), ref))
-    want = euclidean_clusters(merge_clouds(*parts), cfg.cluster)
-    got = localize_clusters(cloud1, cloud2, scenario.camera_1, scenario.camera_2, cfg)
-    assert len(got) == len(want) == 11
+    return euclidean_clusters(merge_clouds(*parts), cfg.cluster)
+
+
+def _assert_same_clusters(got, want):
+    assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g.xyz, w.xyz)
         np.testing.assert_array_equal(g.rgb, w.rgb)
+
+
+def test_localize_clusters_equals_chained_stages(demo_scene, perf_scene):
+    # transforming only the rows it uses, localize keeps exactly the rows
+    # the public stages keep
+    from laserberry.localization import localize_clusters
+    for scenario, cloud1, cloud2, _ in (demo_scene, perf_scene):
+        cfg = scenario.localization
+        want = _chained_clusters(cloud1, cloud2, scenario.camera_1, scenario.camera_2, cfg)
+        got = localize_clusters(cloud1, cloud2, scenario.camera_1, scenario.camera_2, cfg)
+        assert len(want) == 11
+        _assert_same_clusters(got, want)
+
+
+def _bounds(window):
+    return (np.array([window.x_min, window.y_min, window.z_min]),
+            np.array([window.x_max, window.y_max, window.z_max]))
+
+
+def _face_points(window, rng, ulps=3):
+    """Points on every face of ``window`` and up to ``ulps`` ulps either side,
+    the other two coordinates drawn inside."""
+    lo, hi = _bounds(window)
+    pts = []
+    for axis in range(3):
+        for face in (lo[axis], hi[axis]):
+            for k in range(-ulps, ulps + 1):
+                p = rng.uniform(lo, hi)
+                p[axis] = face
+                for _ in range(abs(k)):
+                    p[axis] = np.nextafter(p[axis], math.copysign(math.inf, k))
+                pts.append(p)
+    return np.array(pts)
+
+
+def _random_pose(rng, scale):
+    return RigidTransform.from_euler_deg(*rng.uniform(-180, 180, 3),
+                                         tuple(rng.uniform(-scale, scale, 3)))
+
+
+def test_localize_clusters_equals_chained_stages_on_edge_cases():
+    # hand-built clouds under random poses, far translations included:
+    # one palette row, one red row, no red row, and points on and a few
+    # ulps either side of every palette and reduced-window face
+    from laserberry.localization import LocalizationConfig, localize_clusters
+    rng = np.random.default_rng(97)
+    cfg = LocalizationConfig(cluster=ClusterParams(tolerance=0.01, min_size=1,
+                                                   max_size=10 ** 6))
+    pal_lo, pal_hi = _bounds(cfg.palette_window)
+    red_lo, red_hi = _bounds(cfg.reduced_window)
+    red, leaf = (190, 35, 45), (60, 140, 60)
+    # black and white palette rows average to a grey that no row of either
+    # colour matches, so (128, 128, 128) is the only color that passes
+    bw = np.array([(0, 0, 0), (255, 255, 255)] * 5)
+    cases = {
+        "one palette row": [((pal_lo + pal_hi) / 2, [red]),
+                            (rng.uniform(red_lo, red_hi, (6, 3)), [red]),
+                            (rng.uniform(red_lo, red_hi, (6, 3)), [leaf])],
+        "one red row": [(rng.uniform(pal_lo, pal_hi, (10, 3)), bw),
+                        (rng.uniform(red_lo, red_hi, (1, 3)), [(128, 128, 128)]),
+                        (rng.uniform(red_lo, red_hi, (6, 3)), [leaf])],
+        "no red row": [(rng.uniform(pal_lo, pal_hi, (10, 3)), bw),
+                       (rng.uniform(red_lo, red_hi, (6, 3)), [leaf])],
+        "faces": [(rng.uniform(pal_lo, pal_hi, (10, 3)), [red]),
+                  (_face_points(cfg.palette_window, rng),
+                   red + rng.integers(-20, 21, (42, 3))),
+                  (_face_points(cfg.reduced_window, rng), [red]),
+                  (rng.uniform(red_lo, red_hi, (6, 3)), [leaf])],
+    }
+    for name, parts in cases.items():
+        base = np.vstack([np.atleast_2d(p) for p, _ in parts])
+        rgb = np.vstack([np.broadcast_to(c, np.atleast_2d(p).shape) for p, c in parts])
+        for scale in (1.0, 1e3, 1e6):
+            pose1, pose2 = _random_pose(rng, scale), _random_pose(rng, scale)
+            cloud1 = _cloud(pose1.inverse().apply(base), rgb, "camera-1")
+            cloud2 = _cloud(pose2.inverse().apply(base[::-1]), rgb[::-1], "camera-2")
+            want = _chained_clusters(cloud1, cloud2, pose1, pose2, cfg)
+            got = localize_clusters(cloud1, cloud2, pose1, pose2, cfg)
+            assert (len(want) == 0) == (name == "no red row"), name
+            _assert_same_clusters(got, want)
+
+
+def test_palette_prefilter_keeps_every_window_row_fuzz():
+    # the camera-frame box never loses a row the exact base-frame window
+    # keeps, however far the pose is from the origin
+    from laserberry.localization import LocalizationConfig, _rows_inside
+    rng = np.random.default_rng(41)
+    window = LocalizationConfig().palette_window
+    kept = 0
+    lo, hi = _bounds(window)
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    for scale in (1.0, 1e2, 1e4, 1e6, 1e8, 1e10, 1e12):
+        for _ in range(8):
+            pose = _random_pose(rng, scale)
+            base = np.vstack([_face_points(window, rng), corners,
+                              rng.uniform(-1, 1, (50, 3))])
+            xyz = pose.inverse().apply(base)
+            # a few ulps off in the camera frame too
+            xyz += np.spacing(xyz) * rng.integers(-4, 5, xyz.shape)
+            full = pose.apply(xyz)
+            exact = np.flatnonzero(window.mask(full))
+            rows, images = _rows_inside(window, pose, xyz)
+            np.testing.assert_array_equal(rows, exact)
+            np.testing.assert_array_equal(images, full[exact])
+            kept += len(exact)
+    assert kept > 0
+
+
+def test_localize_transforms_only_the_rows_it_uses(perf_scene, monkeypatch):
+    # per camera, the palette candidates and the color survivors are
+    # transformed, not the ~150k rows of the cloud
+    from laserberry.localization import localize_clusters
+    scenario, cloud1, cloud2, _ = perf_scene
+    sizes = []
+    apply = RigidTransform.apply
+
+    def counting(self, points):
+        sizes.append(len(points))
+        return apply(self, points)
+
+    monkeypatch.setattr(RigidTransform, "apply", counting)
+    clusters = localize_clusters(cloud1, cloud2, scenario.camera_1, scenario.camera_2,
+                                 scenario.localization)
+    assert len(clusters) == 11
+    assert len(cloud1) > 140_000 and len(cloud2) > 140_000
+    assert sum(sizes) <= 2 * 10_000, sizes
 
 
 def test_berry_and_foliage_label_pass_rates(demo_scene):

@@ -219,6 +219,29 @@ def test_tick_budget_is_inclusive_and_spares_the_bundled_scenarios(tmp_path):
         dataclasses.replace(base, gantry=dataclasses.replace(base.gantry, max_velocity=0.05))
 
 
+#: One setting per key that takes a scene over 10^7 points, that key dominant.
+OVER_POINTS = [
+    ("[scenario] berry_points",
+     "berry_points = 10000000\n[berry 1]\nx = 0\ny = 0\nz = 0.6\n"),
+    ("[scenario] foliage_points", "foliage_points = 10000000\n"),
+    ("[palette] points", "[palette]\npoints = 5000000\n"),
+]
+
+
+@pytest.mark.parametrize("key,text", OVER_POINTS)
+def test_scenes_over_the_point_budget_fail_at_load(tmp_path, key, text):
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(key)}: .* over the budget"):
+        load_scenario(_write(tmp_path, "[scenario]\nseed = 1\n" + text))
+
+
+def test_point_budget_is_inclusive():
+    # no berries, two palette patches of 2,200 and 10^7 - 4,400 foliage points
+    scn = load_scenario(bundled_scenario_path("perf_300k"))
+    dataclasses.replace(scn, berries=(), foliage_points=10 ** 7 - 4400)
+    with pytest.raises(ScenarioError, match=r"^\[scenario\] foliage_points: .* 10000001 "):
+        dataclasses.replace(scn, berries=(), foliage_points=10 ** 7 - 4399)
+
+
 @pytest.mark.parametrize("key", ["dt", "cut_timeout_s", "fall_timeout_s"])
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
 def test_demo_timing_must_be_positive_and_finite(tmp_path, key, value):
