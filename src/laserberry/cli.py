@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, default=None, help="lower spot diameter bound, mm")
     p.add_argument("--hi", type=float, default=None, help="upper spot diameter bound, mm")
     p.add_argument("--continuous", action="store_true",
-                   help="golden-section search over the interpolated curve")
+                   help="exact maximum of the interpolated curve, ends included")
     p.add_argument("--out", default=None, help="directory for cp_curve.svg")
     p.add_argument("--svg", action="store_true", help="also write cp_curve.svg")
     p.set_defaults(func=cmd_optimize_spot)

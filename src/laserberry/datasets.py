@@ -31,42 +31,22 @@ class Datasets:
     fine: tuple[PierceRecord, ...]
 
 
-def _read_rows(text: str, header: list[str], source: str) -> list[list[float]]:
+def _records(text: str, header: list[str], record_type: type, source: str) -> tuple:
+    """Typed records of a CSV with a fixed header; errors name the data row."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    reader = csv.reader(io.StringIO("\n".join(lines)))
-    rows = list(reader)
+    rows = list(csv.reader(io.StringIO("\n".join(lines))))
     if not rows:
         raise ValidationError(f"{source}: empty dataset")
     got = [h.strip() for h in rows[0]]
     if got != header:
         raise ValidationError(f"{source}: bad header {got}, expected {header}")
-    out = []
+    records = []
     for i, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
             raise ValidationError(f"{source} row {i}: expected {len(header)} fields, got {len(row)}")
         try:
-            out.append([float(v) for v in row])
-        except ValueError as exc:
-            raise ValidationError(f"{source} row {i}: {exc}") from exc
-    return out
-
-
-def _pierce_records(text: str, source: str) -> tuple[PierceRecord, ...]:
-    records = []
-    for i, row in enumerate(_read_rows(text, PIERCE_HEADER, source), start=1):
-        try:
-            records.append(PierceRecord(*row))
-        except ValidationError as exc:
-            raise ValidationError(f"{source} row {i}: {exc}") from exc
-    return tuple(records)
-
-
-def _lateral_records(text: str, source: str) -> tuple[LateralCutRecord, ...]:
-    records = []
-    for i, row in enumerate(_read_rows(text, LATERAL_HEADER, source), start=1):
-        try:
-            records.append(LateralCutRecord(*row))
-        except ValidationError as exc:
+            records.append(record_type(*(float(v) for v in row)))
+        except ValueError as exc:   # a bad float, or a ValidationError from the record
             raise ValidationError(f"{source} row {i}: {exc}") from exc
     return tuple(records)
 
@@ -74,13 +54,13 @@ def _lateral_records(text: str, source: str) -> tuple[LateralCutRecord, ...]:
 def load_pierce_csv(path: str | Path) -> tuple[PierceRecord, ...]:
     """Parse a piercing-sweep CSV from an arbitrary path."""
     path = Path(path)
-    return _pierce_records(path.read_text(), path.name)
+    return _records(path.read_text(), PIERCE_HEADER, PierceRecord, path.name)
 
 
 def load_lateral_csv(path: str | Path) -> tuple[LateralCutRecord, ...]:
     """Parse a lateral-sweep CSV from an arbitrary path."""
     path = Path(path)
-    return _lateral_records(path.read_text(), path.name)
+    return _records(path.read_text(), LATERAL_HEADER, LateralCutRecord, path.name)
 
 
 def _embedded(name: str) -> str:
@@ -90,7 +70,10 @@ def _embedded(name: str) -> str:
 def load_datasets() -> Datasets:
     """Load the three embedded calibration tables."""
     return Datasets(
-        lateral=_lateral_records(_embedded("lateral_velocity.csv"), "lateral_velocity.csv"),
-        coarse=_pierce_records(_embedded("pierce_coarse.csv"), "pierce_coarse.csv"),
-        fine=_pierce_records(_embedded("pierce_fine.csv"), "pierce_fine.csv"),
+        lateral=_records(_embedded("lateral_velocity.csv"), LATERAL_HEADER,
+                         LateralCutRecord, "lateral_velocity.csv"),
+        coarse=_records(_embedded("pierce_coarse.csv"), PIERCE_HEADER, PierceRecord,
+                        "pierce_coarse.csv"),
+        fine=_records(_embedded("pierce_fine.csv"), PIERCE_HEADER, PierceRecord,
+                      "pierce_fine.csv"),
     )

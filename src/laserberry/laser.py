@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -214,36 +214,16 @@ def etch_track(state: EtchState, n: int, dt: float, rate: float) -> np.ndarray:
     return np.minimum(state.target_area, area)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio step
-
-
-def _golden_section_max(f: Callable[[float], float], lo: float, hi: float,
-                        tol: float = 1e-4) -> float:
-    """Abscissa of the maximum of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
-
-
 def optimal_spot(records: Sequence[PierceRecord], lo_mm: float, hi_mm: float,
                  continuous: bool = False) -> float:
     """Spot diameter with the highest pierce constant in [lo_mm, hi_mm].
 
     The discrete default scans calibrated knots only — the honest choice,
-    since between-knot values are interpolation artifacts — breaking ties
-    toward the smaller diameter. ``continuous=True`` instead runs a
-    golden-section search over the interpolated curve (exploration only).
+    since between-knot values are interpolation artifacts. ``continuous=True``
+    instead takes the exact maximum of the interpolated curve over the
+    range clipped to the knots (exploration only): a piecewise-linear curve
+    peaks at a knot or an end, so it compares the knots inside with both
+    ends. Either way, ties go to the smaller diameter.
 
     Raises
     ------
@@ -258,14 +238,11 @@ def optimal_spot(records: Sequence[PierceRecord], lo_mm: float, hi_mm: float,
         raise ValidationError(
             f"no calibrated spot diameters inside [{lo_mm}, {hi_mm}] mm")
     if continuous:
-        a = max(lo_mm, ordered[0].spot_diameter_mm)
-        b = min(hi_mm, ordered[-1].spot_diameter_mm)
-        return _golden_section_max(lambda x: interpolate_cp(x, ordered), a, b)
-    best = inside[0]
-    for rec in inside[1:]:
-        if rec.pierce_constant_mm2_s > best.pierce_constant_mm2_s:
-            best = rec
-    return best.spot_diameter_mm
+        ends = (max(lo_mm, ordered[0].spot_diameter_mm),
+                min(hi_mm, ordered[-1].spot_diameter_mm))
+        spots = sorted({*ends, *(r.spot_diameter_mm for r in inside)})
+        return max(spots, key=lambda x: interpolate_cp(x, ordered))   # first = smallest
+    return max(inside, key=lambda r: r.pierce_constant_mm2_s).spot_diameter_mm
 
 
 @dataclass(frozen=True)

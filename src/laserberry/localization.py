@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -378,8 +378,10 @@ def _rows_inside(window: SpatialWindow, pose: RigidTransform,
     images. Only candidates in the box of the window's corners mapped back
     through the inverse pose are transformed; the box is widened far beyond
     the rounding of either transform, which grows with the magnitudes."""
-    corners = np.array(list(itertools.product(*np.reshape(astuple(window), (3, 2)))))
-    back = pose.inverse().apply(corners)
+    w = window
+    corners = np.array(list(itertools.product((w.x_min, w.x_max), (w.y_min, w.y_max),
+                                              (w.z_min, w.z_max))))
+    back = (corners - pose.translation) @ pose.rotation     # the inverse pose, unchecked
     pad = 1e-6 * (1.0 + np.abs(corners).max() + np.abs(pose.translation).max())
     lo, hi = back.min(axis=0) - pad, back.max(axis=0) + pad
     x = np.ascontiguousarray(xyz[:, 0])     # compared ~3x faster than a strided column

@@ -3,8 +3,8 @@
 A scenario pins everything a run needs — RNG seed, berry layout, palette
 placement, camera poses, clutter density, and parameter overrides for the
 gantry, localization, and laser models — so simulations replay exactly.
-Unknown sections or keys are rejected rather than ignored; duplicated keys
-are parse errors. See ``docs/formats.md`` for the key reference.
+Sections and keys the loader never reads are rejected rather than ignored;
+duplicated keys are parse errors. See ``docs/formats.md`` for the key reference.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
-from .errors import ScenarioError
+from .errors import ScenarioError, require_positive
 from .gantry import GantryConfig, MotionProfile
 from .geometry import RigidTransform
 from .localization import ClusterParams, LocalizationConfig, SpatialWindow
@@ -75,6 +75,9 @@ class LaserSettings:
     toughness: float = 1.0
 
     def __post_init__(self):
+        require_positive(spot_diameter_mm=self.spot_diameter_mm,
+                         lateral_velocity_mm_s=self.lateral_velocity_mm_s,
+                         toughness=self.toughness)
         if self.dataset not in ("fine", "coarse"):
             raise ScenarioError(f"laser dataset must be 'fine' or 'coarse', got {self.dataset!r}")
 
@@ -152,8 +155,7 @@ class Scenario:
     camera_2: RigidTransform = field(default_factory=lambda: _default_camera(2))
     berry_points: int = 600
     foliage_points: int = 3000
-    foliage_window: SpatialWindow = field(
-        default_factory=lambda: SpatialWindow(-0.35, 0.35, -0.25, 0.25, 0.45, 0.75))
+    foliage_window: SpatialWindow = SpatialWindow(-0.35, 0.35, -0.25, 0.25, 0.45, 0.75)
     colors: ColorSettings = field(default_factory=ColorSettings)
     gantry: GantryConfig = field(default_factory=GantryConfig)
     localization: LocalizationConfig = field(default_factory=LocalizationConfig)
@@ -168,10 +170,8 @@ class Scenario:
         if self.foliage_points < 0:
             raise ScenarioError("foliage_points must be non-negative")
         w = self.localization.palette_window
-        c, s = self.palette.center, self.palette.size
-        for axis, (ctr, sz) in enumerate(zip(c, s)):
-            lo = (w.x_min, w.y_min, w.z_min)[axis]
-            hi = (w.x_max, w.y_max, w.z_max)[axis]
+        for ctr, sz, lo, hi in zip(self.palette.center, self.palette.size,
+                                   (w.x_min, w.y_min, w.z_min), (w.x_max, w.y_max, w.z_max)):
             if ctr - sz / 2 < lo or ctr + sz / 2 > hi:
                 raise ScenarioError(
                     "palette patch extends outside the palette calibration window")
@@ -190,51 +190,29 @@ def _default_camera(index: int) -> RigidTransform:
 
 _BERRY_SECTION = re.compile(r"^berry (\d+)$")
 
-_SECTION_KEYS = {
-    "scenario": {"seed", "berry_points", "foliage_points"},
-    "colors": {"berry_base", "berry_jitter", "foliage_base", "foliage_jitter",
-               "palette_jitter"},
-    "foliage": {"x_min", "x_max", "y_min", "y_max", "z_min", "z_max"},
-    "palette": {"x", "y", "z", "dx", "dy", "dz", "points"},
-    "camera 1": {"x", "y", "z", "roll_deg", "pitch_deg", "yaw_deg"},
-    "camera 2": {"x", "y", "z", "roll_deg", "pitch_deg", "yaw_deg"},
-    "berry": {"x", "y", "z", "diameter", "stem_diameter_mm", "stem_length",
-              "toughness"},
-    "gantry": {"max_velocity", "max_accel", "x_min", "x_max", "y_min", "y_max",
-               "z_min", "z_max", "home_x", "home_y", "home_z"},
-    "localization": {"r_th", "g_th", "b_th", "tolerance", "min_cluster",
-                     "max_cluster",
-                     "reduced_x_min", "reduced_x_max", "reduced_y_min",
-                     "reduced_y_max", "reduced_z_min", "reduced_z_max",
-                     "palette_x_min", "palette_x_max", "palette_y_min",
-                     "palette_y_max", "palette_z_min", "palette_z_max"},
-    "laser": {"spot_diameter_mm", "lateral_velocity_mm_s", "dataset", "toughness"},
-    "demo": {"dt", "cut_timeout_s", "fall_timeout_s"},
-}
-
 
 class _Section:
-    """One parsed section with typed, tracked key access."""
+    """One parsed section with typed key access that records each key read."""
 
     def __init__(self, name: str, raw: dict[str, str]):
         self.name = name
         self.raw = raw
+        self.read: set[str] = set()
 
-    def _fetch(self, key: str, required: bool) -> str | None:
+    def _get(self, key: str, default, required: bool, convert, what: str):
+        self.read.add(key)
         if key not in self.raw:
             if required:
                 raise ScenarioError(f"missing required key '{key}' in [{self.name}]")
-            return None
-        return self.raw[key]
-
-    def get_float(self, key: str, default: float | None = None, required: bool = False):
-        text = self._fetch(key, required)
-        if text is None:
             return default
         try:
-            return float(text)
+            return convert(self.raw[key])
         except ValueError as exc:
-            raise ScenarioError(f"[{self.name}] {key}: not a number: {text!r}") from exc
+            raise ScenarioError(
+                f"[{self.name}] {key}: not {what}: {self.raw[key]!r}") from exc
+
+    def get_float(self, key: str, default: float | None = None, required: bool = False):
+        return self._get(key, default, required, float, "a number")
 
     def get_finite(self, key: str, default: float | None = None, required: bool = False):
         """:meth:`get_float` that also rejects ``nan`` and ``inf``."""
@@ -251,20 +229,13 @@ class _Section:
         return value
 
     def get_int(self, key: str, default: int | None = None, required: bool = False):
-        text = self._fetch(key, required)
-        if text is None:
-            return default
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise ScenarioError(f"[{self.name}] {key}: not an integer: {text!r}") from exc
+        return self._get(key, default, required, int, "an integer")
 
-    def get_str(self, key: str, default: str | None = None, required: bool = False):
-        text = self._fetch(key, required)
-        return default if text is None else text.strip()
+    def get_str(self, key: str, default: str | None = None):
+        return self._get(key, default, False, str.strip, "text")
 
     def get_rgb(self, key: str, default: tuple[int, int, int]) -> tuple[int, int, int]:
-        text = self._fetch(key, required=False)
+        text = self.get_str(key)
         if text is None:
             return default
         parts = [p.strip() for p in text.split(",")]
@@ -279,37 +250,25 @@ class _Section:
         return (r, g, b)
 
 
-def _check_keys(name: str, raw: dict[str, str]) -> None:
-    allowed = _SECTION_KEYS["berry"] if _BERRY_SECTION.match(name) else _SECTION_KEYS.get(name)
-    if allowed is None:
-        raise ScenarioError(f"unknown section [{name}]")
-    for key in raw:
-        if key not in allowed:
-            raise ScenarioError(f"unknown key '{key}' in [{name}]")
-
-
 def _parse_camera(sec: _Section, index: int) -> RigidTransform:
-    default = _default_camera(index)
     if not sec.raw:
-        return default
+        return _default_camera(index)
     return RigidTransform.from_euler_deg(
         sec.get_finite("roll_deg", 0.0),
         sec.get_finite("pitch_deg", 0.0),
         sec.get_finite("yaw_deg", 0.0),
-        (sec.get_finite("x", required=True),
-         sec.get_finite("y", required=True),
-         sec.get_finite("z", required=True)),
+        tuple(sec.get_finite(k, required=True) for k in "xyz"),
     )
 
 
 def _parse_window(sec: _Section, prefix: str, default: SpatialWindow) -> SpatialWindow:
-    keys = [f"{prefix}_{k}" for k in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")]
-    present = [k for k in keys if k in sec.raw]
-    if not present:
+    """The six bounds ``<prefix>x_min`` ... ``<prefix>z_max``, all or none."""
+    keys = [prefix + f.name for f in fields(SpatialWindow)]
+    missing = [k for k in keys if k not in sec.raw]
+    if len(missing) == len(keys):
         return default
-    if len(present) != 6:
-        raise ScenarioError(
-            f"[{sec.name}] {prefix} window needs all six bounds, got {present}")
+    if missing:
+        raise ScenarioError(f"[{sec.name}] window needs all six bounds, missing {missing}")
     return SpatialWindow(*(sec.get_finite(k) for k in keys))
 
 
@@ -333,10 +292,12 @@ def load_scenario(path: str | Path) -> Scenario:
     Raises
     ------
     ScenarioError
-        On unknown sections or keys, duplicated keys, missing required
-        keys, or values outside their documented domains.
+        On unknown sections or keys (checked after every read, before the
+        point and tick budgets), duplicated keys, missing required keys,
+        or values outside their documented domains.
+    ValidationError
+        On bad ``[gantry]``, ``[localization]`` or ``[laser]`` values.
     """
-    path = Path(path)
     parser = configparser.ConfigParser(strict=True, delimiters=("=",),
                                        comment_prefixes=("#", ";"),
                                        inline_comment_prefixes=None,
@@ -354,13 +315,13 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"malformed scenario file: {exc}") from exc
 
     sections = {name: dict(parser[name]) for name in parser.sections()}
-    for name, raw in sections.items():
-        _check_keys(name, raw)
     if "scenario" not in sections:
         raise ScenarioError("missing required section [scenario]")
+    asked: dict[str, _Section] = {}
 
     def sec(name: str) -> _Section:
-        return _Section(name, sections.get(name, {}))
+        asked[name] = _Section(name, sections.get(name, {}))
+        return asked[name]
 
     s = sec("scenario")
     seed = s.get_int("seed", required=True)
@@ -372,89 +333,93 @@ def load_scenario(path: str | Path) -> Scenario:
     for _, name in berry_names:
         b = sec(name)
         berries.append(BerrySpec(
-            center=(b.get_finite("x", required=True),
-                    b.get_finite("y", required=True),
-                    b.get_finite("z", required=True)),
-            diameter_m=b.get_positive("diameter", 0.025),
-            stem_diameter_mm=b.get_positive("stem_diameter_mm", None),
-            stem_length_m=b.get_positive("stem_length", 0.035),
-            toughness=b.get_positive("toughness", None),
+            center=tuple(b.get_finite(k, required=True) for k in "xyz"),
+            diameter_m=b.get_positive("diameter", BerrySpec.diameter_m),
+            stem_diameter_mm=b.get_positive("stem_diameter_mm", BerrySpec.stem_diameter_mm),
+            stem_length_m=b.get_positive("stem_length", BerrySpec.stem_length_m),
+            toughness=b.get_positive("toughness", BerrySpec.toughness),
         ))
 
     col = sec("colors")
     colors = ColorSettings(
-        berry_base=col.get_rgb("berry_base", (190, 35, 45)),
-        berry_jitter=col.get_int("berry_jitter", 20),
-        foliage_base=col.get_rgb("foliage_base", (60, 140, 60)),
-        foliage_jitter=col.get_int("foliage_jitter", 25),
-        palette_jitter=col.get_int("palette_jitter", 3),
+        berry_base=col.get_rgb("berry_base", ColorSettings.berry_base),
+        berry_jitter=col.get_int("berry_jitter", ColorSettings.berry_jitter),
+        foliage_base=col.get_rgb("foliage_base", ColorSettings.foliage_base),
+        foliage_jitter=col.get_int("foliage_jitter", ColorSettings.foliage_jitter),
+        palette_jitter=col.get_int("palette_jitter", ColorSettings.palette_jitter),
     )
 
-    fol = sec("foliage")
-    if fol.raw:
-        foliage_window = SpatialWindow(*(fol.get_finite(k, required=True) for k in (
-            "x_min", "x_max", "y_min", "y_max", "z_min", "z_max")))
-    else:
-        foliage_window = SpatialWindow(-0.35, 0.35, -0.25, 0.25, 0.45, 0.75)
+    foliage_window = _parse_window(sec("foliage"), "", Scenario.foliage_window)
 
     pal = sec("palette")
     palette = PaletteSpec(
-        center=(pal.get_finite("x", -0.08), pal.get_finite("y", 0.105),
-                pal.get_finite("z", 0.325)),
-        size=(pal.get_finite("dx", 0.015), pal.get_finite("dy", 0.008),
-              pal.get_finite("dz", 0.040)),
-        points=pal.get_int("points", 400),
+        center=tuple(pal.get_finite(k, v) for k, v in zip("xyz", PaletteSpec.center)),
+        size=tuple(pal.get_finite(f"d{k}", v) for k, v in zip("xyz", PaletteSpec.size)),
+        points=pal.get_int("points", PaletteSpec.points),
     )
 
     g = sec("gantry")
-    base = GantryConfig()
-    gantry = GantryConfig(
-        max_velocity=g.get_float("max_velocity", base.max_velocity),
-        max_accel=g.get_float("max_accel", base.max_accel),
-        x_limits=(g.get_float("x_min", base.x_limits[0]),
-                  g.get_float("x_max", base.x_limits[1])),
-        y_limits=(g.get_float("y_min", base.y_limits[0]),
-                  g.get_float("y_max", base.y_limits[1])),
-        z_limits=(g.get_float("z_min", base.z_limits[0]),
-                  g.get_float("z_max", base.z_limits[1])),
-        home_position=(g.get_float("home_x", base.home_position[0]),
-                       g.get_float("home_y", base.home_position[1]),
-                       g.get_float("home_z", base.home_position[2])),
+    gantry = dict(
+        max_velocity=g.get_float("max_velocity", GantryConfig.max_velocity),
+        max_accel=g.get_float("max_accel", GantryConfig.max_accel),
+        x_limits=(g.get_float("x_min", GantryConfig.x_limits[0]),
+                  g.get_float("x_max", GantryConfig.x_limits[1])),
+        y_limits=(g.get_float("y_min", GantryConfig.y_limits[0]),
+                  g.get_float("y_max", GantryConfig.y_limits[1])),
+        z_limits=(g.get_float("z_min", GantryConfig.z_limits[0]),
+                  g.get_float("z_max", GantryConfig.z_limits[1])),
+        home_position=tuple(g.get_float(f"home_{k}", v)
+                            for k, v in zip("xyz", GantryConfig.home_position)),
     )
 
     loc = sec("localization")
     base_loc = LocalizationConfig()
-    localization = LocalizationConfig(
-        reduced_window=_parse_window(loc, "reduced", base_loc.reduced_window),
-        palette_window=_parse_window(loc, "palette", base_loc.palette_window),
+    localization = dict(
+        reduced_window=_parse_window(loc, "reduced_", base_loc.reduced_window),
+        palette_window=_parse_window(loc, "palette_", base_loc.palette_window),
         r_th=loc.get_float("r_th", base_loc.r_th),
         g_th=loc.get_float("g_th", base_loc.g_th),
         b_th=loc.get_float("b_th", base_loc.b_th),
-        cluster=ClusterParams(
-            tolerance=loc.get_float("tolerance", base_loc.cluster.tolerance),
-            min_size=loc.get_int("min_cluster", base_loc.cluster.min_size),
-            max_size=loc.get_int("max_cluster", base_loc.cluster.max_size)),
     )
+    cluster = dict(
+        tolerance=loc.get_float("tolerance", base_loc.cluster.tolerance),
+        min_size=loc.get_int("min_cluster", base_loc.cluster.min_size),
+        max_size=loc.get_int("max_cluster", base_loc.cluster.max_size))
 
     las = sec("laser")
     laser = LaserSettings(
-        spot_diameter_mm=las.get_float("spot_diameter_mm", 0.9),
-        lateral_velocity_mm_s=las.get_float("lateral_velocity_mm_s", 50.0),
-        dataset=las.get_str("dataset", "fine"),
-        toughness=las.get_float("toughness", 1.0),
+        spot_diameter_mm=las.get_float("spot_diameter_mm", LaserSettings.spot_diameter_mm),
+        lateral_velocity_mm_s=las.get_float("lateral_velocity_mm_s",
+                                            LaserSettings.lateral_velocity_mm_s),
+        dataset=las.get_str("dataset", LaserSettings.dataset),
+        toughness=las.get_float("toughness", LaserSettings.toughness),
     )
 
     d = sec("demo")
     demo = DemoSettings(
-        dt_s=d.get_float("dt", 0.001),
-        cut_timeout_s=d.get_float("cut_timeout_s", 30.0),
-        fall_timeout_s=d.get_float("fall_timeout_s", 2.0),
+        dt_s=d.get_float("dt", DemoSettings.dt_s),
+        cut_timeout_s=d.get_float("cut_timeout_s", DemoSettings.cut_timeout_s),
+        fall_timeout_s=d.get_float("fall_timeout_s", DemoSettings.fall_timeout_s),
     )
 
+    camera_1 = _parse_camera(sec("camera 1"), 1)
+    camera_2 = _parse_camera(sec("camera 2"), 2)
+    berry_points = s.get_int("berry_points", Scenario.berry_points)
+    foliage_points = s.get_int("foliage_points", Scenario.foliage_points)
+    # every key has been read now, so what was never read is unknown
+    for name, raw in sections.items():
+        if name not in asked:
+            raise ScenarioError(f"unknown section [{name}]")
+        for key in raw:
+            if key not in asked[name].read:
+                raise ScenarioError(f"unknown key '{key}' in [{name}]")
+
+    # Built only now: the gantry limits and the cluster band are checked in
+    # pairs, and a misspelt key must be reported, not the pair its default breaks.
     return Scenario(seed=seed, berries=tuple(berries), palette=palette,
-                    camera_1=_parse_camera(sec("camera 1"), 1),
-                    camera_2=_parse_camera(sec("camera 2"), 2),
-                    berry_points=s.get_int("berry_points", 600),
-                    foliage_points=s.get_int("foliage_points", 3000),
-                    foliage_window=foliage_window, colors=colors, gantry=gantry,
-                    localization=localization, laser=laser, demo=demo)
+                    camera_1=camera_1, camera_2=camera_2, berry_points=berry_points,
+                    foliage_points=foliage_points, foliage_window=foliage_window,
+                    colors=colors, gantry=GantryConfig(**gantry),
+                    localization=LocalizationConfig(**localization,
+                                                    cluster=ClusterParams(**cluster)),
+                    laser=laser, demo=demo)

@@ -163,6 +163,15 @@ def test_non_finite_value_exits_2_naming_key(tmp_path, capsys, section, key):
     assert f"{key} must be" in capsys.readouterr().err
 
 
+def test_gen_scene_with_a_bad_laser_value_exits_2_writing_nothing(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[scenario]\nseed = 1\n[laser]\ntoughness = nan\n")
+    out = tmp_path / "scene"
+    assert main(["gen-scene", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "toughness must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_pcd_points_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.pcd"
     bad.write_text("VERSION 0.7\nFIELDS x y z rgb\nWIDTH -1\nPOINTS -1\nDATA ascii\n")

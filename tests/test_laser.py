@@ -187,6 +187,19 @@ def test_optimal_spot_continuous_near_knot(datasets):
     assert abs(got - 0.9) < 0.01   # piecewise-linear max sits at the knot
 
 
+def test_optimal_spot_continuous_takes_the_exact_maximum():
+    # two peaks: a search that assumes one peak settles on the lower one at 1.0 mm
+    rows = tuple(PierceRecord(d, 2.2, 1.0, 2.2, cp) for d, cp in zip(
+        (0.2, 0.3, 0.6, 0.8, 1.0, 1.2), (1.0, 3.0, 0.5, 0.6, 2.5, 0.1)))
+    assert optimal_spot(rows, 0.2, 1.2, continuous=True) == 0.3
+    # an end of the range beats every knot inside it: C_p(0.35) = 2.58 > 2.5
+    assert optimal_spot(rows, 0.35, 1.1, continuous=True) == 0.35
+    assert optimal_spot(rows, 0.35, 1.1) == 1.0
+    # equal peaks: the smaller diameter wins
+    tied = rows[:4] + (PierceRecord(1.0, 2.2, 1.0, 2.2, 3.0),)
+    assert optimal_spot(tied, 0.2, 1.0, continuous=True) == 0.3
+
+
 # ---------------------------------------------------------------------------
 # table audit
 

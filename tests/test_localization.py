@@ -17,6 +17,7 @@ from laserberry import (CalibrationError, ClusterParams, ColorReference,
                         load_scenario, localize, merge_clouds)
 from laserberry.scenario import bundled_scenario_path
 from laserberry.scene import apply_color_gain, generate_scene
+from test_acceptance import _union_find_clusters
 
 
 def _cloud(xyz, rgb=None, frame="harvester-base"):
@@ -124,29 +125,6 @@ def test_merge_requires_common_frame():
 # ---------------------------------------------------------------------------
 # clustering vs quadratic union-find
 
-def _uf_clusters(xyz, tol, lo, hi):
-    """O(n^2) union-find reference clustering."""
-    n = len(xyz)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(xyz[i] - xyz[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [frozenset(g) for g in groups.values() if lo <= len(g) <= hi]
-
-
 def _index_colors(n):
     """Encode point index i as color (i // 256, i % 256, 0)."""
     idx = np.arange(n)
@@ -170,7 +148,7 @@ def test_clusters_match_union_find_fuzz():
         xyz = np.vstack([blob, bg])
         got = {_indices_of(c)
                for c in euclidean_clusters(_cloud(xyz, _index_colors(n)), params)}
-        want = set(_uf_clusters(xyz, 0.01, 1, 10_000))
+        want = _union_find_clusters(xyz, 0.01, 1, 10_000)
         assert got == want, f"trial {trial}: {len(got)} vs {len(want)} clusters"
 
 

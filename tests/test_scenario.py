@@ -153,6 +153,37 @@ def test_parse_errors(tmp_path, text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[scenario]\nseed = 1\n[mystery]\n", "unknown section [mystery]"),
+    ("[scenario]\nseed = 1\n[berry 1]\nx = 0\ny = 0\nz = 0.6\ncolour = red\n",
+     "unknown key 'colour' in [berry 1]"),
+    ("[scenario]\nseed = 1\n[camera 1]\nx = 0\ny = 0\nz = 0.4\nroll = 5\n",
+     "unknown key 'roll' in [camera 1]"),
+    ("[scenario]\nseed = 1\n[localization]\ntolerance = 0.01\nmin_size = 5\n",
+     "unknown key 'min_size' in [localization]"),
+    # the defaults a misspelt key leaves would fail the pair checks
+    ("[scenario]\nseed = 1\n[gantry]\nx_min = 0.5\nx_mx = 0.6\n",
+     "unknown key 'x_mx' in [gantry]"),
+    ("[scenario]\nseed = 1\n[localization]\nmin_cluster = 60000\nmax_clustr = 70000\n",
+     "unknown key 'max_clustr' in [localization]"),
+    ("[scenario]\nsed = 1\n", "missing required key 'seed' in [scenario]"),
+    ("[scenario]\nseed = 1\n[foliage]\nx_min = -0.3\nx_max = 0.3\ny_min = -0.2\n"
+     "y_max = 0.2\nz_min = 0.45\nz_mx = 0.75\n",
+     "[foliage] window needs all six bounds, missing ['z_max']"),
+])
+def test_keys_the_loader_never_reads_are_rejected(tmp_path, text, message):
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(_write(tmp_path, text))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("key", ["spot_diameter_mm", "lateral_velocity_mm_s", "toughness"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_laser_values_fail_at_load(tmp_path, key, value):
+    with pytest.raises(ValidationError, match=rf"^{key} must be positive and finite"):
+        load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[laser]\n{key} = {value}\n"))
+
+
 def test_duplicate_key_reports_line(tmp_path):
     with pytest.raises(ScenarioError, match=r"line 3"):
         load_scenario(_write(tmp_path, "[scenario]\nseed = 1\nseed = 2\n"))
