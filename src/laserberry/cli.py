@@ -187,6 +187,8 @@ def _print_metrics(metrics: CycleMetrics) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.svg and args.out is None:
+        raise ValidationError("--svg needs --out")
     scenario = _apply_seed(_resolve_scenario(args.scenario), args.seed)
     result = simulate_scenario(scenario)
     _print_metrics(result.metrics)
@@ -202,6 +204,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize_spot(args) -> int:
+    if args.svg and args.out is None:
+        raise ValidationError("--svg needs --out")
     if args.dataset is not None:
         records = load_pierce_csv(args.dataset)
     else:
@@ -215,7 +219,7 @@ def cmd_optimize_spot(args) -> int:
     print(f"optimal spot diameter: {spot:g} mm (pierce constant {cp:.4g} mm^2/s) "
           f"over [{lo:g}, {hi:g}] mm")
     out = _out_dir(args)
-    if out is not None and args.svg:
+    if args.svg:
         xs = [r.spot_diameter_mm for r in ordered]
         ys = [r.pierce_constant_mm2_s for r in ordered]
         _svg_curve(out / "cp_curve.svg", xs, ys, "Pierce constant vs spot diameter",
@@ -283,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario file path or bundled name (e.g. demo_11)")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--out", default=None, help="directory for metrics.csv")
-    p.add_argument("--svg", action="store_true", help="also write cycle_times.svg")
+    p.add_argument("--svg", action="store_true",
+                   help="also write cycle_times.svg (needs --out)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize-spot", help="best spot diameter for cutting")
@@ -295,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--continuous", action="store_true",
                    help="exact maximum of the interpolated curve, ends included")
     p.add_argument("--out", default=None, help="directory for cp_curve.svg")
-    p.add_argument("--svg", action="store_true", help="also write cp_curve.svg")
+    p.add_argument("--svg", action="store_true", help="also write cp_curve.svg (needs --out)")
     p.set_defaults(func=cmd_optimize_spot)
 
     p = sub.add_parser("verify-tables", help="audit the calibration tables")

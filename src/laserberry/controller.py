@@ -10,8 +10,9 @@ time plus laser-on-to-severed cut time: motion is ``cycle - cut``, so the
 float sum ``motion + cut`` matches the cycle to within one rounding.
 
 A cycle is straight-line code: each phase is its action followed by a wait
-for the check that ends it. The wait is the only loop in a cycle that
-steps the machine, on 1 ms ticks (``HarvestConfig.dt_s``). Checks run before each
+for the check that ends it. The wait is the only loop that steps the
+machine, a run's start-up homing included, on 1 ms ticks
+(``HarvestConfig.dt_s``). Checks run before each
 step, so an action that is already complete takes no tick. A wait first
 jumps to the tick before its check first holds, or before a beam may see a
 fruit: it replays blocks of ticks as arrays (clock, trapper, fruit fall and
@@ -22,7 +23,7 @@ bisects the block where it first holds, then steps that one tick.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -63,12 +64,14 @@ FAIL_CUT_TIMEOUT = "cut-timeout"
 FAIL_FALL_TIMEOUT = "fall-timeout"
 
 
+_BELOW_OFFSET_M = 0.030    # approach depth under the box floor
+_ABOVE_OFFSET_M = 0.020    # rise margin over the box ceiling
+
+
 @dataclass(frozen=True)
 class HarvestConfig:
-    """Controller offsets, cut parameters, timestep, and timeouts."""
+    """Cut parameters, timestep, and timeouts."""
 
-    below_offset_m: float = 0.030    # approach depth under the box
-    above_offset_m: float = 0.020    # rise margin over the box
     spot_diameter_mm: float = 0.9
     lateral_velocity_mm_s: float = 50.0
     dt_s: float = 0.001
@@ -76,9 +79,7 @@ class HarvestConfig:
     fall_timeout_s: float = 2.0
 
     def __post_init__(self):
-        require_positive(**{name: getattr(self, name) for name in (
-            "below_offset_m", "above_offset_m", "spot_diameter_mm",
-            "lateral_velocity_mm_s", "dt_s", "cut_timeout_s", "fall_timeout_s")})
+        require_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -139,9 +140,12 @@ class CycleMetrics:
         Path(path).write_text(self.to_csv())
 
 
-def plan_approach(box: BerryBox, gantry: GantryConfig,
-                  below_offset_m: float = 0.030,
-                  above_offset_m: float = 0.020) -> list[tuple[float, float, float]]:
+def _approach_z(box: BerryBox) -> float:
+    """Height of the approach under ``box``, where a cycle starts its rise."""
+    return float(box.box.min[2]) - _BELOW_OFFSET_M
+
+
+def plan_approach(box: BerryBox, gantry: GantryConfig) -> list[tuple[float, float, float]]:
     """Waypoints for one fruit: under the box, over it, then the cut pose.
 
     The first waypoint sits below the box floor at the centroid's x-y, the
@@ -157,9 +161,8 @@ def plan_approach(box: BerryBox, gantry: GantryConfig,
         (fruit out of reach).
     """
     cx, cy = float(box.centroid[0]), float(box.centroid[1])
-    z_low = float(box.box.min[2]) - below_offset_m
-    z_high = float(box.box.max[2]) + above_offset_m
-    waypoints = [(cx, cy, z_low), (cx, cy, z_high), (cx, cy, z_high)]
+    z_high = float(box.box.max[2]) + _ABOVE_OFFSET_M
+    waypoints = [(cx, cy, _approach_z(box)), (cx, cy, z_high), (cx, cy, z_high)]
     for x, y, z in waypoints:
         for value, (lo, hi), axis in ((x, gantry.x_limits, "x"),
                                       (y, gantry.y_limits, "y"),
@@ -216,7 +219,7 @@ class _Cycle:
         """Step until ``done(sim.time)`` holds, jumping over the ticks between;
         a step ticks the sim, lets fruit fall, checks the beams and etches a cut."""
         sim, cfg, world = self.sim, self.cfg, self.world
-        cutting = self.phases[-1] is HarvestPhase.CUTTING
+        cutting = self.phases[-1:] == [HarvestPhase.CUTTING]
         while not done(sim.time):
             _jump(sim, cfg.dt_s, done, world, self if cutting else None)
             sim.step(cfg.dt_s)
@@ -241,8 +244,7 @@ class _Cycle:
         if target is not None and target.toughness != self.model.toughness:
             self.model = replace(self.model, toughness=target.toughness)
         try:
-            waypoints = plan_approach(self.box, sim.config,
-                                      cfg.below_offset_m, cfg.above_offset_m)
+            waypoints = plan_approach(self.box, sim.config)
         except MotionError:
             return self._fail(FAIL_PLAN)
         if target is not None:
@@ -290,7 +292,8 @@ class _Cycle:
         self._wait(lambda now: sim.trapper.idle)
         follow = self.next_box if self.next_box is not None else self.box
         x, y, _ = sim.tool_position()
-        sim.command_move(x, y, float(follow.box.min[2]) - cfg.below_offset_m)
+        lo, hi = sim.config.z_limits     # a fruit out of reach fails its own plan
+        sim.command_move(x, y, min(max(_approach_z(follow), lo), hi))
         self._enter(HarvestPhase.DESCEND_Z)
         self._wait(sim.axes_done_at)
         self._enter(HarvestPhase.DONE)
@@ -381,10 +384,7 @@ def run_demo(sim: GantrySim, world: list[FruitBody], boxes: list[BerryBox],
     """
     cfg = config if config is not None else HarvestConfig()
     sim.home_lens()
-    homed = sim.lens.homing_done_at
-    while not homed(sim.time):
-        _jump(sim, cfg.dt_s, homed)
-        sim.step(cfg.dt_s)
+    _Cycle(sim, [], None, model, cfg, None)._wait(sim.lens.homing_done_at)  # no fruit watched
     records = []
     for i, box in enumerate(boxes):
         next_box = boxes[i + 1] if i + 1 < len(boxes) else None

@@ -108,7 +108,6 @@ class AxisState:
     limits: tuple[float, float]     # m, (low, high)
     max_velocity: float             # m/s
     max_accel: float                # m/s^2
-    velocity: float = 0.0
     profile: MotionProfile | None = None
 
     def command(self, target: float, now: float) -> None:
@@ -124,10 +123,9 @@ class AxisState:
 
     def advance(self, now: float) -> None:
         if self.profile is not None:
-            self.position, self.velocity = self.profile.sample(now)
+            self.position = self.profile.sample(now)[0]
             if self.done_at(now):
                 self.profile = None
-                self.velocity = 0.0
 
     def done_at(self, now: float) -> bool:
         """Whether the active move, if any, is complete at sim time ``now``."""
@@ -200,10 +198,6 @@ class LensAxis:
             # triangle wave over [0, stroke] starting from the home end
             u = (self._osc_speed * (now - self._t_start)) % (2.0 * self.stroke_mm)
             self.position_mm = u if u <= self.stroke_mm else 2.0 * self.stroke_mm - u
-
-    @property
-    def homing_done(self) -> bool:
-        return self.mode is not LensMode.HOMING
 
     def homing_done_at(self, now: float) -> bool:
         """Whether homing, if under way, has reached the switch by ``now``."""
@@ -313,8 +307,7 @@ class TickBlock:
 
     time: np.ndarray               # clock per tick
     trapper: np.ndarray | None     # trapper angle per tick; None while idle
-    falls: list                    # (fruit, speeds, heights, landing tick or n + 1;
-                                   #  0 for a fruit that landed on tick 0)
+    falls: list                    # (fruit, speeds, heights) per tick
     beam: int                      # first tick a beam may fire at; n + 1 if none
 
     def at(self, sim: "GantrySim", k: int) -> float:
@@ -328,11 +321,9 @@ class TickBlock:
         now = self.at(sim, k)
         if not k:
             return
-        for fruit, v, z, landing in self.falls:
-            j = min(k, landing)                 # a landed fruit rests at z[landing]
-            fruit.fall_velocity, fruit.prev_z, fruit.z = (
-                float(v[j]), float(z[min(k - 1, landing)]), float(z[j]))
-            fruit.landed = j == landing
+        for fruit, v, z in self.falls:
+            fruit.fall_velocity, fruit.prev_z, fruit.z = float(v[k]), float(z[k - 1]), float(z[k])
+            fruit.landed = bool(z[k] <= 0.0)
         sim.advance_to(now)
 
 
@@ -436,10 +427,6 @@ class GantrySim:
         """Groove-center position in the base frame, metres."""
         return (self.x.position, self.y.position, self.z.position)
 
-    @property
-    def axes_idle(self) -> bool:
-        return self.x.idle and self.y.idle and self.z.idle
-
     def axes_done_at(self, now: float) -> bool:
         """Whether every axis has finished its move by sim time ``now``."""
         return self.x.done_at(now) and self.y.done_at(now) and self.z.done_at(now)
@@ -500,24 +487,15 @@ class GantrySim:
                 angle[j + 1:] = tr.target_deg
         falls, beam, tool = [], n + 1, None
         for fruit in fruits:
-            if fruit.attached:
-                continue
-            if fruit.landed:                    # at rest, so no beam sees it
-                if fruit.prev_z != fruit.z:     # it landed on the last tick
-                    falls.append((fruit, [fruit.fall_velocity], [fruit.z], 0))
-                continue
+            if fruit.attached or (fruit.landed and fruit.prev_z == fruit.z):
+                continue                        # a tick leaves it as it is
             v, z = fruit.fall_track(n, dt, GRAVITY)
-            down = z <= 0.0
-            down[0] = False
-            landing = int(down.argmax()) or n + 1
-            falls.append((fruit, v, z, landing))
-            if fruit.uid in self.interrupters._fired:
-                continue
+            falls.append((fruit, v, z))
+            if fruit.landed or fruit.uid in self.interrupters._fired:
+                continue                        # at rest or seen: no beam fires
             tool = tool or self.tool_path(time[1:])
-            k = np.arange(n)
-            z_prev, z_now = z[np.minimum(k, landing)], z[np.minimum(k + 1, landing)]
             seen = np.flatnonzero(
-                self.interrupters.crossings(tool, fruit, z_prev, z_now)[:beam - 1])
+                self.interrupters.crossings(tool, fruit, z[:-1], z[1:])[:beam - 1])
             if seen.size:
                 beam = int(seen[0]) + 1
         return TickBlock(time, angle, falls, beam)

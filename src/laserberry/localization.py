@@ -371,6 +371,9 @@ class LocalizationConfig:
     cluster: ClusterParams = field(
         default_factory=lambda: ClusterParams(tolerance=0.010, min_size=40, max_size=50000))
 
+    def __post_init__(self):
+        require_positive(r_th=self.r_th, g_th=self.g_th, b_th=self.b_th)
+
 
 def _rows_inside(window: SpatialWindow, pose: RigidTransform,
                  xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

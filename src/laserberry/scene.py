@@ -105,17 +105,14 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
     parts2.append((pal_pts, pal_rgb, pal_labels))
 
     def _assemble(parts, frame, pose):
-        xyz = np.vstack([p[0] for p in parts]) if parts else np.empty((0, 3))
-        rgb = np.vstack([p[1] for p in parts]) if parts else np.empty((0, 3), np.uint8)
-        labels = np.concatenate([p[2] for p in parts]) if parts else np.empty(0, np.int32)
-        cloud = PointCloud(pose.inverse().apply(xyz), rgb, frame)
-        return cloud, labels
+        xyz, rgb, labels = (np.concatenate(p) for p in zip(*parts))
+        return PointCloud(pose.inverse().apply(xyz), rgb, frame), labels
 
     cloud1, labels1 = _assemble(parts1, CAMERA_1_FRAME, scenario.camera_1)
     cloud2, labels2 = _assemble(parts2, CAMERA_2_FRAME, scenario.camera_2)
 
     diameters = np.array([s.diameter_m for s in scenario.berries])
-    stem_bottom = centers[:, 2] + _ELONGATION * diameters / 2.0 if nb else np.zeros(0)
+    stem_bottom = centers[:, 2] + _ELONGATION * diameters / 2.0
     stem_lengths = np.array([s.stem_length_m for s in scenario.berries])
     toughness = np.array([
         s.toughness if s.toughness is not None else scenario.laser.toughness
@@ -126,7 +123,7 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
         berry_diameters_m=diameters,
         stem_diameters_mm=stem_diameters,
         stem_bottom_z=stem_bottom,
-        stem_top_z=stem_bottom + stem_lengths if nb else np.zeros(0),
+        stem_top_z=stem_bottom + stem_lengths,
         toughness=toughness,
         labels_cam1=labels1,
         labels_cam2=labels2,
@@ -190,15 +187,22 @@ class FruitBody:
         """Speeds and heights over the next ``n`` calls of :meth:`fall_step`.
 
         Index 0 is now. The running sums add left to right as the steps do,
-        so they match them float for float (``z - v*dt`` is ``z + -(v*dt)``);
-        they run on past the landing, which is the caller's to cut.
+        so they match them float for float (``z - v*dt`` is ``z + -(v*dt)``).
+        From the landing tick on both rest, as :meth:`fall_step` leaves them.
         """
+        if self.landed:
+            return np.full(n + 1, self.fall_velocity), np.full(n + 1, self.z)
         v = np.full(n + 1, gravity * dt)
         v[0] = self.fall_velocity
         np.add.accumulate(v, out=v)
         z = -(v * dt)
         z[0] = self.z
         np.add.accumulate(z, out=z)
+        down = z <= 0.0
+        down[0] = False
+        k = int(down.argmax())
+        if down[k]:
+            v[k + 1:], z[k + 1:] = v[k], z[k]
         return v, z
 
 

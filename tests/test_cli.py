@@ -100,6 +100,32 @@ def test_simulate_svg(tmp_path, capsys):
     assert svg.count("<rect") == 12   # background + 11 bars
 
 
+@pytest.mark.parametrize("command", [["simulate", "--scenario", "demo_11"],
+                                     ["optimize-spot"]])
+def test_svg_without_out_exits_2(capsys, command):
+    assert main(command + ["--svg"]) == 2
+    captured = capsys.readouterr()
+    assert "--svg needs --out" in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_records_a_plan_failure_for_a_low_next_fruit(tmp_path, capsys):
+    # the cycle before fruit 1 descends toward an approach depth below the
+    # z stroke; that fruit then fails its own plan instead of ending the run
+    low = tmp_path / "low.ini"
+    low.write_text("[scenario]\nseed = 5\nfoliage_points = 0\n"
+                   "[berry 1]\nx = 0\ny = -0.05\nz = 0.60\n"
+                   "[berry 2]\nx = 0.05\ny = 0.05\nz = 0.035\n"
+                   "[localization]\nreduced_x_min = -0.3\nreduced_x_max = 0.3\n"
+                   "reduced_y_min = -0.2\nreduced_y_max = 0.2\n"
+                   "reduced_z_min = -0.1\nreduced_z_max = 0.7\n")
+    out = tmp_path / "s"
+    assert main(["simulate", "--scenario", str(low), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:4]]
+    assert [(r[1], r[5]) for r in rows] == [("1", ""), ("0", "plan"), ("0", "trap-miss")]
+
+
 def test_seed_override_changes_metrics(tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--scenario", "demo_11", "--out", str(out1)]) == 0
@@ -169,6 +195,15 @@ def test_gen_scene_with_a_bad_laser_value_exits_2_writing_nothing(tmp_path, caps
     out = tmp_path / "scene"
     assert main(["gen-scene", "--scenario", str(bad), "--out", str(out)]) == 2
     assert "toughness must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_scene_with_a_bad_color_half_width_exits_2_writing_nothing(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[scenario]\nseed = 1\n[localization]\nr_th = nan\n")
+    out = tmp_path / "scene"
+    assert main(["gen-scene", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "r_th must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 

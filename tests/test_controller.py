@@ -73,7 +73,7 @@ def _single_cycle(model, fruit_dx=0.0, stem=2.2):
     box = _box(cx, cy, cz)
     world = [_fruit(0, cx + fruit_dx, cy, cz, stem=stem)]
     sim.home_lens()
-    while not sim.lens.homing_done:
+    while not sim.lens.homing_done_at(sim.time):
         sim.step(DT)
     record = run_cycle(sim, world, box, model)
     return sim, world, record
@@ -219,8 +219,6 @@ def test_metrics_csv_shape(model):
 def test_harvest_config_validation():
     with pytest.raises(Exception):
         HarvestConfig(dt_s=0.0)
-    with pytest.raises(Exception):
-        HarvestConfig(below_offset_m=-0.01)
 
 
 @pytest.mark.parametrize("name", ["dt_s", "cut_timeout_s", "fall_timeout_s"])

@@ -1,7 +1,7 @@
 """Machine invariants of the harvest cycle over generated worlds.
 
 Each world is a fruit layout drawn from a seed (some fruit beyond the x
-stroke, some stems off their box) plus drawn toughness, timestep, gantry
+stroke, some too low to approach, some stems off their box) plus drawn toughness, timestep, gantry
 speed limit, beam speed and timeouts, so every failure path is reachable.
 """
 
@@ -69,9 +69,11 @@ def worlds(draw, max_fruit, max_toughness):
 def _run(world):
     rng = np.random.default_rng(world["seed"])
     n = world["fruit"]
+    low = rng.random(n) < 0.2      # approach depth under these leaves the z stroke
     centers = np.column_stack([rng.uniform(-0.30, 0.30, n),     # x stroke is ±0.24
                                rng.uniform(-0.10, 0.10, n),
-                               rng.uniform(0.52, 0.66, n)])
+                               np.where(low, rng.uniform(0.01, 0.04, n),
+                                        rng.uniform(0.52, 0.66, n))])
     stem_dx = np.where(rng.random(n) < 0.2, rng.uniform(-0.03, 0.03, n), 0.0)
     bodies = [_CountedFruit(uid=i, x=x + dx, y=y, z=z, stem_x=x + dx, stem_y=y,
                             stem_diameter_mm=float(d),

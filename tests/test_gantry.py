@@ -108,9 +108,9 @@ def test_zero_length_move_is_instant():
 def test_lens_homing_takes_half_second():
     lens = LensAxis()   # powered up at 5 mm, homing at 10 mm/s
     lens.begin_homing(0.0)
-    assert not lens.homing_done
+    assert not lens.homing_done_at(0.0)
     t, steps = 0.0, 0
-    while not lens.homing_done:
+    while not lens.homing_done_at(t):
         t += DT
         lens.advance(t)
         steps += 1
@@ -122,7 +122,7 @@ def test_lens_homing_takes_half_second():
 def test_lens_rehoming_from_switch_is_instant():
     lens = LensAxis(position_mm=0.0)
     lens.begin_homing(3.0)
-    assert lens.homed and lens.homing_done
+    assert lens.homed and lens.homing_done_at(3.0)
 
 
 def test_oscillation_requires_homing():
@@ -267,7 +267,7 @@ def test_stepped_beam_sees_a_fruit_landing_but_not_at_rest():
     lo, hi = fruit.z, fruit.prev_z
     sim.command_move(0.0, -0.25, 0.0)
     planes = []
-    while not sim.axes_idle:
+    while not sim.axes_done_at(sim.time):
         assert _tick(sim, fruit) is None
         planes.append(sim.tool_position()[2] - 0.03)
     assert any(lo <= p < hi for p in planes)
@@ -295,7 +295,7 @@ def test_replayed_beam_sees_a_fruit_landing_but_not_at_rest():
     block.land(sim, 900)
     for _ in range(900):
         assert _tick(ref, ref_fruit) is None
-    assert ref.axes_idle
+    assert ref.axes_done_at(ref.time)
     assert ((sim.time, sim.tool_position(), fruit.z, fruit.prev_z, fruit.landed)
             == (ref.time, ref.tool_position(), ref_fruit.z, ref_fruit.prev_z, True))
     assert fruit.prev_z == fruit.z
@@ -308,7 +308,7 @@ def test_sim_move_and_capture():
     sim = GantrySim()
     sim.command_move(0.1, 0.0, 0.5)
     steps = 0
-    while not sim.axes_idle:
+    while not sim.axes_done_at(sim.time):
         sim.step(DT)
         steps += 1
         assert steps < 20_000
@@ -341,10 +341,10 @@ def test_sim_homing_counter():
     sim = GantrySim()
     assert sim.homing_count == 0
     sim.home_lens()
-    while not sim.lens.homing_done:
+    while not sim.lens.homing_done_at(sim.time):
         sim.step(DT)
     sim.home_lens()     # already referenced: instant, still counted
-    assert sim.lens.homing_done
+    assert sim.lens.homing_done_at(sim.time)
     assert sim.homing_count == 2
 
 
@@ -398,7 +398,7 @@ def test_jump_then_advance_to_matches_stepping():
             for _ in range(700):
                 sim.step(DT)
         return (sim.time, sim.tool_position(), sim.lens.position_mm,
-                sim.lens.homing_done, sim.trapper.angle_deg, sim.axes_idle)
+                sim.lens.mode, sim.trapper.angle_deg, sim.axes_done_at(sim.time))
 
     assert run(jump=True) == run(jump=False)
 

@@ -115,23 +115,28 @@ def test_etch_reaches_severed_within_one_step(fine_model):
         spot = float(rng.uniform(0.5, 1.1))
         expected = cut_time(stem, fine_model, spot, 50.0)
         state = EtchState.for_stem(stem)
-        t, steps = 0.0, 0
-        while not state.severed:
-            state = etch_step(state, dt, True, fine_model, spot, 50.0)
-            t += dt
-            steps += 1
-            assert steps < 10_000_000
+        areas = etch_track(state, math.ceil(expected / dt) + 2, dt,
+                           etch_rate(fine_model, spot, 50.0))
+        steps = int(np.argmax(areas == state.target_area))
+        assert steps > 0
+        t = np.add.accumulate(np.full(steps, dt))[-1]   # t += dt, left to right
         assert abs(t - expected) <= dt + 1e-12
+        # the track is etch_step's (see below): one step from the tick before severs
+        before = EtchState(float(areas[steps - 1]), state.target_area, False)
+        after = etch_step(before, dt, True, fine_model, spot, 50.0)
+        assert after.severed and after.cut_area == areas[steps]
 
 
 def test_etch_track_matches_etch_step(fine_model):
-    state = EtchState.for_stem(2.2)
     rate = etch_rate(fine_model, 0.9, 50.0)
-    areas = etch_track(state, 4000, 0.001, rate)
-    for k in range(1, 4001):
-        state = etch_step(state, 0.001, True, fine_model, 0.9, 50.0)
-        assert state.cut_area == areas[k]
-    assert state.severed
+    for dt in (0.0005, 0.001, 0.002):       # the timesteps the trials above draw
+        state = EtchState.for_stem(2.2)
+        n = round(4.0 / dt)
+        areas = etch_track(state, n, dt, rate)
+        for k in range(1, n + 1):
+            state = etch_step(state, dt, True, fine_model, 0.9, 50.0)
+            assert state.cut_area == areas[k]
+        assert state.severed
 
 
 def test_etch_noops(fine_model):

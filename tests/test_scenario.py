@@ -184,6 +184,13 @@ def test_laser_values_fail_at_load(tmp_path, key, value):
         load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[laser]\n{key} = {value}\n"))
 
 
+@pytest.mark.parametrize("key", ["r_th", "g_th", "b_th"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_color_half_widths_fail_at_load(tmp_path, key, value):
+    with pytest.raises(ValidationError, match=rf"^{key} must be positive and finite"):
+        load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[localization]\n{key} = {value}\n"))
+
+
 def test_duplicate_key_reports_line(tmp_path):
     with pytest.raises(ScenarioError, match=r"line 3"):
         load_scenario(_write(tmp_path, "[scenario]\nseed = 1\nseed = 2\n"))

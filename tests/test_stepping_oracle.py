@@ -35,6 +35,7 @@ class World:
     fall_timeout: float = 2.0
     stem_offsets: tuple = ()        # (fruit, dx) pairs: fruit off its box
     unreachable: bool = False       # last box beyond the x stroke
+    low: bool = False               # last box so low its approach leaves the z stroke
     lift: float = 0.0               # raises fruit, home and z stroke, m
     gantry: tuple = ()              # (key, value) GantryConfig overrides
 
@@ -65,6 +66,9 @@ WORLDS = [
     # reaches a beam: an unseen fruit falls while the tool moves
     World(speed=0.5, toughness=0.1, fall_timeout=0.01,
           gantry=FAST + (("lens_homing_speed_mm_s", 1000.0),)),
+    # the cycle before a low fruit descends to the floor of the z stroke,
+    # and the low fruit fails its own plan
+    World(speed=0.3, toughness=0.5, low=True),
 ]
 
 
@@ -78,6 +82,8 @@ def _run(world: World):
     centers = [(x, y, z + world.lift) for x, y, z in LAYOUT[:world.fruit]]
     if world.unreachable:
         centers = centers[:-1] + [(0.30, 0.0, 0.60)]
+    if world.low:
+        centers = centers[:-1] + [(0.05, 0.05, 0.035)]
     offsets = dict(world.stem_offsets)
     bodies = [FruitBody(uid=i, x=x + offsets.get(i, 0.0), y=y, z=z,
                         stem_x=x + offsets.get(i, 0.0), stem_y=y,
