@@ -12,8 +12,7 @@ Run with::
 """
 
 from laserberry import GantrySim, load_scenario, run_demo
-from laserberry.pipeline import (cut_model_for, harvest_config_for,
-                                 localize_scenario)
+from laserberry.pipeline import cut_model_for, localize_scenario
 from laserberry.scenario import bundled_scenario_path
 from laserberry.scene import make_world
 
@@ -28,7 +27,7 @@ print(f"localized {len(boxes)} fruit")
 sim = GantrySim(scenario.gantry)
 world = make_world(truth)
 model = cut_model_for(scenario)
-config = harvest_config_for(scenario)
+config = scenario.harvest    # [laser] cut settings and [demo] timing
 
 metrics = run_demo(sim, world, boxes, model, config)
 

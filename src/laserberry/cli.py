@@ -67,68 +67,66 @@ def _out_dir(args) -> Path | None:
 # ---------------------------------------------------------------------------
 # tiny deterministic SVG writers (no plotting dependency)
 
-def _svg_header(width: int, height: int, title: str) -> list[str]:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width // 2}" y="20" text-anchor="middle" '
+_W, _H, _M = 640, 400, 60     # page width, height and plot margin, px
+
+
+def _svg_plot(path: Path, body: list[str], title: str, x_label: str, y_label: str) -> None:
+    """Write a page with ``title``, both axes, ``body`` and the axis labels."""
+    w, h, m = _W, _H, _M
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">',
+        f'<rect width="{w}" height="{h}" fill="white"/>',
+        f'<text x="{w // 2}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'<line x1="{m}" y1="{h - m}" x2="{w - m}" y2="{h - m}" stroke="black"/>',
+        f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h - m}" stroke="black"/>',
+        *body,
+        f'<text x="{w // 2}" y="{h - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{x_label}</text>',
+        f'<text x="16" y="{h // 2}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 16 {h // 2})">{y_label}</text>',
+        "</svg>",
     ]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _svg_curve(path: Path, xs, ys, title: str, x_label: str, y_label: str) -> None:
-    w, h, m = 640, 400, 60
+    w, h, m = _W, _H, _M
     x0, x1 = min(xs), max(xs)
     y0, y1 = 0.0, max(ys) * 1.1
     sx = lambda x: m + (x - x0) / (x1 - x0) * (w - 2 * m)
     sy = lambda y: h - m - (y - y0) / (y1 - y0) * (h - 2 * m)
-    lines = _svg_header(w, h, title)
-    lines.append(f'<line x1="{m}" y1="{h - m}" x2="{w - m}" y2="{h - m}" stroke="black"/>')
-    lines.append(f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h - m}" stroke="black"/>')
     pts = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(xs, ys))
-    lines.append(f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="2"/>')
+    body = [f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="2"/>']
     for x, y in zip(xs, ys):
-        lines.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="4" fill="crimson"/>')
-        lines.append(f'<text x="{sx(x):.1f}" y="{h - m + 16}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="10">{x:g}</text>')
-    lines.append(f'<text x="{m - 8}" y="{sy(y1):.1f}" text-anchor="end" '
-                 f'font-family="sans-serif" font-size="10">{y1:.2f}</text>')
-    lines.append(f'<text x="{m - 8}" y="{sy(0) + 4:.1f}" text-anchor="end" '
-                 f'font-family="sans-serif" font-size="10">0</text>')
-    lines.append(f'<text x="{w // 2}" y="{h - 12}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="12">{x_label}</text>')
-    lines.append(f'<text x="16" y="{h // 2}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 16 {h // 2})">{y_label}</text>')
-    lines.append("</svg>")
-    path.write_text("\n".join(lines) + "\n")
+        body.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="4" fill="crimson"/>')
+        body.append(f'<text x="{sx(x):.1f}" y="{h - m + 16}" text-anchor="middle" '
+                    f'font-family="sans-serif" font-size="10">{x:g}</text>')
+    body.append(f'<text x="{m - 8}" y="{sy(y1):.1f}" text-anchor="end" '
+                f'font-family="sans-serif" font-size="10">{y1:.2f}</text>')
+    body.append(f'<text x="{m - 8}" y="{sy(0) + 4:.1f}" text-anchor="end" '
+                f'font-family="sans-serif" font-size="10">0</text>')
+    _svg_plot(path, body, title, x_label, y_label)
 
 
 def _svg_bars(path: Path, values, title: str, x_label: str, y_label: str) -> None:
-    w, h, m = 640, 400, 60
+    w, h, m = _W, _H, _M
     n = max(len(values), 1)
     top = max(values, default=1.0) * 1.15
     band = (w - 2 * m) / n
-    lines = _svg_header(w, h, title)
-    lines.append(f'<line x1="{m}" y1="{h - m}" x2="{w - m}" y2="{h - m}" stroke="black"/>')
-    lines.append(f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h - m}" stroke="black"/>')
+    body = []
     for i, v in enumerate(values):
         bh = v / top * (h - 2 * m)
         x = m + i * band + band * 0.15
-        lines.append(f'<rect x="{x:.1f}" y="{h - m - bh:.1f}" width="{band * 0.7:.1f}" '
-                     f'height="{bh:.1f}" fill="seagreen"/>')
-        lines.append(f'<text x="{m + i * band + band / 2:.1f}" y="{h - m + 16}" '
-                     f'text-anchor="middle" font-family="sans-serif" font-size="10">{i}</text>')
-        lines.append(f'<text x="{m + i * band + band / 2:.1f}" y="{h - m - bh - 6:.1f}" '
-                     f'text-anchor="middle" font-family="sans-serif" font-size="9">{v:.2f}</text>')
-    lines.append(f'<text x="{w // 2}" y="{h - 12}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="12">{x_label}</text>')
-    lines.append(f'<text x="16" y="{h // 2}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 16 {h // 2})">{y_label}</text>')
-    lines.append("</svg>")
-    path.write_text("\n".join(lines) + "\n")
+        body.append(f'<rect x="{x:.1f}" y="{h - m - bh:.1f}" width="{band * 0.7:.1f}" '
+                    f'height="{bh:.1f}" fill="seagreen"/>')
+        body.append(f'<text x="{m + i * band + band / 2:.1f}" y="{h - m + 16}" '
+                    f'text-anchor="middle" font-family="sans-serif" font-size="10">{i}</text>')
+        body.append(f'<text x="{m + i * band + band / 2:.1f}" y="{h - m - bh - 6:.1f}" '
+                    f'text-anchor="middle" font-family="sans-serif" font-size="9">{v:.2f}</text>')
+    _svg_plot(path, body, title, x_label, y_label)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +245,6 @@ def cmd_verify_tables(args) -> int:
 def cmd_gen_scene(args) -> int:
     scenario = _apply_seed(_resolve_scenario(args.scenario), args.seed)
     out = _out_dir(args)
-    if out is None:
-        raise ValidationError("gen-scene requires --out")
     cloud1, cloud2, truth = generate_scene(scenario)
     write_pcd(cloud1, out / "camera1.pcd")
     write_pcd(cloud2, out / "camera2.pcd")

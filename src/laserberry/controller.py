@@ -70,7 +70,8 @@ _ABOVE_OFFSET_M = 0.020    # rise margin over the box ceiling
 
 @dataclass(frozen=True)
 class HarvestConfig:
-    """Cut parameters, timestep, and timeouts."""
+    """Cut parameters, timestep, and timeouts (a scenario's ``[laser]`` cut
+    keys and its ``[demo]`` keys)."""
 
     spot_diameter_mm: float = 0.9
     lateral_velocity_mm_s: float = 50.0
@@ -329,7 +330,7 @@ def _jump(sim: GantrySim, dt: float, done: Callable[[float], bool],
 
         def at(k: int) -> float:
             if cut is not None:
-                cut.etch = EtchState(float(area[k]), stem, float(area[k]) == stem)
+                cut.etch = EtchState(float(area[k]), stem)
             return block.at(sim, k)
 
         lo, hi = 0, min(n, block.beam - 1)
@@ -346,7 +347,7 @@ def _jump(sim: GantrySim, dt: float, done: Callable[[float], bool],
 
 
 def run_cycle(sim: GantrySim, world: list[FruitBody], box: BerryBox,
-              model: CutModel, config: HarvestConfig | None = None,
+              model: CutModel, config: HarvestConfig = HarvestConfig(),
               next_box: BerryBox | None = None,
               fruit_index: int = 0) -> CycleRecord:
     """Harvest one localized fruit; see the module docstring for the cycle.
@@ -356,9 +357,8 @@ def run_cycle(sim: GantrySim, world: list[FruitBody], box: BerryBox,
     mechanism is left safe (laser off, trapper open) and the record
     carries the failure reason; ``motion == cycle - cut`` always.
     """
-    cfg = config if config is not None else HarvestConfig()
     t_start = sim.time
-    cycle = _Cycle(sim, world, box, model, cfg, next_box)
+    cycle = _Cycle(sim, world, box, model, config, next_box)
     cycle.run()
     if cycle.failure:
         cycle.cleanup()
@@ -375,19 +375,18 @@ def run_cycle(sim: GantrySim, world: list[FruitBody], box: BerryBox,
 
 
 def run_demo(sim: GantrySim, world: list[FruitBody], boxes: list[BerryBox],
-             model: CutModel, config: HarvestConfig | None = None) -> CycleMetrics:
+             model: CutModel, config: HarvestConfig = HarvestConfig()) -> CycleMetrics:
     """Harvest every localized fruit in rank order.
 
     The lens is referenced once at the start of operation and again by
     every cycle, so a run over n fruits homes n + 1 times. Each cut takes
     its toughness from the body being cut, as in :func:`run_cycle`.
     """
-    cfg = config if config is not None else HarvestConfig()
     sim.home_lens()
-    _Cycle(sim, [], None, model, cfg, None)._wait(sim.lens.homing_done_at)  # no fruit watched
+    _Cycle(sim, [], None, model, config, None)._wait(sim.lens.homing_done_at)  # no fruit watched
     records = []
     for i, box in enumerate(boxes):
         next_box = boxes[i + 1] if i + 1 < len(boxes) else None
-        records.append(run_cycle(sim, world, box, model, cfg,
+        records.append(run_cycle(sim, world, box, model, config,
                                  next_box=next_box, fruit_index=i))
     return CycleMetrics(tuple(records))

@@ -154,7 +154,6 @@ class LensAxis:
     axis has been referenced at least once.
     """
 
-    travel_mm: float = 5.0
     stroke_mm: float = 4.0          # oscillation sweep length
     homing_speed_mm_s: float = 10.0
     position_mm: float = 5.0        # powered up at the far end, unreferenced
@@ -218,8 +217,9 @@ class TrapperState:
     open_angle_deg: float = 90.0
     closed_angle_deg: float = 120.0
     rate_deg_s: float = 150.0
-    angle_deg: float = 90.0
-    target_deg: float = 90.0
+    angle_deg: float = open_angle_deg      # powered up open
+    target_deg: float = open_angle_deg
+    capture_halfwidth_m: float = 0.020   # stem funneling reach of the groove
 
     def command(self, closed: bool) -> None:
         self.target_deg = self.closed_angle_deg if closed else self.open_angle_deg
@@ -332,10 +332,11 @@ class TickBlock:
 
 @dataclass(frozen=True)
 class GantryConfig:
-    """Travel limits, speed limits, and tool geometry.
+    """Travel limits, speed limits, and the power-up pose.
 
     The x stroke is the full 0.48 m of the frame; per-axis speed and
-    acceleration limits apply to all three axes.
+    acceleration limits apply to all three axes. Lens, trapper and beams
+    are fixed parts, built from their own defaults.
     """
 
     max_velocity: float = 0.5       # m/s
@@ -343,15 +344,6 @@ class GantryConfig:
     x_limits: tuple[float, float] = (-0.24, 0.24)
     y_limits: tuple[float, float] = (-0.30, 0.30)
     z_limits: tuple[float, float] = (0.0, 0.80)
-    trapper_open_deg: float = 90.0
-    trapper_closed_deg: float = 120.0
-    trapper_rate_deg_s: float = 150.0
-    lens_travel_mm: float = 5.0
-    lens_stroke_mm: float = 4.0
-    lens_homing_speed_mm_s: float = 10.0
-    capture_halfwidth_m: float = 0.020   # stem funneling reach of the groove
-    interrupter_offsets_m: tuple[float, ...] = (0.030, 0.045, 0.060)
-    interrupter_halfspan_m: float = 0.0125
     home_position: tuple[float, float, float] = (0.0, -0.25, 0.30)
 
     def __post_init__(self):
@@ -376,16 +368,9 @@ class GantrySim:
         self.x = AxisState("x", hx, c.x_limits, c.max_velocity, c.max_accel)
         self.y = AxisState("y", hy, c.y_limits, c.max_velocity, c.max_accel)
         self.z = AxisState("z", hz, c.z_limits, c.max_velocity, c.max_accel)
-        self.lens = LensAxis(travel_mm=c.lens_travel_mm, stroke_mm=c.lens_stroke_mm,
-                             homing_speed_mm_s=c.lens_homing_speed_mm_s,
-                             position_mm=c.lens_travel_mm)
-        self.trapper = TrapperState(open_angle_deg=c.trapper_open_deg,
-                                    closed_angle_deg=c.trapper_closed_deg,
-                                    rate_deg_s=c.trapper_rate_deg_s,
-                                    angle_deg=c.trapper_open_deg,
-                                    target_deg=c.trapper_open_deg)
-        self.interrupters = InterrupterBank(offsets_m=c.interrupter_offsets_m,
-                                            halfspan_m=c.interrupter_halfspan_m)
+        self.lens = LensAxis()
+        self.trapper = TrapperState()
+        self.interrupters = InterrupterBank()
         self.laser_on = False
         self.homing_count = 0
 
@@ -440,7 +425,7 @@ class GantrySim:
         """Would closing the trapper funnel a stem at (x, y) into the groove?"""
         dx = stem_x - self.x.position
         dy = stem_y - self.y.position
-        return math.hypot(dx, dy) <= self.config.capture_halfwidth_m
+        return math.hypot(dx, dy) <= self.trapper.capture_halfwidth_m
 
     # -- integration -------------------------------------------------------
 

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .datasets import Datasets
 
 #: Lateral beam speeds below this (mm/s) are outside the calibrated regime.
-DEFAULT_V_L_MIN = 10.0
+V_L_MIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -108,21 +108,19 @@ def interpolate_cp(spot_diameter_mm: float, records: Sequence[PierceRecord]) -> 
 
 @dataclass(frozen=True)
 class CutModel:
-    """Pierce-constant curve plus toughness and regime floor.
+    """Pierce-constant curve plus toughness.
 
     ``records`` are re-sorted by ascending spot diameter at construction;
-    ``toughness`` scales cut time (>1 for woodier stems), and ``v_l_min``
-    is the slowest lateral beam speed the model will accept.
+    ``toughness`` scales cut time (>1 for woodier stems).
     """
 
     records: tuple[PierceRecord, ...]
     toughness: float = 1.0
-    v_l_min: float = DEFAULT_V_L_MIN
 
     def __post_init__(self):
         if not self.records:
             raise ValidationError("cut model needs at least one pierce record")
-        require_positive(toughness=self.toughness, v_l_min=self.v_l_min)
+        require_positive(toughness=self.toughness)
         ordered = tuple(sorted(self.records, key=lambda r: r.spot_diameter_mm))
         diameters = [r.spot_diameter_mm for r in ordered]
         if len(set(diameters)) != len(diameters):
@@ -139,14 +137,14 @@ def cut_time(stem_diameter_mm: float, model: CutModel, spot_diameter_mm: float,
     """Predicted time to sever a stem, in seconds.
 
     Insensitive to the lateral beam speed within the calibrated regime;
-    speeds below ``model.v_l_min`` raise :class:`UnsupportedRegimeError`.
+    speeds below ``V_L_MIN`` raise :class:`UnsupportedRegimeError`.
     """
     if stem_diameter_mm < 0:
         raise ValidationError(f"stem diameter must be non-negative, got {stem_diameter_mm}")
-    if lateral_velocity_mm_s < model.v_l_min:
+    if lateral_velocity_mm_s < V_L_MIN:
         raise UnsupportedRegimeError(
             f"lateral velocity {lateral_velocity_mm_s} mm/s below calibrated "
-            f"minimum {model.v_l_min} mm/s")
+            f"minimum {V_L_MIN} mm/s")
     area = math.pi * (stem_diameter_mm / 2.0) ** 2
     return model.toughness * area / model.cp(spot_diameter_mm)
 
@@ -157,20 +155,21 @@ class EtchState:
 
     cut_area: float
     target_area: float
-    severed: bool
 
     def __post_init__(self):
         if self.target_area <= 0:
             raise ValidationError("target area must be positive")
         if not 0.0 <= self.cut_area <= self.target_area:
             raise ValidationError("cut area must lie in [0, target_area]")
-        if self.severed != (self.cut_area == self.target_area):
-            raise ValidationError("severed flag inconsistent with cut area")
+
+    @property
+    def severed(self) -> bool:
+        return self.cut_area == self.target_area
 
     @classmethod
     def for_stem(cls, stem_diameter_mm: float) -> "EtchState":
         require_positive(stem_diameter_mm=stem_diameter_mm)
-        return cls(0.0, math.pi * (stem_diameter_mm / 2.0) ** 2, False)
+        return cls(0.0, math.pi * (stem_diameter_mm / 2.0) ** 2)
 
 
 def etch_rate(model: CutModel, spot_diameter_mm: float,
@@ -178,9 +177,9 @@ def etch_rate(model: CutModel, spot_diameter_mm: float,
     """Stem section removed per second by the oscillating beam, mm^2/s.
 
     ``C_p(spot) / toughness`` inside the calibrated regime; zero when the
-    lateral speed is below ``model.v_l_min``, where the cut makes no progress.
+    lateral speed is below ``V_L_MIN``, where the cut makes no progress.
     """
-    if lateral_velocity_mm_s < model.v_l_min:
+    if lateral_velocity_mm_s < V_L_MIN:
         return 0.0
     return model.cp(spot_diameter_mm) / model.toughness
 
@@ -198,7 +197,7 @@ def etch_step(state: EtchState, dt: float, laser_on: bool, model: CutModel,
         return state
     rate = etch_rate(model, spot_diameter_mm, lateral_velocity_mm_s)
     area = min(state.target_area, state.cut_area + dt * rate)
-    return EtchState(area, state.target_area, area == state.target_area)
+    return EtchState(area, state.target_area)
 
 
 def etch_track(state: EtchState, n: int, dt: float, rate: float) -> np.ndarray:

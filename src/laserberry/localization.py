@@ -6,9 +6,10 @@ points near that reference, merges the survivors in the gantry base frame,
 and groups them into per-fruit clusters ordered along the picking axis.
 
 :func:`localize_clusters` transforms per camera only the palette
-candidates of a camera-frame box test and the color survivors;
-:func:`extract_window`, :func:`filter_red` and :func:`merge_clouds` give
-the same points cloud by cloud. Clustering is an exact voxel-grid union:
+candidates of a camera-frame box test and the color survivors, and never
+keeps a palette-window point as fruit; when the palette and reduced
+windows are disjoint, :func:`extract_window`, :func:`filter_red` and
+:func:`merge_clouds` give the same points cloud by cloud. Clustering is an exact voxel-grid union:
 points are binned into cells a little under ``tolerance / sqrt(3)`` wide,
 and distances are tested only between cells up to two apart along each
 axis, so the list of every linked pair is never built.
@@ -405,11 +406,13 @@ def localize_clusters(cloud_1: PointCloud, cloud_2: PointCloud,
     Per camera, the rows inside the palette window (found without
     transforming the whole cloud) give the color calibration; the rows
     that pass the color test are then re-expressed in the base frame and
-    kept if inside the reduced scene volume. The kept rows of both cameras
-    (camera 1 first) form one merged cloud, which is clustered.
-    :meth:`RigidTransform.apply` transforms each row on its own, so the
-    result equals :func:`extract_window`, :func:`filter_red` and
-    :func:`merge_clouds` chained, without building the intermediate clouds.
+    kept if inside the reduced scene volume and outside the palette window,
+    so the patch is never reported as a fruit. The kept rows of both
+    cameras (camera 1 first) form one merged cloud, which is clustered.
+    :meth:`RigidTransform.apply` transforms each row on its own, so when
+    the two windows are disjoint the result equals :func:`extract_window`,
+    :func:`filter_red` and :func:`merge_clouds` chained, without building
+    the intermediate clouds.
 
     Raises
     ------
@@ -424,7 +427,7 @@ def localize_clusters(cloud_1: PointCloud, cloud_2: PointCloud,
                                     cfg.r_th, cfg.g_th, cfg.b_th)
         rows = ref.rows(cloud.rgb)
         xyz = pose.apply(cloud.xyz[rows])
-        inside = cfg.reduced_window.mask(xyz)
+        inside = cfg.reduced_window.mask(xyz) & ~cfg.palette_window.mask(xyz)
         xyz_parts.append(xyz[inside])
         rgb_parts.append(cloud.rgb[rows[inside]])
     merged = PointCloud(np.vstack(xyz_parts), np.vstack(rgb_parts), BASE_FRAME)

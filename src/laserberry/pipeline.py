@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .controller import CycleMetrics, HarvestConfig, run_demo
+from .controller import CycleMetrics, run_demo
 from .datasets import load_datasets
 from .gantry import GantrySim
 from .laser import CutModel
@@ -18,16 +18,6 @@ def cut_model_for(scenario: Scenario) -> CutModel:
     ds = load_datasets()
     records = ds.fine if scenario.laser.dataset == "fine" else ds.coarse
     return CutModel(records, toughness=scenario.laser.toughness)
-
-
-def harvest_config_for(scenario: Scenario) -> HarvestConfig:
-    return HarvestConfig(
-        spot_diameter_mm=scenario.laser.spot_diameter_mm,
-        lateral_velocity_mm_s=scenario.laser.lateral_velocity_mm_s,
-        dt_s=scenario.demo.dt_s,
-        cut_timeout_s=scenario.demo.cut_timeout_s,
-        fall_timeout_s=scenario.demo.fall_timeout_s,
-    )
 
 
 @dataclass(frozen=True)
@@ -61,6 +51,5 @@ def simulate_scenario(scenario: Scenario,
                          scenario.localization)
     sim = GantrySim(scenario.gantry)
     world = make_world(truth)
-    metrics = run_demo(sim, world, boxes, cut_model_for(scenario),
-                       harvest_config_for(scenario))
+    metrics = run_demo(sim, world, boxes, cut_model_for(scenario), scenario.harvest)
     return SimulationResult(boxes=boxes, metrics=metrics, truth=truth)

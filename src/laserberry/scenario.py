@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
+from .controller import HarvestConfig
 from .errors import ScenarioError, require_positive
-from .gantry import GantryConfig, MotionProfile
+from .gantry import GantryConfig, LensAxis, MotionProfile
 from .geometry import RigidTransform
 from .localization import ClusterParams, LocalizationConfig, SpatialWindow
 
@@ -67,47 +68,28 @@ class ColorSettings:
 
 @dataclass(frozen=True)
 class LaserSettings:
-    """Cut parameters applied during simulated harvesting."""
+    """The cut model a run uses: pierce table and default stem toughness."""
 
-    spot_diameter_mm: float = 0.9
-    lateral_velocity_mm_s: float = 50.0
     dataset: str = "fine"           # which pierce sweep feeds the model
     toughness: float = 1.0
 
     def __post_init__(self):
-        require_positive(spot_diameter_mm=self.spot_diameter_mm,
-                         lateral_velocity_mm_s=self.lateral_velocity_mm_s,
-                         toughness=self.toughness)
+        require_positive(toughness=self.toughness)
         if self.dataset not in ("fine", "coarse"):
             raise ScenarioError(f"laser dataset must be 'fine' or 'coarse', got {self.dataset!r}")
-
-
-@dataclass(frozen=True)
-class DemoSettings:
-    """Controller timestep and timeouts."""
-
-    dt_s: float = 0.001
-    cut_timeout_s: float = 30.0
-    fall_timeout_s: float = 2.0
-
-    def __post_init__(self):
-        for key, value in (("dt", self.dt_s), ("cut_timeout_s", self.cut_timeout_s),
-                           ("fall_timeout_s", self.fall_timeout_s)):
-            if not 0.0 < value < math.inf:    # also rejects NaN
-                raise ScenarioError(f"[demo] {key} must be positive and finite, got {value}")
 
 
 #: Most ticks one wait of a run may take; see ``[demo]`` in docs/formats.md.
 MAX_WAIT_TICKS = 10 ** 7
 
 
-def _check_tick_budget(gantry: GantryConfig, demo: DemoSettings) -> None:
+def _check_tick_budget(gantry: GantryConfig, harvest: HarvestConfig) -> None:
     """Reject settings under which one wait could run past ``MAX_WAIT_TICKS``.
 
-    The waits are a lens homing, a cut and a fall, each bounded by its
-    time, and the longest move across the travel box.
+    The waits are a lens homing (from power-up, the longest), a cut and a
+    fall, each bounded by its time, and the longest move across the travel box.
     """
-    homing = gantry.lens_travel_mm / gantry.lens_homing_speed_mm_s
+    homing = LensAxis.position_mm / LensAxis.homing_speed_mm_s
     move = max((MotionProfile.plan(min(lo, home), max(hi, home), 0.0,
                                    gantry.max_velocity, gantry.max_accel)
                 for (lo, hi), home in zip((gantry.x_limits, gantry.y_limits,
@@ -115,14 +97,14 @@ def _check_tick_budget(gantry: GantryConfig, demo: DemoSettings) -> None:
                key=lambda p: p.duration)
     for key, seconds in (
             ("[demo] dt", homing),
-            ("[demo] cut_timeout_s", demo.cut_timeout_s),
-            ("[demo] fall_timeout_s", demo.fall_timeout_s),
+            ("[demo] cut_timeout_s", harvest.cut_timeout_s),
+            ("[demo] fall_timeout_s", harvest.fall_timeout_s),
             ("[gantry] max_velocity" if move.t_cruise > 2.0 * move.t_acc
              else "[gantry] max_accel", move.duration)):
-        ticks = seconds / demo.dt_s
+        ticks = seconds / harvest.dt_s
         if not ticks <= MAX_WAIT_TICKS:
             raise ScenarioError(
-                f"{key}: a {seconds:g} s wait at dt {demo.dt_s:g} s is {ticks:.3g} "
+                f"{key}: a {seconds:g} s wait at dt {harvest.dt_s:g} s is {ticks:.3g} "
                 f"ticks, over the budget of {MAX_WAIT_TICKS:.0e} ticks per wait")
 
 
@@ -160,7 +142,7 @@ class Scenario:
     gantry: GantryConfig = field(default_factory=GantryConfig)
     localization: LocalizationConfig = field(default_factory=LocalizationConfig)
     laser: LaserSettings = field(default_factory=LaserSettings)
-    demo: DemoSettings = field(default_factory=DemoSettings)
+    harvest: HarvestConfig = field(default_factory=HarvestConfig)
 
     def __post_init__(self):
         if self.seed < 0:
@@ -176,7 +158,7 @@ class Scenario:
                 raise ScenarioError(
                     "palette patch extends outside the palette calibration window")
         _check_point_budget(self)
-        _check_tick_budget(self.gantry, self.demo)
+        _check_tick_budget(self.gantry, self.harvest)
 
 
 def _default_camera(index: int) -> RigidTransform:
@@ -387,20 +369,18 @@ def load_scenario(path: str | Path) -> Scenario:
         max_size=loc.get_int("max_cluster", base_loc.cluster.max_size))
 
     las = sec("laser")
-    laser = LaserSettings(
-        spot_diameter_mm=las.get_float("spot_diameter_mm", LaserSettings.spot_diameter_mm),
-        lateral_velocity_mm_s=las.get_float("lateral_velocity_mm_s",
-                                            LaserSettings.lateral_velocity_mm_s),
-        dataset=las.get_str("dataset", LaserSettings.dataset),
-        toughness=las.get_float("toughness", LaserSettings.toughness),
-    )
+    cycle = {key: las.get_float(key, getattr(HarvestConfig, key))
+             for key in ("spot_diameter_mm", "lateral_velocity_mm_s")}
+    laser = LaserSettings(dataset=las.get_str("dataset", LaserSettings.dataset),
+                          toughness=las.get_float("toughness", LaserSettings.toughness))
 
     d = sec("demo")
-    demo = DemoSettings(
-        dt_s=d.get_float("dt", DemoSettings.dt_s),
-        cut_timeout_s=d.get_float("cut_timeout_s", DemoSettings.cut_timeout_s),
-        fall_timeout_s=d.get_float("fall_timeout_s", DemoSettings.fall_timeout_s),
-    )
+    for key, name in (("dt", "dt_s"), ("cut_timeout_s", "cut_timeout_s"),
+                      ("fall_timeout_s", "fall_timeout_s")):
+        cycle[name] = value = d.get_float(key, getattr(HarvestConfig, name))
+        if not 0.0 < value < math.inf:    # also rejects NaN
+            raise ScenarioError(f"[demo] {key} must be positive and finite, got {value}")
+    harvest = HarvestConfig(**cycle)
 
     camera_1 = _parse_camera(sec("camera 1"), 1)
     camera_2 = _parse_camera(sec("camera 2"), 2)
@@ -422,4 +402,4 @@ def load_scenario(path: str | Path) -> Scenario:
                     colors=colors, gantry=GantryConfig(**gantry),
                     localization=LocalizationConfig(**localization,
                                                     cluster=ClusterParams(**cluster)),
-                    laser=laser, demo=demo)
+                    laser=laser, harvest=harvest)

@@ -15,11 +15,14 @@ calibrates each camera independently).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import CAMERA_1_FRAME, CAMERA_2_FRAME, PointCloud
-from .scenario import Scenario
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .scenario import Scenario
 
 #: Ground-truth label values for non-berry points.
 LABEL_FOLIAGE = -1

@@ -16,7 +16,7 @@ from laserberry import (CutModel, EtchState, GantrySim, KdTree, PointCloud,
 from laserberry.controller import FAIL_TRAP
 from laserberry.gantry import AxisState, MotionProfile
 from laserberry.localization import ClusterParams, euclidean_clusters
-from laserberry.pipeline import cut_model_for, harvest_config_for, simulate_scenario
+from laserberry.pipeline import cut_model_for, simulate_scenario
 from laserberry.scenario import bundled_scenario_path
 from laserberry.scene import apply_color_gain, generate_scene, make_world
 
@@ -141,7 +141,7 @@ def test_criterion_06_localization_speed():
 def test_criterion_07_capture_tolerance(demo_scenario, demo_scene, demo_boxes):
     _, _, truth = demo_scene
     model = cut_model_for(demo_scenario)
-    config = harvest_config_for(demo_scenario)
+    config = demo_scenario.harvest
 
     def run_shifted(dx):
         sim = GantrySim(demo_scenario.gantry)

@@ -122,7 +122,7 @@ def test_etch_reaches_severed_within_one_step(fine_model):
         t = np.add.accumulate(np.full(steps, dt))[-1]   # t += dt, left to right
         assert abs(t - expected) <= dt + 1e-12
         # the track is etch_step's (see below): one step from the tick before severs
-        before = EtchState(float(areas[steps - 1]), state.target_area, False)
+        before = EtchState(float(areas[steps - 1]), state.target_area)
         after = etch_step(before, dt, True, fine_model, spot, 50.0)
         assert after.severed and after.cut_area == areas[steps]
 
@@ -146,15 +146,13 @@ def test_etch_noops(fine_model):
     # below the calibrated lateral regime the beam chars instead of cutting
     assert etch_step(state, 0.001, True, fine_model, 0.9, 5.0) == state
     # severed stays severed
-    done = EtchState(state.target_area, state.target_area, True)
+    done = EtchState(state.target_area, state.target_area)
     assert etch_step(done, 0.001, True, fine_model, 0.9, 50.0) == done
 
 
 def test_etch_state_validation():
     with pytest.raises(ValidationError):
-        EtchState(2.0, 1.0, False)          # over target
-    with pytest.raises(ValidationError):
-        EtchState(1.0, 1.0, False)          # at target but not severed
+        EtchState(2.0, 1.0)                 # over target
     with pytest.raises(ValidationError):
         EtchState.for_stem(0.0)
 

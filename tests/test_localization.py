@@ -238,6 +238,24 @@ def test_localize_demo_scene(demo_scene):
         assert err < 0.005, f"rank {box.rank}: {err * 1e3:.2f} mm"
 
 
+def test_palette_is_not_a_fruit_when_the_reduced_window_holds_it(tmp_path):
+    # reduced_z_min = -0.1 puts the palette window inside the reduced one
+    path = tmp_path / "low.ini"
+    path.write_text("[scenario]\nseed = 5\nfoliage_points = 0\n"
+                    "[berry 1]\nx = 0\ny = -0.05\nz = 0.60\n"
+                    "[berry 2]\nx = 0.05\ny = 0.05\nz = 0.035\n"
+                    "[localization]\nreduced_x_min = -0.3\nreduced_x_max = 0.3\n"
+                    "reduced_y_min = -0.2\nreduced_y_max = 0.2\n"
+                    "reduced_z_min = -0.1\nreduced_z_max = 0.7\n")
+    scenario = load_scenario(path)
+    cloud1, cloud2, _ = generate_scene(scenario)
+    boxes = localize(cloud1, cloud2, scenario.camera_1, scenario.camera_2,
+                     scenario.localization)
+    assert len(boxes) == 2
+    palette = scenario.localization.palette_window
+    assert not palette.mask(np.array([b.centroid for b in boxes])).any()
+
+
 def test_localize_invariant_to_uniform_gain(demo_scene):
     scenario, cloud1, cloud2, _ = demo_scene
     base = localize(cloud1, cloud2, scenario.camera_1, scenario.camera_2,

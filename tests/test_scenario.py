@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from laserberry import ScenarioError, ValidationError, load_scenario
+from laserberry import HarvestConfig, ScenarioError, ValidationError, load_scenario
 from laserberry.scenario import bundled_scenario_path
 
 
@@ -23,7 +23,7 @@ def test_minimal_scenario_gets_defaults(tmp_path):
     assert scn.foliage_points == 3000
     assert scn.gantry.max_velocity == 0.5
     assert scn.laser.dataset == "fine"
-    assert scn.demo.dt_s == 0.001
+    assert scn.harvest == HarvestConfig()
     # default camera poses land on either side of the tray
     assert scn.camera_1.translation[1] < 0 < scn.camera_2.translation[1]
 
@@ -76,10 +76,13 @@ reduced_z_min = 0.5
 reduced_z_max = 0.7
 
 [laser]
+spot_diameter_mm = 0.7
+lateral_velocity_mm_s = 30
 dataset = coarse
 toughness = 1.5
 
 [demo]
+dt = 0.002
 cut_timeout_s = 12
 
 [berry 1]
@@ -109,7 +112,8 @@ z = 0.58
     assert scn.localization.reduced_window.x_max == 0.25
     assert scn.laser.dataset == "coarse"
     assert scn.laser.toughness == 1.5
-    assert scn.demo.cut_timeout_s == 12.0
+    assert scn.harvest == HarvestConfig(spot_diameter_mm=0.7, lateral_velocity_mm_s=30.0,
+                                        dt_s=0.002, cut_timeout_s=12.0, fall_timeout_s=2.0)
     assert len(scn.berries) == 2
     assert scn.berries[0].diameter_m == 0.03
     assert scn.berries[0].stem_diameter_mm == 2.1

@@ -38,10 +38,11 @@ class World:
     low: bool = False               # last box so low its approach leaves the z stroke
     lift: float = 0.0               # raises fruit, home and z stroke, m
     gantry: tuple = ()              # (key, value) GantryConfig overrides
+    parts: tuple = ()               # (part, key, value) set on the sim's lens, trapper, beams
 
 
-FAST = (("max_accel", 20.0), ("lens_homing_speed_mm_s", 100.0),
-        ("trapper_rate_deg_s", 1500.0))
+FAST = (("max_accel", 20.0),)
+FAST_PARTS = (("lens", "homing_speed_mm_s", 100.0), ("trapper", "rate_deg_s", 1500.0))
 
 WORLDS = [
     World(speed=0.05, toughness=0.5),
@@ -59,13 +60,14 @@ WORLDS = [
     World(speed=0.45, lateral=5.0, cut_timeout=0.05, dt=0.002, fruit=4),
     # fruit 0 and 2 land below a beam set under the ground, unseen, and two
     # successful cycles follow with them on the floor
-    World(fruit=4, gantry=(("interrupter_offsets_m", (0.62,)),)),
+    World(fruit=4, parts=(("interrupters", "offsets_m", (0.62,)),)),
     # falls from ~4.6 m outlast the next fast cycle: two fruit in the air
-    World(speed=0.5, toughness=0.1, fall_timeout=0.02, lift=4.0, gantry=FAST),
+    World(speed=0.5, toughness=0.1, fall_timeout=0.02, lift=4.0, gantry=FAST,
+          parts=FAST_PARTS),
     # a near-instant lens homing starts the next move before the fruit
     # reaches a beam: an unseen fruit falls while the tool moves
     World(speed=0.5, toughness=0.1, fall_timeout=0.01,
-          gantry=FAST + (("lens_homing_speed_mm_s", 1000.0),)),
+          gantry=FAST, parts=FAST_PARTS + (("lens", "homing_speed_mm_s", 1000.0),)),
     # the cycle before a low fruit descends to the floor of the z stroke,
     # and the low fruit fails its own plan
     World(speed=0.3, toughness=0.5, low=True),
@@ -92,6 +94,8 @@ def _run(world: World):
     sim = GantrySim(GantryConfig(max_velocity=world.speed,
                                  home_position=(0.0, 0.0, 0.50 + world.lift),
                                  z_limits=(0.0, 0.80 + world.lift), **dict(world.gantry)))
+    for part, key, value in world.parts:
+        setattr(getattr(sim, part), key, value)
     config = HarvestConfig(lateral_velocity_mm_s=world.lateral, dt_s=world.dt,
                            cut_timeout_s=world.cut_timeout,
                            fall_timeout_s=world.fall_timeout)
