@@ -1,9 +1,13 @@
 """ASCII PCD writer/reader: round-trips and parse diagnostics."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from laserberry import PcdParseError, PointCloud, read_pcd, write_pcd
+from laserberry.cli import main
 
 
 def _cloud(rng, n, frame="camera-1"):
@@ -137,3 +141,31 @@ def test_points_bounded_before_allocating(tmp_path, points, message):
     with pytest.raises(PcdParseError, match=message) as err:
         read_pcd(path)
     assert err.value.line == 10       # the POINTS header line
+
+
+#: sha256 of the camera PCDs ``gen-scene`` writes for each bundled scenario
+#: at its own seed, recorded while ``write_pcd`` still formatted one row at
+#: a time. The demo_11 pair equals the benchmark's capture references.
+GEN_SCENE_SHA256 = {
+    "demo_11": ("92a0f56b8f04bf1501c43022cc11d59adf627177f8bb67af35b22a9f3101af91",
+                "de7a10f26b1e938516898dac08a5ef3110e3989aa6f9f8178e8e393b80a2599c"),
+    "demo_overreach": ("23e07f6f36ae2a31ab478a00fc36a63ca348d0bfdff45920d531852be291a911",
+                       "87dbf191adefcb2f838a8e68a76f5fe43329785eab4077727c79f84b4bf98d63"),
+    "perf_300k": ("6476de2144965b06a8fafb5f0d81fd45f58ad1cef6362745d5176e20a3cb1986",
+                  "67cc2fb97f045662b50883fc94e3780250677a75b0076a47b8a38b7daf23856a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEN_SCENE_SHA256))
+def test_gen_scene_pcds_match_pinned_digests(name, tmp_path, capsys):
+    assert main(["gen-scene", "--scenario", name, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = tuple(hashlib.sha256((tmp_path / f"camera{i}.pcd").read_bytes()).hexdigest()
+                for i in (1, 2))
+    assert got == GEN_SCENE_SHA256[name]
+
+
+def test_demo_11_digests_equal_the_benchmark_references():
+    checks = (Path(__file__).parents[1] / "benchmarks" / "checks.py").read_text()
+    for digest in GEN_SCENE_SHA256["demo_11"]:
+        assert f'"{digest}"' in checks
