@@ -355,6 +355,9 @@ class GantryConfig:
                     raise ValidationError(f"{key} must be finite, got {value}")
             if lo >= hi:
                 raise ValidationError(f"{axis}_limits must be an increasing pair")
+            if not lo <= home <= hi:
+                raise ValidationError(f"home_{axis} must lie within [{axis}_min, {axis}_max]"
+                                      f" = [{lo:g}, {hi:g}], got {home:g}")
 
 
 class GantrySim:

@@ -10,6 +10,7 @@ duplicated keys are parse errors. See ``docs/formats.md`` for the key reference.
 from __future__ import annotations
 
 import configparser
+import io
 import math
 import re
 from dataclasses import dataclass, field, fields
@@ -90,10 +91,8 @@ def _check_tick_budget(gantry: GantryConfig, harvest: HarvestConfig) -> None:
     fall, each bounded by its time, and the longest move across the travel box.
     """
     homing = LensAxis.position_mm / LensAxis.homing_speed_mm_s
-    move = max((MotionProfile.plan(min(lo, home), max(hi, home), 0.0,
-                                   gantry.max_velocity, gantry.max_accel)
-                for (lo, hi), home in zip((gantry.x_limits, gantry.y_limits,
-                                           gantry.z_limits), gantry.home_position)),
+    move = max((MotionProfile.plan(lo, hi, 0.0, gantry.max_velocity, gantry.max_accel)
+                for lo, hi in (gantry.x_limits, gantry.y_limits, gantry.z_limits)),
                key=lambda p: p.duration)
     for key, seconds in (
             ("[demo] dt", homing),
@@ -285,9 +284,16 @@ def load_scenario(path: str | Path) -> Scenario:
                                        inline_comment_prefixes=None,
                                        interpolation=None)
     parser.optionxform = str
+    raw = Path(path).read_bytes()
     try:
-        with open(path) as fh:
-            parser.read_file(fh, source=str(path))
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # count lines as configparser does: universal newlines
+        line = io.StringIO(raw[:exc.start].decode("utf-8"), newline=None).read().count("\n") + 1
+        raise ScenarioError(f"byte 0x{raw[exc.start]:02x} at offset {exc.start} is not "
+                            f"valid UTF-8 (line {line})") from None
+    try:
+        parser.read_file(io.StringIO(text, newline=None), source=str(path))
     except configparser.DuplicateOptionError as exc:
         raise ScenarioError(f"duplicate key '{exc.option}' in [{exc.section}] "
                             f"(line {exc.lineno})") from exc

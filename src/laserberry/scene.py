@@ -65,6 +65,13 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
     parts1: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # xyz, rgb, labels
     parts2: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
+    def _split(to_cam1: np.ndarray, *arrays: np.ndarray) -> None:
+        """Append each camera's rows; take() on row indices gathers (n, 3)
+        rows faster than a boolean mask does."""
+        for parts, mask in ((parts1, to_cam1), (parts2, ~to_cam1)):
+            rows = np.flatnonzero(mask)
+            parts.append(tuple(a.take(rows, axis=0) for a in arrays))
+
     def _colored(n: int, base: tuple[int, int, int], jitter: int) -> np.ndarray:
         jit = rng.integers(-jitter, jitter + 1, size=(n, 3))
         return np.clip(np.asarray(base, dtype=np.int16) + jit, 0, 255).astype(np.uint8)
@@ -84,9 +91,7 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
         outward = pts - center
         facing1 = np.einsum("ij,ij->i", outward, cam1_pos - pts)
         facing2 = np.einsum("ij,ij->i", outward, cam2_pos - pts)
-        to_cam1 = facing1 >= facing2
-        parts1.append((pts[to_cam1], rgb[to_cam1], labels[to_cam1]))
-        parts2.append((pts[~to_cam1], rgb[~to_cam1], labels[~to_cam1]))
+        _split(facing1 >= facing2, pts, rgb, labels)
 
     fw = scenario.foliage_window
     nf = scenario.foliage_points
@@ -94,9 +99,7 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
                           [fw.x_max, fw.y_max, fw.z_max], size=(nf, 3))
     fol_rgb = _colored(nf, colors.foliage_base, colors.foliage_jitter)
     fol_labels = np.full(nf, LABEL_FOLIAGE, dtype=np.int32)
-    to_cam1 = rng.integers(0, 2, size=nf) == 0
-    parts1.append((fol_pts[to_cam1], fol_rgb[to_cam1], fol_labels[to_cam1]))
-    parts2.append((fol_pts[~to_cam1], fol_rgb[~to_cam1], fol_labels[~to_cam1]))
+    _split(rng.integers(0, 2, size=nf) == 0, fol_pts, fol_rgb, fol_labels)
 
     pal = scenario.palette
     c = np.asarray(pal.center)

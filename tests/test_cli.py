@@ -286,3 +286,30 @@ def test_wait_over_the_tick_budget_exits_1_naming_key(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert f"{key}: " in err and "over the budget" in err
     assert "Traceback" not in err
+
+
+def test_non_utf8_pcd_exits_1_naming_the_line(tmp_path, capsys):
+    assert main(["gen-scene", "--scenario", "demo_11", "--out", str(tmp_path)]) == 0
+    good = tmp_path / "camera1.pcd"
+    bad = tmp_path / "bad.pcd"
+    bad.write_bytes(good.read_bytes().replace(b"\nDATA ascii\n", b"\nDATA ascii\n\xff", 1))
+    capsys.readouterr()
+    assert main(["localize", "--scenario", "demo_11",
+                 "--cloud1", str(bad), "--cloud2", str(good)]) == 1
+    err = capsys.readouterr().err
+    assert "error: line 12: byte 0xff at offset" in err and "Traceback" not in err
+
+
+def test_non_utf8_scenario_exits_1_naming_the_line(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"[scenario]\nseed = 1\n# \xff\n")
+    assert main(["simulate", "--scenario", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "not valid UTF-8 (line 3)" in err and "Traceback" not in err
+
+
+def test_home_pose_outside_the_travel_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[scenario]\nseed = 1\n[gantry]\nhome_y = 100\n")
+    assert main(["simulate", "--scenario", str(bad)]) == 2
+    assert "error: home_y must lie within [y_min, y_max]" in capsys.readouterr().err

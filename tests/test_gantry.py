@@ -476,3 +476,11 @@ def test_lens_oscillation_speed_must_be_positive_and_finite(value):
 def test_gantry_config_rejects_non_finite_geometry(field, value, key):
     with pytest.raises(ValidationError, match=f"{key} must be finite"):
         GantryConfig(**{field: value})
+
+
+@pytest.mark.parametrize("home,key", [((-0.25, -0.25, 0.30), "home_x"),
+                                      ((0.0, 100.0, 0.30), "home_y"),
+                                      ((0.0, -0.25, -0.01), "home_z")])
+def test_gantry_config_rejects_a_home_pose_outside_the_travel(home, key):
+    with pytest.raises(ValidationError, match=rf"^{key} must lie within"):
+        GantryConfig(home_position=home)

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from laserberry import PcdParseError, PointCloud, read_pcd, write_pcd
+from laserberry import PcdParseError, PointCloud, pcdio, read_pcd, write_pcd
 from laserberry.cli import main
+from laserberry.pcdio import _fmt32
 
 
 def _cloud(rng, n, frame="camera-1"):
@@ -169,3 +170,181 @@ def test_demo_11_digests_equal_the_benchmark_references():
     checks = (Path(__file__).parents[1] / "benchmarks" / "checks.py").read_text()
     for digest in GEN_SCENE_SHA256["demo_11"]:
         assert f'"{digest}"' in checks
+
+
+def _loop_rows(cloud):
+    """The data rows as the one-row-at-a-time writer formatted them."""
+    xyz32 = cloud.xyz.astype(np.float32)
+    rgb = cloud.rgb.astype(np.uint32)
+    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+    return "".join(f"{_fmt32(x)} {_fmt32(y)} {_fmt32(z)} {p}\n"
+                   for (x, y, z), p in zip(xyz32, packed))
+
+
+def _awkward_float32(rng):
+    """Finite float32 values where shortest-digit printing is easy to get wrong."""
+    # numpy prints float32 in scientific notation below 1e-4 and from 1e6
+    # (float64 from 1e16): the nine floats centred on each, one bit apart
+    edges = np.float32([1e-4, 1e6, 1e16]).view(np.int32)
+    near = (edges[:, None] + np.arange(-4, 5, dtype=np.int32)).view(np.float32).ravel()
+    powers = np.float32([10.0 ** k for k in range(-45, 39)])
+    subnormal = rng.integers(1, 1 << 23, size=300).astype(np.uint32).view(np.float32)
+    random = rng.integers(0, 1 << 32, size=3000, dtype=np.uint64).astype(np.uint32).view(
+        np.float32)
+    vals = np.concatenate([np.float32([0.0, -0.0]), near, powers, subnormal,
+                           random[np.isfinite(random)]])
+    return np.concatenate([vals, -vals])
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025])
+def test_writer_rows_match_the_row_loop(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    pool = rng.permutation(_awkward_float32(rng))
+    xyz = np.resize(pool, (rows, 3)).astype(np.float64)
+    cloud = PointCloud(xyz, rng.integers(0, 256, size=(rows, 3), dtype=np.uint8), "cam")
+    path = tmp_path / "w.pcd"
+    write_pcd(cloud, path)
+    header, data = path.read_text().split("DATA ascii\n")
+    assert header.endswith(f"POINTS {rows}\n")
+    assert data == _loop_rows(cloud)
+
+
+def test_every_awkward_value_is_written_as_the_row_loop_writes_it(tmp_path):
+    vals = _awkward_float32(np.random.default_rng(5))
+    cloud = PointCloud(np.resize(vals, (len(vals) // 3, 3)).astype(np.float64),
+                       np.zeros((len(vals) // 3, 3), dtype=np.uint8), "cam")
+    path = tmp_path / "w.pcd"
+    write_pcd(cloud, path)
+    assert path.read_text().split("DATA ascii\n")[1] == _loop_rows(cloud)
+    np.testing.assert_array_equal(read_pcd(path).xyz, cloud.xyz)
+
+
+def test_legacy_print_mode_does_not_change_the_bytes(tmp_path):
+    cloud = _cloud(np.random.default_rng(6), 50)
+    write_pcd(cloud, tmp_path / "a.pcd")
+    with np.printoptions(legacy="1.13"):
+        write_pcd(cloud, tmp_path / "b.pcd")
+    assert (tmp_path / "a.pcd").read_bytes() == (tmp_path / "b.pcd").read_bytes()
+
+
+def test_writer_emits_utf8(tmp_path):
+    cloud = PointCloud(np.zeros((1, 3)), np.zeros((1, 3), dtype=np.uint8), "kamera-ü")
+    write_pcd(cloud, tmp_path / "u.pcd")
+    assert (tmp_path / "u.pcd").read_bytes().startswith("# frame kamera-ü\n".encode())
+    assert read_pcd(tmp_path / "u.pcd").frame == "kamera-ü"
+
+
+_FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def _respace(rows, r, rng):
+    gaps = [" ", "  ", "\t", " \t "]
+    for i in rng.choice(len(rows), size=min(len(rows), 5), replace=False):
+        tokens = rows[i].split()
+        rows[i] = (rng.choice(gaps) + "".join(t + rng.choice(gaps) for t in tokens[:-1])
+                   + tokens[-1] + rng.choice(gaps))
+
+
+def _comments(rows, r, rng):
+    rows.insert(r, "# a comment among the rows")
+    rows.insert(int(rng.integers(0, len(rows) + 1)), "")
+
+
+def _set_token(rows, r, col, value):
+    tokens = rows[r].split()
+    tokens[col] = value
+    rows[r] = " ".join(tokens)
+
+
+def _trailing_nul(rows, r, rng):
+    col = int(rng.integers(0, 4))
+    _set_token(rows, r, col, rows[r].split()[col] + "\x00")
+
+
+def _underscore_and_plus(rows, r, rng):
+    _set_token(rows, r, 0, "1_0")
+    _set_token(rows, r, 3, "+5")
+
+
+def _full_width(rows, r, rng):
+    rows[r] = rows[r].translate(_FULL_WIDTH)
+
+
+def _three_then_five(rows, r, rng):
+    head, last = rows[r].rsplit(" ", 1)
+    rows[r], rows[r + 1] = head, f"{rows[r + 1]} {last}"
+
+
+#: Each perturbation of a written file, and whether the row loop accepts it.
+PERTURBATIONS = {
+    "spaces_and_tabs": (_respace, True),
+    "crlf": (None, True),
+    "comments_and_blank_lines": (_comments, True),
+    "trailing_nul": (_trailing_nul, False),
+    "underscore_and_plus": (_underscore_and_plus, True),
+    "full_width_digits": (_full_width, True),
+    "overflow": (lambda rows, r, rng: _set_token(rows, r, int(rng.integers(0, 3)), "1e400"),
+                 False),
+    "rgb_minus_one": (lambda rows, r, rng: _set_token(rows, r, 3, "-1"), False),
+    "rgb_two_to_24": (lambda rows, r, rng: _set_token(rows, r, 3, str(1 << 24)), False),
+    "three_then_five_tokens": (_three_then_five, False),
+}
+
+
+def _outcome(path):
+    try:
+        cloud = read_pcd(path)
+    except PcdParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("cloud", cloud.frame, cloud.xyz.tobytes(), cloud.rgb.tobytes())
+
+
+@pytest.mark.parametrize("rows", [40, 1030])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+def test_reader_matches_the_row_loop(tmp_path, monkeypatch, kind, seed, rows):
+    rng = np.random.default_rng([seed, rows])
+    path = tmp_path / "r.pcd"
+    write_pcd(_cloud(rng, rows), path)
+    header, data = path.read_text().split("DATA ascii\n")
+    lines = data.splitlines()
+    perturb, accepted = PERTURBATIONS[kind]
+    if perturb is not None:
+        # near the 1,024-row block seam when there is one
+        r = int(rng.integers(1020, 1028) if rows > 1024 else rng.integers(0, rows - 1))
+        perturb(lines, r, rng)
+    newline = "\r\n" if kind == "crlf" else "\n"
+    path.write_text((header + "DATA ascii\n").replace("\n", newline)
+                    + newline.join(lines) + newline)
+    blocked = _outcome(path)
+    monkeypatch.setattr(pcdio, "_parse_blocks", lambda data, n: None)
+    assert blocked == _outcome(path)
+    assert blocked[0] == ("cloud" if accepted else "error")
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025])
+def test_valid_files_never_enter_the_row_loop(tmp_path, monkeypatch, rows):
+    cloud = _cloud(np.random.default_rng(rows), rows)
+    write_pcd(cloud, tmp_path / "v.pcd")
+    monkeypatch.setattr(pcdio, "_parse_rows",
+                        lambda *args: pytest.fail("a valid file took the row loop"))
+    back = read_pcd(tmp_path / "v.pcd")
+    np.testing.assert_array_equal(back.xyz, cloud.xyz.astype(np.float32))
+    np.testing.assert_array_equal(back.rgb, cloud.rgb)
+
+
+@pytest.mark.parametrize("prefix,line", [(b"", 1), (b"# frame caf\xc3\xa9\n", 2),
+                                         (b"a\r\nb\rc\n", 4)])
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, prefix, line):
+    path = tmp_path / "bad.pcd"
+    path.write_bytes(prefix + b"\xff" + _valid_text().encode())
+    with pytest.raises(PcdParseError, match="not valid UTF-8") as err:
+        read_pcd(path)
+    assert err.value.line == line
+
+
+def test_a_non_utf8_data_row_names_its_line(tmp_path):
+    path = tmp_path / "bad.pcd"
+    path.write_bytes(_valid_text().replace("1 2 3 255", "1 2 3 25\xe9").encode("latin-1"))
+    with pytest.raises(PcdParseError, match=r"^line 13: byte 0xe9 at offset \d+ is not valid"):
+        read_pcd(path)

@@ -375,3 +375,32 @@ def test_color_jitter_range_is_inclusive(tmp_path, value):
     scn = load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[colors]\n"
                                          f"foliage_jitter = {value}\n"))
     assert scn.colors.foliage_jitter == value
+
+
+@pytest.mark.parametrize("prefix,line", [(b"", 1), (b"[scenario]\nseed = 1\n# caf\xc3\xa9\n", 4),
+                                         (b"[scenario]\r\nseed = 1\r\r\n", 4)])
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, prefix, line):
+    path = tmp_path / "s.ini"
+    path.write_bytes(prefix + b"berry_points = 10\xff\n")
+    with pytest.raises(ScenarioError, match=rf"byte 0xff at offset {len(prefix) + 17} is not "
+                                            rf"valid UTF-8 \(line {line}\)"):
+        load_scenario(path)
+
+
+def test_scenarios_are_read_as_utf8(tmp_path):
+    path = tmp_path / "s.ini"
+    path.write_bytes("# Erdbeeren für den Laser\n[scenario]\nseed = 3\n".encode())
+    assert load_scenario(path).seed == 3
+
+
+@pytest.mark.parametrize("key,value", [("home_x", "-1"), ("home_y", "100"),
+                                       ("home_z", "-1"), ("home_z", "0.800001")])
+def test_home_pose_outside_the_travel_fails_at_load(tmp_path, key, value):
+    with pytest.raises(ValidationError, match=rf"^{key} must lie within \["):
+        load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[gantry]\n{key} = {value}\n"))
+
+
+def test_home_pose_on_the_travel_limits_loads(tmp_path):
+    scn = load_scenario(_write(tmp_path, "[scenario]\nseed = 1\n[gantry]\n"
+                                         "home_x = 0.24\nhome_y = -0.30\nhome_z = 0.8\n"))
+    assert scn.gantry.home_position == (0.24, -0.30, 0.8)
