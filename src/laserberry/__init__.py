@@ -21,14 +21,13 @@ from .errors import (CalibrationError, DomainError, MotionError,
                      PcdParseError, ScenarioError, UnsupportedRegimeError,
                      ValidationError)
 from .gantry import GantryConfig, GantrySim, MotionProfile
-from .geometry import Aabb, KdTree, PointCloud, RigidTransform, transform_cloud
+from .geometry import Aabb, KdTree, PointCloud, RigidTransform
 from .laser import (CutModel, EtchState, PierceRecord, cut_time, etch_step,
                     interpolate_cp, optimal_spot, pierce_constant,
                     pierce_velocity, verify_tables)
 from .localization import (BerryBox, ClusterParams, ColorReference,
                            SpatialWindow, bounding_boxes,
-                           calibration_reference, euclidean_clusters,
-                           extract_window, filter_red, localize, merge_clouds)
+                           calibration_reference, euclidean_clusters, localize)
 from .pcdio import read_pcd, write_pcd
 from .pipeline import simulate_scenario
 from .scenario import load_scenario
@@ -42,10 +41,9 @@ __all__ = [
     "PcdParseError", "PierceRecord", "PointCloud", "RigidTransform",
     "ScenarioError", "SpatialWindow", "UnsupportedRegimeError",
     "ValidationError", "bounding_boxes", "calibration_reference", "cut_time",
-    "etch_step", "euclidean_clusters", "extract_window", "filter_red",
-    "interpolate_cp", "load_datasets", "load_lateral_csv", "load_pierce_csv",
-    "load_scenario", "localize", "merge_clouds", "optimal_spot",
-    "pierce_constant", "pierce_velocity", "plan_approach", "read_pcd",
-    "run_cycle", "run_demo", "simulate_scenario", "transform_cloud",
-    "verify_tables", "write_pcd",
+    "etch_step", "euclidean_clusters", "interpolate_cp", "load_datasets",
+    "load_lateral_csv", "load_pierce_csv", "load_scenario", "localize",
+    "optimal_spot", "pierce_constant", "pierce_velocity", "plan_approach",
+    "read_pcd", "run_cycle", "run_demo", "simulate_scenario", "verify_tables",
+    "write_pcd",
 ]

@@ -39,21 +39,15 @@ _CLUSTER_COLORS = [
 ]
 
 
-def _resolve_scenario(arg: str) -> Scenario:
-    path = Path(arg)
+def _scenario(args) -> Scenario:
+    """The ``--scenario`` file or bundled name, with ``--seed`` applied."""
+    path = Path(args.scenario)
     if not path.exists():
-        bundled = bundled_scenario_path(arg)
-        if bundled is not None:
-            path = bundled
-        else:
-            raise FileNotFoundError(f"scenario not found: {arg}")
-    return load_scenario(path)
-
-
-def _apply_seed(scenario: Scenario, seed: int | None) -> Scenario:
-    if seed is None:
-        return scenario
-    return dataclasses.replace(scenario, seed=seed)
+        path = bundled_scenario_path(args.scenario)
+        if path is None:
+            raise FileNotFoundError(f"scenario not found: {args.scenario}")
+    scenario = load_scenario(path)
+    return scenario if args.seed is None else dataclasses.replace(scenario, seed=args.seed)
 
 
 def _out_dir(args) -> Path | None:
@@ -143,7 +137,7 @@ def _boxes_csv(boxes) -> str:
 
 
 def cmd_localize(args) -> int:
-    scenario = _apply_seed(_resolve_scenario(args.scenario), args.seed)
+    scenario = _scenario(args)
     if (args.cloud1 is None) != (args.cloud2 is None):
         raise ValidationError("--cloud1 and --cloud2 must be given together")
     if args.cloud1 is not None:
@@ -187,7 +181,7 @@ def _print_metrics(metrics: CycleMetrics) -> None:
 def cmd_simulate(args) -> int:
     if args.svg and args.out is None:
         raise ValidationError("--svg needs --out")
-    scenario = _apply_seed(_resolve_scenario(args.scenario), args.seed)
+    scenario = _scenario(args)
     result = simulate_scenario(scenario)
     _print_metrics(result.metrics)
     out = _out_dir(args)
@@ -243,7 +237,7 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_gen_scene(args) -> int:
-    scenario = _apply_seed(_resolve_scenario(args.scenario), args.seed)
+    scenario = _scenario(args)
     out = _out_dir(args)
     cloud1, cloud2, truth = generate_scene(scenario)
     write_pcd(cloud1, out / "camera1.pcd")
@@ -268,20 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Software twin of a table-top laser stem-cutting strawberry harvester.")
     parser.add_argument("--version", action="version", version=f"laserberry {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", required=True,
+                          help="scenario file path or bundled name (e.g. demo_11)")
+    scenario.add_argument("--seed", type=int, default=None, help="override the scenario seed")
 
-    p = sub.add_parser("localize", help="locate fruit in a scene")
-    p.add_argument("--scenario", required=True,
-                   help="scenario file path or bundled name (e.g. demo_11)")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p = sub.add_parser("localize", parents=[scenario], help="locate fruit in a scene")
     p.add_argument("--cloud1", default=None, help="camera-1 PCD (with --cloud2)")
     p.add_argument("--cloud2", default=None, help="camera-2 PCD (with --cloud1)")
     p.add_argument("--out", default=None, help="directory for boxes.csv and clusters.pcd")
     p.set_defaults(func=cmd_localize)
 
-    p = sub.add_parser("simulate", help="run the harvest demo")
-    p.add_argument("--scenario", required=True,
-                   help="scenario file path or bundled name (e.g. demo_11)")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p = sub.add_parser("simulate", parents=[scenario], help="run the harvest demo")
     p.add_argument("--out", default=None, help="directory for metrics.csv")
     p.add_argument("--svg", action="store_true",
                    help="also write cycle_times.svg (needs --out)")
@@ -307,10 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lateral", default=None, help="external lateral sweep CSV")
     p.set_defaults(func=cmd_verify_tables)
 
-    p = sub.add_parser("gen-scene", help="write a scenario's clouds and ground truth")
-    p.add_argument("--scenario", required=True,
-                   help="scenario file path or bundled name (e.g. demo_11)")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p = sub.add_parser("gen-scene", parents=[scenario],
+                       help="write a scenario's clouds and ground truth")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_scene)
     return parser

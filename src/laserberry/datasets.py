@@ -2,7 +2,8 @@
 
 Three CSV files ship with the package: a coarse and a fine stationary-beam
 piercing sweep over spot diameter, and a lateral beam-speed sweep. Headers
-are fixed; lines starting with ``#`` are comments.
+are fixed; lines starting with ``#`` are comments. Every table, shipped or
+external, is decoded as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -31,8 +32,16 @@ class Datasets:
     fine: tuple[PierceRecord, ...]
 
 
-def _records(text: str, header: list[str], record_type: type, source: str) -> tuple:
-    """Typed records of a CSV with a fixed header; errors name the data row."""
+def _records(raw: bytes, header: list[str], record_type: type, source: str) -> tuple:
+    """Typed records of a CSV with a fixed header; errors name the data row,
+    or the line of a byte that is not UTF-8."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number the line as the splitlines() below does
+        line = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ValidationError(f"{source} line {line}: byte 0x{raw[exc.start]:02x} at "
+                              f"offset {exc.start} is not valid UTF-8") from None
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     rows = list(csv.reader(io.StringIO("\n".join(lines))))
     if not rows:
@@ -54,17 +63,17 @@ def _records(text: str, header: list[str], record_type: type, source: str) -> tu
 def load_pierce_csv(path: str | Path) -> tuple[PierceRecord, ...]:
     """Parse a piercing-sweep CSV from an arbitrary path."""
     path = Path(path)
-    return _records(path.read_text(), PIERCE_HEADER, PierceRecord, path.name)
+    return _records(path.read_bytes(), PIERCE_HEADER, PierceRecord, path.name)
 
 
 def load_lateral_csv(path: str | Path) -> tuple[LateralCutRecord, ...]:
     """Parse a lateral-sweep CSV from an arbitrary path."""
     path = Path(path)
-    return _records(path.read_text(), LATERAL_HEADER, LateralCutRecord, path.name)
+    return _records(path.read_bytes(), LATERAL_HEADER, LateralCutRecord, path.name)
 
 
-def _embedded(name: str) -> str:
-    return (resources.files("laserberry") / "data" / name).read_text()
+def _embedded(name: str) -> bytes:
+    return (resources.files("laserberry") / "data" / name).read_bytes()
 
 
 def load_datasets() -> Datasets:

@@ -363,9 +363,8 @@ class GantryConfig:
 class GantrySim:
     """Mutable simulation state for the gantry, lens, trapper, and beams."""
 
-    def __init__(self, config: GantryConfig | None = None):
-        self.config = config if config is not None else GantryConfig()
-        c = self.config
+    def __init__(self, config: GantryConfig = GantryConfig()):
+        self.config = c = config
         hx, hy, hz = c.home_position
         self.time = 0.0
         self.x = AxisState("x", hx, c.x_limits, c.max_velocity, c.max_accel)

@@ -400,7 +400,7 @@ def _rows_inside(window: SpatialWindow, pose: RigidTransform,
 
 def localize_clusters(cloud_1: PointCloud, cloud_2: PointCloud,
                       t_base_cam1: RigidTransform, t_base_cam2: RigidTransform,
-                      config: LocalizationConfig | None = None) -> list[PointCloud]:
+                      config: LocalizationConfig = LocalizationConfig()) -> list[PointCloud]:
     """Per-fruit point clusters from a pair of camera clouds.
 
     Per camera, the rows inside the palette window (found without
@@ -419,24 +419,23 @@ def localize_clusters(cloud_1: PointCloud, cloud_2: PointCloud,
     CalibrationError
         If either camera sees no palette points.
     """
-    cfg = config if config is not None else LocalizationConfig()
     xyz_parts, rgb_parts = [], []
     for cloud, pose in ((cloud_1, t_base_cam1), (cloud_2, t_base_cam2)):
-        rows, xyz = _rows_inside(cfg.palette_window, pose, cloud.xyz)
+        rows, xyz = _rows_inside(config.palette_window, pose, cloud.xyz)
         ref = calibration_reference(PointCloud(xyz, cloud.rgb[rows], BASE_FRAME),
-                                    cfg.r_th, cfg.g_th, cfg.b_th)
+                                    config.r_th, config.g_th, config.b_th)
         rows = ref.rows(cloud.rgb)
         xyz = pose.apply(cloud.xyz[rows])
-        inside = cfg.reduced_window.mask(xyz) & ~cfg.palette_window.mask(xyz)
+        inside = config.reduced_window.mask(xyz) & ~config.palette_window.mask(xyz)
         xyz_parts.append(xyz[inside])
         rgb_parts.append(cloud.rgb[rows[inside]])
     merged = PointCloud(np.vstack(xyz_parts), np.vstack(rgb_parts), BASE_FRAME)
-    return euclidean_clusters(merged, cfg.cluster)
+    return euclidean_clusters(merged, config.cluster)
 
 
 def localize(cloud_1: PointCloud, cloud_2: PointCloud,
              t_base_cam1: RigidTransform, t_base_cam2: RigidTransform,
-             config: LocalizationConfig | None = None) -> list[BerryBox]:
+             config: LocalizationConfig = LocalizationConfig()) -> list[BerryBox]:
     """Locate fruit in a pair of camera clouds.
 
     Runs :func:`localize_clusters` and boxes the result. Returns boxes

@@ -37,19 +37,9 @@ def localize_scenario(scenario: Scenario) -> tuple[list[BerryBox], SceneTruth]:
     return boxes, truth
 
 
-def simulate_scenario(scenario: Scenario,
-                      boxes: list[BerryBox] | None = None) -> SimulationResult:
-    """Generate, localize, and harvest a scenario.
-
-    ``boxes`` may be supplied to harvest from externally perturbed
-    localizations (robustness studies); by default the scenario's own
-    scene is localized.
-    """
-    cloud1, cloud2, truth = generate_scene(scenario)
-    if boxes is None:
-        boxes = localize(cloud1, cloud2, scenario.camera_1, scenario.camera_2,
-                         scenario.localization)
-    sim = GantrySim(scenario.gantry)
-    world = make_world(truth)
-    metrics = run_demo(sim, world, boxes, cut_model_for(scenario), scenario.harvest)
+def simulate_scenario(scenario: Scenario) -> SimulationResult:
+    """Generate, localize, and harvest a scenario."""
+    boxes, truth = localize_scenario(scenario)
+    metrics = run_demo(GantrySim(scenario.gantry), make_world(truth), boxes,
+                       cut_model_for(scenario), scenario.harvest)
     return SimulationResult(boxes=boxes, metrics=metrics, truth=truth)

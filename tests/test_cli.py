@@ -313,3 +313,31 @@ def test_home_pose_outside_the_travel_exits_2(tmp_path, capsys):
     bad.write_text("[scenario]\nseed = 1\n[gantry]\nhome_y = 100\n")
     assert main(["simulate", "--scenario", str(bad)]) == 2
     assert "error: home_y must lie within [y_min, y_max]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["verify-tables", "--lateral"],
+                                  ["optimize-spot", "--dataset"]])
+def test_non_utf8_calibration_csv_exits_2_naming_the_line(tmp_path, capsys, args):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"spot\xff\n")
+    assert main([*args, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "error: bad.csv line 1: byte 0xff at offset 4" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("section,key,code", [
+    *(("gantry", k, 2) for k in ("max_velocity", "max_accel", "x_min", "x_max", "y_min",
+                                 "y_max", "z_min", "z_max", "home_x", "home_y", "home_z")),
+    *(("localization", k, 2) for k in ("r_th", "g_th", "b_th", "tolerance")),
+    *(("laser", k, 2) for k in ("spot_diameter_mm", "lateral_velocity_mm_s", "toughness")),
+    *(("demo", k, 1) for k in ("dt", "cut_timeout_s", "fall_timeout_s"))])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_key_exits_with_its_documented_code(tmp_path, capsys, monkeypatch,
+                                                            section, key, code, value):
+    monkeypatch.setattr(cli, "simulate_scenario",
+                        lambda *args: pytest.fail("a scenario with a bad value was run"))
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[scenario]\nseed = 1\n[{section}]\n{key} = {value}\n")
+    assert main(["simulate", "--scenario", str(bad)]) == code
+    err = capsys.readouterr().err
+    assert f"{key} must be" in err and "Traceback" not in err

@@ -70,3 +70,13 @@ def test_pierce_csv_negative_value(tmp_path):
 def test_missing_file():
     with pytest.raises(OSError):
         load_pierce_csv("/nonexistent/p.csv")
+
+
+@pytest.mark.parametrize("loader", [load_pierce_csv, load_lateral_csv])
+def test_non_utf8_csv_names_the_file_line_and_byte(tmp_path, loader):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"# comment\n\nspot\xff\n")
+    with pytest.raises(ValidationError,
+                       match=r"bad\.csv line 3: byte 0xff at offset 15 is not valid UTF-8"):
+        loader(path)
+

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from laserberry import (Aabb, KdTree, PointCloud, RigidTransform,
-                        ValidationError, load_scenario, transform_cloud)
+                        ValidationError, load_scenario)
+from laserberry.geometry import transform_cloud
 from laserberry.scenario import bundled_scenario_path
 from laserberry.scene import generate_scene
 

@@ -13,8 +13,8 @@ import pytest
 from laserberry import (CalibrationError, ClusterParams, ColorReference,
                         PointCloud, RigidTransform, SpatialWindow, ValidationError,
                         bounding_boxes, calibration_reference,
-                        euclidean_clusters, extract_window, filter_red,
-                        load_scenario, localize, merge_clouds)
+                        euclidean_clusters, load_scenario, localize)
+from laserberry.localization import extract_window, filter_red, merge_clouds
 from laserberry.scenario import bundled_scenario_path
 from laserberry.scene import apply_color_gain, generate_scene
 from test_acceptance import _union_find_clusters
