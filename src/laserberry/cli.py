@@ -3,16 +3,13 @@
 Subcommands: ``localize``, ``simulate``, ``optimize-spot``,
 ``verify-tables``, ``gen-scene``. Exit codes: 0 on success, 1 for file
 and parse problems, 2 for domain or validation problems (including a
-failed table audit). Set ``LASERBERRY_LOG`` to ``debug``/``info`` for
-more logging; it is the only environment variable consulted.
+failed table audit).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -29,8 +26,6 @@ from .pcdio import read_pcd, write_pcd
 from .pipeline import simulate_scenario
 from .scenario import Scenario, bundled_scenario_path, load_scenario
 from .scene import generate_scene
-
-log = logging.getLogger("laserberry")
 
 _CLUSTER_COLORS = [
     (230, 60, 60), (60, 160, 230), (60, 200, 120), (230, 170, 50),
@@ -163,7 +158,6 @@ def cmd_localize(args) -> int:
                 for i, c in enumerate(clusters)])
             write_pcd(PointCloud(xyz, rgb.astype(np.uint8), BASE_FRAME),
                       out / "clusters.pcd")
-        log.info("wrote %s", out / "boxes.csv")
     return 0
 
 
@@ -187,7 +181,6 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     if out is not None:
         result.metrics.write_csv(out / "metrics.csv")
-        log.info("wrote %s", out / "metrics.csv")
         if args.svg:
             _svg_bars(out / "cycle_times.svg",
                       [r.cycle_time_s for r in result.metrics.records],
@@ -307,9 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("LASERBERRY_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and the one positive-value check.
+"""Exception types shared across the package, the one positive-value
+check, and the one UTF-8 decode of the text inputs.
 
 The command line front-end maps these onto exit codes: file and parse
 problems exit with 1, domain and validation problems exit with 2.
 """
 
 import math
+from collections.abc import Callable
 
 
 class ValidationError(ValueError):
@@ -17,6 +19,17 @@ def require_positive(**values: float) -> None:
     for name, value in values.items():
         if not 0.0 < value < math.inf:
             raise ValidationError(f"{name} must be positive and finite, got {value}")
+
+
+def decode_utf8(raw: bytes, fail: Callable[[str, int], Exception]) -> str:
+    """``raw`` decoded as UTF-8, whatever the locale. A bad byte raises
+    ``fail(message, line)``, the line numbered as ``str.splitlines()`` does."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+        raise fail(f"byte 0x{raw[exc.start]:02x} at offset {exc.start} is not valid UTF-8",
+                   line) from None
 
 
 class MotionError(ValidationError):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PcdParseError
+from .errors import PcdParseError, decode_utf8
 from .geometry import PointCloud
 
 _HEADER_ORDER = ["VERSION", "FIELDS", "SIZE", "TYPE", "COUNT", "WIDTH",
@@ -68,35 +68,12 @@ def write_pcd(cloud: PointCloud, path: str | Path) -> None:
     xyz32 = cloud.xyz.astype(np.float32)
     rgb = cloud.rgb.astype(np.uint32)
     packed = ((rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]).tolist()
-    header = [
-        f"# frame {cloud.frame}",
-        "VERSION 0.7",
-        "FIELDS x y z rgb",
-        "SIZE 4 4 4 4",
-        "TYPE F F F U",
-        "COUNT 1 1 1 1",
-        f"WIDTH {n}",
-        "HEIGHT 1",
-        "VIEWPOINT 0 0 0 1 0 0 0",
-        f"POINTS {n}",
-        "DATA ascii",
-    ]
+    values = {**_EXPECTED, "WIDTH": n, "VIEWPOINT": "0 0 0 1 0 0 0", "POINTS": n}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(header) + "\n")
+        fh.write(f"# frame {cloud.frame}\n"
+                 + "".join(f"{key} {values[key]}\n" for key in _HEADER_ORDER))
         for start in range(0, n, _BLOCK):
             fh.write(_format_rows(xyz32[start:start + _BLOCK], packed[start:start + _BLOCK]))
-
-
-def _read_text(path: str | Path) -> str:
-    """The file decoded as UTF-8, whatever the locale."""
-    raw = Path(path).read_bytes()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # number the line as the splitlines() in read_pcd does
-        line = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
-        raise PcdParseError(f"byte 0x{raw[exc.start]:02x} at offset {exc.start} "
-                            "is not valid UTF-8", line) from None
 
 
 def _parse_blocks(data: list[str], n: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -174,7 +151,7 @@ def read_pcd(path: str | Path) -> PointCloud:
         On bytes that are not UTF-8, or any malformed header or data line;
         the message carries the 1-based line number.
     """
-    lines = _read_text(path).splitlines()
+    lines = decode_utf8(Path(path).read_bytes(), PcdParseError).splitlines()
     frame = "unknown"
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}

@@ -10,7 +10,6 @@ duplicated keys are parse errors. See ``docs/formats.md`` for the key reference.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 import re
 from dataclasses import dataclass, field, fields
@@ -18,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .controller import HarvestConfig
-from .errors import ScenarioError, require_positive
+from .errors import ScenarioError, decode_utf8, require_positive
 from .gantry import GantryConfig, LensAxis, MotionProfile
 from .geometry import RigidTransform
 from .localization import ClusterParams, LocalizationConfig, SpatialWindow
@@ -284,16 +283,10 @@ def load_scenario(path: str | Path) -> Scenario:
                                        inline_comment_prefixes=None,
                                        interpolation=None)
     parser.optionxform = str
-    raw = Path(path).read_bytes()
+    text = decode_utf8(Path(path).read_bytes(),
+                       lambda message, line: ScenarioError(f"{message} (line {line})"))
     try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # count lines as configparser does: universal newlines
-        line = io.StringIO(raw[:exc.start].decode("utf-8"), newline=None).read().count("\n") + 1
-        raise ScenarioError(f"byte 0x{raw[exc.start]:02x} at offset {exc.start} is not "
-                            f"valid UTF-8 (line {line})") from None
-    try:
-        parser.read_file(io.StringIO(text, newline=None), source=str(path))
+        parser.read_file(text.splitlines(), source=str(path))
     except configparser.DuplicateOptionError as exc:
         raise ScenarioError(f"duplicate key '{exc.option}' in [{exc.section}] "
                             f"(line {exc.lineno})") from exc

@@ -1,9 +1,14 @@
 """Command-line behavior: subcommands, artifacts, exit codes."""
 
+import io
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laserberry import cli
 from laserberry.cli import main
@@ -341,3 +346,113 @@ def test_non_finite_float_key_exits_with_its_documented_code(tmp_path, capsys, m
     assert main(["simulate", "--scenario", str(bad)]) == code
     err = capsys.readouterr().err
     assert f"{key} must be" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["optimize-spot", "--dataset"],
+                                  ["verify-tables", "--pierce-fine"]])
+def test_a_calibration_table_without_data_rows_exits_2(tmp_path, capsys, args):
+    hdr = tmp_path / "hdr.csv"
+    hdr.write_text("spot_diameter_mm,stem_diameter_mm,pierce_time_s,"
+                   "pierce_velocity_mm_s,pierce_constant_mm2_s\n")
+    assert main([*args, str(hdr)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: hdr.csv: no data rows\n" and "PASS" not in captured.out
+
+
+# ---------------------------------------------------------------------------
+# mutated text inputs through main: the documented exit code, one error line
+
+_SMALL_SCENE = """[scenario]
+seed = 5
+berry_points = 60
+foliage_points = 40
+[palette]
+points = 30
+[berry 1]
+x = 0.0
+y = 0.0
+z = 0.6
+"""
+_TOKENS = [b"", b"x", b"nan", b"-inf", b"-1", b"0", b"0.5", b"1e400", b"16777216",
+           "\uff11".encode(), b"DATA"]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A small written PCD pair with its scenario, and the embedded fine pierce table."""
+    root = tmp_path_factory.mktemp("inputs")
+    (root / "scene.ini").write_text(_SMALL_SCENE)
+    with redirect_stdout(io.StringIO()):
+        assert main(["gen-scene", "--scenario", str(root / "scene.ini"), "--out", str(root)]) == 0
+    pierce = (resources.files("laserberry") / "data" / "pierce_fine.csv").read_bytes()
+    return root, pierce
+
+
+def _mutate(draw, raw: bytes, header_lines: int) -> bytes:
+    """``raw`` cut, with one token replaced, with one insertion, or with a
+    header line doubled."""
+    kind = draw(st.sampled_from(["cut", "token", "crlf", "nul", "comment", "ff", "header"]))
+    lines = raw.splitlines(keepends=True)
+    line_starts = [len(b"".join(lines[:k])) for k in range(len(lines) + 1)]
+    at = draw(st.integers(0, len(raw)) | st.sampled_from(line_starts))
+    if kind == "cut":
+        return raw[:at]
+    if kind == "token":
+        spans = [m.span() for m in re.finditer(rb"[^\s,]+", raw)] or [(at, at)]
+        i, j = spans[draw(st.integers(0, len(spans) - 1))]
+        return raw[:i] + draw(st.sampled_from(_TOKENS)) + raw[j:]
+    if kind == "comment":
+        return raw[:at] + b"# note\n" + raw[at:]
+    if kind == "header":
+        k = draw(st.integers(0, header_lines - 1))
+        return b"".join(lines[:k + 1] + lines[k:])
+    return raw[:at] + {"crlf": b"\r\n", "nul": b"\x00", "ff": b"\xff"}[kind] + raw[at:]
+
+
+@st.composite
+def _mutated(draw, raw: bytes, header_lines: int) -> bytes:
+    """``raw`` after one to three mutations."""
+    for _ in range(draw(st.integers(1, 3))):
+        raw = _mutate(draw, raw, header_lines)
+    return raw
+
+
+def _check_run(argv: list[str], raw: bytes, codes: set[int]) -> None:
+    """``main(argv)`` on a file of bytes ``raw`` exits with one of ``codes``,
+    prints one ``error:`` line exactly when it fails, and names only lines
+    of that file."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in codes
+    errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("error:")]
+    assert len(errors) == (code != 0), err.getvalue()
+    n_lines = max(1, len(raw.decode("utf-8", "replace").splitlines()))
+    for line in re.findall(r"\bline (\d+)", err.getvalue()):
+        assert 1 <= int(line) <= n_lines, err.getvalue()
+
+
+_FUZZ = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_mutated_pcd_exits_0_or_1(inputs, data):
+    root, _ = inputs
+    camera = data.draw(st.sampled_from(["camera1", "camera2"]))
+    clouds = {"camera1": root / "camera1.pcd", "camera2": root / "camera2.pcd"}
+    raw = data.draw(_mutated(clouds[camera].read_bytes(), header_lines=11))
+    clouds[camera] = root / "mutated.pcd"
+    clouds[camera].write_bytes(raw)
+    _check_run(["localize", "--scenario", str(root / "scene.ini"),
+                "--cloud1", str(clouds["camera1"]), "--cloud2", str(clouds["camera2"])],
+               raw, {0, 1})
+
+
+@_FUZZ
+@given(data=st.data())
+def test_mutated_pierce_table_exits_0_or_2(inputs, data):
+    root, pierce = inputs
+    raw = data.draw(_mutated(pierce, header_lines=3))
+    (root / "mutated.csv").write_bytes(raw)
+    _check_run(["optimize-spot", "--dataset", str(root / "mutated.csv")], raw, {0, 2})

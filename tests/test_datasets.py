@@ -49,21 +49,21 @@ def test_pierce_csv_wrong_header(tmp_path):
 def test_pierce_csv_bad_field_count(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text(f"{PIERCE_HEADER}\n0.9,2.2,1.47\n")
-    with pytest.raises(ValidationError, match="row 1"):
+    with pytest.raises(ValidationError, match="line 2"):
         load_pierce_csv(path)
 
 
 def test_pierce_csv_non_numeric(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text(f"{PIERCE_HEADER}\n0.9,2.2,1.47,1.49,1.36\n0.5,x,1,1,1\n")
-    with pytest.raises(ValidationError, match="row 2"):
+    with pytest.raises(ValidationError, match="line 3"):
         load_pierce_csv(path)
 
 
 def test_pierce_csv_negative_value(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text(f"{PIERCE_HEADER}\n-0.9,2.2,1.47,1.49,1.36\n")
-    with pytest.raises(ValidationError, match="row 1"):
+    with pytest.raises(ValidationError, match="line 2"):
         load_pierce_csv(path)
 
 
@@ -80,3 +80,28 @@ def test_non_utf8_csv_names_the_file_line_and_byte(tmp_path, loader):
                        match=r"bad\.csv line 3: byte 0xff at offset 15 is not valid UTF-8"):
         loader(path)
 
+
+
+def test_errors_name_the_file_line_past_comments(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text(f"# one\n# two\n{PIERCE_HEADER}\n0.9,2.2,1.47,1.49,1.36\n0.5,x,1,1,1\n")
+    with pytest.raises(ValidationError, match=r"^p\.csv line 5: could not convert"):
+        load_pierce_csv(path)
+
+
+@pytest.mark.parametrize("loader,header", [(load_pierce_csv, PIERCE_HEADER),
+                                           (load_lateral_csv, LATERAL_HEADER)],
+                         ids=["pierce", "lateral"])
+def test_a_header_without_data_rows_is_rejected(tmp_path, loader, header):
+    path = tmp_path / "hdr.csv"
+    path.write_text(f"{header}\n# no rows\n\n")
+    with pytest.raises(ValidationError, match=r"^hdr\.csv: no data rows$"):
+        loader(path)
+
+
+def test_a_field_longer_than_the_csv_module_allows_names_its_line(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text(f"{PIERCE_HEADER}\n0.9,2.2,1.47,1.49,{'1' * 200_000}\n")
+    with pytest.raises(ValidationError,
+                       match=r"^p\.csv line 2: pierce_constant_mm2_s must be positive and finite"):
+        load_pierce_csv(path)

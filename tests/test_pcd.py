@@ -315,7 +315,7 @@ def test_reader_matches_the_row_loop(tmp_path, monkeypatch, kind, seed, rows):
         perturb(lines, r, rng)
     newline = "\r\n" if kind == "crlf" else "\n"
     path.write_text((header + "DATA ascii\n").replace("\n", newline)
-                    + newline.join(lines) + newline)
+                    + newline.join(lines) + newline, encoding="utf-8")
     blocked = _outcome(path)
     monkeypatch.setattr(pcdio, "_parse_blocks", lambda data, n: None)
     assert blocked == _outcome(path)

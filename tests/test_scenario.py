@@ -387,6 +387,19 @@ def test_bytes_that_are_not_utf8_name_their_line(tmp_path, prefix, line):
         load_scenario(path)
 
 
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_every_splitlines_break_ends_a_scenario_line(tmp_path, sep):
+    path = tmp_path / "s.ini"
+    path.write_bytes(f"[scenario]{sep}seed = 7{sep}".encode())
+    assert load_scenario(path).seed == 7
+    path.write_bytes(f"[scenario]{sep}seed = 7{sep}seed = 8{sep}".encode())
+    with pytest.raises(ScenarioError, match=r"duplicate key 'seed' in \[scenario\] \(line 3\)"):
+        load_scenario(path)
+    path.write_bytes(f"[scenario]{sep}seed = 7{sep}".encode() + b"\xff")
+    with pytest.raises(ScenarioError, match=r"not valid UTF-8 \(line 3\)"):
+        load_scenario(path)
+
 def test_scenarios_are_read_as_utf8(tmp_path):
     path = tmp_path / "s.ini"
     path.write_bytes("# Erdbeeren für den Laser\n[scenario]\nseed = 3\n".encode())
