@@ -10,14 +10,13 @@ time plus laser-on-to-severed cut time: motion is ``cycle - cut``, so the
 float sum ``motion + cut`` matches the cycle to within one rounding.
 
 A cycle is straight-line code: each phase is its action followed by a wait
-for the check that ends it. The wait is the only loop that steps the
+for the check that ends it. The wait is the only loop that moves the
 machine, a run's start-up homing included, on 1 ms ticks
-(``HarvestConfig.dt_s``). Checks run before each
-step, so an action that is already complete takes no tick. A wait first
-jumps to the tick before its check first holds, or before a beam may see a
-fruit: it replays blocks of ticks as arrays (clock, trapper, fruit fall and
-etch, bit-identical to stepping), calls the check once per block and
-bisects the block where it first holds, then steps that one tick.
+(``HarvestConfig.dt_s``); a check that already holds takes no tick. A wait
+jumps to the tick where its check first holds, or where a beam may see a
+fruit, replaying blocks of ticks as arrays (clock, trapper, fruit fall and
+etch) and bisecting the block where the check first holds. Only on a beam
+tick does it ask :func:`check_interrupters` which fruit fell.
 """
 
 from __future__ import annotations
@@ -29,8 +28,9 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import MotionError, require_positive
-from .gantry import GRAVITY, FallEvent, GantryConfig, GantrySim, check_interrupters
-from .laser import CutModel, EtchState, etch_rate, etch_step, etch_track
+from .gantry import FallEvent, GantryConfig, GantrySim, check_interrupters
+from .laser import CutModel, EtchState, etch_rate, etch_track
+from .laser import etch_step  # noqa: F401 -- wrapped by benchmarks/tracing.py
 from .localization import BerryBox
 from .scene import FruitBody
 
@@ -206,33 +206,28 @@ class _Cycle:
         self._enter(HarvestPhase.FAILED)
 
     def _pick_target(self) -> FruitBody | None:
-        cx, cy, cz = self.box.centroid
+        cx, cy, cz = map(float, self.box.centroid)
         best, best_d = None, math.inf
         for fruit in self.world:
             if fruit.attempted or not fruit.attached:
                 continue
-            d = (fruit.x - cx) ** 2 + (fruit.y - cy) ** 2 + (fruit.z - cz) ** 2
+            # float products: a fruit far enough to overflow is at inf, unwarned
+            dx, dy, dz = fruit.x - cx, fruit.y - cy, fruit.z - cz
+            d = dx * dx + dy * dy + dz * dz
             if d < best_d:
                 best, best_d = fruit, d
         return best
 
     def _wait(self, done: Callable[[float], bool]) -> None:
-        """Step until ``done(sim.time)`` holds, jumping over the ticks between;
-        a step ticks the sim, lets fruit fall, checks the beams and etches a cut."""
+        """Jump tick to tick until ``done(sim.time)`` holds, checking the
+        beams on each tick where one may see a fruit."""
         sim, cfg, world = self.sim, self.cfg, self.world
         cutting = self.phases[-1:] == [HarvestPhase.CUTTING]
         while not done(sim.time):
-            _jump(sim, cfg.dt_s, done, world, self if cutting else None)
-            sim.step(cfg.dt_s)
-            for fruit in world:
-                if not fruit.attached:
-                    fruit.fall_step(cfg.dt_s, GRAVITY)
-            event = check_interrupters(sim, world)
-            if event is not None and event.fruit_uid == getattr(self.target, "uid", None):
-                self.fall_event = event
-            if cutting:
-                self.etch = etch_step(self.etch, cfg.dt_s, sim.laser_on, self.model,
-                                      cfg.spot_diameter_mm, cfg.lateral_velocity_mm_s)
+            if _jump(sim, cfg.dt_s, done, world, self if cutting else None):
+                event = check_interrupters(sim, world)
+                if event is not None and event.fruit_uid == getattr(self.target, "uid", None):
+                    self.fall_event = event
 
     def run(self) -> None:
         """Run the phases in order; a failure sets ``failure`` and returns."""
@@ -313,14 +308,14 @@ _FIRST_BLOCK, _MAX_BLOCK = 256, 2 ** 14    # ticks; the cap keeps a block near 1
 
 
 def _jump(sim: GantrySim, dt: float, done: Callable[[float], bool],
-          world=(), cut: _Cycle | None = None) -> None:
-    """Move ``sim`` to the tick before the one where ``done`` first holds.
+          world=(), cut: _Cycle | None = None) -> bool:
+    """Move ``sim`` to the first tick where ``done`` holds or a beam may see
+    a fruit, and return whether it is the beam tick.
 
-    The jump also stops before a tick at which a beam may see a fruit. It
-    replays blocks of ticks as arrays (:meth:`GantrySim.replay`, and while
+    It replays blocks of ticks as arrays (:meth:`GantrySim.replay`, and while
     ``cut`` is given its etch), growing ×4 up to ``_MAX_BLOCK``, calls
     ``done`` at each block's end and bisects the block where it first holds:
-    every wait's check is monotone in the tick.
+    every wait's check is monotone in the tick, and fails at tick 0.
     """
     n = _FIRST_BLOCK
     while True:
@@ -333,16 +328,15 @@ def _jump(sim: GantrySim, dt: float, done: Callable[[float], bool],
                 cut.etch = EtchState(float(area[k]), stem)
             return block.at(sim, k)
 
-        lo, hi = 0, min(n, block.beam - 1)
-        if hi and not done(at(hi)):
-            lo = hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if done(at(mid)) else (mid, hi)
-        at(lo)
-        block.land(sim, lo)
-        if lo < n:
-            return
+        lo, hi = 0, min(n, block.beam)
+        if hi == block.beam or done(at(hi)):
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if done(at(mid)) else (mid, hi)
+            at(hi)
+            block.land(sim, hi)
+            return hi == block.beam
+        block.land(sim, n)
         n = min(4 * n, _MAX_BLOCK)
 
 

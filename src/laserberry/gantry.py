@@ -4,14 +4,12 @@ Axes follow trapezoidal velocity profiles (triangular when the move is too
 short to reach cruise speed), the focus lens homes against a limit switch
 and oscillates the beam laterally, the v-groove trapper sweeps between its
 open and closed angles, and three interrupter beams below the groove report
-when a severed fruit falls past. Everything advances on a fixed timestep
-(:meth:`GantrySim.step`). Only the clock and the trapper angle carry a float
-operation per tick; axes and lens are closed forms of sim time
-(:meth:`GantrySim.advance_to`). :meth:`GantrySim.replay` runs the clock, the
-trapper and the fall of detached fruit over a block of ticks as numpy
-running sums, which add left to right as stepping does and so match it bit
-for bit, and finds the first tick at which a beam may see a fruit from the
-tool path sampled in closed form.
+when a severed fruit falls past. Everything advances on fixed ticks by one
+rule, :meth:`GantrySim.replay`: axes and lens are closed forms of sim time
+(:meth:`GantrySim.advance_to`), and the clock, the trapper and the fall of
+detached fruit run over a block of ticks as numpy running sums that add left
+to right, tick after tick. The replay also finds the first tick at which a
+beam may see a fruit, from the tool path sampled in closed form.
 """
 
 from __future__ import annotations
@@ -224,14 +222,6 @@ class TrapperState:
     def command(self, closed: bool) -> None:
         self.target_deg = self.closed_angle_deg if closed else self.open_angle_deg
 
-    def advance(self, dt: float) -> None:
-        delta = self.target_deg - self.angle_deg
-        step = self.rate_deg_s * dt
-        if abs(delta) <= step:
-            self.angle_deg = self.target_deg
-        else:
-            self.angle_deg += step if delta > 0 else -step
-
     @property
     def mode(self) -> TrapperMode:
         if self.angle_deg == self.open_angle_deg == self.target_deg:
@@ -260,7 +250,7 @@ class InterrupterBank:
 
     Beam planes sit at fixed drops below the groove center; each spans a
     limited lateral window in the tool frame. A fruit triggers at most one
-    event, on the first step its center crosses any beam plane inside that
+    event, on the first tick its center crosses any beam plane inside that
     window.
     """
 
@@ -317,14 +307,15 @@ class TickBlock:
         return float(self.time[k])
 
     def land(self, sim: "GantrySim", k: int) -> None:
-        """Leave the machine and the falling fruit as ``k`` steps would."""
-        now = self.at(sim, k)
+        """Leave the machine and the falling fruit at tick ``k``; the clock
+        goes first, so a bad timestep raises before anything moves."""
         if not k:
             return
+        sim.advance_to(float(self.time[k]))
+        self.at(sim, k)
         for fruit, v, z in self.falls:
             fruit.fall_velocity, fruit.prev_z, fruit.z = float(v[k]), float(z[k - 1]), float(z[k])
             fruit.landed = bool(z[k] <= 0.0)
-        sim.advance_to(now)
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +423,15 @@ class GantrySim:
     # -- integration -------------------------------------------------------
 
     def step(self, dt: float) -> None:
-        """Advance the whole mechanism by one tick of ``dt`` seconds."""
-        self.advance_to(self.time + dt)
-        self.trapper.advance(dt)
+        """Advance the mechanism, fruit aside, by one tick of ``dt`` seconds."""
+        self.replay(1, dt).land(self, 1)
 
     def advance_to(self, now: float) -> None:
         """Set the clock to ``now`` and evaluate the axes and the lens there.
 
         They are closed forms of time, so after a jump over many ticks one
         call lands them where stepping would. The trapper is not slewed: its
-        angle takes one float operation per tick, which a jump replays.
+        angle takes one float operation per tick, which :meth:`replay` runs.
         Raises :class:`ValidationError` before anything moves unless ``now``
         is finite and later than the clock.
         """
@@ -453,11 +443,11 @@ class GantrySim:
         self.lens.advance(now)
 
     def replay(self, n: int, dt: float, fruits=()) -> TickBlock:
-        """The next ``n`` ticks of :meth:`step`, each followed by the fall of
-        the detached ``fruits``, as arrays equal to stepping float for float.
+        """The next ``n`` ticks of the clock, the trapper slew and the fall of
+        the detached ``fruits``, as arrays.
 
         The block's ``beam`` is the first tick at which a beam may see a
-        fruit; the caller steps that tick, since a check reports one fruit.
+        fruit; the caller lands there and asks :func:`check_interrupters`.
         """
         time = np.full(n + 1, dt)
         time[0] = self.time

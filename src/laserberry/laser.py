@@ -86,6 +86,10 @@ def pierce_constant(pierce_velocity_mm_s: float, spot_diameter_mm: float) -> flo
     return pierce_velocity_mm_s * spot_diameter_mm
 
 
+def _duplicate_knot(spot_diameter_mm: float) -> ValidationError:
+    return ValidationError(f"duplicate spot diameter {spot_diameter_mm:g} mm in pierce records")
+
+
 def interpolate_cp(spot_diameter_mm: float, records: Sequence[PierceRecord]) -> float:
     """Piecewise-linear pierce constant between calibrated knots.
 
@@ -96,7 +100,10 @@ def interpolate_cp(spot_diameter_mm: float, records: Sequence[PierceRecord]) -> 
     if not records:
         raise ValidationError("no pierce records to interpolate")
     knots = np.array([r.spot_diameter_mm for r in records])
-    if len(knots) > 1 and not (np.diff(knots) > 0).all():
+    step = np.diff(knots)
+    if (step == 0).any():
+        raise _duplicate_knot(knots[int(np.argmax(step == 0))])
+    if (step < 0).any():
         raise ValidationError("pierce records must be sorted by ascending spot diameter")
     if not (knots[0] <= spot_diameter_mm <= knots[-1]):
         raise DomainError(
@@ -122,9 +129,9 @@ class CutModel:
             raise ValidationError("cut model needs at least one pierce record")
         require_positive(toughness=self.toughness)
         ordered = tuple(sorted(self.records, key=lambda r: r.spot_diameter_mm))
-        diameters = [r.spot_diameter_mm for r in ordered]
-        if len(set(diameters)) != len(diameters):
-            raise ValidationError("duplicate spot diameters in pierce records")
+        for a, b in zip(ordered, ordered[1:]):
+            if a.spot_diameter_mm == b.spot_diameter_mm:
+                raise _duplicate_knot(a.spot_diameter_mm)
         object.__setattr__(self, "records", ordered)
 
     def cp(self, spot_diameter_mm: float) -> float:
@@ -249,7 +256,7 @@ class RowDeviation:
     """One audited quantity of one dataset row."""
 
     table: str
-    row: int            # 1-based, in file order
+    row: int            # data row, 1-based in file order; skipped lines uncounted
     spot_diameter_mm: float
     column: str
     published: float
@@ -260,7 +267,7 @@ class RowDeviation:
         return abs(self.published - self.recomputed)
 
     def describe(self) -> str:
-        return (f"{self.table} row {self.row} (spot {self.spot_diameter_mm} mm): "
+        return (f"{self.table} data row {self.row} (spot {self.spot_diameter_mm} mm): "
                 f"{self.column} published {self.published:g} "
                 f"recomputed {self.recomputed:.4f} deviation {self.deviation:.4f}")
 

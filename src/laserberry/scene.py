@@ -178,23 +178,13 @@ class FruitBody:
         self.x = self.stem_x = x
         self.y = self.stem_y = y
 
-    def fall_step(self, dt: float, gravity: float) -> None:
-        """One tick of the fall. A landed fruit rests: its heights become
-        equal, so no beam plane sweeping past later sees it cross."""
-        self.prev_z = self.z
-        if self.landed:
-            return
-        self.fall_velocity += gravity * dt
-        self.z -= self.fall_velocity * dt
-        if self.z <= 0.0:
-            self.landed = True
-
     def fall_track(self, n: int, dt: float, gravity: float):
-        """Speeds and heights over the next ``n`` calls of :meth:`fall_step`.
+        """Speeds and heights over the next ``n`` ticks of the fall.
 
-        Index 0 is now. The running sums add left to right as the steps do,
-        so they match them float for float (``z - v*dt`` is ``z + -(v*dt)``).
-        From the landing tick on both rest, as :meth:`fall_step` leaves them.
+        Index 0 is now. Each tick adds ``gravity*dt`` to the speed, then
+        takes ``v*dt`` off the height (``z - v*dt`` is ``z + -(v*dt)``), in
+        running sums that add left to right. From the landing tick on both
+        rest, so no beam plane sweeping past later sees a landed fruit cross.
         """
         if self.landed:
             return np.full(n + 1, self.fall_velocity), np.full(n + 1, self.z)

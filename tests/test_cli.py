@@ -8,10 +8,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from laserberry import cli
 from laserberry.cli import main
+from laserberry.errors import ScenarioError, ValidationError
+from laserberry.scenario import bundled_scenario_path, load_scenario
 
 
 def test_verify_tables_ok(capsys):
@@ -26,6 +28,7 @@ def test_verify_tables_tight_tolerance_fails(capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "pierce-coarse" in out
+    assert re.search(r"^FAIL pierce-coarse data row \d+ \(spot ", out, re.M)
 
 
 def test_optimize_spot_fine(capsys):
@@ -42,6 +45,16 @@ def test_optimize_spot_coarse_with_range(capsys):
 def test_optimize_spot_empty_range_exits_2(capsys):
     assert main(["optimize-spot", "--lo", "2.0", "--hi", "3.0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_optimize_spot_duplicate_knot_exits_2(tmp_path, capsys):
+    fine = resources.files("laserberry").joinpath("data/pierce_fine.csv").read_text()
+    row = next(line for line in fine.splitlines() if line.startswith("0.9,"))
+    dup = tmp_path / "dup.csv"
+    dup.write_text(fine + row + "\n")
+    assert main(["optimize-spot", "--dataset", str(dup)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: duplicate spot diameter 0.9 mm in pierce records\n"
 
 
 def test_localize_bundled(capsys):
@@ -456,3 +469,68 @@ def test_mutated_pierce_table_exits_0_or_2(inputs, data):
     raw = data.draw(_mutated(pierce, header_lines=3))
     (root / "mutated.csv").write_bytes(raw)
     _check_run(["optimize-spot", "--dataset", str(root / "mutated.csv")], raw, {0, 2})
+
+
+_BUNDLED = {name: bundled_scenario_path(name).read_bytes()
+            for name in ("demo_11", "demo_overreach", "perf_300k")}
+_VALUES = [b"nan", b"inf", b"-inf", b"0", b"-0", b"-1", b"1e300", b"1e-300",
+           str(2 ** 63).encode(), b"", b"x", b"\xff"]
+_SECTION_NAMES = [b"scenario", b"gantry", b"laser", b"demo", b"palette", b"colors",
+                  b"foliage", b"localization", b"camera 1", b"berry 1", b"berry 99", b"x"]
+
+
+def _mutate_scenario(draw, raw: bytes) -> bytes:
+    """``raw`` with a key or a section dropped, duplicated or renamed, or
+    with a key set to one of ``_VALUES``."""
+    lines = raw.splitlines(keepends=True)
+    heads = [i for i, ln in enumerate(lines) if ln.startswith(b"[")]
+    keys = [i for i, ln in enumerate(lines) if b"=" in ln and not ln.startswith(b"#")]
+    kind = draw(st.sampled_from(["drop", "duplicate", "rename", "value"]))
+    if kind != "value" and draw(st.booleans()):       # a whole section
+        i = draw(st.sampled_from(heads))
+        end = next((j for j in heads if j > i), len(lines))
+        if kind == "drop":
+            lines[i:end] = []
+        elif kind == "duplicate":
+            lines[i:end] *= 2
+        else:
+            lines[i] = b"[" + draw(st.sampled_from(_SECTION_NAMES)) + b"]\n"
+        return b"".join(lines)
+    i = draw(st.sampled_from(keys))
+    key, _, value = lines[i].partition(b"=")
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "rename":
+        names = sorted({lines[k].partition(b"=")[0].strip() for k in keys})
+        lines[i] = draw(st.sampled_from(names + [key.strip() + b"_x"])) + b" =" + value
+    else:
+        lines[i] = key.strip() + b" = " + draw(st.sampled_from(_VALUES)) + b"\n"
+    return b"".join(lines)
+
+
+@st.composite
+def _mutated_scenario(draw) -> bytes:
+    """A bundled scenario after one to three mutations."""
+    raw = _BUNDLED[draw(st.sampled_from(sorted(_BUNDLED)))]
+    for _ in range(draw(st.integers(1, 3))):
+        raw = _mutate_scenario(draw, raw)
+    return raw
+
+
+def _over_point_budget(path) -> bool:
+    try:
+        load_scenario(path)
+    except (ScenarioError, ValidationError) as exc:
+        return "points, over the budget" in str(exc)
+    return False
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(raw=_mutated_scenario())
+def test_mutated_scenario_simulates_or_exits_1_or_2(inputs, raw):
+    path = inputs[0] / "mutated.ini"
+    path.write_bytes(raw)
+    assume(not _over_point_budget(path))
+    _check_run(["simulate", "--scenario", str(path)], raw, {0, 1, 2})

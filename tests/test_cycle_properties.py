@@ -16,6 +16,7 @@ from laserberry import (Aabb, BerryBox, CutModel, GantryConfig, GantrySim,
 from laserberry.controller import CYCLE_ORDER, HarvestPhase
 from laserberry.gantry import TrapperMode
 from laserberry.scene import FruitBody
+from stepping import stepped_wait
 
 REASONS = {"", "plan", "trap-miss", "cut-timeout", "fall-timeout"}
 FINE = load_datasets().fine
@@ -136,6 +137,6 @@ def test_cycle_invariants(world):
 @given(worlds(max_fruit=3, max_toughness=1.0))   # stepping is slow
 def test_jumped_run_equals_stepping(world):
     jumped = _state(*_run(world))
-    with mock.patch.object(controller, "_jump", lambda *args: None):
+    with mock.patch.object(controller._Cycle, "_wait", stepped_wait):
         stepped = _state(*_run(world))
     assert jumped == stepped

@@ -11,6 +11,7 @@ from laserberry.gantry import (AxisState, FallEvent, InterrupterBank,
                                LensAxis, LensMode, TrapperState,
                                check_interrupters)
 from laserberry.scene import FruitBody
+from stepping import fall_step, slew, step, tick
 
 DT = 0.001
 
@@ -158,14 +159,14 @@ def test_trapper_close_takes_200ms():
     assert not trap.idle
     steps = 0
     while not trap.idle:
-        trap.advance(DT)
+        slew(trap, DT)
         steps += 1
     assert steps == 200   # 30 deg at 150 deg/s
     assert trap.mode.value == "closed"
     trap.command(closed=False)
     steps = 0
     while not trap.idle:
-        trap.advance(DT)
+        slew(trap, DT)
         steps += 1
     assert steps == 200
     assert trap.mode.value == "open"
@@ -187,7 +188,7 @@ def test_freefall_beam_crossing_time():
     bank = InterrupterBank()
     t, event = 0.0, None
     while event is None:
-        fruit.fall_step(DT, 9.81)
+        fall_step(fruit, DT, 9.81)
         t += DT
         event = bank.check(t, (0.0, 0.0, 0.5), [fruit])
         assert t < 1.0
@@ -202,7 +203,7 @@ def test_interrupter_fires_once_per_fruit():
     bank = InterrupterBank()
     events = []
     for k in range(400):
-        fruit.fall_step(DT, 9.81)
+        fall_step(fruit, DT, 9.81)
         e = bank.check(k * DT, (0.0, 0.0, 0.5), [fruit])
         if e is not None:
             events.append(e)
@@ -216,7 +217,7 @@ def test_interrupter_ignores_lateral_misses_and_attached():
     offside.attached = False
     hanging = _fruit(z=0.5)             # still attached
     for k in range(400):
-        offside.fall_step(DT, 9.81)
+        fall_step(offside, DT, 9.81)
         hanging.prev_z = hanging.z      # no motion
         assert bank.check(k * DT, (0.0, 0.0, 0.5), [offside, hanging]) is None
 
@@ -229,7 +230,7 @@ def test_check_interrupters_wrapper():
     fruit.attached = False
     event = None
     while event is None:
-        fruit.fall_step(DT, 9.81)
+        fall_step(fruit, DT, 9.81)
         sim.step(DT)
         event = check_interrupters(sim, [fruit])
     assert isinstance(event, FallEvent)
@@ -245,9 +246,7 @@ def _landing_rig(tool_z):
 
 
 def _tick(sim, fruit):
-    sim.step(DT)
-    fruit.fall_step(DT, 9.81)
-    return check_interrupters(sim, [fruit])
+    return tick(sim, [fruit], DT)
 
 
 def test_stepped_beam_sees_a_fruit_landing_but_not_at_rest():
@@ -383,24 +382,24 @@ def test_gantry_speed_limits_must_be_positive_and_finite(limit, value):
 
 
 def test_jump_then_advance_to_matches_stepping():
-    def run(jump):
+    def run(advance=None):
         sim = GantrySim(GantryConfig(max_velocity=0.168))
         sim.home_lens()
         sim.command_move(0.12, -0.1, 0.55)
         sim.set_trapper(closed=True)
-        if jump:     # replay the clock and the trapper, then commit once
+        if advance is None:     # replay the clock and the trapper, then commit once
             now = sim.time
             for _ in range(700):
                 now += DT
-                sim.trapper.advance(DT)
+                slew(sim.trapper, DT)
             sim.advance_to(now)
         else:
             for _ in range(700):
-                sim.step(DT)
+                advance(sim, DT)
         return (sim.time, sim.tool_position(), sim.lens.position_mm,
                 sim.lens.mode, sim.trapper.angle_deg, sim.axes_done_at(sim.time))
 
-    assert run(jump=True) == run(jump=False)
+    assert run() == run(step) == run(GantrySim.step)
 
 
 def test_position_at_matches_sample_fuzz():
@@ -441,11 +440,7 @@ def test_replay_matches_stepping(move_z, heights, n):
     stepped, beam = [state(sim, fruits)], None
     ref, ref_fruits = setup()
     for k in range(1, n + 1):
-        ref.step(DT)
-        for f in ref_fruits:
-            if not f.attached:
-                f.fall_step(DT, 9.81)
-        if beam is None and check_interrupters(ref, ref_fruits) is not None:
+        if tick(ref, ref_fruits, DT) is not None and beam is None:
             beam = k
         stepped.append(state(ref, ref_fruits))
     low = heights.index(0.05)                   # lands unseen inside the block

@@ -61,7 +61,7 @@ def test_interpolate_cp_knots_and_midpoints(datasets):
 
 def test_cut_model_rejects_duplicate_knots(datasets):
     rec = datasets.fine[0]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"duplicate spot diameter 0\.5 mm"):
         CutModel(records=(rec, rec), toughness=1.0)
     with pytest.raises(ValidationError):
         CutModel(records=datasets.fine, toughness=0.0)

@@ -10,6 +10,7 @@ from laserberry.geometry import transform_cloud
 from laserberry.scenario import BerrySpec, Scenario, bundled_scenario_path
 from laserberry.scene import (LABEL_FOLIAGE, LABEL_PALETTE, FruitBody,
                               apply_color_gain, generate_scene, make_world)
+from stepping import fall_step
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +143,7 @@ def test_fruit_fall_integration():
     f.attached = False
     t, dt = 0.0, 0.001
     while not f.landed:
-        f.fall_step(dt, 9.81)
+        fall_step(f, dt, 9.81)
         t += dt
         assert t < 1.0
     # ~sqrt(2h/g) = 143 ms for a 10 cm drop
@@ -155,7 +156,7 @@ def test_fall_track_matches_fall_step():
                   stem_diameter_mm=2.2, toughness=1.0, fall_velocity=0.3)
     v, z = f.fall_track(300, 0.0007, 9.81)
     for k in range(1, 301):
-        f.fall_step(0.0007, 9.81)
+        fall_step(f, 0.0007, 9.81)
         assert (f.fall_velocity, f.z) == (v[k], z[k])
 
 

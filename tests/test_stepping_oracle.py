@@ -1,10 +1,10 @@
 """Jumping to each phase boundary reproduces 1 ms stepping bit for bit.
 
-The controller jumps over the ticks before each phase's check first holds.
-Patching ``controller._jump`` to do nothing turns every wait back into
-plain stepping, which serves as the oracle: both runs must
-leave every record, the sim clock, the lens, the fruit and the beams in
-exactly the same state.
+The controller jumps to the tick where each phase's check first holds, or
+where a beam may see a fruit. Patching ``_Cycle._wait`` with the scalar
+reference in ``stepping.py`` steps every tick instead, which serves as the
+oracle: both runs must leave every record, the sim clock, the tool, the
+lens, the fruit and the beams in exactly the same state.
 """
 
 import dataclasses
@@ -19,6 +19,7 @@ from laserberry.controller import HarvestPhase, _Cycle
 from laserberry.pipeline import simulate_scenario
 from laserberry.scenario import bundled_scenario_path, load_scenario
 from laserberry.scene import FruitBody
+from stepping import stepped_wait
 
 LAYOUT = [(-0.02, -0.03, 0.58), (0.03, 0.00, 0.61), (0.00, 0.03, 0.57),
           (0.05, 0.05, 0.60)]
@@ -102,6 +103,7 @@ def _run(world: World):
     metrics = run_demo(sim, bodies, [_box(*c) for c in centers],
                        CutModel(load_datasets().fine), config)
     return (metrics.records, sim.time, sim.tool_position(), sim.lens.position_mm,
+            sim.trapper.angle_deg,
             [(f.z, f.prev_z, f.fall_velocity, f.landed) for f in bodies],
             set(sim.interrupters._fired))
 
@@ -109,7 +111,7 @@ def _run(world: World):
 @pytest.mark.parametrize("world", WORLDS)
 def test_jumped_cycle_matches_stepping(world, monkeypatch):
     jumped = _run(world)
-    monkeypatch.setattr(controller, "_jump", lambda *args: None)
+    monkeypatch.setattr(_Cycle, "_wait", stepped_wait)
     stepped = _run(world)
     assert jumped == stepped
 
@@ -120,7 +122,8 @@ def test_worlds_cover_every_outcome():
 
 
 def test_demo_run_steps_only_near_events(monkeypatch):
-    calls = {"step": 0, "cp": 0}
+    calls = {"step": 0, "replay": 0, "cp": 0}
+    events, check_interrupters = [], controller.check_interrupters
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -128,11 +131,21 @@ def test_demo_run_steps_only_near_events(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def check(*args):
+        events.append(check_interrupters(*args))
+        return events[-1]
+
     monkeypatch.setattr(GantrySim, "step", counted("step", GantrySim.step))
+    monkeypatch.setattr(GantrySim, "replay", counted("replay", GantrySim.replay))
     monkeypatch.setattr(CutModel, "cp", counted("cp", CutModel.cp))
+    monkeypatch.setattr(controller, "check_interrupters", check)
     result = simulate_scenario(load_scenario(bundled_scenario_path("demo_11")))
     assert result.metrics.attempted == 11
-    assert calls["step"] <= 105
+    assert calls["step"] == 0
+    assert calls["replay"] <= 165
+    # one check per fall event, each on the tick its beam fires
+    assert len(events) == result.metrics.successes == 11
+    assert None not in events
     assert calls["cp"] <= 2 * result.metrics.attempted
 
 
@@ -151,21 +164,23 @@ def test_two_fruits_crossing_on_one_tick(monkeypatch):
                 sim.interrupters._fired)
 
     jumped = run()
-    monkeypatch.setattr(controller, "_jump", lambda *args: None)
+    monkeypatch.setattr(_Cycle, "_wait", stepped_wait)
     assert jumped == run()
     assert jumped[2] == {0}
 
 
 def test_long_wait_replays_in_small_blocks(monkeypatch):
-    """10^7 ticks of a cut that never severs take a few steps and flat memory."""
-    calls = {"step": 0}
-    step = GantrySim.step
+    """10^7 ticks of a cut that never severs take few blocks and flat memory."""
+    blocks, checks = [], []
+    replay, check = GantrySim.replay, controller.check_interrupters
 
-    def counted(sim, dt):
-        calls["step"] += 1
-        step(sim, dt)
+    def counted(sim, n, dt, fruits=()):
+        blocks.append(n)
+        return replay(sim, n, dt, fruits)
 
-    monkeypatch.setattr(GantrySim, "step", counted)
+    monkeypatch.setattr(GantrySim, "replay", counted)
+    monkeypatch.setattr(controller, "check_interrupters",
+                        lambda *args: checks.append(args) or check(*args))
     fruit = FruitBody(uid=0, x=0.0, y=0.0, z=0.6, stem_x=0.0, stem_y=0.0,
                       stem_diameter_mm=2.0, toughness=1.0)
     sim = GantrySim(GantryConfig(home_position=(0.0, 0.0, 0.50)))
@@ -179,5 +194,8 @@ def test_long_wait_replays_in_small_blocks(monkeypatch):
         tracemalloc.stop()
     assert record.failure_reason == "cut-timeout"
     assert record.cycle_time_s > 1e4
-    assert calls["step"] <= 10
+    assert max(blocks) == controller._MAX_BLOCK
+    # the cut's 10^7 ticks in full blocks, plus a few for the other waits
+    assert len(blocks) <= 1e4 / config.dt_s / controller._MAX_BLOCK + 30
+    assert checks == []
     assert peak < 4e6
