@@ -12,10 +12,10 @@ than the tolerance along any axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 
@@ -117,11 +117,24 @@ class RigidTransform:
         Roll turns about the fixed base x axis first, then pitch about the
         fixed y axis, then yaw about the fixed z axis (scipy's lower-case
         ``"xyz"``), so the matrix is ``Rz(yaw) @ Ry(pitch) @ Rx(roll)``.
+        The arithmetic is scipy's ``Rotation.from_euler(...).as_matrix()``
+        step for step, so the matrix equals scipy's bit for bit: each axis
+        gives an elementary quaternion, composed onto the earlier ones from
+        the left, and the quaternion gives the matrix.
         """
-        from scipy.spatial.transform import Rotation
-
-        rot = Rotation.from_euler("xyz", [roll, pitch, yaw], degrees=True)
-        return cls(rot.as_matrix(), np.asarray(translation, dtype=np.float64))
+        q = None
+        for axis, deg in enumerate((roll, pitch, yaw)):
+            half = deg * (math.pi / 180.0) / 2.0
+            e = [0.0, 0.0, 0.0, math.cos(half)]
+            e[axis] = math.sin(half)
+            q = e if q is None else _quat_product(e, q)
+        x, y, z, w = q
+        x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+        xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+        rot = [[x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+               [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+               [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2]]
+        return cls(np.array(rot), np.asarray(translation, dtype=np.float64))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform an (n, 3) array of points.
@@ -139,6 +152,15 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         rot_t = self.rotation.T
         return RigidTransform(rot_t, -rot_t @ self.translation)
+
+
+def _quat_product(p, q) -> tuple[float, float, float, float]:
+    """Hamilton product ``p q`` of ``(x, y, z, w)`` quaternions, summed in
+    the order scipy's ``compose_quat`` sums it."""
+    (px, py, pz, pw), (qx, qy, qz, qw) = p, q
+    cx, cy, cz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
+    return (pw * qx + qw * px + cx, pw * qy + qw * py + cy, pw * qz + qw * pz + cz,
+            pw * qw - px * qx - py * qy - pz * qz)
 
 
 def transform_cloud(t: RigidTransform, cloud: PointCloud, target_frame: str) -> PointCloud:
@@ -196,6 +218,8 @@ class KdTree:
         if points.size and not np.isfinite(points).all():
             raise ValidationError("points contain non-finite coordinates")
         self.points = _readonly(points)
+        from scipy.spatial import cKDTree     # here, not at the top: scipy is slow to load
+
         self._tree = cKDTree(points, balanced_tree=True) if len(points) else None
 
     def __len__(self) -> int:

@@ -5,14 +5,16 @@ reference color from a palette patch visible to both cameras, keeps only
 points near that reference, merges the survivors in the gantry base frame,
 and groups them into per-fruit clusters ordered along the picking axis.
 
-:func:`localize_clusters` transforms per camera only the palette
-candidates of a camera-frame box test and the color survivors, and never
-keeps a palette-window point as fruit; when the palette and reduced
-windows are disjoint, :func:`extract_window`, :func:`filter_red` and
-:func:`merge_clouds` give the same points cloud by cloud. Clustering is an exact voxel-grid union:
-points are binned into cells a little under ``tolerance / sqrt(3)`` wide,
-and distances are tested only between cells up to two apart along each
-axis, so the list of every linked pair is never built.
+:func:`localize_clusters` transforms per camera only the palette candidates
+of a camera-frame box test and the color survivors, and never keeps a
+palette-window point as fruit; when the palette and reduced windows are
+disjoint, :func:`extract_window`, :func:`filter_red` and
+:func:`merge_clouds` give the same points cloud by cloud. Clustering is an
+exact voxel-grid union: points are binned into cells a little under
+``tolerance / sqrt(3)`` wide, and distances are tested only between cells
+up to two apart along each axis, so the list of every linked pair is never
+built. The candidate cells fill 13 columns of sorted cell keys, found by
+two binary searches each, and a numpy union-find labels the cells.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import CalibrationError, ValidationError, require_positive
 from .geometry import Aabb, BASE_FRAME, KdTree, PointCloud, RigidTransform
@@ -65,8 +65,6 @@ class SpatialWindow:
 
 def extract_window(cloud: PointCloud, window: SpatialWindow) -> PointCloud:
     """Keep the points strictly inside ``window``, preserving order."""
-    if len(cloud) == 0:
-        return cloud
     return cloud.select(window.mask(cloud.xyz))
 
 
@@ -123,8 +121,6 @@ def calibration_reference(palette_cloud: PointCloud, r_th: float, g_th: float,
 def filter_red(cloud: PointCloud, ref: ColorReference) -> PointCloud:
     """Keep points whose color deviates from the reference by strictly less
     than the per-channel threshold on every channel."""
-    if len(cloud) == 0:
-        return cloud
     return cloud.select(ref.rows(cloud.rgb))
 
 
@@ -153,11 +149,12 @@ class ClusterParams:
 #: binned into one cell are within the tolerance even after the rounding
 #: of the binning arithmetic.
 _CELL_SIDE = (1.0 - 2.0 ** -20) / math.sqrt(3.0)
-#: A linked pair can lie sqrt(3) cells apart along an axis, so candidate
-#: cells reach two cells each way (62 forward offsets).
+#: A linked pair can lie sqrt(3) cells apart along an axis, so candidate cells
+#: reach two each way: 62 forward offsets in 13 (x, y) columns (dx, dy, first dz)
+#: up to dz = _REACH, each a run of sorted keys (z is the fastest, padded key axis).
 _REACH = 2
-_OFFSETS = np.array([o for o in itertools.product(range(-_REACH, _REACH + 1), repeat=3)
-                     if o > (0, 0, 0)], dtype=np.int64)
+_COLUMNS = np.array([(0, 0, 1)] + [(dx, dy, -_REACH) for dx, dy in itertools.product(
+    range(-_REACH, _REACH + 1), repeat=2) if (dx, dy) > (0, 0)], dtype=np.int64)
 #: Cells per axis, padding included, stay below this so that the packed
 #: cell key fits an int64 and binning rounding stays far below the margin
 #: in ``_CELL_SIDE``; wider clouds are split first (``_component_labels``).
@@ -170,19 +167,27 @@ _PAIR_CHUNK = 2 ** 17
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Connected-component labels of ``n`` nodes joined by edges ``a``-``b``."""
-    adj = coo_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n))
-    return connected_components(adj, directed=False)[1]
+    """Component labels of ``n`` nodes joined by edges ``a``-``b``, numbered by lowest
+    node: each round hooks every edge's higher root to its lower, then jumps to roots."""
+    root = np.arange(n)
+    while len(a):
+        ra, rb = root[a], root[b]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        a, b = a[ra != rb], b[ra != rb]
+        while (root[root] != root).any():
+            root = root[root]
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
 
 
-def _within(xyz: np.ndarray, i: np.ndarray, j: np.ndarray, tol: float) -> np.ndarray:
-    return ((xyz[i] - xyz[j]) ** 2).sum(1) <= tol * tol
+def _within(cols, i: np.ndarray, j: np.ndarray, tol: float) -> np.ndarray:
+    # x, y, z added left to right, as ((p - q)**2).sum(1) adds them
+    return sum((c[i] - c[j]) ** 2 for c in cols) <= tol * tol
 
 
-def _any_pair_within(xyz, start, count, a, b, tol) -> np.ndarray:
+def _any_pair_within(cols, start, count, a, b, tol) -> np.ndarray:
     """For each cell pair ``(a[k], b[k])``, whether any point of one lies
     within ``tol`` of any point of the other. Cells are runs ``start``,
-    ``count`` of ``xyz``; point pairs are enumerated ``_PAIR_CHUNK`` at a
+    ``count`` of ``cols``; point pairs are enumerated ``_PAIR_CHUNK`` at a
     time so memory stays bounded however many there are."""
     width = count[b]
     total = count[a] * width
@@ -192,7 +197,7 @@ def _any_pair_within(xyz, start, count, a, b, tol) -> np.ndarray:
         g = np.arange(lo, min(lo + _PAIR_CHUNK, int(ends[-1])))
         k = np.searchsorted(ends, g, side="right")
         r = g - (ends[k] - total[k])
-        near = _within(xyz, start[a[k]] + r // width[k], start[b[k]] + r % width[k], tol)
+        near = _within(cols, start[a[k]] + r // width[k], start[b[k]] + r % width[k], tol)
         linked[k[near]] = True
     return linked
 
@@ -201,14 +206,14 @@ def _grid_labels(xyz: np.ndarray, tol: float) -> np.ndarray | None:
     """Component label of each point, or None when the grid would not fit.
 
     Points are binned into cells of side just under ``tol / sqrt(3)``, so
-    the points of one cell are linked without a distance test. Phase 1
-    tests one representative pair (the first point of each cell) per
-    candidate cell pair and labels the cell components. Phase 2 tests
-    every point pair of the candidate cell pairs whose cells are still in
-    different components (unless both cells hold one point, so the
-    representative pair was the only one), then labels again. Every pair
-    within ``tol`` lies in one cell or in a candidate cell pair, so the
-    result is exact.
+    the points of one cell are linked without a distance test. Each column
+    of ``_COLUMNS`` is found by two binary searches. Phase 1 tests one
+    representative pair (the first point of each cell) per candidate cell
+    pair and labels the cell components. Phase 2 tests every point pair of
+    the candidate cell pairs whose cells are still in different components
+    (unless both cells hold one point, so the representative pair was the
+    only one), then labels again. Every pair within ``tol`` lies in one
+    cell or in a candidate cell pair, so the result is exact.
     """
     lo = xyz.min(axis=0)
     side = tol * _CELL_SIDE
@@ -224,16 +229,16 @@ def _grid_labels(xyz: np.ndarray, tol: float) -> np.ndarray | None:
     start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     cells = key[start]
     count = np.diff(np.r_[start, len(key)])
-    xs = xyz[order]
-    step = _OFFSETS @ stride
+    cols = xyz[order].T.copy()
+    column = _COLUMNS[:, :2] @ stride[:2]
     linked, undecided = [], []
     for block in range(0, len(cells), _CELL_BLOCK):
-        wanted = cells[block:block + _CELL_BLOCK, None] + step
-        pos = np.minimum(np.searchsorted(cells, wanted), len(cells) - 1)
-        a, hit = np.nonzero(cells[pos] == wanted)
-        b = pos[a, hit]
-        a += block
-        near = _within(xs, start[a], start[b], tol)
+        here = cells[block:block + _CELL_BLOCK, None] + column
+        first = np.searchsorted(cells, here + _COLUMNS[:, 2]).ravel()
+        width = np.searchsorted(cells, here + _REACH, side="right").ravel() - first
+        a = np.repeat(np.arange(block, block + len(here)), width.reshape(here.shape).sum(1))
+        b = np.arange(len(a)) + np.repeat(first - (np.cumsum(width) - width), width)
+        near = _within(cols, start[a], start[b], tol)
         linked.append((a[near], b[near]))
         # with one point in each cell the representative test was exhaustive
         far = ~near & (count[a] * count[b] > 1)
@@ -244,7 +249,7 @@ def _grid_labels(xyz: np.ndarray, tol: float) -> np.ndarray | None:
     unresolved = comp[a2] != comp[b2]
     if unresolved.any():
         a2, b2 = a2[unresolved], b2[unresolved]
-        second = _any_pair_within(xs, start, count, a2, b2, tol)
+        second = _any_pair_within(cols, start, count, a2, b2, tol)
         comp = _components(len(cells), np.r_[a, a2[second]], np.r_[b, b2[second]])
     labels = np.empty(len(xyz), dtype=np.int64)
     labels[order] = np.repeat(comp, count)
@@ -307,8 +312,7 @@ def euclidean_clusters(cloud: PointCloud, params: ClusterParams) -> list[PointCl
     an axis (points near +-1e300, say) is first cut at its gaps wider
     than the tolerance.
     """
-    n = len(cloud)
-    if n == 0:
+    if len(cloud) == 0:
         return []
     labels = _component_labels(cloud.xyz, params.tolerance)
     sizes = np.bincount(labels)
@@ -344,13 +348,8 @@ class BerryBox:
 
 def bounding_boxes(clusters: list[PointCloud]) -> list[BerryBox]:
     """Box each cluster; ranks follow the given (pick) order."""
-    boxes = []
-    for rank, cluster in enumerate(clusters):
-        boxes.append(BerryBox(box=Aabb.of_points(cluster.xyz),
-                              centroid=cluster.xyz.mean(axis=0),
-                              point_count=len(cluster),
-                              rank=rank))
-    return boxes
+    return [BerryBox(box=Aabb.of_points(c.xyz), centroid=c.xyz.mean(axis=0),
+                     point_count=len(c), rank=rank) for rank, c in enumerate(clusters)]
 
 
 @dataclass(frozen=True)

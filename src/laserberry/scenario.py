@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .controller import HarvestConfig
 from .errors import ScenarioError, decode_utf8, require_positive
-from .gantry import GantryConfig, LensAxis, MotionProfile
+from .gantry import GantryConfig, LensAxis, MotionProfile, TrapperState
 from .geometry import RigidTransform
 from .localization import ClusterParams, LocalizationConfig, SpatialWindow
 
@@ -81,6 +81,10 @@ class LaserSettings:
 
 #: Most ticks one wait of a run may take; see ``[demo]`` in docs/formats.md.
 MAX_WAIT_TICKS = 10 ** 7
+#: Longest controller timestep: the trapper's close time (30 deg at
+#: 150 deg/s, 0.2 s), so no tick steps over a whole trapper close.
+MAX_DT_S = ((TrapperState.closed_angle_deg - TrapperState.open_angle_deg)
+            / TrapperState.rate_deg_s)
 
 
 def _check_tick_budget(gantry: GantryConfig, harvest: HarvestConfig) -> None:
@@ -156,6 +160,9 @@ class Scenario:
                 raise ScenarioError(
                     "palette patch extends outside the palette calibration window")
         _check_point_budget(self)
+        if not self.harvest.dt_s <= MAX_DT_S:
+            raise ScenarioError(f"[demo] dt must be at most the trapper's {MAX_DT_S:g} s "
+                                f"close time, got {self.harvest.dt_s}")
         _check_tick_budget(self.gantry, self.harvest)
 
 

@@ -306,6 +306,16 @@ def test_wait_over_the_tick_budget_exits_1_naming_key(tmp_path, capsys, monkeypa
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("dt,code", [("0.2", 0), ("0.20000000000000004", 1), ("1e300", 1)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_demo_dt_over_the_trapper_close_time_exits_1(tmp_path, capsys, dt, code):
+    scn = tmp_path / "dt.ini"
+    scn.write_text(_SMALL_SCENE + f"[demo]\ndt = {dt}\n")
+    assert main(["simulate", "--scenario", str(scn)]) == code
+    err = capsys.readouterr().err
+    assert ("error: [demo] dt must be at most" in err) == (code == 1), err
+
+
 def test_non_utf8_pcd_exits_1_naming_the_line(tmp_path, capsys):
     assert main(["gen-scene", "--scenario", "demo_11", "--out", str(tmp_path)]) == 0
     good = tmp_path / "camera1.pcd"
@@ -402,9 +412,10 @@ def inputs(tmp_path_factory):
 
 
 def _mutate(draw, raw: bytes, header_lines: int) -> bytes:
-    """``raw`` cut, with one token replaced, with one insertion, or with a
-    header line doubled."""
-    kind = draw(st.sampled_from(["cut", "token", "crlf", "nul", "comment", "ff", "header"]))
+    """``raw`` cut, with one token replaced, with one insertion, with a
+    header line doubled, or with its header lines reordered."""
+    kind = draw(st.sampled_from(["cut", "token", "crlf", "nul", "comment", "ff", "header",
+                                 "reorder"]))
     lines = raw.splitlines(keepends=True)
     line_starts = [len(b"".join(lines[:k])) for k in range(len(lines) + 1)]
     at = draw(st.integers(0, len(raw)) | st.sampled_from(line_starts))
@@ -419,6 +430,8 @@ def _mutate(draw, raw: bytes, header_lines: int) -> bytes:
     if kind == "header":
         k = draw(st.integers(0, header_lines - 1))
         return b"".join(lines[:k + 1] + lines[k:])
+    if kind == "reorder":
+        return b"".join(draw(st.permutations(lines[:header_lines])) + lines[header_lines:])
     return raw[:at] + {"crlf": b"\r\n", "nul": b"\x00", "ff": b"\xff"}[kind] + raw[at:]
 
 
@@ -527,6 +540,7 @@ def _over_point_budget(path) -> bool:
     return False
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
 @given(raw=_mutated_scenario())
 def test_mutated_scenario_simulates_or_exits_1_or_2(inputs, raw):

@@ -94,6 +94,21 @@ def test_inverse_fuzz():
                                    atol=1e-12)
 
 
+def test_euler_matrix_equals_scipy_bit_for_bit():
+    # from_euler_deg replicates scipy's arithmetic so that scipy need not be
+    # loaded; every bundled scenario uses the two default camera poses
+    rotation = pytest.importorskip("scipy.spatial.transform").Rotation
+    rng = np.random.default_rng(31)
+    triples = [(60.0, 0.0, 20.0), (-60.0, 5.0, -160.0), (0.0, -0.0, 0.0),
+               (180.0, -90.0, 90.0), (1e-300, -1e300, 720.0),
+               *rng.uniform(-360.0, 360.0, size=(2000, 3)),
+               *rng.integers(-360, 361, size=(1000, 3)).astype(float)]
+    for angles in triples:
+        got = RigidTransform.from_euler_deg(*angles).rotation
+        want = rotation.from_euler("xyz", angles, degrees=True).as_matrix()
+        assert got.tobytes() == want.tobytes(), angles
+
+
 @pytest.mark.parametrize("name", ["demo_11", "perf_300k"])
 def test_apply_is_row_independent(name):
     # localization transforms only the rows it uses, so apply(x[rows]) must

@@ -14,7 +14,7 @@ from laserberry import (CalibrationError, ClusterParams, ColorReference,
                         PointCloud, RigidTransform, SpatialWindow, ValidationError,
                         bounding_boxes, calibration_reference,
                         euclidean_clusters, load_scenario, localize)
-from laserberry.localization import extract_window, filter_red, merge_clouds
+from laserberry.localization import _components, extract_window, filter_red, merge_clouds
 from laserberry.scenario import bundled_scenario_path
 from laserberry.scene import apply_color_gain, generate_scene
 from test_acceptance import _union_find_clusters
@@ -193,6 +193,36 @@ def test_cluster_order_input_invariance():
     assert len(base) == len(shuffled)
     for a, b in zip(base, shuffled):
         np.testing.assert_allclose(a, b)
+
+
+def _graphs():
+    """``(n, a, b)`` graphs: no edges, self-loops, repeated edges, a star
+    whose centre has the highest id, random graphs, and a permuted path."""
+    rng = np.random.default_rng(404)
+    none = np.empty(0, dtype=np.int64)
+    yield 1, none, none
+    yield 7, none, none
+    loops = rng.integers(0, 50, 30)
+    yield 50, loops, loops
+    a, b = rng.integers(0, 40, (2, 25))
+    yield 40, np.r_[a, a, b, loops[:5] % 40], np.r_[b, b, a, loops[:5] % 40]
+    yield 1000, np.full(999, 999), np.arange(999)
+    for n in (2, 10, 300, 3000):
+        m = int(rng.integers(0, 2 * n))
+        yield n, rng.integers(0, n, m), rng.integers(0, n, m)
+    path = rng.permutation(10 ** 5)
+    yield len(path), path[:-1], path[1:]
+
+
+def test_components_match_scipy():
+    # labels number the components in the order of their lowest node, as
+    # scipy's connected_components numbers them
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    for n, a, b in _graphs():
+        adj = sparse.coo_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n))
+        want = csgraph.connected_components(adj, directed=False)[1]
+        np.testing.assert_array_equal(_components(n, a, b), want)
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,16 @@ def test_demo_timing_must_be_positive_and_finite(tmp_path, key, value):
         load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[demo]\n{key} = {value}\n"))
 
 
+def test_demo_dt_is_at_most_the_trapper_close_time(tmp_path):
+    # the trapper closes 30 deg at 150 deg/s; 1e300 used to run with overflow warnings
+    assert load_scenario(_write(tmp_path, "[scenario]\nseed = 1\n[demo]\ndt = 0.2\n")
+                         ).harvest.dt_s == 0.2
+    for value in ("0.20000000000000004", "1e300"):
+        with pytest.raises(ScenarioError, match=r"^\[demo\] dt must be at most the trapper's "
+                                                r"0.2 s close time"):
+            load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[demo]\ndt = {value}\n"))
+
+
 @pytest.mark.parametrize("section,key", [("gantry", "home_x"), ("gantry", "z_max"),
                                          ("localization", "tolerance")])
 @pytest.mark.parametrize("value", ["nan", "inf"])
