@@ -13,10 +13,10 @@ A cycle is straight-line code: each phase is its action followed by a wait
 for the check that ends it. The wait is the only loop that moves the
 machine, a run's start-up homing included, on 1 ms ticks
 (``HarvestConfig.dt_s``); a check that already holds takes no tick. A wait
-jumps to the tick where its check first holds, or where a beam may see a
+jumps to the tick where its check first holds, or where a beam sees a
 fruit, replaying blocks of ticks as arrays (clock, trapper, fruit fall and
-etch) and bisecting the block where the check first holds. Only on a beam
-tick does it ask :func:`check_interrupters` which fruit fell.
+etch) and bisecting the block where the check first holds. On a beam tick
+the block reports the fruit and beam, and :func:`check_interrupters` fires.
 """
 
 from __future__ import annotations
@@ -219,14 +219,15 @@ class _Cycle:
         return best
 
     def _wait(self, done: Callable[[float], bool]) -> None:
-        """Jump tick to tick until ``done(sim.time)`` holds, checking the
-        beams on each tick where one may see a fruit."""
+        """Jump tick to tick until ``done(sim.time)`` holds, firing the
+        event each beam tick reports."""
         sim, cfg, world = self.sim, self.cfg, self.world
         cutting = self.phases[-1:] == [HarvestPhase.CUTTING]
         while not done(sim.time):
-            if _jump(sim, cfg.dt_s, done, world, self if cutting else None):
-                event = check_interrupters(sim, world)
-                if event is not None and event.fruit_uid == getattr(self.target, "uid", None):
+            seen = _jump(sim, cfg.dt_s, done, world, self if cutting else None)
+            if seen is not None:
+                event = check_interrupters(sim, seen)
+                if event.fruit_uid == getattr(self.target, "uid", None):
                     self.fall_event = event
 
     def run(self) -> None:
@@ -308,9 +309,9 @@ _FIRST_BLOCK, _MAX_BLOCK = 256, 2 ** 14    # ticks; the cap keeps a block near 1
 
 
 def _jump(sim: GantrySim, dt: float, done: Callable[[float], bool],
-          world=(), cut: _Cycle | None = None) -> bool:
-    """Move ``sim`` to the first tick where ``done`` holds or a beam may see
-    a fruit, and return whether it is the beam tick.
+          world=(), cut: _Cycle | None = None) -> tuple[FruitBody, int] | None:
+    """Move ``sim`` to the first tick where ``done`` holds or a beam sees a
+    fruit, and return the (fruit, beam index) seen if it is the beam tick.
 
     It replays blocks of ticks as arrays (:meth:`GantrySim.replay`, and while
     ``cut`` is given its etch), growing ×4 up to ``_MAX_BLOCK``, calls
@@ -335,7 +336,7 @@ def _jump(sim: GantrySim, dt: float, done: Callable[[float], bool],
                 lo, hi = (lo, mid) if done(at(mid)) else (mid, hi)
             at(hi)
             block.land(sim, hi)
-            return hi == block.beam
+            return block.seen if hi == block.beam else None
         block.land(sim, n)
         n = min(4 * n, _MAX_BLOCK)
 

@@ -5,11 +5,12 @@ short to reach cruise speed), the focus lens homes against a limit switch
 and oscillates the beam laterally, the v-groove trapper sweeps between its
 open and closed angles, and three interrupter beams below the groove report
 when a severed fruit falls past. Everything advances on fixed ticks by one
-rule, :meth:`GantrySim.replay`: axes and lens are closed forms of sim time
-(:meth:`GantrySim.advance_to`), and the clock, the trapper and the fall of
-detached fruit run over a block of ticks as numpy running sums that add left
-to right, tick after tick. The replay also finds the first tick at which a
-beam may see a fruit, from the tool path sampled in closed form.
+rule, :meth:`GantrySim.replay`: axes and lens are closed forms of sim time,
+and the clock, the trapper and the fall of detached fruit run over a block
+of ticks as numpy running sums that add left to right. The replay also
+finds the first tick a beam sees a fruit, and the fruit and beam it reports,
+from the tool path in closed form. ``tests/stepping.py`` states each rule as
+the scalar tick the replay is checked against.
 """
 
 from __future__ import annotations
@@ -63,27 +64,9 @@ class MotionProfile:
             v_peak = sign * a_max * t_acc
         return cls(start, end, t0, t_acc, t_cruise, v_peak, a_max)
 
-    def sample(self, t: float) -> tuple[float, float]:
-        """(position, velocity) at absolute sim time ``t``."""
-        tau = t - self.t0
-        if tau <= 0.0:
-            return self.start, 0.0
-        t_acc, t_cruise = self.t_acc, self.t_cruise
-        if tau >= self.duration:
-            return self.end, 0.0
-        a = self.accel if self.v_peak >= 0 else -self.accel
-        if tau < t_acc:
-            return self.start + 0.5 * a * tau * tau, a * tau
-        d_acc = 0.5 * a * t_acc * t_acc
-        if tau < t_acc + t_cruise:
-            return self.start + d_acc + self.v_peak * (tau - t_acc), self.v_peak
-        td = tau - t_acc - t_cruise   # time into deceleration leg
-        return (self.start + d_acc + self.v_peak * t_cruise
-                + self.v_peak * td - 0.5 * a * td * td,
-                self.v_peak - a * td)
-
     def position_at(self, t: np.ndarray) -> np.ndarray:
-        """The positions :meth:`sample` gives at the times ``t``, float for float."""
+        """Positions at the sim times ``t``: the start before ``t0``, the end
+        after the move, and each leg's polynomial in between."""
         tau = t - self.t0
         t_acc, t_cruise = self.t_acc, self.t_cruise
         a = self.accel if self.v_peak >= 0 else -self.accel
@@ -99,31 +82,37 @@ class MotionProfile:
 
 @dataclass
 class AxisState:
-    """One linear axis: position, travel limits, and the active profile."""
+    """One linear axis: rest position, travel limits, and the active profile,
+    evaluated at the last advanced time only when :attr:`position` is read."""
 
     name: str
-    position: float
+    rest: float                     # m, where it rests or its move began
     limits: tuple[float, float]     # m, (low, high)
     max_velocity: float             # m/s
     max_accel: float                # m/s^2
     profile: MotionProfile | None = None
+    now: float = field(default=0.0, init=False)   # s, the last advanced sim time
+
+    @property
+    def position(self) -> float:
+        return self.rest if self.profile is None else float(self.profile.position_at(self.now))
 
     def command(self, target: float, now: float) -> None:
         lo, hi = self.limits
         if not lo <= target <= hi:
             raise MotionError(
                 f"{self.name}-axis target {target:.4f} m outside travel [{lo}, {hi}] m")
-        if target == self.position:
+        self.rest = self.position
+        if target == self.rest:
             self.profile = None   # already there: completes immediately
             return
-        self.profile = MotionProfile.plan(self.position, target, now,
+        self.profile = MotionProfile.plan(self.rest, target, now,
                                           self.max_velocity, self.max_accel)
 
     def advance(self, now: float) -> None:
-        if self.profile is not None:
-            self.position = self.profile.sample(now)[0]
-            if self.done_at(now):
-                self.profile = None
+        self.now = now
+        if self.profile is not None and self.done_at(now):
+            self.rest, self.profile = self.profile.end, None
 
     def done_at(self, now: float) -> bool:
         """Whether the active move, if any, is complete at sim time ``now``."""
@@ -258,47 +247,27 @@ class InterrupterBank:
     halfspan_m: float = 0.0125
     _fired: set = field(default_factory=set)
 
-    def check(self, now: float, tool_xyz: tuple[float, float, float],
-              fruits) -> FallEvent | None:
-        tx, ty, tz = tool_xyz
-        for fruit in fruits:
-            if fruit.attached or fruit.uid in self._fired:
-                continue
-            x, y, z_now = fruit.center
-            z_prev = fruit.prev_z
-            if abs(x - tx) > self.halfspan_m or abs(y - ty) > self.halfspan_m:
-                continue
-            for i, off in enumerate(self.offsets_m):
-                plane = tz - off
-                if z_prev > plane >= z_now:
-                    self._fired.add(fruit.uid)
-                    return FallEvent(now, fruit.uid, i)
-        return None
-
-    def crossings(self, tool, fruit, z_prev, z_now):
-        """Where :meth:`check` would see a detached, unseen ``fruit``, per tick.
-
-        ``tool`` (groove x, y, z) and the fruit's heights are arrays over
-        ticks, or constants; the comparisons are :meth:`check`'s own.
-        """
+    def crossings(self, tool, fruit, z_prev, z_now) -> np.ndarray:
+        """Beams × ticks: where ``fruit`` crosses a plane inside the window;
+        ``tool`` (groove x, y, z) and the heights are per tick or constant."""
         tx, ty, tz = tool
-        hit = False
-        for off in self.offsets_m:
-            plane = tz - off
-            hit = hit | ((z_prev > plane) & (plane >= z_now))
-        return hit & ~((np.abs(fruit.x - tx) > self.halfspan_m)
-                       | (np.abs(fruit.y - ty) > self.halfspan_m))
+        plane = tz - np.array(self.offsets_m)[:, None]
+        return ((z_prev > plane) & (plane >= z_now)
+                & ~((np.abs(fruit.x - tx) > self.halfspan_m)
+                    | (np.abs(fruit.y - ty) > self.halfspan_m)))
 
 
 @dataclass
 class TickBlock:
     """Ticks ``0..n`` of the machine from now (tick 0), built by
-    :meth:`GantrySim.replay`."""
+    :meth:`GantrySim.replay`. At tick ``beam`` a beam reports ``seen``: the
+    first fruit in world order crossing a plane there, at its lowest beam."""
 
     time: np.ndarray               # clock per tick
     trapper: np.ndarray | None     # trapper angle per tick; None while idle
     falls: list                    # (fruit, speeds, heights) per tick
-    beam: int                      # first tick a beam may fire at; n + 1 if none
+    beam: int                      # first tick a beam fires at; n + 1 if none
+    seen: tuple | None             # (fruit, beam index); None if no beam fires
 
     def at(self, sim: "GantrySim", k: int) -> float:
         """Set the trapper to tick ``k`` and return that tick's time."""
@@ -411,7 +380,7 @@ class GantrySim:
 
     def tool_path(self, t: np.ndarray) -> tuple:
         """Groove positions at the sim times ``t``, as stepping there reads them."""
-        return tuple(a.position if a.profile is None else a.profile.position_at(t)
+        return tuple(a.rest if a.profile is None else a.profile.position_at(t)
                      for a in (self.x, self.y, self.z))
 
     def captures(self, stem_x: float, stem_y: float) -> bool:
@@ -427,7 +396,7 @@ class GantrySim:
         self.replay(1, dt).land(self, 1)
 
     def advance_to(self, now: float) -> None:
-        """Set the clock to ``now`` and evaluate the axes and the lens there.
+        """Set the clock to ``now`` and bring the axes and the lens there.
 
         They are closed forms of time, so after a jump over many ticks one
         call lands them where stepping would. The trapper is not slewed: its
@@ -446,8 +415,9 @@ class GantrySim:
         """The next ``n`` ticks of the clock, the trapper slew and the fall of
         the detached ``fruits``, as arrays.
 
-        The block's ``beam`` is the first tick at which a beam may see a
-        fruit; the caller lands there and asks :func:`check_interrupters`.
+        The block's ``beam`` is the first tick at which a beam sees a fruit,
+        and ``seen`` the fruit and beam it reports there; the caller that
+        lands on that tick fires the event.
         """
         time = np.full(n + 1, dt)
         time[0] = self.time
@@ -462,7 +432,7 @@ class GantrySim:
             j = int(there.argmax())
             if there[j]:
                 angle[j + 1:] = tr.target_deg
-        falls, beam, tool = [], n + 1, None
+        falls, beam, seen, tool = [], n + 1, None, None
         for fruit in fruits:
             if fruit.attached or (fruit.landed and fruit.prev_z == fruit.z):
                 continue                        # a tick leaves it as it is
@@ -471,17 +441,16 @@ class GantrySim:
             if fruit.landed or fruit.uid in self.interrupters._fired:
                 continue                        # at rest or seen: no beam fires
             tool = tool or self.tool_path(time[1:])
-            seen = np.flatnonzero(
-                self.interrupters.crossings(tool, fruit, z[:-1], z[1:])[:beam - 1])
-            if seen.size:
-                beam = int(seen[0]) + 1
-        return TickBlock(time, angle, falls, beam)
+            hit = self.interrupters.crossings(tool, fruit, z[:-1], z[1:])[:, :beam - 1]
+            ticks = np.flatnonzero(hit.any(axis=0))
+            if ticks.size:                      # earlier than any fruit before it
+                beam, seen = int(ticks[0]) + 1, (fruit, int(hit[:, ticks[0]].argmax()))
+        return TickBlock(time, angle, falls, beam, seen)
 
 
-def check_interrupters(sim: GantrySim, fruits) -> FallEvent | None:
-    """Edge-triggered fall detection for the given fruit bodies.
-
-    ``fruits`` is any iterable of objects exposing ``uid``, ``attached``,
-    ``center`` (x, y, z) and ``prev_z``. At most one event fires per fruit.
-    """
-    return sim.interrupters.check(sim.time, sim.tool_position(), fruits)
+def check_interrupters(sim: GantrySim, seen) -> FallEvent:
+    """The event of ``seen``, the (fruit, beam index) a block reports on the
+    tick ``sim`` has landed on; the fruit is marked so it fires only once."""
+    fruit, beam = seen
+    sim.interrupters._fired.add(fruit.uid)
+    return FallEvent(sim.time, fruit.uid, beam)

@@ -1,16 +1,65 @@
 """The machine stepped one tick at a time: the reference the replay must equal.
 
-``laserberry`` runs every tick through :meth:`GantrySim.replay`, which
-builds blocks of ticks as numpy running sums, and lands each wait on the
-tick where its check holds or a beam may fire. This module states the same
-tick as scalar code, one float operation after another, and a wait that
-takes every tick in turn. Patching ``_Cycle._wait`` with :func:`stepped_wait`
-gives the oracle the jumped runs are compared with.
+``laserberry`` states each machine rule once, as arrays: axes through
+:meth:`MotionProfile.position_at`, beams through
+:meth:`InterrupterBank.crossings`, and every tick through
+:meth:`GantrySim.replay`, which builds blocks of ticks as numpy running sums
+and reports the fruit and beam of the first beam tick. This module states
+the same rules as scalar code, one float operation after another: the
+profile's position and velocity at one time, the beam check over the world
+in order, and a wait that takes every tick in turn. Patching
+``_Cycle._wait`` with :func:`stepped_wait` gives the oracle the jumped runs
+are compared with.
 """
 
 from laserberry.controller import HarvestPhase
-from laserberry.gantry import GRAVITY, check_interrupters
+from laserberry.gantry import GRAVITY, FallEvent
 from laserberry.laser import etch_step
+
+
+def sample(profile, t):
+    """(position, velocity) of a ``MotionProfile`` at absolute sim time ``t``."""
+    tau = t - profile.t0
+    if tau <= 0.0:
+        return profile.start, 0.0
+    t_acc, t_cruise = profile.t_acc, profile.t_cruise
+    if tau >= profile.duration:
+        return profile.end, 0.0
+    a = profile.accel if profile.v_peak >= 0 else -profile.accel
+    if tau < t_acc:
+        return profile.start + 0.5 * a * tau * tau, a * tau
+    d_acc = 0.5 * a * t_acc * t_acc
+    if tau < t_acc + t_cruise:
+        return profile.start + d_acc + profile.v_peak * (tau - t_acc), profile.v_peak
+    td = tau - t_acc - t_cruise   # time into deceleration leg
+    return (profile.start + d_acc + profile.v_peak * t_cruise
+            + profile.v_peak * td - 0.5 * a * td * td,
+            profile.v_peak - a * td)
+
+
+def check(bank, now, tool_xyz, fruits):
+    """The ``InterrupterBank`` on one tick: the first detached, unseen fruit
+    in order whose center crossed a plane inside the window, at the lowest
+    such beam, marked fired; ``None`` if none."""
+    tx, ty, tz = tool_xyz
+    for fruit in fruits:
+        if fruit.attached or fruit.uid in bank._fired:
+            continue
+        x, y, z_now = fruit.center
+        z_prev = fruit.prev_z
+        if abs(x - tx) > bank.halfspan_m or abs(y - ty) > bank.halfspan_m:
+            continue
+        for i, off in enumerate(bank.offsets_m):
+            plane = tz - off
+            if z_prev > plane >= z_now:
+                bank._fired.add(fruit.uid)
+                return FallEvent(now, fruit.uid, i)
+    return None
+
+
+def check_interrupters(sim, fruits):
+    """:func:`check` on the sim's beams at its clock and tool position."""
+    return check(sim.interrupters, sim.time, sim.tool_position(), fruits)
 
 
 def slew(trapper, dt):

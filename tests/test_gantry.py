@@ -8,10 +8,10 @@ import pytest
 from laserberry import GantryConfig, GantrySim, MotionProfile, ValidationError
 from laserberry.errors import MotionError
 from laserberry.gantry import (AxisState, FallEvent, InterrupterBank,
-                               LensAxis, LensMode, TrapperState,
-                               check_interrupters)
+                               LensAxis, LensMode, TrapperState)
 from laserberry.scene import FruitBody
-from stepping import fall_step, slew, step, tick
+from stepping import (check, check_interrupters, fall_step, sample, slew, step,
+                      tick)
 
 DT = 0.001
 
@@ -43,18 +43,18 @@ def test_trapezoid_profile_duration():
     assert prof.t_cruise > 0.0
     assert prof.duration == pytest.approx(2.25)
     # cruise leg actually runs at v_max
-    pos, vel = prof.sample(prof.t_acc + prof.t_cruise / 2.0)
+    pos, vel = sample(prof, prof.t_acc + prof.t_cruise / 2.0)
     assert vel == pytest.approx(0.5)
 
 
 def test_profile_sample_endpoints_and_monotonicity():
     prof = MotionProfile.plan(0.2, -0.3, 1.0, 0.5, 2.0)
-    p0, v0 = prof.sample(1.0)
+    p0, v0 = sample(prof, 1.0)
     assert (p0, v0) == (0.2, 0.0)
-    p1, v1 = prof.sample(1.0 + prof.duration + 5.0)
+    p1, v1 = sample(prof, 1.0 + prof.duration + 5.0)
     assert (p1, v1) == (-0.3, 0.0)
     ts = np.linspace(1.0, 1.0 + prof.duration, 500)
-    ps = [prof.sample(t)[0] for t in ts]
+    ps = [sample(prof, t)[0] for t in ts]
     assert all(b <= a + 1e-12 for a, b in zip(ps, ps[1:]))   # descending move
 
 
@@ -66,7 +66,7 @@ def test_profile_respects_limits_throughout():
         a_max = float(rng.uniform(0.5, 5.0))
         prof = MotionProfile.plan(start, end, 0.0, v_max, a_max)
         ts = np.linspace(0.0, prof.duration, 200)
-        vs = np.array([prof.sample(t)[1] for t in ts])
+        vs = np.array([sample(prof, t)[1] for t in ts])
         assert np.all(np.abs(vs) <= v_max + 1e-9)
         dv = np.diff(vs) / np.diff(ts)
         assert np.all(np.abs(dv) <= a_max + 1e-6)
@@ -101,6 +101,20 @@ def test_zero_length_move_is_instant():
     axis = AxisState("z", 0.3, (0.0, 0.8), 0.5, 2.0)
     axis.command(0.3, 0.0)
     assert axis.idle
+
+
+def test_retargeting_mid_move_starts_where_the_axis_is():
+    axis = AxisState("x", 0.0, (-0.24, 0.24), 0.5, 2.0)
+    axis.command(0.2, 0.0)
+    axis.advance(0.1)
+    here = axis.position
+    assert 0.0 < here < 0.2
+    axis.command(-0.1, 0.1)
+    assert axis.profile.start == here
+    axis.advance(0.15)
+    here = axis.position
+    axis.command(here, 0.15)        # already there: stops where it is
+    assert axis.idle and axis.position == here
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +204,7 @@ def test_freefall_beam_crossing_time():
     while event is None:
         fall_step(fruit, DT, 9.81)
         t += DT
-        event = bank.check(t, (0.0, 0.0, 0.5), [fruit])
+        event = check(bank, t, (0.0, 0.0, 0.5), [fruit])
         assert t < 1.0
     assert event.beam_index == 0
     expected = math.sqrt(2.0 * 0.030 / 9.81)
@@ -204,7 +218,7 @@ def test_interrupter_fires_once_per_fruit():
     events = []
     for k in range(400):
         fall_step(fruit, DT, 9.81)
-        e = bank.check(k * DT, (0.0, 0.0, 0.5), [fruit])
+        e = check(bank, k * DT, (0.0, 0.0, 0.5), [fruit])
         if e is not None:
             events.append(e)
     # crosses all three planes but reports only the first
@@ -219,7 +233,7 @@ def test_interrupter_ignores_lateral_misses_and_attached():
     for k in range(400):
         fall_step(offside, DT, 9.81)
         hanging.prev_z = hanging.z      # no motion
-        assert bank.check(k * DT, (0.0, 0.0, 0.5), [offside, hanging]) is None
+        assert check(bank, k * DT, (0.0, 0.0, 0.5), [offside, hanging]) is None
 
 
 def test_check_interrupters_wrapper():
@@ -403,16 +417,25 @@ def test_jump_then_advance_to_matches_stepping():
 
 
 def test_position_at_matches_sample_fuzz():
+    """The array form and an axis advanced tick by tick read the scalar
+    reference's positions, float for float, during a move and after it."""
     rng = np.random.default_rng(31)
     for _ in range(200):
-        start, end = rng.uniform(-0.3, 0.3, 2)
+        start, end = rng.uniform(-0.3, 0.3, 2).tolist()
         t0 = float(rng.uniform(0.0, 50.0))
-        profile = MotionProfile.plan(float(start), float(end), t0,
-                                     float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.5, 20.0)))
+        v_max, a_max = float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.5, 20.0))
+        profile = MotionProfile.plan(start, end, t0, v_max, a_max)
         t = t0 + np.concatenate([rng.uniform(-0.1, profile.duration + 0.1, 50),
                                  [0.0, profile.t_acc, profile.t_acc + profile.t_cruise,
                                   profile.duration]])
-        assert profile.position_at(t).tolist() == [profile.sample(x)[0] for x in t.tolist()]
+        assert profile.position_at(t).tolist() == [sample(profile, x)[0] for x in t.tolist()]
+        axis = AxisState("x", start, (-0.3, 0.3), v_max, a_max)
+        axis.command(end, t0)
+        assert axis.profile == profile
+        for x in sorted(t.tolist()) + [t0 + profile.duration + 1.0]:
+            axis.advance(x)
+            assert axis.position == sample(profile, x)[0]
+        assert axis.idle and axis.position == end
 
 
 @pytest.mark.parametrize("move_z,heights,n", [
@@ -437,17 +460,20 @@ def test_replay_matches_stepping(move_z, heights, n):
 
     sim, fruits = setup()
     block = sim.replay(n, DT, fruits)
-    stepped, beam = [state(sim, fruits)], None
+    stepped, beam, first = [state(sim, fruits)], None, None
     ref, ref_fruits = setup()
     for k in range(1, n + 1):
-        if tick(ref, ref_fruits, DT) is not None and beam is None:
-            beam = k
+        event = tick(ref, ref_fruits, DT)
+        if event is not None and beam is None:
+            beam, first = k, event
         stepped.append(state(ref, ref_fruits))
     low = heights.index(0.05)                   # lands unseen inside the block
     landing = next(k for k, s in enumerate(stepped) if s[3][low][3])
     assert not fruits[low].landed
     assert (beam is None) == (len(heights) == 1)    # a fruit at rest is never seen
     assert block.beam == (beam or n + 1)
+    seen = block.seen and (block.seen[0].uid, block.seen[1])
+    assert seen == (first and (first.fruit_uid, first.beam_index))
     for k in (0, 1, 57, 198, 199, 200, 201, landing - 1, landing, landing + 1,
               (beam or n) - 1, n):
         sim, fruits = setup()

@@ -149,24 +149,35 @@ def test_demo_run_steps_only_near_events(monkeypatch):
     assert calls["cp"] <= 2 * result.metrics.attempted
 
 
-def test_two_fruits_crossing_on_one_tick(monkeypatch):
-    """A beam reports one fruit per tick; the other passes its plane unseen."""
+@pytest.mark.parametrize("heights,dt,until,beam", [
+    pytest.param((0.55, 0.55), 0.001, 0.5, 2, id="same-plane"),
+    # fruit 0 crosses beam 1 on the tick fruit 1 crosses beam 0 (tick 49);
+    # the wait ends before fruit 1 reaches beam 1 (tick 74)
+    pytest.param((0.567, 0.582), 0.001, 0.06, 1, id="world-order"),
+    # one 0.2 s tick takes the fruit past all three planes
+    pytest.param((0.58,), 0.2, 0.5, 0, id="three-planes"),
+])
+def test_two_fruits_crossing_on_one_tick(heights, dt, until, beam, monkeypatch):
+    """A beam reports one fruit per tick, the first in world order, at its
+    lowest crossed beam; the other passes its plane unseen."""
     def run():
-        bodies = [FruitBody(uid=i, x=0.005 * i, y=0.0, z=0.55, stem_x=0.005 * i,
+        bodies = [FruitBody(uid=i, x=0.005 * i, y=0.0, z=z, stem_x=0.005 * i,
                             stem_y=0.0, stem_diameter_mm=2.0, toughness=1.0,
-                            attached=False) for i in range(2)]
+                            attached=False) for i, z in enumerate(heights)]
         sim = GantrySim(GantryConfig(home_position=(0.0, 0.0, 0.60)))
         cycle = _Cycle(sim, bodies, _box(0.0, 0.0, 0.55), CutModel(load_datasets().fine),
-                       HarvestConfig(), None)
+                       HarvestConfig(dt_s=dt), None)
+        cycle.target = bodies[0]
         cycle.phases.append(HarvestPhase.AWAIT_FALL)
-        cycle._wait(lambda now: now >= 0.5)
+        cycle._wait(lambda now: now >= until)
         return (sim.time, [(f.z, f.prev_z, f.fall_velocity, f.landed) for f in bodies],
-                sim.interrupters._fired)
+                sim.interrupters._fired, cycle.fall_event)
 
     jumped = run()
     monkeypatch.setattr(_Cycle, "_wait", stepped_wait)
     assert jumped == run()
     assert jumped[2] == {0}
+    assert (jumped[3].fruit_uid, jumped[3].beam_index) == (0, beam)
 
 
 def test_long_wait_replays_in_small_blocks(monkeypatch):
