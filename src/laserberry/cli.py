@@ -234,7 +234,11 @@ def cmd_gen_scene(args) -> int:
     out = _out_dir(args)
     cloud1, cloud2, truth = generate_scene(scenario)
     write_pcd(cloud1, out / "camera1.pcd")
-    write_pcd(cloud2, out / "camera2.pcd")
+    try:
+        write_pcd(cloud2, out / "camera2.pcd")
+    except ValidationError:             # raised before camera2.pcd is opened
+        (out / "camera1.pcd").unlink()
+        raise
     lines = ["berry_index,x_m,y_m,z_m,stem_diameter_mm,stem_bottom_z_m,"
              "stem_top_z_m,toughness"]
     for i, c in enumerate(truth.berry_centers):

@@ -7,10 +7,13 @@ round-trip exactly; coordinates round-trip to float32. Files are UTF-8,
 whatever the locale.
 
 Rows are written and parsed in blocks of :data:`_BLOCK` with numpy, not
-one at a time. When the block parse cannot take a file's rows (a bad
-token, a failed check, comments or blank lines among the rows), the row
-loop parses them instead: it accepts every layout the format allows and
-raises the diagnostic that names the line.
+one at a time. The writer finds each coordinate's shortest round-trip
+digits with float64 arrays and lays the tokens out in a byte matrix;
+:func:`_fmt32` (Dragon4) is the reference, and formats the few values the
+arrays cannot vouch for. When the block parse cannot take a file's rows (a
+bad token, a failed check, comments or blank lines among the rows), the
+row loop parses them instead: it accepts every layout the format allows
+and raises the diagnostic that names the line.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PcdParseError, decode_utf8
+from .errors import PcdParseError, ValidationError, decode_utf8
 from .geometry import PointCloud
 
 _HEADER_ORDER = ["VERSION", "FIELDS", "SIZE", "TYPE", "COUNT", "WIDTH",
@@ -37,7 +40,7 @@ _EXPECTED = {
 }
 
 #: Rows formatted or parsed per block: big enough to amortize the numpy
-#: calls, small enough that a block's strings stay a few hundred kB.
+#: calls, small enough that a block's character matrix stays near 100 kB.
 _BLOCK = 1024
 
 
@@ -46,32 +49,119 @@ def _fmt32(v: np.float32) -> str:
     return np.format_float_positional(v, unique=True, trim="0")
 
 
-def _format_rows(xyz32: np.ndarray, packed: list[int]) -> str:
-    """The data lines of one block of rows.
+#: The ASCII digits of 0..9999 as little-endian uint32 words, two pairs each,
+#: and masks that keep the first (_FIRST) or last (_LAST) j bytes at 32 + j.
+_n = np.arange(100, dtype=np.uint32)
+_PAIRS = (_n // 10 + 48) | (_n % 10 + 48) << 8
+_WORDS = (_PAIRS[:, None] | _PAIRS << 16).ravel()
+_j = np.clip(np.arange(-32, 32), 0, 4)
+_FIRST = ((1 << 8 * _j) - 1).astype(np.uint32)
+_LAST = ((1 << 32) - (1 << 32 - 8 * _j)).astype(np.uint32)
+#: 10**j at index j + _K (j = -17..22), exact for j >= 0. Multiplying by _UP
+#: and dividing by _DOWN at k + _K scales by 10**k in one rounding (k = -17..13).
+_K = 17
+_P10 = np.array([10 ** j / 1 if j >= 0 else 1 / 10 ** -j for j in range(-_K, 23)])
+_UP, _DOWN = _P10[np.arange(31).clip(_K)], _P10[(2 * _K - np.arange(31)).clip(_K)]
 
-    ``astype(str)`` gives the same shortest float32 digits as
-    :func:`_fmt32`, but in scientific notation below 1e-4 and from 1e6;
-    only those tokens are formatted again. Legacy print modes change
-    ``astype(str)``, so they are switched off around it.
-    """
-    with np.printoptions(legacy=False):
-        digits = xyz32.astype(str)
-    tokens = digits.astype(object)
-    sci = np.char.find(digits, "e") >= 0
-    tokens[sci] = [_fmt32(v) for v in xyz32[sci]]
-    return "".join([f"{x} {y} {z} {p}\n" for (x, y, z), p in zip(tokens.tolist(), packed)])
+
+def _digits(v32: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(d, p, k, fall)``: ``|v32| == float32(d / 10**k)``, ``d`` the nearest
+    decimal of the fewest digits p, and the lanes left to :func:`_fmt32`.
+    p is binary-searched over 1..9: scale by 10**k, ``rint``, scale back in
+    one rounding, compare as float32. For k >= 0 the scaled value is exact and
+    a tie goes to the even digit, as in Dragon4; for k < 0 a fraction within
+    1e-5 of .5 falls back. Up to k = 8 a decimal is a float32 midpoint (which
+    goes to the even neighbour, as in Dragon4) or over a float64 ulp from one;
+    beyond, one within 2 ulps falls back. So do zero, subnormals, powers of
+    two (an asymmetric interval) and |v| outside [1e-4, 1e16)."""
+    bits = v32.view(np.uint32)
+    e2 = (bits >> 23 & 0xFF).astype(np.intp) - 127
+    fall = ((bits & 0x7FFFFF) == 0) | (e2 < -14) | (e2 > 53)
+    e2[fall] = 0
+    a32 = np.where(fall, np.float32(1.5), np.abs(v32))
+    a = a32.astype(np.float64)
+    e10 = (e2 * 78913) >> 18                          # floor(e2 log10 2)
+    e10 += a >= _P10[e10 + 1 + _K]                    # now floor(log10 a)
+    fall |= (e10 < -4) | (e10 > 15)
+    half = np.ldexp(1.0, e2 - 24)                     # half a float32 spacing
+
+    def probe(p):
+        k = p + _K - 1 - e10
+        up, down = _UP[k], _DOWN[k]
+        s = a * up / down
+        d = np.rint(s)
+        r = d * down / up
+        fall[(k > _K + 8) & (np.abs(np.abs(r - a) - half) <= half * 2.0 ** -27)] = True
+        return r.astype(np.float32) == a32, s, d, k
+
+    lo, hi = np.ones_like(e10), np.full_like(e10, 9)
+    for _ in range(4):
+        mid = (lo + hi) >> 1
+        ok = probe(mid)[0]
+        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid + 1)
+    ok, s, d, k = probe(hi)
+    fall |= ~ok | ((k < _K) & (np.abs(s - d) > 0.5 - 1e-5))
+    carry = d == _UP[hi + _K]                         # 9.99 -> 10.0
+    return np.where(carry, d / 10, d), hi, k - _K - carry, fall
+
+
+def _words(x: np.ndarray, n: np.ndarray, g: int) -> np.ndarray:
+    """The n-digit whole numbers ``x`` as ``g`` words of :data:`_WORDS`,
+    right-aligned, leading zeros 0. Exact: ``x`` < 2**52 or ends in zeros."""
+    q = np.floor(x[:, None] / _P10[_K + 4 * np.arange(g - 1, -1, -1)])
+    return (_WORDS[(q - np.floor(q / 1e4) * 1e4).astype(np.intp)]
+            & _LAST[32 + np.reshape(n, (-1, 1)) - 4 * np.arange(g - 1, -1, -1)])
+
+
+def _format_rows(xyz32: np.ndarray, packed: np.ndarray) -> bytes:
+    """The data lines of one block of rows. Each row is a row of uint32 words.
+    A coordinate's whole digits are right-aligned, its separator and sign in
+    the two bytes before them; its fraction, led by ``.``, is left-aligned.
+    Bytes no token uses stay 0, and all are dropped at the end."""
+    rows, v32 = len(packed), xyz32.ravel()
+    d, p, k, fall = _digits(v32)
+    up, down = _UP[k + _K], _DOWN[k + _K]
+    whole = np.floor(d / up)                          # exact: d < 2**53
+    ni, nf = np.maximum(p - k, 1), np.maximum(k, 1)   # digits before and after the point
+    gi, gf = (ni.max() + 5) // 4, (nf.max() + 4) // 4
+    left = _words(whole * down, ni, gi).reshape(rows, 3, gi)
+    left[..., 0] |= (v32.view(np.uint32) >> 31).reshape(rows, 3) * 0x2D00 + np.uint32([0, 32, 32])
+    # the fraction as 4 * gf - 1 digits behind a '0' turned into '.'
+    right = (_words((d - whole * up) * _P10[_K + 4 * gf - 1 - nf], 4 * gf, gf)
+             & _FIRST[33 + nf[:, None] - 4 * np.arange(gf)])
+    right[:, 0] -= ord("0") - ord(".")
+    tokens = {i: b" "[:i % 3] + _fmt32(v32[i]).encode() for i in np.flatnonzero(fall)}
+    s = max([gi + gf] + [-(-len(t) // 4) for t in tokens.values()])
+    mat = np.zeros((rows, 3 * s + 3), np.uint32)
+    cells = mat[:, :3 * s].reshape(rows, 3, s)        # a view: it splits the last axis
+    cells[..., :gi] = left
+    cells[..., gi:gi + gf] = right.reshape(rows, 3, gf)
+    for i, token in tokens.items():
+        cells[i // 3, i % 3].view(np.uint8)[:] = np.frombuffer(token.ljust(4 * s, b"\0"), np.uint8)
+    # rgb * 10, its last '0' turned into a newline and a space ahead
+    mat[:, -3:] = _words(packed * 10.0, np.searchsorted(_P10[_K + 1:], packed, "right") + 2, 3)
+    mat[:, -3] |= ord(" ")
+    mat[:, -1] -= ord("0") - ord("\n") << 24
+    out = mat.view(np.uint8)
+    return out[out != 0].tobytes()
 
 
 def write_pcd(cloud: PointCloud, path: str | Path) -> None:
-    """Write a cloud to ``path`` in the ASCII dialect above, as UTF-8."""
+    """Write a cloud to ``path`` in the ASCII dialect above, as UTF-8. A
+    coordinate beyond the float32 range raises :class:`ValidationError`,
+    naming its row (0-based) and value, before the file is opened."""
+    with np.errstate(over="ignore"):
+        xyz32 = cloud.xyz.astype(np.float32)
+    for row, col in np.argwhere(~np.isfinite(xyz32))[:1]:
+        raise ValidationError(f"{cloud.frame} row {row}: coordinate {float(cloud.xyz[row, col])}"
+                              " is beyond the float32 range of a PCD file")
+    rgb = cloud.rgb.astype(np.int64)
+    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
     n = len(cloud)
-    xyz32 = cloud.xyz.astype(np.float32)
-    rgb = cloud.rgb.astype(np.uint32)
-    packed = ((rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]).tolist()
     values = {**_EXPECTED, "WIDTH": n, "VIEWPOINT": "0 0 0 1 0 0 0", "POINTS": n}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# frame {cloud.frame}\n"
-                 + "".join(f"{key} {values[key]}\n" for key in _HEADER_ORDER))
+    with open(path, "wb") as fh:
+        fh.write((f"# frame {cloud.frame}\n"
+                  + "".join(f"{key} {values[key]}\n" for key in _HEADER_ORDER)).encode())
         for start in range(0, n, _BLOCK):
             fh.write(_format_rows(xyz32[start:start + _BLOCK], packed[start:start + _BLOCK]))
 

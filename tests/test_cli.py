@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from laserberry import cli
 from laserberry.cli import main
 from laserberry.errors import ScenarioError, ValidationError
+from laserberry.geometry import PointCloud
 from laserberry.scenario import bundled_scenario_path, load_scenario
 
 
@@ -223,6 +224,36 @@ def test_gen_scene_with_a_bad_color_half_width_exits_2_writing_nothing(tmp_path,
     assert main(["gen-scene", "--scenario", str(bad), "--out", str(out)]) == 2
     assert "r_th must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("x", ["1e39", "-1e39"])
+def test_gen_scene_beyond_float32_exits_2_writing_no_camera_file(tmp_path, capsys, x):
+    text = bundled_scenario_path("demo_11").read_text(encoding="utf-8")
+    big = tmp_path / "big.ini"
+    big.write_text(text.replace("[berry 1]\nx = -0.10\n", f"[berry 1]\nx = {x}\n"))
+    assert big.read_text() != text
+    out = tmp_path / "scene"
+    assert main(["gen-scene", "--scenario", str(big), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: camera-1 row ")
+    assert "beyond the float32 range" in lines[0]
+    assert not list(out.glob("camera*.pcd"))
+
+
+def test_gen_scene_removes_camera1_when_camera2_is_refused(tmp_path, capsys, monkeypatch):
+    generate = cli.generate_scene
+
+    def far_point_in_camera2(scenario):
+        cloud1, cloud2, truth = generate(scenario)
+        xyz = cloud2.xyz.copy()
+        xyz[5, 1] = -1e39
+        return cloud1, PointCloud(xyz, cloud2.rgb, cloud2.frame), truth
+
+    monkeypatch.setattr(cli, "generate_scene", far_point_in_camera2)
+    out = tmp_path / "scene"
+    assert main(["gen-scene", "--scenario", "demo_11", "--out", str(out)]) == 2
+    assert "camera-2 row 5: coordinate -1e+39 is beyond" in capsys.readouterr().err
+    assert not list(out.glob("camera*.pcd"))
 
 
 def test_negative_pcd_points_exits_1(tmp_path, capsys):

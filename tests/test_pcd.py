@@ -1,14 +1,20 @@
 """ASCII PCD writer/reader: round-trips and parse diagnostics."""
 
 import hashlib
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from laserberry import PcdParseError, PointCloud, pcdio, read_pcd, write_pcd
+from laserberry import PcdParseError, PointCloud, ValidationError, pcdio, read_pcd, write_pcd
 from laserberry.cli import main
 from laserberry.pcdio import _fmt32
+from laserberry.scenario import bundled_scenario_path, load_scenario
+from laserberry.scene import generate_scene
 
 
 def _cloud(rng, n, frame="camera-1"):
@@ -348,3 +354,94 @@ def test_a_non_utf8_data_row_names_its_line(tmp_path):
     path.write_bytes(_valid_text().replace("1 2 3 255", "1 2 3 25\xe9").encode("latin-1"))
     with pytest.raises(PcdParseError, match=r"^line 13: byte 0xe9 at offset \d+ is not valid"):
         read_pcd(path)
+
+
+def _ulps_around(values, n):
+    """The float32 values within ``n`` ulps of each of ``values``, both sides."""
+    bits = np.float32(values).view(np.int32)
+    return (bits[:, None] + np.arange(-n, n + 1, dtype=np.int32)).view(np.float32).ravel()
+
+
+def _writer_fuzz_values(rng):
+    """Finite float32 values, both signs, that probe every fallback rule of
+    the array writer and the edges of its shortest-digit search."""
+    bits = rng.integers(0, 1 << 32, size=20_000, dtype=np.uint64).astype(np.uint32)
+    random = bits.view(np.float32)
+    # both sides of every binade edge, and the powers of two themselves
+    edges = (np.arange(1, 255, dtype=np.int32)[:, None] << 23) + np.arange(-2, 3, dtype=np.int32)
+    subnormal = np.concatenate([np.arange(1, 64, dtype=np.uint32),
+                                rng.integers(1, 1 << 23, size=500).astype(np.uint32)])
+    # near-ties: decimals of p + 1 digits ending in 5, and float32 values
+    # whose p-digit scaling is exactly .5 (odd multiples of 2**-j)
+    p = rng.integers(1, 10, size=2000)
+    ties = ((rng.integers(0, 10 ** 9, size=2000) % 10 ** p + 0.5)
+            * 10.0 ** rng.integers(-12, 17, size=2000).astype(float) / 10.0 ** p)
+    odd = (rng.integers(1 << 22, 1 << 23, size=300) * 2 + 1).astype(np.float64)
+    exact_ties = np.concatenate([odd / 2 ** j for j in range(1, 4)] + [odd * 2.0 ** -26])
+    vals = np.concatenate([random[np.isfinite(random)], edges.ravel().view(np.float32),
+                           np.float32(2.0) ** np.arange(-149, 128), subnormal.view(np.float32),
+                           np.float32([0.0]), _ulps_around(ties, 3),
+                           _ulps_around(exact_ties, 1), _ulps_around([1e-4, 1e6, 1e16], 8)])
+    return np.concatenate([vals, -vals])
+
+
+def test_writer_matches_the_row_loop_on_fuzzed_floats(tmp_path):
+    rng = np.random.default_rng(17)
+    vals = rng.permutation(_writer_fuzz_values(rng))
+    assert np.isfinite(vals).all() and np.signbit(vals[vals == 0]).any()
+    rows = len(vals) // 3
+    rgb = rng.integers(0, 256, size=(rows, 3), dtype=np.uint8)
+    rgb[:4] = [[0, 0, 0], [0, 0, 9], [0, 0, 10], [255, 255, 255]]
+    cloud = PointCloud(vals[:3 * rows].reshape(rows, 3).astype(np.float64), rgb, "cam")
+    path = tmp_path / "w.pcd"
+    write_pcd(cloud, path)
+    assert path.read_text().split("DATA ascii\n")[1] == _loop_rows(cloud)
+    back = read_pcd(path)
+    np.testing.assert_array_equal(back.xyz, cloud.xyz)
+    np.testing.assert_array_equal(back.rgb, rgb)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(xyz=hnp.arrays(np.float32, st.tuples(st.integers(0, 40), st.just(3)),
+                      elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_written_float32_values_round_trip(xyz, seed):
+    rgb = np.random.default_rng(seed).integers(0, 256, size=xyz.shape, dtype=np.uint8)
+    cloud = PointCloud(xyz.astype(np.float64), rgb, "cam")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.pcd"
+        write_pcd(cloud, path)
+        assert path.read_text().split("DATA ascii\n")[1] == _loop_rows(cloud)
+        back = read_pcd(path)
+    np.testing.assert_array_equal(back.xyz, cloud.xyz)
+    np.testing.assert_array_equal(back.rgb, rgb)
+
+
+@pytest.mark.parametrize("name", ["demo_11", "perf_300k"])
+def test_scene_values_rarely_take_the_fallback(tmp_path, monkeypatch, name):
+    calls = []
+    monkeypatch.setattr(pcdio, "_fmt32", lambda v: calls.append(v) or _fmt32(v))
+    clouds = generate_scene(load_scenario(bundled_scenario_path(name)))[:2]
+    for i, cloud in enumerate(clouds):
+        write_pcd(cloud, tmp_path / f"camera{i}.pcd")
+    values = 3 * sum(len(cloud) for cloud in clouds)
+    assert len(calls) <= 0.001 * values, f"{len(calls)} of {values} values"
+
+
+@pytest.mark.parametrize("value", [2.0 ** 128 - 2.0 ** 103, -1e39, 1e300])
+def test_coordinates_beyond_float32_are_refused_before_writing(tmp_path, value):
+    xyz = np.zeros((3, 3))
+    xyz[1, 2] = value
+    xyz[2, 0] = value
+    path = tmp_path / "big.pcd"
+    with pytest.raises(ValidationError, match=re.escape(f"cam row 1: coordinate {value!r} is")):
+        write_pcd(PointCloud(xyz, np.zeros((3, 3), dtype=np.uint8), "cam"), path)
+    assert not path.exists()
+
+
+def test_the_largest_coordinate_that_rounds_into_float32_is_written(tmp_path):
+    top = np.nextafter(2.0 ** 128 - 2.0 ** 103, 0)
+    cloud = PointCloud(np.array([[top, -top, 0.0]]), np.zeros((1, 3), dtype=np.uint8), "cam")
+    write_pcd(cloud, tmp_path / "top.pcd")
+    big = np.finfo(np.float32).max
+    np.testing.assert_array_equal(read_pcd(tmp_path / "top.pcd").xyz, [[big, -big, 0.0]])
