@@ -190,13 +190,6 @@ class Aabb:
         object.__setattr__(self, "min", _readonly(lo))
         object.__setattr__(self, "max", _readonly(hi))
 
-    @classmethod
-    def of_points(cls, xyz: np.ndarray) -> "Aabb":
-        xyz = np.asarray(xyz, dtype=np.float64)
-        if xyz.shape[0] == 0:
-            raise ValidationError("cannot bound an empty point set")
-        return cls(xyz.min(axis=0), xyz.max(axis=0))
-
     def contains(self, p) -> bool:
         p = np.asarray(p, dtype=np.float64)
         return bool((p >= self.min).all() and (p <= self.max).all())

@@ -1,20 +1,12 @@
 """Fruit localization from a pair of registered RGB-D point clouds.
 
-The pipeline restricts each camera cloud to the scene volume, calibrates a
-reference color from a palette patch visible to both cameras, keeps only
-points near that reference, merges the survivors in the gantry base frame,
-and groups them into per-fruit clusters ordered along the picking axis.
-
-:func:`localize_clusters` transforms per camera only the palette candidates
-of a camera-frame box test and the color survivors, and never keeps a
-palette-window point as fruit; when the palette and reduced windows are
-disjoint, :func:`extract_window`, :func:`filter_red` and
-:func:`merge_clouds` give the same points cloud by cloud. Clustering is an
-exact voxel-grid union: points are binned into cells a little under
-``tolerance / sqrt(3)`` wide, and distances are tested only between cells
-up to two apart along each axis, so the list of every linked pair is never
-built. The candidate cells fill 13 columns of sorted cell keys, found by
-two binary searches each, and a numpy union-find labels the cells.
+Each camera cloud is calibrated against a palette patch visible to both
+cameras and reduced to the points near that reference color inside the
+scene volume; the survivors of both cameras, merged in the gantry base
+frame, are clustered per fruit by an exact voxel-grid union (see
+:func:`euclidean_clusters`) and ranked along the picking axis. One stable
+sort by cluster label makes each cluster a run of contiguous coordinate
+rows, and :func:`localize` boxes the runs straight from those rows.
 """
 
 from __future__ import annotations
@@ -26,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ValidationError, require_positive
-from .geometry import Aabb, BASE_FRAME, KdTree, PointCloud, RigidTransform
+from .geometry import Aabb, BASE_FRAME, KdTree, PointCloud, RigidTransform, _readonly
 
 
 @dataclass(frozen=True)
@@ -215,21 +207,25 @@ def _grid_labels(xyz: np.ndarray, tol: float) -> np.ndarray | None:
     only one), then labels again. Every pair within ``tol`` lies in one
     cell or in a candidate cell pair, so the result is exact.
     """
-    lo = xyz.min(axis=0)
+    # (3, n) rows: numpy reduces (n, 3) along axis 0 one 3-wide row at a time
+    cols = xyz.T.copy()
+    lo = cols.min(axis=1)
     side = tol * _CELL_SIDE
     with np.errstate(over="ignore"):
-        extent = (xyz.max(axis=0) - lo) / side
+        extent = (cols.max(axis=1) - lo) / side
     if not (extent < _MAX_CELLS - 2 * _REACH - 1).all():
         return None
     dims = extent.astype(np.int64) + 2 * _REACH + 1
     stride = np.array([dims[1] * dims[2], dims[2], 1])
-    key = (((xyz - lo) / side).astype(np.int64) + _REACH) @ stride
+    q = ((cols - lo[:, None]) / side).astype(np.int64) + _REACH
+    key = q[0] * stride[0] + q[1] * stride[1] + q[2]
     order = np.argsort(key, kind="stable")
     key = key[order]
     start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     cells = key[start]
     count = np.diff(np.r_[start, len(key)])
-    cols = xyz[order].T.copy()
+    cols = cols[:, order]
+    rep = cols[:, start]
     column = _COLUMNS[:, :2] @ stride[:2]
     linked, undecided = [], []
     for block in range(0, len(cells), _CELL_BLOCK):
@@ -238,7 +234,7 @@ def _grid_labels(xyz: np.ndarray, tol: float) -> np.ndarray | None:
         width = np.searchsorted(cells, here + _REACH, side="right").ravel() - first
         a = np.repeat(np.arange(block, block + len(here)), width.reshape(here.shape).sum(1))
         b = np.arange(len(a)) + np.repeat(first - (np.cumsum(width) - width), width)
-        near = _within(cols, start[a], start[b], tol)
+        near = _within(rep, a, b, tol)
         linked.append((a[near], b[near]))
         # with one point in each cell the representative test was exhaustive
         far = ~near & (count[a] * count[b] > 1)
@@ -280,7 +276,7 @@ def _component_labels(xyz: np.ndarray, tol: float) -> np.ndarray:
     """
     labels = np.empty(len(xyz), dtype=np.int64)
     found = 0
-    todo = [np.arange(len(xyz))]
+    todo = [np.arange(len(xyz))] if len(xyz) else []
     while todo:
         rows = todo.pop()
         part = xyz[rows]
@@ -297,6 +293,24 @@ def _component_labels(xyz: np.ndarray, tol: float) -> np.ndarray:
     return labels
 
 
+def _pick_runs(xyz: np.ndarray, params: ClusterParams):
+    """One stable sort by component label: its ``order``, the sorted points
+    as contiguous rows (3, n), each label's run ``start`` and ``size``, and
+    the labels in the size band in pick order (mean y, mean x, first index;
+    each mean the pairwise sum of a run of a row over its size, as ``.mean()``
+    gives it bit for bit)."""
+    labels = _component_labels(xyz, params.tolerance)
+    size = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    start = np.cumsum(size) - size
+    cols = xyz[order].T.copy()
+    keep = np.flatnonzero((size >= params.min_size) & (size <= params.max_size))
+    keep = keep[np.argsort(order[start[keep]])]
+    runs = list(zip(start[keep].tolist(), size[keep].tolist()))
+    y, x = ([row[a:a + m].sum() / m for a, m in runs] for row in cols[1::-1])
+    return order, cols, start, size, keep[np.lexsort((x, y))]
+
+
 def euclidean_clusters(cloud: PointCloud, params: ClusterParams) -> list[PointCloud]:
     """Group points into connected components of the proximity graph.
 
@@ -304,7 +318,8 @@ def euclidean_clusters(cloud: PointCloud, params: ClusterParams) -> list[PointCl
     components outside the size band are discarded. Clusters are returned
     sorted by ascending centroid y (ties broken by centroid x, then by the
     first point's index), with each cluster's points in their original
-    order.
+    order; the keys are the pairwise column means ``c.xyz[:, 1].mean()``
+    and ``c.xyz[:, 0].mean()``.
 
     Components come from an exact voxel-grid union (the grid form of
     Euclidean cluster extraction) that never builds the full list of
@@ -312,18 +327,8 @@ def euclidean_clusters(cloud: PointCloud, params: ClusterParams) -> list[PointCl
     an axis (points near +-1e300, say) is first cut at its gaps wider
     than the tolerance.
     """
-    if len(cloud) == 0:
-        return []
-    labels = _component_labels(cloud.xyz, params.tolerance)
-    sizes = np.bincount(labels)
-    order = np.argsort(labels, kind="stable")
-    stop = np.cumsum(sizes)
-    start = stop - sizes
-    keep = np.flatnonzero((sizes >= params.min_size) & (sizes <= params.max_size))
-    keep = keep[np.argsort(order[start[keep]])]
-    clusters = [cloud.select(order[start[k]:stop[k]]) for k in keep]
-    clusters.sort(key=lambda c: (c.xyz[:, 1].mean(), c.xyz[:, 0].mean()))
-    return clusters
+    order, _, start, size, ranked = _pick_runs(cloud.xyz, params)
+    return [cloud.select(order[start[k]:start[k] + size[k]]) for k in ranked]
 
 
 @dataclass(frozen=True)
@@ -346,10 +351,39 @@ class BerryBox:
         object.__setattr__(self, "centroid", c)
 
 
+def _unchecked(cls, **fields):
+    """``cls(**fields)`` for a frozen dataclass, without ``__post_init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _berry_boxes(cols, start, size, ranked) -> list[BerryBox]:
+    """Boxes of the runs ``ranked`` (in rank order) of the rows ``cols``; each
+    centroid is the run cloud's ``c.xyz.mean(axis=0)`` bit for bit (a running
+    sum onto +0.0). On finite points and non-empty runs, centroid containment
+    is the only box check that can fail: it runs once, on the arrays."""
+    lo, hi = (_readonly(f.reduceat(cols, start, axis=1)[:, ranked].T)
+              for f in (np.minimum, np.maximum))
+    count = size[ranked]
+    total = [np.cumsum(cols[:, a:a + m], axis=1)[:, -1]
+             for a, m in zip(start[ranked].tolist(), count.tolist())]
+    centroid = (np.reshape(total, (-1, 3)) + 0.0) / count[:, None]
+    if not ((lo <= centroid) & (centroid <= hi)).all():
+        raise ValidationError("centroid lies outside its bounding box")
+    return [_unchecked(BerryBox, box=_unchecked(Aabb, min=lo[i], max=hi[i]),
+                       centroid=centroid[i], point_count=int(m), rank=i)
+            for i, m in enumerate(count)]
+
+
 def bounding_boxes(clusters: list[PointCloud]) -> list[BerryBox]:
-    """Box each cluster; ranks follow the given (pick) order."""
-    return [BerryBox(box=Aabb.of_points(c.xyz), centroid=c.xyz.mean(axis=0),
-                     point_count=len(c), rank=rank) for rank, c in enumerate(clusters)]
+    """Box each cluster by the rule of :func:`localize`; ranks follow the
+    given (pick) order. An empty cluster raises :class:`ValidationError`."""
+    size = np.array([len(c) for c in clusters], dtype=np.int64)
+    if not size.all():
+        raise ValidationError("cannot bound an empty point set")
+    cols = np.concatenate([c.xyz.T for c in clusters] or [np.empty((3, 0))], axis=1)
+    return _berry_boxes(cols, np.cumsum(size) - size, size, np.arange(len(size)))
 
 
 @dataclass(frozen=True)
@@ -397,6 +431,23 @@ def _rows_inside(window: SpatialWindow, pose: RigidTransform,
     return rows[inside], base[inside]
 
 
+def _fruit_rows(cloud_1: PointCloud, cloud_2: PointCloud, t_base_cam1: RigidTransform,
+                t_base_cam2: RigidTransform, config: LocalizationConfig):
+    """Base-frame coordinates of both cameras' fruit points (camera 1 first),
+    and the rows of each camera's cloud they come from."""
+    xyz_parts, row_parts = [], []
+    for cloud, pose in ((cloud_1, t_base_cam1), (cloud_2, t_base_cam2)):
+        rows, xyz = _rows_inside(config.palette_window, pose, cloud.xyz)
+        ref = calibration_reference(PointCloud(xyz, cloud.rgb[rows], BASE_FRAME),
+                                    config.r_th, config.g_th, config.b_th)
+        rows = ref.rows(cloud.rgb)
+        xyz = pose.apply(cloud.xyz[rows])
+        inside = config.reduced_window.mask(xyz) & ~config.palette_window.mask(xyz)
+        xyz_parts.append(xyz[inside])
+        row_parts.append(rows[inside])
+    return np.vstack(xyz_parts), row_parts
+
+
 def localize_clusters(cloud_1: PointCloud, cloud_2: PointCloud,
                       t_base_cam1: RigidTransform, t_base_cam2: RigidTransform,
                       config: LocalizationConfig = LocalizationConfig()) -> list[PointCloud]:
@@ -418,18 +469,9 @@ def localize_clusters(cloud_1: PointCloud, cloud_2: PointCloud,
     CalibrationError
         If either camera sees no palette points.
     """
-    xyz_parts, rgb_parts = [], []
-    for cloud, pose in ((cloud_1, t_base_cam1), (cloud_2, t_base_cam2)):
-        rows, xyz = _rows_inside(config.palette_window, pose, cloud.xyz)
-        ref = calibration_reference(PointCloud(xyz, cloud.rgb[rows], BASE_FRAME),
-                                    config.r_th, config.g_th, config.b_th)
-        rows = ref.rows(cloud.rgb)
-        xyz = pose.apply(cloud.xyz[rows])
-        inside = config.reduced_window.mask(xyz) & ~config.palette_window.mask(xyz)
-        xyz_parts.append(xyz[inside])
-        rgb_parts.append(cloud.rgb[rows[inside]])
-    merged = PointCloud(np.vstack(xyz_parts), np.vstack(rgb_parts), BASE_FRAME)
-    return euclidean_clusters(merged, config.cluster)
+    xyz, (rows_1, rows_2) = _fruit_rows(cloud_1, cloud_2, t_base_cam1, t_base_cam2, config)
+    rgb = np.vstack([cloud_1.rgb[rows_1], cloud_2.rgb[rows_2]])
+    return euclidean_clusters(PointCloud(xyz, rgb, BASE_FRAME), config.cluster)
 
 
 def localize(cloud_1: PointCloud, cloud_2: PointCloud,
@@ -437,8 +479,11 @@ def localize(cloud_1: PointCloud, cloud_2: PointCloud,
              config: LocalizationConfig = LocalizationConfig()) -> list[BerryBox]:
     """Locate fruit in a pair of camera clouds.
 
-    Runs :func:`localize_clusters` and boxes the result. Returns boxes
-    ranked by ascending centroid y (ties by centroid x).
+    Equals ``bounding_boxes(localize_clusters(...))`` field for field, but
+    boxes the label runs of the merged points with no cloud per cluster.
+    Boxes rank by ascending centroid y, then x: the key is the pairwise
+    column mean, the centroid the row-order mean, which can differ in the
+    last bit.
     """
-    return bounding_boxes(localize_clusters(cloud_1, cloud_2,
-                                            t_base_cam1, t_base_cam2, config))
+    xyz, _ = _fruit_rows(cloud_1, cloud_2, t_base_cam1, t_base_cam2, config)
+    return _berry_boxes(*_pick_runs(xyz, config.cluster)[1:])

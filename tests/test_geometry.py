@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from laserberry import (Aabb, KdTree, PointCloud, RigidTransform,
-                        ValidationError, load_scenario)
+                        ValidationError, bounding_boxes, load_scenario)
 from laserberry.geometry import transform_cloud
 from laserberry.scenario import bundled_scenario_path
 from laserberry.scene import generate_scene
@@ -139,21 +139,30 @@ def test_transform_cloud_relabels_frame():
 # ---------------------------------------------------------------------------
 # axis-aligned boxes
 
-def test_aabb_of_points_and_contains():
-    xyz = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [-1.0, 0.5, 1.0]])
-    box = Aabb.of_points(xyz)
+def test_aabb_bounds_and_contains():
+    box = Aabb(np.array([-1.0, 0.0, 0.0]), [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(box.min, [-1.0, 0.0, 0.0])
     np.testing.assert_array_equal(box.max, [1.0, 2.0, 3.0])
+    assert not (box.min.flags.writeable or box.max.flags.writeable)
     assert box.contains((0.0, 1.0, 1.5))
     assert box.contains((1.0, 2.0, 3.0))   # faces are inclusive
     assert not box.contains((1.0001, 2.0, 3.0))
+    # a cluster's box spans its points
+    xyz = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [-1.0, 0.5, 1.0]])
+    (berry,) = bounding_boxes([PointCloud(xyz, np.zeros((3, 3), np.uint8), "f")])
+    np.testing.assert_array_equal(berry.box.min, box.min)
+    np.testing.assert_array_equal(berry.box.max, box.max)
 
 
 def test_aabb_rejects_empty_and_reversed():
     with pytest.raises(ValidationError):
-        Aabb.of_points(np.zeros((0, 3)))
+        bounding_boxes([PointCloud.empty("f")])
     with pytest.raises(ValidationError):
         Aabb(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0]))
+    with pytest.raises(ValidationError):
+        Aabb(np.array([0.0, 0.0, np.nan]), np.ones(3))
+    with pytest.raises(ValidationError):
+        Aabb(np.zeros(2), np.ones(2))
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,24 @@ Clustering is checked against a quadratic union-find reference; windows
 and color filters against per-point predicates.
 """
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from laserberry import (CalibrationError, ClusterParams, ColorReference,
+from laserberry import (Aabb, BerryBox, CalibrationError, ClusterParams, ColorReference,
                         PointCloud, RigidTransform, SpatialWindow, ValidationError,
                         bounding_boxes, calibration_reference,
                         euclidean_clusters, load_scenario, localize)
-from laserberry.localization import _components, extract_window, filter_red, merge_clouds
+from laserberry.localization import (_components, extract_window, filter_red,
+                                     localize_clusters, merge_clouds)
 from laserberry.scenario import bundled_scenario_path
 from laserberry.scene import apply_color_gain, generate_scene
 from test_acceptance import _union_find_clusters
+from test_clustering import _check
 
 
 def _cloud(xyz, rgb=None, frame="harvester-base"):
@@ -195,6 +199,22 @@ def test_cluster_order_input_invariance():
         np.testing.assert_allclose(a, b)
 
 
+def test_pick_key_is_the_pairwise_column_mean():
+    # every cluster holds the same y values in its own order, so the y keys
+    # tie or differ in the last bits with the summation order, and x falls
+    # the other way: only the pairwise mean the pair route takes gives its order
+    rng = np.random.default_rng(31)
+    y = rng.uniform(0.0, 0.003, size=50) + 0.1
+    blobs = []
+    for i in range(40):
+        blob = rng.uniform(0.0, 0.003, size=(50, 3)) + [-1e-4 * i, 0.0, 0.1 * i]
+        blob[:, 1] = rng.permutation(y)
+        blobs.append(blob)
+    keys = {b[:, 1].mean() for b in blobs}
+    assert 1 < len(keys) < 40
+    _check(np.vstack(blobs), ClusterParams(0.01, 1, 100), oracle=False)
+
+
 def _graphs():
     """``(n, a, b)`` graphs: no edges, self-loops, repeated edges, a star
     whose centre has the highest id, random graphs, and a permuted path."""
@@ -239,7 +259,55 @@ def test_bounding_boxes_rank_and_containment():
     assert boxes[0].point_count == 25
     for b, c in zip(boxes, clusters):
         assert b.box.contains(b.centroid)
-        np.testing.assert_allclose(b.centroid, c.xyz.mean(axis=0))
+        assert b.centroid.tobytes() == c.xyz.mean(axis=0).tobytes()
+        np.testing.assert_array_equal(b.box.min, c.xyz.min(axis=0))
+        np.testing.assert_array_equal(b.box.max, c.xyz.max(axis=0))
+        assert not (b.box.min.flags.writeable or b.box.max.flags.writeable)
+
+
+def test_bounding_boxes_of_no_cluster_and_of_an_empty_one():
+    assert bounding_boxes([]) == []
+    full = _cloud(np.ones((4, 3)))
+    empty = PointCloud.empty("harvester-base")
+    for clusters in ([empty], [full, empty], [empty, full], [full, empty, full]):
+        with pytest.raises(ValidationError, match="empty"):
+            bounding_boxes(clusters)
+
+
+def test_boxes_reject_a_centroid_outside_the_box_as_berry_box_does():
+    # three copies of 0.1 add up to 0.30000000000000004, so the row-order
+    # mean lies one ulp above the box
+    xyz = np.full((3, 3), 0.1)
+    with pytest.raises(ValidationError, match="outside"):
+        BerryBox(Aabb(xyz.min(axis=0), xyz.max(axis=0)), xyz.mean(axis=0), 3, 0)
+    with pytest.raises(ValidationError, match="outside"):
+        bounding_boxes([_cloud(xyz)])
+
+
+def test_box_centroids_are_row_order_means_fuzz():
+    # criterion-8 clouds: every centroid is c.xyz.mean(axis=0) bit for bit,
+    # every bound the cluster's min and max; some clusters hold only -0.0
+    # along an axis, where a running sum from the first row gives -0.0 and
+    # the mean gives +0.0
+    rng = np.random.default_rng(2024)
+    params = ClusterParams(tolerance=0.012, min_size=1, max_size=100_000)
+    checked = 0
+    for trial in range(60):
+        n = int(rng.integers(2, 501))
+        mix = rng.random()
+        blob = rng.normal(scale=0.005, size=(int(n * mix), 3))
+        bg = rng.uniform(-0.08, 0.08, size=(n - int(n * mix), 3))
+        xyz = np.vstack([blob, bg])
+        if trial % 4 == 0:
+            xyz[:, trial % 3] = -0.0
+        clusters = euclidean_clusters(_cloud(xyz), params)
+        for b, c in zip(bounding_boxes(clusters), clusters):
+            assert b.centroid.tobytes() == c.xyz.mean(axis=0).tobytes(), f"cloud {trial}"
+            np.testing.assert_array_equal(b.box.min, c.xyz.min(axis=0))
+            np.testing.assert_array_equal(b.box.max, c.xyz.max(axis=0))
+            assert b.point_count == len(c)
+            checked += 1
+    assert checked > 500
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +392,40 @@ def _assert_same_clusters(got, want):
         np.testing.assert_array_equal(g.rgb, w.rgb)
 
 
+def _fields(boxes):
+    return [(b.rank, b.point_count, b.centroid.tobytes(), b.box.min.tobytes(),
+             b.box.max.tobytes()) for b in boxes]
+
+
+def _assert_boxes_match_clusters(scenario, cloud1, cloud2):
+    args = (cloud1, cloud2, scenario.camera_1, scenario.camera_2, scenario.localization)
+    clusters = localize_clusters(*args)
+    boxes = localize(*args)
+    assert _fields(boxes) == _fields(bounding_boxes(clusters))
+    for b, c in zip(boxes, clusters):
+        assert b.centroid.tobytes() == c.xyz.mean(axis=0).tobytes()
+    return boxes
+
+
+@pytest.mark.parametrize("name", ["demo_11", "demo_overreach", "perf_300k"])
+def test_localize_boxes_equal_boxed_clusters(name):
+    # localize boxes the label runs without building the cluster clouds
+    scenario = load_scenario(bundled_scenario_path(name))
+    cloud1, cloud2, _ = generate_scene(scenario)
+    assert len(_assert_boxes_match_clusters(scenario, cloud1, cloud2)) > 0
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1))
+def test_localize_boxes_equal_boxed_clusters_reseeded(seed):
+    scenario = dataclasses.replace(load_scenario(bundled_scenario_path("demo_11")),
+                                   seed=seed)
+    _assert_boxes_match_clusters(scenario, *generate_scene(scenario)[:2])
+
+
 def test_localize_clusters_equals_chained_stages(demo_scene, perf_scene):
     # transforming only the rows it uses, localize keeps exactly the rows
     # the public stages keep
-    from laserberry.localization import localize_clusters
     for scenario, cloud1, cloud2, _ in (demo_scene, perf_scene):
         cfg = scenario.localization
         want = _chained_clusters(cloud1, cloud2, scenario.camera_1, scenario.camera_2, cfg)
@@ -365,8 +463,9 @@ def _random_pose(rng, scale):
 def test_localize_clusters_equals_chained_stages_on_edge_cases():
     # hand-built clouds under random poses, far translations included:
     # one palette row, one red row, no red row, and points on and a few
-    # ulps either side of every palette and reduced-window face
-    from laserberry.localization import LocalizationConfig, localize_clusters
+    # ulps either side of every palette and reduced-window face; the boxes
+    # localize gives are those of the clusters
+    from laserberry.localization import LocalizationConfig
     rng = np.random.default_rng(97)
     cfg = LocalizationConfig(cluster=ClusterParams(tolerance=0.01, min_size=1,
                                                    max_size=10 ** 6))
@@ -402,6 +501,8 @@ def test_localize_clusters_equals_chained_stages_on_edge_cases():
             got = localize_clusters(cloud1, cloud2, pose1, pose2, cfg)
             assert (len(want) == 0) == (name == "no red row"), name
             _assert_same_clusters(got, want)
+            boxes = localize(cloud1, cloud2, pose1, pose2, cfg)
+            assert _fields(boxes) == _fields(bounding_boxes(got))
 
 
 def test_palette_prefilter_keeps_every_window_row_fuzz():
@@ -433,7 +534,6 @@ def test_palette_prefilter_keeps_every_window_row_fuzz():
 def test_localize_transforms_only_the_rows_it_uses(perf_scene, monkeypatch):
     # per camera, the palette candidates and the color survivors are
     # transformed, not the ~150k rows of the cloud
-    from laserberry.localization import localize_clusters
     scenario, cloud1, cloud2, _ = perf_scene
     sizes = []
     apply = RigidTransform.apply
