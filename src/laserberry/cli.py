@@ -85,7 +85,8 @@ def _svg_curve(path: Path, xs, ys, title: str, x_label: str, y_label: str) -> No
     w, h, m = _W, _H, _M
     x0, x1 = min(xs), max(xs)
     y0, y1 = 0.0, max(ys) * 1.1
-    sx = lambda x: m + (x - x0) / (x1 - x0) * (w - 2 * m)
+    # one knot (x1 == x0) is drawn at the middle of the axis
+    sx = lambda x: m + ((x - x0) / (x1 - x0) if x1 > x0 else 0.5) * (w - 2 * m)
     sy = lambda y: h - m - (y - y0) / (y1 - y0) * (h - 2 * m)
     pts = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(xs, ys))
     body = [f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="2"/>']

@@ -293,22 +293,28 @@ def _component_labels(xyz: np.ndarray, tol: float) -> np.ndarray:
     return labels
 
 
+def _run_boxes(cols: np.ndarray, start: np.ndarray, size: np.ndarray):
+    """Bounds, and the mean clipped into them as the centroid, of each run
+    ``start``, ``size`` (none empty) of the rows ``cols`` (3, n); one row per run."""
+    lo, hi = (f.reduceat(cols, start, axis=1).T for f in (np.minimum, np.maximum))
+    mean = np.add.reduceat(cols, start, axis=1).T / size[:, None]
+    return lo, hi, np.clip(mean, lo, hi)
+
+
 def _pick_runs(xyz: np.ndarray, params: ClusterParams):
-    """One stable sort by component label: its ``order``, the sorted points
-    as contiguous rows (3, n), each label's run ``start`` and ``size``, and
-    the labels in the size band in pick order (mean y, mean x, first index;
-    each mean the pairwise sum of a run of a row over its size, as ``.mean()``
-    gives it bit for bit)."""
+    """The bounds and centroids of each label's run (:func:`_run_boxes`), its
+    ``size``, the labels in the size band in pick order (ascending centroid y,
+    then x, then first point index), and the one stable sort by label: its
+    ``order`` and each run's ``start`` in it."""
     labels = _component_labels(xyz, params.tolerance)
     size = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
     start = np.cumsum(size) - size
-    cols = xyz[order].T.copy()
+    boxes = _run_boxes(xyz[order].T.copy(), start, size)
     keep = np.flatnonzero((size >= params.min_size) & (size <= params.max_size))
-    keep = keep[np.argsort(order[start[keep]])]
-    runs = list(zip(start[keep].tolist(), size[keep].tolist()))
-    y, x = ([row[a:a + m].sum() / m for a, m in runs] for row in cols[1::-1])
-    return order, cols, start, size, keep[np.lexsort((x, y))]
+    centroid = boxes[2][keep]
+    ranked = keep[np.lexsort((order[start[keep]], centroid[:, 0], centroid[:, 1]))]
+    return boxes, size, ranked, order, start
 
 
 def euclidean_clusters(cloud: PointCloud, params: ClusterParams) -> list[PointCloud]:
@@ -318,8 +324,7 @@ def euclidean_clusters(cloud: PointCloud, params: ClusterParams) -> list[PointCl
     components outside the size band are discarded. Clusters are returned
     sorted by ascending centroid y (ties broken by centroid x, then by the
     first point's index), with each cluster's points in their original
-    order; the keys are the pairwise column means ``c.xyz[:, 1].mean()``
-    and ``c.xyz[:, 0].mean()``.
+    order; the centroid is the one :func:`bounding_boxes` reports.
 
     Components come from an exact voxel-grid union (the grid form of
     Euclidean cluster extraction) that never builds the full list of
@@ -327,7 +332,7 @@ def euclidean_clusters(cloud: PointCloud, params: ClusterParams) -> list[PointCl
     an axis (points near +-1e300, say) is first cut at its gaps wider
     than the tolerance.
     """
-    order, _, start, size, ranked = _pick_runs(cloud.xyz, params)
+    _, size, ranked, order, start = _pick_runs(cloud.xyz, params)
     return [cloud.select(order[start[k]:start[k] + size[k]]) for k in ranked]
 
 
@@ -358,32 +363,25 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _berry_boxes(cols, start, size, ranked) -> list[BerryBox]:
-    """Boxes of the runs ``ranked`` (in rank order) of the rows ``cols``; each
-    centroid is the run cloud's ``c.xyz.mean(axis=0)`` bit for bit (a running
-    sum onto +0.0). On finite points and non-empty runs, centroid containment
-    is the only box check that can fail: it runs once, on the arrays."""
-    lo, hi = (_readonly(f.reduceat(cols, start, axis=1)[:, ranked].T)
-              for f in (np.minimum, np.maximum))
-    count = size[ranked]
-    total = [np.cumsum(cols[:, a:a + m], axis=1)[:, -1]
-             for a, m in zip(start[ranked].tolist(), count.tolist())]
-    centroid = (np.reshape(total, (-1, 3)) + 0.0) / count[:, None]
-    if not ((lo <= centroid) & (centroid <= hi)).all():
-        raise ValidationError("centroid lies outside its bounding box")
+def _berry_boxes(boxes, size, ranked) -> list[BerryBox]:
+    """Boxes of the runs ``ranked`` (in rank order) from their :func:`_run_boxes`
+    and sizes; on finite points no ``Aabb`` or ``BerryBox`` check can fail."""
+    lo, hi, centroid = (_readonly(a[ranked]) for a in boxes)
     return [_unchecked(BerryBox, box=_unchecked(Aabb, min=lo[i], max=hi[i]),
                        centroid=centroid[i], point_count=int(m), rank=i)
-            for i, m in enumerate(count)]
+            for i, m in enumerate(size[ranked].tolist())]
 
 
 def bounding_boxes(clusters: list[PointCloud]) -> list[BerryBox]:
-    """Box each cluster by the rule of :func:`localize`; ranks follow the
-    given (pick) order. An empty cluster raises :class:`ValidationError`."""
+    """Box each cluster by the rule of :func:`localize`: its bounds, and its
+    mean clipped into them as the centroid. Ranks follow the given (pick)
+    order. An empty cluster raises :class:`ValidationError`."""
     size = np.array([len(c) for c in clusters], dtype=np.int64)
     if not size.all():
         raise ValidationError("cannot bound an empty point set")
     cols = np.concatenate([c.xyz.T for c in clusters] or [np.empty((3, 0))], axis=1)
-    return _berry_boxes(cols, np.cumsum(size) - size, size, np.arange(len(size)))
+    boxes = _run_boxes(cols, np.cumsum(size) - size, size)
+    return _berry_boxes(boxes, size, np.arange(len(size)))
 
 
 @dataclass(frozen=True)
@@ -481,9 +479,8 @@ def localize(cloud_1: PointCloud, cloud_2: PointCloud,
 
     Equals ``bounding_boxes(localize_clusters(...))`` field for field, but
     boxes the label runs of the merged points with no cloud per cluster.
-    Boxes rank by ascending centroid y, then x: the key is the pairwise
-    column mean, the centroid the row-order mean, which can differ in the
-    last bit.
+    Boxes rank by ascending centroid y, then x, then the cluster's first
+    point; the centroid is the cluster mean clipped into its bounds.
     """
     xyz, _ = _fruit_rows(cloud_1, cloud_2, t_base_cam1, t_base_cam2, config)
-    return _berry_boxes(*_pick_runs(xyz, config.cluster)[1:])
+    return _berry_boxes(*_pick_runs(xyz, config.cluster)[:3])

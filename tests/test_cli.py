@@ -14,7 +14,9 @@ from laserberry import cli
 from laserberry.cli import main
 from laserberry.errors import ScenarioError, ValidationError
 from laserberry.geometry import PointCloud
+from laserberry.pcdio import write_pcd
 from laserberry.scenario import bundled_scenario_path, load_scenario
+from test_localization import _flat_fruit_clouds
 
 
 def test_verify_tables_ok(capsys):
@@ -46,6 +48,17 @@ def test_optimize_spot_coarse_with_range(capsys):
 def test_optimize_spot_empty_range_exits_2(capsys):
     assert main(["optimize-spot", "--lo", "2.0", "--hi", "3.0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_optimize_spot_svg_of_one_knot(tmp_path, capsys):
+    one = tmp_path / "one.csv"
+    one.write_text("spot_diameter_mm,stem_diameter_mm,pierce_time_s,"
+                   "pierce_velocity_mm_s,pierce_constant_mm2_s\n0.5,2.1,1.16,1.81,0.90\n")
+    out = tmp_path / "d"
+    assert main(["optimize-spot", "--dataset", str(one), "--svg", "--out", str(out)]) == 0
+    assert "optimal spot diameter: 0.5 mm" in capsys.readouterr().out
+    svg = (out / "cp_curve.svg").read_text()
+    assert svg.count("<circle") == 1
 
 
 def test_optimize_spot_duplicate_knot_exits_2(tmp_path, capsys):
@@ -85,6 +98,29 @@ def test_localize_from_pcd_files(tmp_path, capsys):
     # one cloud without the other is a usage error
     assert main(["localize", "--scenario", "demo_11",
                  "--cloud1", str(scene_dir / "camera1.pcd")]) == 2
+
+
+def test_localize_flat_fruit_from_pcd_files(tmp_path, capsys):
+    # cameras 0.15 m above the base origin, not rotated: a PCD holds float32
+    # values, whose sums are exact, but the translated base-frame coordinates
+    # are not, so the flat fruit's plain mean drifts off z = 0.55; the box
+    # clips it back inside
+    for i, cloud in enumerate(_flat_fruit_clouds(), 1):
+        write_pcd(PointCloud(cloud.xyz - [0.0, 0.0, 0.15], cloud.rgb, "camera"),
+                  tmp_path / f"camera{i}.pcd")
+    scenario = tmp_path / "raised.ini"
+    scenario.write_text("[scenario]\nseed = 1\n"
+                        "[camera 1]\nx = 0\ny = 0\nz = 0.15\n"
+                        "[camera 2]\nx = 0\ny = 0\nz = 0.15\n"
+                        "[localization]\nmin_cluster = 3\nreduced_x_min = 0\n"
+                        "reduced_x_max = 0.3\nreduced_y_min = -0.2\nreduced_y_max = 0.2\n"
+                        "reduced_z_min = 0\nreduced_z_max = 0.7\n")
+    assert main(["localize", "--scenario", str(scenario), "--out", str(tmp_path / "out"),
+                 "--cloud1", str(tmp_path / "camera1.pcd"),
+                 "--cloud2", str(tmp_path / "camera2.pcd")]) == 0
+    assert "localized 2 fruit" in capsys.readouterr().out
+    rows = (tmp_path / "out" / "boxes.csv").read_text().splitlines()
+    assert rows[1].split(",")[3] == "0.550000" and rows[1].endswith(",49")
 
 
 def test_gen_scene_truth_rows(tmp_path, capsys):

@@ -2,9 +2,10 @@
 
 ``euclidean_clusters`` must return exactly what the pair route returns:
 every linked pair from :meth:`KdTree.pairs_within`, sparse connected
-components, the size band, then the (y, x) order (same clusters, same
-point order). Membership is also checked against the O(n^2) union-find
-oracle of criterion 8. Each point's index is written into its colour so
+components, the size band, then the order of the (y, x) centroids that
+:func:`bounding_boxes` reports (same clusters, same point order).
+Membership is also checked against the O(n^2) union-find oracle of
+criterion 8. Each point's index is written into its colour so
 a cluster can be mapped back to input rows.
 """
 
@@ -17,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from laserberry import localization
 from laserberry.geometry import KdTree, PointCloud
-from laserberry.localization import ClusterParams, euclidean_clusters
+from laserberry.localization import ClusterParams, bounding_boxes, euclidean_clusters
 from test_acceptance import _union_find_clusters
 
 
@@ -42,8 +43,10 @@ def _pair_route(xyz, params):
     labels = connected_components(adj, directed=False)[1]
     groups = [np.flatnonzero(labels == lab) for lab in range(labels.max() + 1)]
     groups = [g for g in groups if params.min_size <= len(g) <= params.max_size]
-    groups.sort(key=lambda g: (xyz[g, 1].mean(), xyz[g, 0].mean()))
-    return groups
+    # the groups come in first-index order, which the stable sort keeps on (y, x) ties
+    boxes = bounding_boxes([_cloud(xyz[g]) for g in groups])
+    keys = [(b.centroid[1], b.centroid[0]) for b in boxes]
+    return [groups[k] for k in sorted(range(len(groups)), key=keys.__getitem__)]
 
 
 def _check(xyz, params, oracle=True):

@@ -16,8 +16,8 @@ from laserberry import (Aabb, BerryBox, CalibrationError, ClusterParams, ColorRe
                         PointCloud, RigidTransform, SpatialWindow, ValidationError,
                         bounding_boxes, calibration_reference,
                         euclidean_clusters, load_scenario, localize)
-from laserberry.localization import (_components, extract_window, filter_red,
-                                     localize_clusters, merge_clouds)
+from laserberry.localization import (LocalizationConfig, _components, extract_window,
+                                     filter_red, localize_clusters, merge_clouds)
 from laserberry.scenario import bundled_scenario_path
 from laserberry.scene import apply_color_gain, generate_scene
 from test_acceptance import _union_find_clusters
@@ -199,10 +199,11 @@ def test_cluster_order_input_invariance():
         np.testing.assert_allclose(a, b)
 
 
-def test_pick_key_is_the_pairwise_column_mean():
-    # every cluster holds the same y values in its own order, so the y keys
-    # tie or differ in the last bits with the summation order, and x falls
-    # the other way: only the pairwise mean the pair route takes gives its order
+def test_pick_key_is_the_reported_centroid():
+    # every cluster holds the same y values in its own order, so the centroid
+    # y values tie or differ in the last bits with the summation order, and x
+    # falls the other way: clusters rank as the centroids bounding_boxes
+    # reports them (y, then x, then first index), which the pair route sorts by
     rng = np.random.default_rng(31)
     y = rng.uniform(0.0, 0.003, size=50) + 0.1
     blobs = []
@@ -210,9 +211,12 @@ def test_pick_key_is_the_pairwise_column_mean():
         blob = rng.uniform(0.0, 0.003, size=(50, 3)) + [-1e-4 * i, 0.0, 0.1 * i]
         blob[:, 1] = rng.permutation(y)
         blobs.append(blob)
-    keys = {b[:, 1].mean() for b in blobs}
-    assert 1 < len(keys) < 40
-    _check(np.vstack(blobs), ClusterParams(0.01, 1, 100), oracle=False)
+    xyz = np.vstack(blobs)
+    got = _check(xyz, ClusterParams(0.01, 1, 100), oracle=False)
+    boxes = bounding_boxes([_cloud(xyz[g]) for g in got])
+    ranked = [(b.centroid[1], b.centroid[0], g[0]) for b, g in zip(boxes, got)]
+    assert ranked == sorted(ranked)
+    assert 1 < len({y for y, _, _ in ranked}) < 40
 
 
 def _graphs():
@@ -248,6 +252,14 @@ def test_components_match_scipy():
 # ---------------------------------------------------------------------------
 # boxes
 
+def _assert_near_mean(centroid, xyz):
+    """The centroid sums in another order than ``xyz.mean(axis=0)``, which adds
+    rows one at a time: two sums of n values differ by at most (n - 1) eps
+    times the sum of their magnitudes, and rounding the quotient adds an ulp."""
+    bound = len(xyz) * np.finfo(np.float64).eps * np.abs(xyz).mean(axis=0)
+    assert (np.abs(centroid - xyz.mean(axis=0)) <= bound).all(), (centroid, bound)
+
+
 def test_bounding_boxes_rank_and_containment():
     rng = np.random.default_rng(21)
     clusters = [
@@ -259,7 +271,7 @@ def test_bounding_boxes_rank_and_containment():
     assert boxes[0].point_count == 25
     for b, c in zip(boxes, clusters):
         assert b.box.contains(b.centroid)
-        assert b.centroid.tobytes() == c.xyz.mean(axis=0).tobytes()
+        _assert_near_mean(b.centroid, c.xyz)
         np.testing.assert_array_equal(b.box.min, c.xyz.min(axis=0))
         np.testing.assert_array_equal(b.box.max, c.xyz.max(axis=0))
         assert not (b.box.min.flags.writeable or b.box.max.flags.writeable)
@@ -274,21 +286,53 @@ def test_bounding_boxes_of_no_cluster_and_of_an_empty_one():
             bounding_boxes(clusters)
 
 
-def test_boxes_reject_a_centroid_outside_the_box_as_berry_box_does():
-    # three copies of 0.1 add up to 0.30000000000000004, so the row-order
-    # mean lies one ulp above the box
+#: Under identity camera poses the clouds are in the base frame; this crop
+#: keeps the repeated point (0.1, 0.1, 0.1), and 3 points make a fruit.
+_FLAT_CONFIG = LocalizationConfig(
+    reduced_window=SpatialWindow(0.0, 0.3, -0.2, 0.2, 0.0, 0.7),
+    cluster=ClusterParams(tolerance=0.01, min_size=3, max_size=1000))
+
+
+def _flat_fruit_clouds():
+    """Camera clouds for identity poses: both see a palette patch, and camera 1
+    also sees a flat 7 x 7 grid fruit at z = 0.55 and three copies of
+    (0.1, 0.1, 0.1), all in the patch color."""
+    palette = np.column_stack([np.linspace(-0.085, -0.075, 10), np.full(10, 0.105),
+                               np.full(10, 0.32)])
+    grid = np.arange(7) * 0.003
+    flat = np.column_stack([0.2 + np.repeat(grid, 7), -0.05 + np.tile(grid, 7),
+                            np.full(49, 0.55)])
+    xyz = np.vstack([palette, flat, np.full((3, 3), 0.1)])
+    red = np.tile(np.array([200, 30, 30], dtype=np.uint8), (len(xyz), 1))
+    return _cloud(xyz, red, "camera"), _cloud(palette, red[:10], "camera")
+
+
+def test_flat_and_repeated_point_clusters_box_inside():
+    # outside input is still refused: three copies of 0.1 add up to
+    # 0.30000000000000004, so their plain mean lies one ulp above the box
     xyz = np.full((3, 3), 0.1)
     with pytest.raises(ValidationError, match="outside"):
         BerryBox(Aabb(xyz.min(axis=0), xyz.max(axis=0)), xyz.mean(axis=0), 3, 0)
-    with pytest.raises(ValidationError, match="outside"):
-        bounding_boxes([_cloud(xyz)])
+    # the boxes clip the mean into the bounds: a flat axis gives its coordinate
+    (repeated,) = bounding_boxes([_cloud(xyz)])
+    assert (repeated.centroid == 0.1).all()
+    pose = RigidTransform.identity()
+    cloud1, cloud2 = _flat_fruit_clouds()
+    boxes = localize(cloud1, cloud2, pose, pose, _FLAT_CONFIG)
+    clusters = localize_clusters(cloud1, cloud2, pose, pose, _FLAT_CONFIG)
+    assert _fields(boxes) == _fields(bounding_boxes(clusters))
+    assert [b.point_count for b in boxes] == [49, 3]
+    assert boxes[0].centroid[2] == 0.55
+    assert boxes[1].centroid.tobytes() == repeated.centroid.tobytes()
+    for b in (*boxes, repeated):
+        assert b.box.contains(b.centroid)
 
 
-def test_box_centroids_are_row_order_means_fuzz():
-    # criterion-8 clouds: every centroid is c.xyz.mean(axis=0) bit for bit,
-    # every bound the cluster's min and max; some clusters hold only -0.0
-    # along an axis, where a running sum from the first row gives -0.0 and
-    # the mean gives +0.0
+def test_box_centroids_are_clipped_means_fuzz():
+    # criterion-8 clouds: every centroid lies in its box and within rounding of
+    # c.xyz.mean(axis=0), every bound is the cluster's min and max; some
+    # clusters hold only -0.0 along an axis, where the centroid is -0.0 like
+    # its bounds (a mean summed onto +0.0 would give +0.0)
     rng = np.random.default_rng(2024)
     params = ClusterParams(tolerance=0.012, min_size=1, max_size=100_000)
     checked = 0
@@ -302,7 +346,10 @@ def test_box_centroids_are_row_order_means_fuzz():
             xyz[:, trial % 3] = -0.0
         clusters = euclidean_clusters(_cloud(xyz), params)
         for b, c in zip(bounding_boxes(clusters), clusters):
-            assert b.centroid.tobytes() == c.xyz.mean(axis=0).tobytes(), f"cloud {trial}"
+            assert b.box.contains(b.centroid), f"cloud {trial}"
+            _assert_near_mean(b.centroid, c.xyz)
+            if trial % 4 == 0:
+                assert np.signbit(b.centroid[trial % 3]), f"cloud {trial}"
             np.testing.assert_array_equal(b.box.min, c.xyz.min(axis=0))
             np.testing.assert_array_equal(b.box.max, c.xyz.max(axis=0))
             assert b.point_count == len(c)
@@ -402,8 +449,11 @@ def _assert_boxes_match_clusters(scenario, cloud1, cloud2):
     clusters = localize_clusters(*args)
     boxes = localize(*args)
     assert _fields(boxes) == _fields(bounding_boxes(clusters))
+    keys = [(b.centroid[1], b.centroid[0]) for b in boxes]
+    assert keys == sorted(keys)
     for b, c in zip(boxes, clusters):
-        assert b.centroid.tobytes() == c.xyz.mean(axis=0).tobytes()
+        assert b.box.contains(b.centroid)
+        _assert_near_mean(b.centroid, c.xyz)
     return boxes
 
 
