@@ -23,8 +23,8 @@ from .errors import (CalibrationError, DomainError, MotionError,
 from .gantry import GantryConfig, GantrySim, MotionProfile
 from .geometry import Aabb, KdTree, PointCloud, RigidTransform
 from .laser import (CutModel, EtchState, PierceRecord, cut_time, etch_step,
-                    interpolate_cp, optimal_spot, pierce_constant,
-                    pierce_velocity, verify_tables)
+                    optimal_spot, pierce_constant, pierce_velocity,
+                    verify_tables)
 from .localization import (BerryBox, ClusterParams, ColorReference,
                            SpatialWindow, bounding_boxes,
                            calibration_reference, euclidean_clusters, localize)
@@ -41,9 +41,8 @@ __all__ = [
     "PcdParseError", "PierceRecord", "PointCloud", "RigidTransform",
     "ScenarioError", "SpatialWindow", "UnsupportedRegimeError",
     "ValidationError", "bounding_boxes", "calibration_reference", "cut_time",
-    "etch_step", "euclidean_clusters", "interpolate_cp", "load_datasets",
-    "load_lateral_csv", "load_pierce_csv", "load_scenario", "localize",
-    "optimal_spot", "pierce_constant", "pierce_velocity", "plan_approach",
-    "read_pcd", "run_cycle", "run_demo", "simulate_scenario", "verify_tables",
-    "write_pcd",
+    "etch_step", "euclidean_clusters", "load_datasets", "load_lateral_csv",
+    "load_pierce_csv", "load_scenario", "localize", "optimal_spot",
+    "pierce_constant", "pierce_velocity", "plan_approach", "read_pcd",
+    "run_cycle", "run_demo", "simulate_scenario", "verify_tables", "write_pcd",
 ]

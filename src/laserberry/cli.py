@@ -20,7 +20,7 @@ from .controller import CycleMetrics
 from .datasets import load_datasets, load_lateral_csv, load_pierce_csv
 from .errors import (CalibrationError, PcdParseError, ScenarioError,
                      ValidationError)
-from .laser import interpolate_cp, optimal_spot, verify_tables
+from .laser import CutModel, optimal_spot, verify_tables
 from .localization import bounding_boxes, localize_clusters
 from .pcdio import read_pcd, write_pcd
 from .pipeline import simulate_scenario
@@ -197,18 +197,16 @@ def cmd_optimize_spot(args) -> int:
     else:
         ds = load_datasets()
         records = ds.fine if args.table == "fine" else ds.coarse
-    ordered = sorted(records, key=lambda r: r.spot_diameter_mm)
-    lo = args.lo if args.lo is not None else ordered[0].spot_diameter_mm
-    hi = args.hi if args.hi is not None else ordered[-1].spot_diameter_mm
-    spot = optimal_spot(records, lo, hi, continuous=args.continuous)
-    cp = interpolate_cp(spot, ordered)
-    print(f"optimal spot diameter: {spot:g} mm (pierce constant {cp:.4g} mm^2/s) "
-          f"over [{lo:g}, {hi:g}] mm")
+    model = CutModel(records)
+    lo = args.lo if args.lo is not None else float(model.knots[0])
+    hi = args.hi if args.hi is not None else float(model.knots[-1])
+    spot = optimal_spot(model.records, lo, hi, continuous=args.continuous)
+    print(f"optimal spot diameter: {spot:g} mm (pierce constant {model.cp(spot):.4g} "
+          f"mm^2/s) over [{lo:g}, {hi:g}] mm")
     out = _out_dir(args)
     if args.svg:
-        xs = [r.spot_diameter_mm for r in ordered]
-        ys = [r.pierce_constant_mm2_s for r in ordered]
-        _svg_curve(out / "cp_curve.svg", xs, ys, "Pierce constant vs spot diameter",
+        _svg_curve(out / "cp_curve.svg", model.knots, model.cps,
+                   "Pierce constant vs spot diameter",
                    "spot diameter (mm)", "pierce constant (mm^2/s)")
     return 0
 

@@ -18,7 +18,7 @@ predict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -44,11 +44,7 @@ class PierceRecord:
     pierce_constant_mm2_s: float
 
     def __post_init__(self):
-        require_positive(spot_diameter_mm=self.spot_diameter_mm,
-                         stem_diameter_mm=self.stem_diameter_mm,
-                         pierce_time_s=self.pierce_time_s,
-                         pierce_velocity_mm_s=self.pierce_velocity_mm_s,
-                         pierce_constant_mm2_s=self.pierce_constant_mm2_s)
+        require_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -62,96 +58,80 @@ class LateralCutRecord:
     cut_velocity_mm_s: float
 
     def __post_init__(self):
-        require_positive(spot_diameter_mm=self.spot_diameter_mm,
-                         lateral_velocity_mm_s=self.lateral_velocity_mm_s,
-                         stem_diameter_mm=self.stem_diameter_mm,
-                         cut_time_s=self.cut_time_s,
-                         cut_velocity_mm_s=self.cut_velocity_mm_s)
+        require_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
+
+
+def _require_non_negative(name: str, value: float) -> None:
+    if not 0.0 <= value < math.inf:     # NaN fails every comparison
+        raise ValidationError(f"{name} must be non-negative and finite, got {value}")
 
 
 def pierce_velocity(stem_diameter_mm: float, pierce_time_s: float) -> float:
     """Stem diameter over pierce time, mm/s. Zero diameter gives zero."""
-    if stem_diameter_mm < 0:
-        raise ValidationError(f"stem diameter must be non-negative, got {stem_diameter_mm}")
+    _require_non_negative("stem diameter", stem_diameter_mm)
     require_positive(pierce_time_s=pierce_time_s)
     return stem_diameter_mm / pierce_time_s
 
 
 def pierce_constant(pierce_velocity_mm_s: float, spot_diameter_mm: float) -> float:
     """Pierce velocity times spot diameter, mm^2/s. Zero velocity gives zero."""
-    if pierce_velocity_mm_s < 0:
-        raise ValidationError(
-            f"pierce velocity must be non-negative, got {pierce_velocity_mm_s}")
+    _require_non_negative("pierce velocity", pierce_velocity_mm_s)
     require_positive(spot_diameter_mm=spot_diameter_mm)
     return pierce_velocity_mm_s * spot_diameter_mm
-
-
-def _duplicate_knot(spot_diameter_mm: float) -> ValidationError:
-    return ValidationError(f"duplicate spot diameter {spot_diameter_mm:g} mm in pierce records")
-
-
-def interpolate_cp(spot_diameter_mm: float, records: Sequence[PierceRecord]) -> float:
-    """Piecewise-linear pierce constant between calibrated knots.
-
-    Records must be sorted by strictly ascending spot diameter. Queries
-    outside the knot range raise :class:`DomainError` — the bench data sets
-    no basis for extrapolation.
-    """
-    if not records:
-        raise ValidationError("no pierce records to interpolate")
-    knots = np.array([r.spot_diameter_mm for r in records])
-    step = np.diff(knots)
-    if (step == 0).any():
-        raise _duplicate_knot(knots[int(np.argmax(step == 0))])
-    if (step < 0).any():
-        raise ValidationError("pierce records must be sorted by ascending spot diameter")
-    if not (knots[0] <= spot_diameter_mm <= knots[-1]):
-        raise DomainError(
-            f"spot diameter {spot_diameter_mm} mm outside calibrated range "
-            f"[{knots[0]}, {knots[-1]}] mm")
-    values = np.array([r.pierce_constant_mm2_s for r in records])
-    return float(np.interp(spot_diameter_mm, knots, values))
 
 
 @dataclass(frozen=True)
 class CutModel:
     """Pierce-constant curve plus toughness.
 
-    ``records`` are re-sorted by ascending spot diameter at construction;
-    ``toughness`` scales cut time (>1 for woodier stems).
+    Sorts ``records`` by spot diameter, refusing an empty table or a repeated
+    diameter, and keeps their ``knots`` (mm) and ``cps`` (mm^2/s) as
+    read-only arrays. ``toughness`` scales cut time (>1 for woodier stems).
     """
 
     records: tuple[PierceRecord, ...]
     toughness: float = 1.0
+    knots: np.ndarray = field(init=False, repr=False, compare=False)
+    cps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.records:
             raise ValidationError("cut model needs at least one pierce record")
         require_positive(toughness=self.toughness)
         ordered = tuple(sorted(self.records, key=lambda r: r.spot_diameter_mm))
-        for a, b in zip(ordered, ordered[1:]):
-            if a.spot_diameter_mm == b.spot_diameter_mm:
-                raise _duplicate_knot(a.spot_diameter_mm)
+        knots = np.array([r.spot_diameter_mm for r in ordered])
+        repeated = knots[1:][np.diff(knots) == 0]
+        if repeated.size:
+            raise ValidationError(f"duplicate spot diameter {repeated[0]:g} mm in pierce records")
+        cps = np.array([r.pierce_constant_mm2_s for r in ordered])
+        knots.flags.writeable = cps.flags.writeable = False
         object.__setattr__(self, "records", ordered)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "cps", cps)
 
     def cp(self, spot_diameter_mm: float) -> float:
-        """Interpolated pierce constant at the given spot diameter."""
-        return interpolate_cp(spot_diameter_mm, self.records)
+        """Pierce constant interpolated linearly between the knots; a spot
+        outside them raises :class:`DomainError` (no extrapolation)."""
+        if not self.knots[0] <= spot_diameter_mm <= self.knots[-1]:
+            raise DomainError(
+                f"spot diameter {spot_diameter_mm} mm outside calibrated range "
+                f"[{self.knots[0]}, {self.knots[-1]}] mm")
+        return float(np.interp(spot_diameter_mm, self.knots, self.cps))
 
 
 def cut_time(stem_diameter_mm: float, model: CutModel, spot_diameter_mm: float,
              lateral_velocity_mm_s: float) -> float:
     """Predicted time to sever a stem, in seconds.
 
-    Insensitive to the lateral beam speed within the calibrated regime;
-    speeds below ``V_L_MIN`` raise :class:`UnsupportedRegimeError`.
+    Insensitive to the lateral beam speed within the calibrated regime; a
+    speed below ``V_L_MIN``, NaN or inf raises
+    :class:`UnsupportedRegimeError`.
     """
-    if stem_diameter_mm < 0:
-        raise ValidationError(f"stem diameter must be non-negative, got {stem_diameter_mm}")
-    if lateral_velocity_mm_s < V_L_MIN:
+    _require_non_negative("stem diameter", stem_diameter_mm)
+    if not V_L_MIN <= lateral_velocity_mm_s < math.inf:
         raise UnsupportedRegimeError(
-            f"lateral velocity {lateral_velocity_mm_s} mm/s below calibrated "
-            f"minimum {V_L_MIN} mm/s")
+            f"lateral velocity {lateral_velocity_mm_s} mm/s is not a finite speed "
+            f"of at least the calibrated minimum {V_L_MIN} mm/s")
     area = math.pi * (stem_diameter_mm / 2.0) ** 2
     return model.toughness * area / model.cp(spot_diameter_mm)
 
@@ -184,9 +164,10 @@ def etch_rate(model: CutModel, spot_diameter_mm: float,
     """Stem section removed per second by the oscillating beam, mm^2/s.
 
     ``C_p(spot) / toughness`` inside the calibrated regime; zero when the
-    lateral speed is below ``V_L_MIN``, where the cut makes no progress.
+    lateral speed is below ``V_L_MIN``, NaN or inf, where the cut makes no
+    progress.
     """
-    if lateral_velocity_mm_s < V_L_MIN:
+    if not V_L_MIN <= lateral_velocity_mm_s < math.inf:
         return 0.0
     return model.cp(spot_diameter_mm) / model.toughness
 
@@ -224,8 +205,9 @@ def optimal_spot(records: Sequence[PierceRecord], lo_mm: float, hi_mm: float,
                  continuous: bool = False) -> float:
     """Spot diameter with the highest pierce constant in [lo_mm, hi_mm].
 
-    The discrete default scans calibrated knots only — the honest choice,
-    since between-knot values are interpolation artifacts. ``continuous=True``
+    The knots and curve are those of ``CutModel(records)``. The discrete
+    default scans calibrated knots only — the honest choice, since
+    between-knot values are interpolation artifacts. ``continuous=True``
     instead takes the exact maximum of the interpolated curve over the
     range clipped to the knots (exploration only): a piecewise-linear curve
     peaks at a knot or an end, so it compares the knots inside with both
@@ -234,21 +216,21 @@ def optimal_spot(records: Sequence[PierceRecord], lo_mm: float, hi_mm: float,
     Raises
     ------
     ValidationError
-        If the restriction is empty or no knot falls inside it.
+        If the table is empty or repeats a spot diameter, if the
+        restriction is empty, or if no knot falls inside it.
     """
     if lo_mm > hi_mm:
         raise ValidationError(f"empty spot range [{lo_mm}, {hi_mm}]")
-    ordered = sorted(records, key=lambda r: r.spot_diameter_mm)
-    inside = [r for r in ordered if lo_mm <= r.spot_diameter_mm <= hi_mm]
-    if not inside:
+    model = CutModel(tuple(records))
+    knots = model.knots
+    inside = (lo_mm <= knots) & (knots <= hi_mm)
+    if not inside.any():
         raise ValidationError(
             f"no calibrated spot diameters inside [{lo_mm}, {hi_mm}] mm")
     if continuous:
-        ends = (max(lo_mm, ordered[0].spot_diameter_mm),
-                min(hi_mm, ordered[-1].spot_diameter_mm))
-        spots = sorted({*ends, *(r.spot_diameter_mm for r in inside)})
-        return max(spots, key=lambda x: interpolate_cp(x, ordered))   # first = smallest
-    return max(inside, key=lambda r: r.pierce_constant_mm2_s).spot_diameter_mm
+        spots = sorted({max(lo_mm, knots[0]), min(hi_mm, knots[-1]), *knots[inside]})
+        return float(max(spots, key=model.cp))   # first = smallest
+    return float(knots[inside][np.argmax(model.cps[inside])])   # first = smallest
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, artifacts, exit codes."""
 
+import hashlib
 import io
 import re
 import subprocess
@@ -21,9 +22,8 @@ from test_localization import _flat_fruit_clouds
 
 def test_verify_tables_ok(capsys):
     assert main(["verify-tables"]) == 0
-    out = capsys.readouterr().out
-    assert "36 derived values audited" in out
-    assert "PASS" in out
+    assert capsys.readouterr().out == (
+        "36 derived values audited; max deviation 0.0242 (tolerance 0.03): PASS\n")
 
 
 def test_verify_tables_tight_tolerance_fails(capsys):
@@ -43,6 +43,31 @@ def test_optimize_spot_coarse_with_range(capsys):
     assert main(["optimize-spot", "--table", "coarse",
                  "--lo", "0.09", "--hi", "3.79"]) == 0
     assert "0.71 mm" in capsys.readouterr().out
+
+
+_FINE_LINE = "optimal spot diameter: 0.9 mm (pierce constant 1.36 mm^2/s) over [0.5, 1.1] mm\n"
+_COARSE_LINE = ("optimal spot diameter: 0.71 mm (pierce constant 1.72 mm^2/s) "
+                "over [0.09, 3.79] mm\n")
+
+
+@pytest.mark.parametrize("args, line", [
+    (["--table", "fine"], _FINE_LINE),
+    (["--table", "fine", "--continuous"], _FINE_LINE),
+    (["--table", "coarse"], _COARSE_LINE),
+    (["--table", "coarse", "--continuous"], _COARSE_LINE),
+])
+def test_optimize_spot_pinned_output(args, line, capsys):
+    assert main(["optimize-spot", *args]) == 0
+    assert capsys.readouterr().out == line
+
+
+@pytest.mark.parametrize("table, digest", [
+    ("fine", "bea33a4ecebd2b23503c2a86d8ed95294943e0174bb3593ac0ba5ef61b68dcbf"),
+    ("coarse", "6ca038a89829c197bd65cd978ab851c4beb77db635cc6021b7ce77b5498e370d"),
+])
+def test_optimize_spot_svg_pinned_digest(tmp_path, capsys, table, digest):
+    assert main(["optimize-spot", "--table", table, "--svg", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "cp_curve.svg").read_bytes()).hexdigest() == digest
 
 
 def test_optimize_spot_empty_range_exits_2(capsys):

@@ -2,15 +2,15 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
 from laserberry import (CutModel, DomainError, EtchState, PierceRecord,
                         UnsupportedRegimeError, ValidationError, cut_time,
-                        etch_step, interpolate_cp, load_datasets,
-                        optimal_spot, pierce_constant, pierce_velocity,
-                        verify_tables)
+                        etch_step, load_datasets, optimal_spot,
+                        pierce_constant, pierce_velocity, verify_tables)
 from laserberry.laser import etch_rate, etch_track
 
 
@@ -45,18 +45,30 @@ def test_pierce_constant_values():
         pierce_constant(1.0, -0.5)
 
 
-def test_interpolate_cp_knots_and_midpoints(datasets):
+def test_cut_model_cp_knots_and_midpoints(datasets):
     knots = sorted(datasets.fine, key=lambda r: r.spot_diameter_mm)
+    model = CutModel(knots)
     # exact knots come back verbatim
     for r in knots:
-        assert interpolate_cp(r.spot_diameter_mm, knots) == r.pierce_constant_mm2_s
+        assert model.cp(r.spot_diameter_mm) == r.pierce_constant_mm2_s
     # midpoint of 0.8 (1.14) and 0.9 (1.36) is linear
-    assert interpolate_cp(0.85, knots) == pytest.approx((1.14 + 1.36) / 2)
+    assert model.cp(0.85) == pytest.approx((1.14 + 1.36) / 2)
     # no extrapolation past the calibrated range
     with pytest.raises(DomainError):
-        interpolate_cp(0.4, knots)
+        model.cp(0.4)
     with pytest.raises(DomainError):
-        interpolate_cp(1.2, knots)
+        model.cp(1.2)
+
+
+def test_cut_model_keeps_sorted_read_only_knots(datasets):
+    model = CutModel(tuple(reversed(datasets.fine)))
+    assert [r.spot_diameter_mm for r in model.records] == list(model.knots)
+    assert list(model.knots) == sorted(r.spot_diameter_mm for r in datasets.fine)
+    assert list(model.cps) == [r.pierce_constant_mm2_s for r in model.records]
+    with pytest.raises(ValueError, match="read-only"):
+        model.knots[0] = 0.1
+    with pytest.raises(ValidationError, match="at least one pierce record"):
+        CutModel(())
 
 
 def test_cut_model_rejects_duplicate_knots(datasets):
@@ -102,6 +114,25 @@ def test_cut_time_zero_diameter(fine_model):
     assert cut_time(0.0, fine_model, 0.9, 50.0) == 0.0
     with pytest.raises(ValidationError):
         cut_time(-1.0, fine_model, 0.9, 50.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cut_model_helpers_refuse_non_finite_inputs(fine_model, bad):
+    # NaN fails every comparison, so each check is written to pass only
+    # finite values inside its range
+    finite = r"must be non-negative and finite"
+    with pytest.raises(ValidationError, match=finite):
+        cut_time(bad, fine_model, 0.9, 50.0)
+    with pytest.raises(ValidationError, match=finite):
+        pierce_velocity(bad, 1.0)
+    with pytest.raises(ValidationError, match=finite):
+        pierce_constant(bad, 0.9)
+    # a lateral speed that is not a finite number counts as outside the regime
+    with pytest.raises(UnsupportedRegimeError):
+        cut_time(2.2, fine_model, 0.9, bad)
+    assert etch_rate(fine_model, 0.9, bad) == 0.0
+    with pytest.raises(DomainError):
+        fine_model.cp(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +214,30 @@ def test_optimal_spot_bad_ranges(datasets):
         optimal_spot(datasets.fine, 1.0, 0.5)
     with pytest.raises(ValidationError):
         optimal_spot(datasets.fine, 2.0, 3.0)   # no knots inside
+    with pytest.raises(ValidationError, match="cut model needs at least one pierce record"):
+        optimal_spot([], 0.5, 1.1)
+
+
+@pytest.mark.parametrize("continuous", [False, True])
+def test_optimal_spot_refuses_a_repeated_knot(datasets, continuous):
+    # the repeat would win the discrete scan if it were not refused
+    table = datasets.fine + (PierceRecord(0.5, 2.2, 1.0, 2.2, 9.0),)
+    with pytest.raises(ValidationError,
+                       match=r"^duplicate spot diameter 0\.5 mm in pierce records$"):
+        optimal_spot(table, 0.5, 1.1, continuous=continuous)
+
+
+@pytest.mark.parametrize("continuous", [False, True])
+def test_optimal_spot_ignores_record_order(datasets, continuous):
+    rng = random.Random(7)
+    for table, lo, hi in ((datasets.fine, 0.5, 1.1), (datasets.fine, 0.55, 0.95),
+                          (datasets.coarse, 0.09, 3.79), (datasets.coarse, 1.0, 3.5)):
+        ordered = tuple(sorted(table, key=lambda r: r.spot_diameter_mm))
+        want = optimal_spot(ordered, lo, hi, continuous=continuous)
+        for _ in range(5):
+            shuffled = list(table)
+            rng.shuffle(shuffled)
+            assert optimal_spot(shuffled, lo, hi, continuous=continuous) == want
 
 
 def test_optimal_spot_continuous_near_knot(datasets):
