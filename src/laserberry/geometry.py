@@ -223,8 +223,8 @@ class KdTree:
 
         Returns an ascending int64 array; empty for an empty tree.
         """
-        if radius < 0:
-            raise ValidationError(f"radius must be non-negative, got {radius}")
+        if not 0 <= radius < math.inf:
+            raise ValidationError(f"radius must be non-negative and finite, got {radius}")
         q = np.asarray(query, dtype=np.float64).reshape(-1)
         if q.shape != (3,):
             raise ValidationError("query must be a 3-vector")
@@ -235,8 +235,8 @@ class KdTree:
 
     def pairs_within(self, radius: float) -> np.ndarray:
         """All index pairs (i < j) whose points lie within ``radius``."""
-        if radius < 0:
-            raise ValidationError(f"radius must be non-negative, got {radius}")
+        if not 0 <= radius < math.inf:
+            raise ValidationError(f"radius must be non-negative and finite, got {radius}")
         if self._tree is None:
             return np.empty((0, 2), dtype=np.int64)
         return self._tree.query_pairs(radius, output_type="ndarray")

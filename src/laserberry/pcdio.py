@@ -6,19 +6,17 @@ The source frame rides along in a leading ``# frame`` comment. Colors
 round-trip exactly; coordinates round-trip to float32. Files are UTF-8,
 whatever the locale.
 
-Rows are written and parsed in blocks of :data:`_BLOCK` with numpy, not
-one at a time. The writer finds each coordinate's shortest round-trip
-digits with float64 arrays and lays the tokens out in a byte matrix;
-:func:`_fmt32` (Dragon4) is the reference, and formats the few values the
-arrays cannot vouch for. When the block parse cannot take a file's rows (a
-bad token, a failed check, comments or blank lines among the rows), the
-row loop parses them instead: it accepts every layout the format allows
-and raises the diagnostic that names the line.
+Rows are written and read in blocks with numpy. The writer finds each
+coordinate's shortest round-trip digits with float64 arrays; :func:`_fmt32`
+(Dragon4) formats the few values the arrays cannot vouch for. The reader
+takes the rows after ``DATA`` from the file's bytes when they follow the
+writer's grammar; the row loop reads every other layout the format allows
+(tabs, CRLF, comments among the rows, exponents) and names a bad line.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+import re
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +37,12 @@ _EXPECTED = {
     "DATA": "ascii",
 }
 
-#: Rows formatted or parsed per block: big enough to amortize the numpy
-#: calls, small enough that a block's character matrix stays near 100 kB.
+#: Rows per written block, and a read block's bytes over 64: big enough to
+#: amortize the numpy calls, small enough that a block stays near 100 kB.
 _BLOCK = 1024
+
+_EOL = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"      # what ends a line for str.splitlines()
+_LINE = re.compile(rf"[^{_EOL}]+\Z|[^{_EOL}]*(?:\r\n|[{_EOL}])")
 
 
 def _fmt32(v: np.float32) -> str:
@@ -166,44 +167,66 @@ def write_pcd(cloud: PointCloud, path: str | Path) -> None:
             fh.write(_format_rows(xyz32[start:start + _BLOCK], packed[start:start + _BLOCK]))
 
 
-def _parse_blocks(data: list[str], n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Coordinates and packed colors when ``data`` is exactly ``n`` clean
-    rows of four tokens; ``None`` for anything else, which
-    :func:`_parse_rows` then diagnoses.
-
-    Tokens go through ``float`` and ``int``, the parsers of the row loop
-    (``np.float32(str)`` parses with ``float`` too), never through a
-    numpy string array, whose ``U`` dtype drops trailing NULs.
-    """
-    if len(data) != n:
-        return None
-    xyz = np.empty(3 * n, dtype=np.float64)
-    packed = np.empty(n, dtype=np.int64)
-    try:
-        for start in range(0, n, _BLOCK):
-            rows = list(map(str.split, data[start:start + _BLOCK]))
-            if not all(len(row) == 4 for row in rows):
-                return None
-            k = len(rows)
-            tokens = list(chain.from_iterable(rows))
-            packed[start:start + k] = np.fromiter(map(int, tokens[3::4]), np.int64, k)
-            del tokens[3::4]
-            xyz[3 * start:3 * (start + k)] = np.fromiter(map(float, tokens), np.float64, 3 * k)
-    except (ValueError, OverflowError):
-        return None
-    with np.errstate(over="ignore"):
-        xyz = xyz.astype(np.float32).astype(np.float64).reshape(n, 3)
-    if not (np.isfinite(xyz).all() and ((packed >= 0) & (packed <= 0xFFFFFF)).all()):
-        return None
-    return xyz, packed
+#: Masks that keep the last j = 0..16 bytes of two little-endian words.
+_KEEP = np.frombuffer(b"".join(bytes(16 - j) + b"\xff" * j for j in range(17)), "(2,)<u8")
 
 
-def _parse_rows(lines: list[str], data_start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+@np.errstate(over="ignore")                           # a float32 overflow is refused below
+def _parse_bytes(raw: bytes, at: int, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Coordinates and packed colors when ``raw[at:]`` is ``n`` rows as the
+    writer lays them out, else ``None``. A token's last 16 bytes are two words
+    of eight digits, '.' and '-' read as 0, summed by SWAR arithmetic (Lemire,
+    "Number Parsing at a Gigabyte per Second") into S = I * 10**(k+1) + F. In
+    15 bytes, M = I * 10**k + F < 2**53 and k <= 22, so M / 10**k is rounded
+    once (Clinger's fast path) and equals ``float(token)``."""
+    if 14 * n > len(raw) - at:                        # bound n: no row is under 14 bytes
+        return None
+    body, xyz, packed, s = np.frombuffer(raw, np.uint8), np.empty((n, 3)), np.empty(n, np.int64), 0
+    while at < len(raw):
+        end = raw.rfind(b"\n", at, at + 64 * _BLOCK) + 1  # whole rows; 0 if none fits
+        c, at = body[at:end], end
+        # rows: '. . . \n' among digits and a coordinate's '-'; rgb: 1-8 digits, no 0 first
+        marks = np.flatnonzero((c <= 46) & (c != 45))
+        r = len(marks) // 7
+        if not 0 < r <= n - s or c[marks].tobytes() != b". . . \n" * r:
+            return None
+        marks = marks.reshape(r, 7)
+        sep = marks[:, [1, 3, 5, 6]].ravel()
+        start = np.concatenate(([0], sep[:-1] + 1))
+        size, dots, digit, neg = sep - start, marks[:, :5:2], c >= 48, c[start] == 45
+        rgb = size[3::4]
+        if (c.max() > 57 or np.count_nonzero(digit) != c.size - 7 * r - np.count_nonzero(neg)
+                or not (digit[dots - 1] & digit[dots + 1]).all()
+                or not ((rgb >= 1) & (rgb <= 8) & (c[start[3::4]] > 47 + (rgb > 1))).all()):
+            return None
+        d = np.concatenate((np.zeros(16, np.uint8), (c - 48) * digit))  # digit values
+        w = np.ndarray((d.size - 15,), "V16", d, strides=(1,))[sep].view("<u8").reshape(-1, 2)
+        w &= _KEEP.take(np.minimum(size, 16), axis=0)
+        w = w * 10 + (w >> 8)                         # pairs, then eight digits per word
+        w = ((w & 0xFF000000FF) * (100 + (10 ** 6 << 32))
+             + (w >> 16 & 0xFF000000FF) * (1 + (10 ** 4 << 32))) >> 32
+        v = (w[:, 0] * 10 ** 8 + w[:, 1]).reshape(r, 4)
+        packed[s:s + r] = v[:, 3]
+        v, p = v[:, :3].astype(np.float64), _P10[_K + np.minimum(marks[:, 1:6:2] - dots - 1, 15)]
+        q = np.floor(v / p)                           # 10 * I, exact as v < 10**15 < 2**53
+        val = np.copysign((v - q * p + q / 10 * p) / p, 0.5 - neg.reshape(r, 4)[:, :3])
+        for t in np.flatnonzero(size > 15):
+            val[t // 4, t % 4] = float(c[start[t]:sep[t]].tobytes())
+        xyz[s:s + r] = val.astype(np.float32)
+        s += r
+    ok = s == n and np.isfinite(xyz).all() and packed.max(initial=0) <= 0xFFFFFF
+    return (xyz, packed) if ok else None
+
+
+@np.errstate(over="ignore")                           # np.float32("1e39") is inf: refused below
+def _parse_rows(lines: list[str], data_start: int, n: int,
+                points_line: int) -> tuple[np.ndarray, np.ndarray]:
     """The row loop: parses any layout the format allows (comments and
     blank lines among the rows) and raises on the first bad line."""
-    xyz = np.empty((n, 3), dtype=np.float64)
-    packed = np.empty(n, dtype=np.int64)
-    count = 0
+    if n > len(lines) - data_start:                   # every row needs a line after DATA
+        raise PcdParseError(f"expected {n} data rows, only {len(lines) - data_start} "
+                            "lines follow DATA", points_line)
+    xyz, packed, count = np.empty((n, 3)), np.empty(n, dtype=np.int64), 0
     for lineno in range(data_start + 1, len(lines) + 1):
         stripped = lines[lineno - 1].strip()
         if not stripped or stripped.startswith("#"):
@@ -241,14 +264,13 @@ def read_pcd(path: str | Path) -> PointCloud:
         On bytes that are not UTF-8, or any malformed header or data line;
         the message carries the 1-based line number.
     """
-    lines = decode_utf8(Path(path).read_bytes(), PcdParseError).splitlines()
-    frame = "unknown"
+    raw = Path(path).read_bytes()
+    text = decode_utf8(raw, PcdParseError)
+    frame, data_start, lineno = "unknown", None, None
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}
-    data_start = None
-    lineno = 0
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
+    for lineno, line in enumerate(_LINE.finditer(text), start=1):
+        stripped = line[0].strip()
         if not stripped:
             continue
         if stripped.startswith("#"):
@@ -267,7 +289,7 @@ def read_pcd(path: str | Path) -> PointCloud:
             raise PcdParseError(
                 f"unsupported {key} {header[key]!r} (expected {_EXPECTED[key]!r})", lineno)
         if key == "DATA":
-            data_start = lineno
+            data_start, at = lineno, len(text[:line.end()].encode())  # bytes before the rows
             break
     if data_start is None:
         raise PcdParseError("missing DATA header", lineno or 1)
@@ -280,14 +302,10 @@ def read_pcd(path: str | Path) -> PointCloud:
         raise PcdParseError(f"bad POINTS value {header['POINTS']!r}", data_start) from None
     if header["WIDTH"] != header["POINTS"]:
         raise PcdParseError("WIDTH does not match POINTS", data_start)
-    # bound n before allocating: every row needs a line after DATA
     if n < 0:
         raise PcdParseError(f"negative POINTS value {n}", header_line["POINTS"])
-    if n > len(lines) - data_start:
-        raise PcdParseError(f"expected {n} data rows, only {len(lines) - data_start} "
-                            "lines follow DATA", header_line["POINTS"])
-
-    xyz, packed = (_parse_blocks(lines[data_start:], n)
-                   or _parse_rows(lines, data_start, n))
-    rgb = ((packed[:, None] >> [16, 8, 0]) & 0xFF).astype(np.uint8)
-    return PointCloud(xyz, rgb, frame)
+    del text                                          # the rows are read from raw
+    xyz, packed = _parse_bytes(raw, at, n) or _parse_rows(
+        decode_utf8(raw, PcdParseError).splitlines(), data_start, n, header_line["POINTS"])
+    rgb = packed.astype("<u4").view(np.uint8).reshape(-1, 4)[:, 2::-1]  # bytes b, g, r, 0
+    return PointCloud(xyz, rgb.copy(), frame)

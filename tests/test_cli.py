@@ -235,6 +235,17 @@ def test_broken_pcd_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_float32_overflow_in_a_cloud_prints_one_error_line(tmp_path):
+    # in a child process, so a numpy warning would reach stderr as it does for users
+    bad = tmp_path / "big.pcd"
+    bad.write_text("WIDTH 2\nPOINTS 2\nDATA ascii\n0.0 0.0 0.0 0\n3.5e38 0.0 0.0 0\n")
+    proc = subprocess.run([sys.executable, "-m", "laserberry", "localize", "--scenario",
+                           "demo_11", "--cloud1", str(bad), "--cloud2", str(bad)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: line 5: non-finite coordinate in row: '3.5e38 0.0 0.0 0'\n"
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -221,3 +221,11 @@ def test_pairs_within_matches_bruteforce():
     got = {(int(i), int(j)) for i, j in pairs}
     assert got == want
 
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("query", ["radius_search", "pairs_within"])
+def test_radius_must_be_finite(query, radius):
+    tree = KdTree(np.random.default_rng(3).uniform(-1, 1, size=(50, 3)))
+    args = ((0.0, 0.0, 0.0), radius) if query == "radius_search" else (radius,)
+    with pytest.raises(ValidationError, match=f"non-negative and finite, got {radius}$"):
+        getattr(tree, query)(*args)

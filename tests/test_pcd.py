@@ -107,6 +107,21 @@ def test_parse_errors_carry_line_numbers(tmp_path, mutate, lineno):
     assert f"line {lineno}" in str(err.value)
 
 
+def test_a_float32_overflow_names_its_line_and_warns_nothing(tmp_path):
+    # a RuntimeWarning is an error under this suite, so a leaked one fails here
+    path = tmp_path / "big.pcd"
+    path.write_text(_valid_text().replace("1 2 3 255", "3.5e38 2 3 255"))
+    with pytest.raises(PcdParseError) as err:
+        read_pcd(path)
+    assert str(err.value) == "line 13: non-finite coordinate in row: '3.5e38 2 3 255'"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(text=st.text(st.sampled_from("ab \t\n\r\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029\xe9")))
+def test_header_lines_end_where_splitlines_ends_them(text):
+    assert [line[0] for line in pcdio._LINE.finditer(text)] == text.splitlines(keepends=True)
+
+
 def test_point_count_mismatch(tmp_path):
     path = tmp_path / "bad.pcd"
     path.write_text(_valid_text().replace("POINTS 2", "POINTS 3")
@@ -164,12 +179,20 @@ GEN_SCENE_SHA256 = {
 
 
 @pytest.mark.parametrize("name", sorted(GEN_SCENE_SHA256))
-def test_gen_scene_pcds_match_pinned_digests(name, tmp_path, capsys):
+def test_gen_scene_pcds_match_pinned_digests(name, tmp_path, capsys, monkeypatch):
     assert main(["gen-scene", "--scenario", name, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     got = tuple(hashlib.sha256((tmp_path / f"camera{i}.pcd").read_bytes()).hexdigest()
                 for i in (1, 2))
     assert got == GEN_SCENE_SHA256[name]
+    # read back on the byte path, across every block seam of the large files
+    monkeypatch.setattr(pcdio, "_parse_rows",
+                        lambda *args: pytest.fail("a written file took the row loop"))
+    clouds = generate_scene(load_scenario(bundled_scenario_path(name)))[:2]
+    for i, cloud in enumerate(clouds, start=1):
+        back = read_pcd(tmp_path / f"camera{i}.pcd")
+        np.testing.assert_array_equal(back.xyz, cloud.xyz.astype(np.float32))
+        np.testing.assert_array_equal(back.rgb, cloud.rgb)
 
 
 def test_demo_11_digests_equal_the_benchmark_references():
@@ -281,6 +304,20 @@ def _three_then_five(rows, r, rng):
     rows[r], rows[r + 1] = head, f"{rows[r + 1]} {last}"
 
 
+def _set_coordinate(value):
+    return lambda rows, r, rng: _set_token(rows, r, int(rng.integers(0, 3)), value)
+
+
+def _first_space(char):
+    def perturb(rows, r, rng):
+        rows[r] = rows[r].replace(" ", char, 1)
+    return perturb
+
+
+def _lone_cr(rows, r, rng):
+    rows[r:r + 2] = [rows[r] + "\r" + rows[r + 1]]
+
+
 #: Each perturbation of a written file, and whether the row loop accepts it.
 PERTURBATIONS = {
     "spaces_and_tabs": (_respace, True),
@@ -294,6 +331,19 @@ PERTURBATIONS = {
     "rgb_minus_one": (lambda rows, r, rng: _set_token(rows, r, 3, "-1"), False),
     "rgb_two_to_24": (lambda rows, r, rng: _set_token(rows, r, 3, str(1 << 24)), False),
     "three_then_five_tokens": (_three_then_five, False),
+    # edges the byte grammar leaves to the row loop
+    "leading_point": (_set_coordinate(".5"), True),
+    "trailing_point": (_set_coordinate("5."), True),
+    "minus_leading_point": (_set_coordinate("-.5"), True),
+    "integer_coordinate": (_set_coordinate("1"), True),
+    "rgb_leading_zeros": (lambda rows, r, rng: _set_token(rows, r, 3, "000255"), True),
+    "form_feed_in_row": (_first_space("\x0c"), False),
+    "next_line_at_row_end": (lambda rows, r, rng: rows.__setitem__(r, rows[r] + "\x85"), True),
+    "line_separator_in_row": (_first_space("\u2028"), False),
+    "lone_cr_line_end": (_lone_cr, True),
+    "two_points": (_set_coordinate("1.0.0"), False),
+    "double_minus": (_set_coordinate("--1.0"), False),
+    "float32_overflow": (_set_coordinate("3.5e38"), False),
 }
 
 
@@ -322,10 +372,12 @@ def test_reader_matches_the_row_loop(tmp_path, monkeypatch, kind, seed, rows):
     newline = "\r\n" if kind == "crlf" else "\n"
     path.write_text((header + "DATA ascii\n").replace("\n", newline)
                     + newline.join(lines) + newline, encoding="utf-8")
-    blocked = _outcome(path)
-    monkeypatch.setattr(pcdio, "_parse_blocks", lambda data, n: None)
-    assert blocked == _outcome(path)
-    assert blocked[0] == ("cloud" if accepted else "error")
+    fast = _outcome(path)
+    parse, verdicts = pcdio._parse_bytes, []
+    monkeypatch.setattr(pcdio, "_parse_bytes", lambda *args: verdicts.append(parse(*args)))
+    assert fast == _outcome(path)
+    assert verdicts == [None]                         # the byte path left the file to the row loop
+    assert fast[0] == ("cloud" if accepted else "error")
 
 
 @pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025])
@@ -385,7 +437,46 @@ def _writer_fuzz_values(rng):
     return np.concatenate([vals, -vals])
 
 
-def test_writer_matches_the_row_loop_on_fuzzed_floats(tmp_path):
+def _grammar_tokens(rng):
+    """Coordinate tokens in the writer's grammar, on and off the byte path's
+    fast path: the writer's digits for float32 values from every binade, both
+    signs, within 8 ulps of 1e-4, 1e6 and 1e16, and -0.0; float32 midpoints
+    (a tie for the narrowing), many short enough for the fast path; tokens
+    of 15 and 16 bytes, its edge; and tokens it leaves to ``float``, where
+    M >= 2**53, k > 22 or the token is long."""
+    bits = np.arange(255, dtype=np.uint32)[:, None] << 23 | rng.integers(
+        0, 1 << 23, size=(255, 8), dtype=np.uint32)
+    vals = np.concatenate([bits.ravel().view(np.float32), _ulps_around([1e-4, 1e6, 1e16], 8)])
+    written = [_fmt32(v) for v in np.concatenate([vals, -vals, np.float32([-0.0])])]
+    assert "-0.0" in written and all("e" not in t for t in written)
+    binade = 2.0 ** rng.integers(10, 53, size=300)
+    midpoints = [repr(m) for m in (binade * (1 + (2 * rng.integers(0, 1 << 23, size=300) + 1)
+                                             * 2.0 ** -24)).tolist()]
+    edges = ["123456789012.34", "-12345678901.23", "12345678901234.5", "-1234567890.1234",
+             "99999999999999.9", "9999999.99999999"]
+    off_path = ["9007199254740993.0", "-9007199254740993.5", "0.00000000000000000000001",
+                "1.00000000000000000000000001", "0.1000000000000000055511151231257827",
+                "340282346638528859811704183484516925440.0", "0." + "0" * 44 + "1401298464"]
+    return written + midpoints + edges + off_path
+
+
+def test_the_byte_path_reads_what_float_reads(tmp_path, monkeypatch):
+    rng = np.random.default_rng(23)
+    tokens = _grammar_tokens(rng)
+    tokens += ["0.0"] * (-len(tokens) % 3)
+    rows = len(tokens) // 3
+    path = tmp_path / "t.pcd"
+    path.write_text(f"WIDTH {rows}\nPOINTS {rows}\nDATA ascii\n" + "".join(
+        f"{' '.join(tokens[3 * i:3 * i + 3])} {i}\n" for i in range(rows)))
+    monkeypatch.setattr(pcdio, "_parse_rows",
+                        lambda *args: pytest.fail("the writer's grammar took the row loop"))
+    back = read_pcd(path)
+    want = np.array([float(np.float32(float(t))) for t in tokens])
+    assert back.xyz.ravel().tobytes() == want.tobytes()
+    assert (back.rgb.astype(np.int64) @ [1 << 16, 1 << 8, 1] == np.arange(rows)).all()
+
+
+def test_writer_matches_the_row_loop_on_fuzzed_floats(tmp_path, monkeypatch):
     rng = np.random.default_rng(17)
     vals = rng.permutation(_writer_fuzz_values(rng))
     assert np.isfinite(vals).all() and np.signbit(vals[vals == 0]).any()
@@ -396,6 +487,8 @@ def test_writer_matches_the_row_loop_on_fuzzed_floats(tmp_path):
     path = tmp_path / "w.pcd"
     write_pcd(cloud, path)
     assert path.read_text().split("DATA ascii\n")[1] == _loop_rows(cloud)
+    monkeypatch.setattr(pcdio, "_parse_rows",
+                        lambda *args: pytest.fail("a written file took the row loop"))
     back = read_pcd(path)
     np.testing.assert_array_equal(back.xyz, cloud.xyz)
     np.testing.assert_array_equal(back.rgb, rgb)
