@@ -1,11 +1,15 @@
 """Scenario file parsing: defaults, overrides, and error reporting."""
 
 import dataclasses
+import io
 import re
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from laserberry import HarvestConfig, ScenarioError, ValidationError, load_scenario
+from laserberry.cli import main
 from laserberry.scenario import bundled_scenario_path
 
 
@@ -427,3 +431,55 @@ def test_home_pose_on_the_travel_limits_loads(tmp_path):
     scn = load_scenario(_write(tmp_path, "[scenario]\nseed = 1\n[gantry]\n"
                                          "home_x = 0.24\nhome_y = -0.30\nhome_z = 0.8\n"))
     assert scn.gantry.home_position == (0.24, -0.30, 0.8)
+
+
+#: ``[section] key = value``, the exit code of ``simulate`` on the minimal
+#: scenario holding it, and its ``error:`` line: every key of docs/formats.md
+#: set to ``nan``, ``inf``, ``-1``, ``0`` and ``x`` in turn.
+_PINS = Path(__file__).parent / "golden" / "scenario_errors.txt"
+
+#: The keys a section needs before one more is set: a berry's or a camera's
+#: centre, or all six bounds of the window the key belongs to (defaults).
+_PIN_BASE = {
+    "berry 1": {"x": "0", "y": "0", "z": "0.6"},
+    "camera 1": {"x": "-0.2", "y": "-0.45", "z": "0.4"},
+    "camera 2": {"x": "0.2", "y": "0.45", "z": "0.4"},
+    "foliage": dict(zip(_BOUNDS, ("-0.35", "0.35", "-0.25", "0.25", "0.45", "0.75"))),
+    "reduced_": dict(zip(_BOUNDS, ("-0.3", "0.3", "-0.2", "0.2", "0.5", "0.7"))),
+    "palette_": dict(zip(_BOUNDS, ("-0.09", "-0.07", "0.1", "0.11", "0.3", "0.35"))),
+}
+
+
+def _pinned_scenario(section: str, key: str, value: str) -> str:
+    """The minimal scenario with ``[section] key = value``."""
+    sections = {"scenario": {"seed": "1"}}
+    sections.setdefault(section, {})
+    window = key[:key.index("_") + 1] if section == "localization" and "_m" in key else None
+    for k, v in _PIN_BASE.get(window or section, {}).items():
+        sections[section][(window or "") + k] = v
+    sections[section][key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+def _pin_lines() -> list[str]:
+    return _PINS.read_text(encoding="utf-8").splitlines()
+
+
+def _simulate_pin(tmp_path, case: str) -> str:
+    """``case`` and the exit code and stderr of ``simulate`` on its scenario,
+    as the pin file holds them."""
+    section, key, value = re.fullmatch(r"\[(.+)\] (\w+) = (.*)", case).groups()
+    path = tmp_path / "pin.ini"
+    path.write_text(_pinned_scenario(section, key, value), encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["simulate", "--scenario", str(path)])
+    return f"{case}\t{code}\t{err.getvalue().rstrip(chr(10))}"
+
+
+def test_every_key_fails_or_loads_as_pinned(tmp_path):
+    lines = _pin_lines()
+    assert len(lines) == 5 * 76
+    assert [_simulate_pin(tmp_path, line.split("\t")[0]) for line in lines] == lines
+
