@@ -38,11 +38,12 @@ class SpatialWindow:
     z_max: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         for axis in ("x", "y", "z"):
             lo = getattr(self, f"{axis}_min")
             hi = getattr(self, f"{axis}_max")
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValidationError("window bounds must be finite")
             if lo > hi:
                 object.__setattr__(self, f"{axis}_min", hi)
                 object.__setattr__(self, f"{axis}_max", lo)
@@ -127,14 +128,17 @@ def merge_clouds(a: PointCloud, b: PointCloud) -> PointCloud:
 class ClusterParams:
     """Distance tolerance and size band for Euclidean clustering."""
 
-    tolerance: float   # m, neighbor linkage distance
-    min_size: int
-    max_size: int
+    tolerance: float = 0.010   # m, neighbor linkage distance
+    min_size: int = 40
+    max_size: int = 50000
 
     def __post_init__(self):
         require_positive(tolerance=self.tolerance)
-        if not (0 < self.min_size <= self.max_size):
-            raise ValidationError("cluster size band must satisfy 0 < min <= max")
+        if not 0 < self.min_size:
+            raise ValidationError(f"min_size must be positive, got {self.min_size}")
+        if not self.min_size <= self.max_size:
+            raise ValidationError(f"max_size must be at least min_size = {self.min_size}, "
+                                  f"got {self.max_size}")
 
 
 #: Grid cell side over the tolerance: a hair under 1/sqrt(3), so two points
@@ -400,8 +404,7 @@ class LocalizationConfig:
     r_th: float = 45.0
     g_th: float = 45.0
     b_th: float = 45.0
-    cluster: ClusterParams = field(
-        default_factory=lambda: ClusterParams(tolerance=0.010, min_size=40, max_size=50000))
+    cluster: ClusterParams = field(default_factory=ClusterParams)
 
     def __post_init__(self):
         require_positive(r_th=self.r_th, g_th=self.g_th, b_th=self.b_th)

@@ -5,11 +5,16 @@ placement, camera poses, clutter density, and parameter overrides for the
 gantry, localization, and laser models — so simulations replay exactly.
 Sections and keys the loader never reads are rejected rather than ignored;
 duplicated keys are parse errors. See ``docs/formats.md`` for the key reference.
+
+One table, ``_KEYS``, maps each key to the record field it sets; each record
+checks its own values, and the loader names the key of a check that fails.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
+import inspect
 import math
 import re
 from dataclasses import dataclass, field, fields
@@ -17,10 +22,24 @@ from importlib import resources
 from pathlib import Path
 
 from .controller import HarvestConfig
-from .errors import ScenarioError, decode_utf8, require_positive
+from .errors import ScenarioError, ValidationError, decode_utf8, require_positive
 from .gantry import GantryConfig, LensAxis, MotionProfile, TrapperState
 from .geometry import RigidTransform
 from .localization import ClusterParams, LocalizationConfig, SpatialWindow
+
+
+def _require(positive: bool, **values) -> None:
+    """Raise ScenarioError naming the first of ``values`` that is not finite
+    or, with ``positive``, not above zero. Item i of a tuple is named
+    ``name[i]``; None passes."""
+    for name, value in values.items():
+        if isinstance(value, tuple):
+            _require(positive, **{f"{name}[{i}]": v for i, v in enumerate(value)})
+        elif value is not None:
+            fault = ("finite" if not -math.inf < value < math.inf     # NaN is not finite
+                     else "positive" if positive and not value > 0 else None)
+            if fault:
+                raise ScenarioError(f"{name} must be {fault}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +52,11 @@ class BerrySpec:
     stem_length_m: float = 0.035
     toughness: float | None = None              # falls back to [laser] toughness
 
+    def __post_init__(self):
+        _require(False, center=self.center)
+        _require(True, diameter_m=self.diameter_m, stem_diameter_mm=self.stem_diameter_mm,
+                 stem_length_m=self.stem_length_m, toughness=self.toughness)
+
 
 @dataclass(frozen=True)
 class PaletteSpec:
@@ -43,10 +67,8 @@ class PaletteSpec:
     points: int = 400
 
     def __post_init__(self):
-        if self.points <= 0:
-            raise ScenarioError("palette needs a positive point count")
-        if any(s <= 0 for s in self.size):
-            raise ScenarioError("palette size must be positive per axis")
+        _require(False, center=self.center)
+        _require(True, size=self.size, points=self.points)
 
 
 @dataclass(frozen=True)
@@ -60,10 +82,13 @@ class ColorSettings:
     palette_jitter: int = 3
 
     def __post_init__(self):
+        for key in ("berry_base", "foliage_base"):
+            if not all(0 <= c <= 255 for c in getattr(self, key)):
+                raise ScenarioError(f"{key}: channels outside [0, 255]")
         for key in ("berry_jitter", "foliage_jitter", "palette_jitter"):
             value = getattr(self, key)
             if not 0 <= value <= 255:
-                raise ScenarioError(f"[colors] {key} must be in [0, 255], got {value}")
+                raise ScenarioError(f"{key} must be in [0, 255], got {value}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +153,13 @@ def _check_point_budget(scenario: "Scenario") -> None:
             f"over the budget of {MAX_SCENE_POINTS:.0e} points")
 
 
+def _camera(x: float, y: float, z: float, roll_deg: float = 0.0, pitch_deg: float = 0.0,
+            yaw_deg: float = 0.0) -> RigidTransform:
+    """The pose a ``[camera N]`` section gives; each value must be finite."""
+    _require(False, x=x, y=y, z=z, roll_deg=roll_deg, pitch_deg=pitch_deg, yaw_deg=yaw_deg)
+    return RigidTransform.from_euler_deg(roll_deg, pitch_deg, yaw_deg, (x, y, z))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete, replayable bench setup."""
@@ -135,8 +167,10 @@ class Scenario:
     seed: int
     berries: tuple[BerrySpec, ...] = ()
     palette: PaletteSpec = field(default_factory=PaletteSpec)
-    camera_1: RigidTransform = field(default_factory=lambda: _default_camera(1))
-    camera_2: RigidTransform = field(default_factory=lambda: _default_camera(2))
+    camera_1: RigidTransform = field(
+        default_factory=lambda: _camera(-0.20, -0.45, 0.40, 60.0, 0.0, 20.0))
+    camera_2: RigidTransform = field(
+        default_factory=lambda: _camera(0.20, 0.45, 0.40, -60.0, 5.0, -160.0))
     berry_points: int = 600
     foliage_points: int = 3000
     foliage_window: SpatialWindow = SpatialWindow(-0.35, 0.35, -0.25, 0.25, 0.45, 0.75)
@@ -147,116 +181,24 @@ class Scenario:
     harvest: HarvestConfig = field(default_factory=HarvestConfig)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ScenarioError("seed must be a non-negative integer")
-        if self.berry_points <= 0:
-            raise ScenarioError("berry_points must be positive")
-        if self.foliage_points < 0:
-            raise ScenarioError("foliage_points must be non-negative")
+        for ok, message in (
+                (self.seed >= 0, "seed must be a non-negative integer"),
+                (self.berry_points > 0, "berry_points must be positive"),
+                (self.foliage_points >= 0, "foliage_points must be non-negative"),
+                (self.harvest.dt_s <= MAX_DT_S, f"[demo] dt must be at most the trapper's "
+                                                f"{MAX_DT_S:g} s close time, got {self.harvest.dt_s}")):
+            if not ok:
+                raise ScenarioError(message)
         w = self.localization.palette_window
-        for ctr, sz, lo, hi in zip(self.palette.center, self.palette.size,
-                                   (w.x_min, w.y_min, w.z_min), (w.x_max, w.y_max, w.z_max)):
-            if ctr - sz / 2 < lo or ctr + sz / 2 > hi:
+        for axis, ctr, sz in zip("xyz", self.palette.center, self.palette.size):
+            lo, hi = getattr(w, f"{axis}_min"), getattr(w, f"{axis}_max")
+            if not lo <= ctr - sz / 2 <= ctr + sz / 2 <= hi:
                 raise ScenarioError(
-                    "palette patch extends outside the palette calibration window")
+                    f"[palette] {axis}, d{axis}: palette patch [{ctr - sz / 2:g}, "
+                    f"{ctr + sz / 2:g}] extends outside the palette calibration window "
+                    f"[localization] [palette_{axis}_min, palette_{axis}_max] = [{lo:g}, {hi:g}]")
         _check_point_budget(self)
-        if not self.harvest.dt_s <= MAX_DT_S:
-            raise ScenarioError(f"[demo] dt must be at most the trapper's {MAX_DT_S:g} s "
-                                f"close time, got {self.harvest.dt_s}")
         _check_tick_budget(self.gantry, self.harvest)
-
-
-def _default_camera(index: int) -> RigidTransform:
-    if index == 1:
-        return RigidTransform.from_euler_deg(60.0, 0.0, 20.0, (-0.20, -0.45, 0.40))
-    return RigidTransform.from_euler_deg(-60.0, 5.0, -160.0, (0.20, 0.45, 0.40))
-
-
-# ---------------------------------------------------------------------------
-# parsing
-
-_BERRY_SECTION = re.compile(r"^berry (\d+)$")
-
-
-class _Section:
-    """One parsed section with typed key access that records each key read."""
-
-    def __init__(self, name: str, raw: dict[str, str]):
-        self.name = name
-        self.raw = raw
-        self.read: set[str] = set()
-
-    def _get(self, key: str, default, required: bool, convert, what: str):
-        self.read.add(key)
-        if key not in self.raw:
-            if required:
-                raise ScenarioError(f"missing required key '{key}' in [{self.name}]")
-            return default
-        try:
-            return convert(self.raw[key])
-        except ValueError as exc:
-            raise ScenarioError(
-                f"[{self.name}] {key}: not {what}: {self.raw[key]!r}") from exc
-
-    def get_float(self, key: str, default: float | None = None, required: bool = False):
-        return self._get(key, default, required, float, "a number")
-
-    def get_finite(self, key: str, default: float | None = None, required: bool = False):
-        """:meth:`get_float` that also rejects ``nan`` and ``inf``."""
-        value = self.get_float(key, default, required)
-        if value is not None and not math.isfinite(value):
-            raise ScenarioError(f"[{self.name}] {key} must be finite, got {value}")
-        return value
-
-    def get_positive(self, key: str, default: float | None = None, required: bool = False):
-        """:meth:`get_finite` that also rejects zero and negative values."""
-        value = self.get_finite(key, default, required)
-        if value is not None and value <= 0:
-            raise ScenarioError(f"[{self.name}] {key} must be positive, got {value}")
-        return value
-
-    def get_int(self, key: str, default: int | None = None, required: bool = False):
-        return self._get(key, default, required, int, "an integer")
-
-    def get_str(self, key: str, default: str | None = None):
-        return self._get(key, default, False, str.strip, "text")
-
-    def get_rgb(self, key: str, default: tuple[int, int, int]) -> tuple[int, int, int]:
-        text = self.get_str(key)
-        if text is None:
-            return default
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != 3:
-            raise ScenarioError(f"[{self.name}] {key}: expected 'r,g,b', got {text!r}")
-        try:
-            r, g, b = (int(p) for p in parts)
-        except ValueError as exc:
-            raise ScenarioError(f"[{self.name}] {key}: bad channel in {text!r}") from exc
-        if not all(0 <= c <= 255 for c in (r, g, b)):
-            raise ScenarioError(f"[{self.name}] {key}: channels outside [0, 255]")
-        return (r, g, b)
-
-
-def _parse_camera(sec: _Section, index: int) -> RigidTransform:
-    if not sec.raw:
-        return _default_camera(index)
-    return RigidTransform.from_euler_deg(
-        sec.get_finite("roll_deg", 0.0),
-        sec.get_finite("pitch_deg", 0.0),
-        sec.get_finite("yaw_deg", 0.0),
-        tuple(sec.get_finite(k, required=True) for k in "xyz"),
-    )
-
-
-def _parse_window(sec: _Section, prefix: str, default: SpatialWindow) -> SpatialWindow:
-    """The six bounds ``<prefix>x_min`` ... ``<prefix>z_max``, all or none."""
-    keys = [prefix + f.name for f in fields(SpatialWindow)]
-    missing = [k for k in keys if k not in sec.raw]
-    if len(missing) == len(keys):
-        return default
-    if missing:
-        raise ScenarioError(f"[{sec.name}] window needs all six bounds, missing {missing}")
-    return SpatialWindow(*(sec.get_finite(k) for k in keys))
 
 
 def bundled_scenario_path(name: str) -> Path | None:
@@ -273,6 +215,105 @@ def bundled_scenario_path(name: str) -> Path | None:
     return path if path.is_file() else None
 
 
+# ---------------------------------------------------------------------------
+# parsing
+
+def _rgb(text: str) -> tuple[int, int, int]:
+    """``r, g, b`` as three integers; ColorSettings checks their range."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ValueError(f"expected 'r,g,b', got {text!r}")
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"bad channel in {text!r}") from None
+
+
+def _rows(spec: str, convert=float, prefix: str = "") -> dict:
+    """Table rows from ``"key=field ..."``: ``prefix + key`` sets the field
+    named after ``=`` (``name[i]`` being item i of a tuple field), or else the
+    field named ``key``, through ``convert``."""
+    return {prefix + key: (name or key, convert)
+            for key, _, name in (item.partition("=") for item in spec.split())}
+
+
+_BOUNDS = " ".join(f.name for f in fields(SpatialWindow))
+
+#: Every key of a scenario file: section -> record -> (type, rows), ``berry``
+#: and ``camera`` standing for each ``[berry N]`` and ``[camera N]``. A record
+#: is built from its keys and the defaults of its type once any of its keys
+#: is given; a scenario or a berry always is.
+_KEYS = {
+    "scenario": {"scenario": (Scenario, _rows("seed berry_points foliage_points", int))},
+    "berry": {"berry": (BerrySpec, _rows(
+        "x=center[0] y=center[1] z=center[2] diameter=diameter_m stem_diameter_mm "
+        "stem_length=stem_length_m toughness"))},
+    "colors": {"colors": (ColorSettings, {
+        **_rows("berry_base foliage_base", _rgb),
+        **_rows("berry_jitter foliage_jitter palette_jitter", int)})},
+    "foliage": {"foliage_window": (SpatialWindow, _rows(_BOUNDS))},
+    "palette": {"palette": (PaletteSpec, {
+        **_rows("x=center[0] y=center[1] z=center[2] dx=size[0] dy=size[1] dz=size[2]"),
+        **_rows("points", int)})},
+    "gantry": {"gantry": (GantryConfig, _rows(
+        "max_velocity max_accel x_min=x_limits[0] x_max=x_limits[1] y_min=y_limits[0] "
+        "y_max=y_limits[1] z_min=z_limits[0] z_max=z_limits[1] home_x=home_position[0] "
+        "home_y=home_position[1] home_z=home_position[2]"))},
+    "localization": {
+        "reduced_window": (SpatialWindow, _rows(_BOUNDS, prefix="reduced_")),
+        "palette_window": (SpatialWindow, _rows(_BOUNDS, prefix="palette_")),
+        "localization": (LocalizationConfig, _rows("r_th g_th b_th")),
+        "cluster": (ClusterParams, {**_rows("tolerance"),
+                                    **_rows("min_cluster=min_size max_cluster=max_size", int)})},
+    "laser": {"harvest": (HarvestConfig, _rows("spot_diameter_mm lateral_velocity_mm_s")),
+              "laser": (LaserSettings, {**_rows("dataset", str.strip), **_rows("toughness")})},
+    "demo": {"harvest": (HarvestConfig, _rows("dt=dt_s cut_timeout_s fall_timeout_s"))},
+    "camera": {"camera": (_camera, _rows("x y z roll_deg pitch_deg yaw_deg"))},
+}
+#: What ``int`` and ``float`` read, for the error on text they cannot read.
+_WHAT = {int: "an integer", float: "a number"}
+#: Sections whose failed checks stay validation errors (exit 2) as raised; a
+#: failed check of any other section, or of a window bound in any section, is
+#: a parse error (exit 1) headed by its section.
+_VALIDATED = ("gantry", "localization", "laser")
+_BERRY_SECTION = re.compile(r"^berry (\d+)$")
+_FIELD = re.compile(r"\w+(?:\[\d\])?")
+_NONE = inspect.Parameter.empty
+
+
+@functools.cache
+def _defaults(kind) -> dict:
+    """Each field of ``kind`` and its default, ``_NONE`` where it has none."""
+    return {name: p.default for name, p in inspect.signature(kind).parameters.items()}
+
+
+def _default(kind, label: str):
+    """The default of field ``label`` of ``kind`` (of ``name[i]``, item i of
+    the tuple default), or ``_NONE`` if it has none."""
+    name, _, i = label.partition("[")
+    default = _defaults(kind)[name]
+    return default[int(i[:-1])] if i and default is not _NONE else default
+
+
+def _build(kind, values: dict, names: dict):
+    """``kind`` called with the field ``values``, a tuple field's items in
+    order. A failed check is raised again with each field it names replaced by
+    its key (``names``: field -> (section, key)), as ``_VALIDATED`` says."""
+    kwargs = {}
+    for label, value in values.items():
+        name, _, i = label.partition("[")
+        kwargs[name] = kwargs.get(name, ()) + (value,) if i else value
+    try:
+        return kind(**kwargs)
+    except (ScenarioError, ValidationError) as exc:
+        text = str(exc)
+        message = _FIELD.sub(lambda m: names[m[0]][1] if m[0] in names else m[0], text)
+        section, _ = names.get(text.partition(" ")[0].rstrip(":"), (None, None))
+        if section is None or section in _VALIDATED and kind is not SpatialWindow:
+            raise type(exc)(message) from exc
+        raise ScenarioError(f"[{section}] {message}") from exc
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file.
 
@@ -283,7 +324,8 @@ def load_scenario(path: str | Path) -> Scenario:
         point and tick budgets), duplicated keys, missing required keys,
         or values outside their documented domains.
     ValidationError
-        On bad ``[gantry]``, ``[localization]`` or ``[laser]`` values.
+        On bad ``[gantry]``, ``[localization]`` (window bounds aside) or
+        ``[laser]`` values.
     """
     parser = configparser.ConfigParser(strict=True, delimiters=("=",),
                                        comment_prefixes=("#", ";"),
@@ -294,118 +336,61 @@ def load_scenario(path: str | Path) -> Scenario:
                        lambda message, line: ScenarioError(f"{message} (line {line})"))
     try:
         parser.read_file(text.splitlines(), source=str(path))
-    except configparser.DuplicateOptionError as exc:
-        raise ScenarioError(f"duplicate key '{exc.option}' in [{exc.section}] "
-                            f"(line {exc.lineno})") from exc
-    except configparser.DuplicateSectionError as exc:
-        raise ScenarioError(f"duplicate section [{exc.section}] (line {exc.lineno})") from exc
+    except (configparser.DuplicateOptionError, configparser.DuplicateSectionError) as exc:
+        what = f"key '{exc.option}' in" if hasattr(exc, "option") else "section"
+        raise ScenarioError(f"duplicate {what} [{exc.section}] (line {exc.lineno})") from exc
     except configparser.Error as exc:
         raise ScenarioError(f"malformed scenario file: {exc}") from exc
 
     sections = {name: dict(parser[name]) for name in parser.sections()}
-    if "scenario" not in sections:
-        raise ScenarioError("missing required section [scenario]")
-    asked: dict[str, _Section] = {}
-
-    def sec(name: str) -> _Section:
-        asked[name] = _Section(name, sections.get(name, {}))
-        return asked[name]
-
-    s = sec("scenario")
-    seed = s.get_int("seed", required=True)
-
-    berries = []
-    berry_names = sorted(
-        ((int(m.group(1)), name) for name, m in
-         ((n, _BERRY_SECTION.match(n)) for n in sections) if m))
-    for _, name in berry_names:
-        b = sec(name)
-        berries.append(BerrySpec(
-            center=tuple(b.get_finite(k, required=True) for k in "xyz"),
-            diameter_m=b.get_positive("diameter", BerrySpec.diameter_m),
-            stem_diameter_mm=b.get_positive("stem_diameter_mm", BerrySpec.stem_diameter_mm),
-            stem_length_m=b.get_positive("stem_length", BerrySpec.stem_length_m),
-            toughness=b.get_positive("toughness", BerrySpec.toughness),
-        ))
-
-    col = sec("colors")
-    colors = ColorSettings(
-        berry_base=col.get_rgb("berry_base", ColorSettings.berry_base),
-        berry_jitter=col.get_int("berry_jitter", ColorSettings.berry_jitter),
-        foliage_base=col.get_rgb("foliage_base", ColorSettings.foliage_base),
-        foliage_jitter=col.get_int("foliage_jitter", ColorSettings.foliage_jitter),
-        palette_jitter=col.get_int("palette_jitter", ColorSettings.palette_jitter),
-    )
-
-    foliage_window = _parse_window(sec("foliage"), "", Scenario.foliage_window)
-
-    pal = sec("palette")
-    palette = PaletteSpec(
-        center=tuple(pal.get_finite(k, v) for k, v in zip("xyz", PaletteSpec.center)),
-        size=tuple(pal.get_finite(f"d{k}", v) for k, v in zip("xyz", PaletteSpec.size)),
-        points=pal.get_int("points", PaletteSpec.points),
-    )
-
-    g = sec("gantry")
-    gantry = dict(
-        max_velocity=g.get_float("max_velocity", GantryConfig.max_velocity),
-        max_accel=g.get_float("max_accel", GantryConfig.max_accel),
-        x_limits=(g.get_float("x_min", GantryConfig.x_limits[0]),
-                  g.get_float("x_max", GantryConfig.x_limits[1])),
-        y_limits=(g.get_float("y_min", GantryConfig.y_limits[0]),
-                  g.get_float("y_max", GantryConfig.y_limits[1])),
-        z_limits=(g.get_float("z_min", GantryConfig.z_limits[0]),
-                  g.get_float("z_max", GantryConfig.z_limits[1])),
-        home_position=tuple(g.get_float(f"home_{k}", v)
-                            for k, v in zip("xyz", GantryConfig.home_position)),
-    )
-
-    loc = sec("localization")
-    base_loc = LocalizationConfig()
-    localization = dict(
-        reduced_window=_parse_window(loc, "reduced_", base_loc.reduced_window),
-        palette_window=_parse_window(loc, "palette_", base_loc.palette_window),
-        r_th=loc.get_float("r_th", base_loc.r_th),
-        g_th=loc.get_float("g_th", base_loc.g_th),
-        b_th=loc.get_float("b_th", base_loc.b_th),
-    )
-    cluster = dict(
-        tolerance=loc.get_float("tolerance", base_loc.cluster.tolerance),
-        min_size=loc.get_int("min_cluster", base_loc.cluster.min_size),
-        max_size=loc.get_int("max_cluster", base_loc.cluster.max_size))
-
-    las = sec("laser")
-    cycle = {key: las.get_float(key, getattr(HarvestConfig, key))
-             for key in ("spot_diameter_mm", "lateral_velocity_mm_s")}
-    laser = LaserSettings(dataset=las.get_str("dataset", LaserSettings.dataset),
-                          toughness=las.get_float("toughness", LaserSettings.toughness))
-
-    d = sec("demo")
-    for key, name in (("dt", "dt_s"), ("cut_timeout_s", "cut_timeout_s"),
-                      ("fall_timeout_s", "fall_timeout_s")):
-        cycle[name] = value = d.get_float(key, getattr(HarvestConfig, name))
-        if not 0.0 < value < math.inf:    # also rejects NaN
-            raise ScenarioError(f"[demo] {key} must be positive and finite, got {value}")
-    harvest = HarvestConfig(**cycle)
-
-    camera_1 = _parse_camera(sec("camera 1"), 1)
-    camera_2 = _parse_camera(sec("camera 2"), 2)
-    berry_points = s.get_int("berry_points", Scenario.berry_points)
-    foliage_points = s.get_int("foliage_points", Scenario.foliage_points)
+    berries = [name for _, name in sorted((int(m.group(1)), name) for name, m in
+                                          ((n, _BERRY_SECTION.match(n)) for n in sections) if m)]
+    order = ("scenario", *berries, "colors", "foliage", "palette", "gantry", "localization",
+             "laser", "demo", "camera 1", "camera 2")
+    records: dict[str, tuple] = {}    # record -> (type, {field: value}, {field: (section, key)})
+    for section in order:
+        raw = sections.get(section, {})
+        base = section.split()[0]                       # "berry" for [berry 3]
+        for record, (kind, rows) in _KEYS[base].items():
+            if base in ("berry", "camera"):
+                record = section.replace(" ", "_")        # camera_1 is Scenario's field
+            if base not in ("scenario", "berry") and not raw.keys() & rows.keys():
+                continue
+            _, values, names = records.setdefault(record, (kind, {}, {}))
+            for key, (label, convert) in rows.items():
+                names[label] = (section, key)
+                try:
+                    values[label] = convert(raw[key]) if key in raw else _default(kind, label)
+                except ValueError as exc:
+                    detail = f"not {_WHAT[convert]}: {raw[key]!r}" if convert in _WHAT else exc
+                    raise ScenarioError(f"[{section}] {key}: {detail}") from exc
+            missing = [key for key, (label, _) in rows.items() if values[label] is _NONE]
+            if missing:
+                raise ScenarioError(
+                    f"missing required section [{section}]" if section not in sections
+                    else f"[{section}] window needs all six bounds, missing {missing}"
+                    if kind is SpatialWindow
+                    else f"missing required key '{missing[0]}' in [{section}]")
+    # the gantry limits and the cluster band are checked in pairs, so they are
+    # built after the unknown-key check: a misspelt key must be reported, not
+    # the pair its default breaks
+    built = {record: _build(*spec) for record, spec in records.items()
+             if record not in ("gantry", "cluster", "localization", "scenario")}
     # every key has been read now, so what was never read is unknown
     for name, raw in sections.items():
-        if name not in asked:
+        if name not in order:
             raise ScenarioError(f"unknown section [{name}]")
+        known = {key for _, rows in _KEYS[name.split()[0]].values() for key in rows}
         for key in raw:
-            if key not in asked[name].read:
+            if key not in known:
                 raise ScenarioError(f"unknown key '{key}' in [{name}]")
 
-    # Built only now: the gantry limits and the cluster band are checked in
-    # pairs, and a misspelt key must be reported, not the pair its default breaks.
-    return Scenario(seed=seed, berries=tuple(berries), palette=palette,
-                    camera_1=camera_1, camera_2=camera_2, berry_points=berry_points,
-                    foliage_points=foliage_points, foliage_window=foliage_window,
-                    colors=colors, gantry=GantryConfig(**gantry),
-                    localization=LocalizationConfig(**localization,
-                                                    cluster=ClusterParams(**cluster)),
-                    laser=laser, harvest=harvest)
+    built["gantry"] = _build(*records.get("gantry", (GantryConfig, {}, {})))
+    kind, values, names = records.get("localization", (LocalizationConfig, {}, {}))
+    nested = {name: built.pop(name) for name in ("reduced_window", "palette_window")
+              if name in built}
+    if "cluster" in records:
+        nested["cluster"] = _build(*records["cluster"])
+    built["localization"] = _build(kind, {**values, **nested}, names)
+    return Scenario(**records["scenario"][1],
+                    berries=tuple(built.pop(b.replace(" ", "_")) for b in berries), **built)

@@ -7,6 +7,7 @@ and color filters against per-point predicates.
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,20 @@ def test_window_swaps_reversed_bounds():
     w = SpatialWindow(1.0, -1.0, 0.0, 2.0, 5.0, 3.0)
     assert w.x_min == -1.0 and w.x_max == 1.0
     assert w.z_min == 3.0 and w.z_max == 5.0
+
+
+def test_a_non_finite_bound_is_named():
+    with pytest.raises(ValidationError, match=r"^y_max must be finite, got inf$"):
+        SpatialWindow(-1.0, 1.0, -1.0, math.inf, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("band,message", [
+    ((0, 10), "min_size must be positive, got 0"),
+    ((60, 50), "max_size must be at least min_size = 60, got 50")])
+def test_a_bad_cluster_band_names_its_field(band, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ClusterParams(min_size=band[0], max_size=band[1])
+    assert ClusterParams() == LocalizationConfig().cluster
 
 
 def test_window_mask_matches_predicate_fuzz():

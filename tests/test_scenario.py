@@ -2,15 +2,19 @@
 
 import dataclasses
 import io
+import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laserberry import HarvestConfig, ScenarioError, ValidationError, load_scenario
 from laserberry.cli import main
-from laserberry.scenario import bundled_scenario_path
+from laserberry.scenario import (_KEYS, BerrySpec, ColorSettings, PaletteSpec, Scenario,
+                                 bundled_scenario_path)
 
 
 def _write(tmp_path, text):
@@ -482,4 +486,94 @@ def test_every_key_fails_or_loads_as_pinned(tmp_path):
     lines = _pin_lines()
     assert len(lines) == 5 * 76
     assert [_simulate_pin(tmp_path, line.split("\t")[0]) for line in lines] == lines
+
+
+#: Every key of the loader's table as ``(section, key, field)``, with both
+#: cameras and one berry standing for their sections.
+_TABLE_KEYS = [(section, key, label.partition("[")[0])
+               for kind, records in _KEYS.items()
+               for section in {"berry": ["berry 1"], "camera": ["camera 1", "camera 2"]}.get(
+                   kind, [kind])
+               for _, rows in records.values() for key, (label, _) in rows.items()]
+
+
+def test_the_pins_cover_every_key_of_the_table():
+    cases = [line.split("\t")[0] for line in _pin_lines()]
+    assert sorted(cases) == sorted(f"[{section}] {key} = {value}" for section, key, _ in _TABLE_KEYS
+                                   for value in ("nan", "inf", "-1", "0", "x"))
+
+
+#: Value texts at the edges of what ``int`` and ``float`` read.
+_ODD_VALUES = ["1e400", "-0", "1_0", "0x1", "+inf", "-nan", "1e-400", "", "  5  ", "\u0663"]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(_TABLE_KEYS), value=st.sampled_from(_ODD_VALUES))
+def test_an_odd_value_loads_or_fails_naming_its_key(tmp_path_factory, case, value):
+    section, key, field = case
+    path = tmp_path_factory.mktemp("odd") / "s.ini"
+    path.write_text(_pinned_scenario(section, key, value), encoding="utf-8")
+    try:
+        load_scenario(path)
+    except (ScenarioError, ValidationError) as exc:
+        # a pair check names the tuple field the key is one end of (x_limits)
+        assert re.search(rf"\b({key}|{field})\b", str(exc)), str(exc)
+
+
+def test_a_berry_built_in_code_refuses_what_the_loader_refuses():
+    with pytest.raises(ScenarioError, match=r"^center\[0\] must be finite, got nan$"):
+        Scenario(seed=1, berries=(BerrySpec(center=(math.nan, 0, 0.6), diameter_m=-1.0),))
+    with pytest.raises(ScenarioError, match=r"^diameter_m must be positive, got -1.0$"):
+        BerrySpec(center=(0.0, 0.0, 0.6), diameter_m=-1.0)
+    with pytest.raises(ScenarioError, match=r"^toughness must be finite, got inf$"):
+        BerrySpec(center=(0.0, 0.0, 0.6), toughness=math.inf)
+
+
+def test_a_palette_built_in_code_refuses_what_the_loader_refuses():
+    with pytest.raises(ScenarioError, match=r"^center\[0\] must be finite, got nan$"):
+        Scenario(seed=1, palette=PaletteSpec(center=(math.nan, 0.105, 0.325)))
+    with pytest.raises(ScenarioError, match=r"^size\[2\] must be positive, got 0.0$"):
+        PaletteSpec(size=(0.015, 0.008, 0.0))
+    with pytest.raises(ScenarioError, match=r"^points must be positive, got 0$"):
+        PaletteSpec(points=0)
+
+
+def test_colors_built_in_code_refuse_channels_outside_a_byte():
+    with pytest.raises(ScenarioError, match=r"^berry_base: channels outside \[0, 255\]$"):
+        ColorSettings(berry_base=(300, -5, 0))
+    with pytest.raises(ScenarioError, match=r"^palette_jitter must be in \[0, 255\], got 256$"):
+        ColorSettings(palette_jitter=256)
+
+
+@pytest.mark.parametrize("section", ["camera 1", "camera 2"])
+def test_a_camera_section_is_all_or_none(tmp_path, section):
+    default = Scenario(seed=1)
+    attr = section.replace(" ", "_")
+    scn = load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[{section}]\n"))
+    assert np.array_equal(getattr(scn, attr).rotation, getattr(default, attr).rotation)
+    assert np.array_equal(getattr(scn, attr).translation, getattr(default, attr).translation)
+    for given_keys, missing in (("roll_deg = 5\n", "x"), ("x = 0\ny = 0\n", "z")):
+        with pytest.raises(ScenarioError, match=rf"^missing required key '{missing}' in "
+                                                rf"\[{section}\]$"):
+            load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[{section}]\n{given_keys}"))
+    scn = load_scenario(_write(tmp_path, f"[scenario]\nseed = 1\n[{section}]\n"
+                                         f"x = 0.1\ny = 0.2\nz = 0.3\n"))
+    assert np.array_equal(getattr(scn, attr).rotation, np.eye(3))
+    assert getattr(scn, attr).translation.tolist() == [0.1, 0.2, 0.3]
+
+
+def _docs_sections() -> dict[str, str]:
+    """``### `[...]``` sections of docs/formats.md by heading."""
+    text = (Path(__file__).parent.parent / "docs" / "formats.md").read_text(encoding="utf-8")
+    return dict(re.findall(r"^### (`\[.*)\n((?:(?!##).*\n)*)", text, re.M))
+
+
+def test_every_key_is_named_in_its_own_docs_section():
+    sections = _docs_sections()
+    for kind, records in _KEYS.items():
+        heading = {"berry": "`[berry N]`", "camera": "`[camera 1]`"}.get(kind, f"`[{kind}]`")
+        (text,) = [body for head, body in sections.items() if head.startswith(heading)]
+        for _, rows in records.values():
+            for key in rows:
+                assert re.search(rf"^\|[^\n]*`{key}`", text, re.M), (kind, key)
 
