@@ -185,8 +185,9 @@ class Scenario:
                 (self.seed >= 0, "seed must be a non-negative integer"),
                 (self.berry_points > 0, "berry_points must be positive"),
                 (self.foliage_points >= 0, "foliage_points must be non-negative"),
-                (self.harvest.dt_s <= MAX_DT_S, f"[demo] dt must be at most the trapper's "
-                                                f"{MAX_DT_S:g} s close time, got {self.harvest.dt_s}")):
+                (self.harvest.dt_s <= MAX_DT_S,
+                 f"[demo] dt must be at most the trapper's {MAX_DT_S:g} s close time, "
+                 f"got {self.harvest.dt_s}")):
             if not ok:
                 raise ScenarioError(message)
         w = self.localization.palette_window
@@ -239,10 +240,11 @@ def _rows(spec: str, convert=float, prefix: str = "") -> dict:
 
 _BOUNDS = " ".join(f.name for f in fields(SpatialWindow))
 
-#: Every key of a scenario file: section -> record -> (type, rows), ``berry``
-#: and ``camera`` standing for each ``[berry N]`` and ``[camera N]``. A record
-#: is built from its keys and the defaults of its type once any of its keys
-#: is given; a scenario or a berry always is.
+#: Every key of a scenario file: section -> record -> (type, rows), sections
+#: in the order they are read, ``berry`` and ``camera`` standing for each
+#: ``[berry N]`` and ``[camera N]``. A record is built from its keys and the
+#: defaults of its type once any of its keys is given; a scenario or a berry
+#: always is.
 _KEYS = {
     "scenario": {"scenario": (Scenario, _rows("seed berry_points foliage_points", int))},
     "berry": {"berry": (BerrySpec, _rows(
@@ -345,8 +347,8 @@ def load_scenario(path: str | Path) -> Scenario:
     sections = {name: dict(parser[name]) for name in parser.sections()}
     berries = [name for _, name in sorted((int(m.group(1)), name) for name, m in
                                           ((n, _BERRY_SECTION.match(n)) for n in sections) if m)]
-    order = ("scenario", *berries, "colors", "foliage", "palette", "gantry", "localization",
-             "laser", "demo", "camera 1", "camera 2")
+    order = [name for base in _KEYS
+             for name in {"berry": berries, "camera": ("camera 1", "camera 2")}.get(base, [base])]
     records: dict[str, tuple] = {}    # record -> (type, {field: value}, {field: (section, key)})
     for section in order:
         raw = sections.get(section, {})
