@@ -9,14 +9,13 @@ trapper and descend toward the next fruit. Cycle time splits into motion
 time plus laser-on-to-severed cut time: motion is ``cycle - cut``, so the
 float sum ``motion + cut`` matches the cycle to within one rounding.
 
-A cycle is straight-line code: each phase is its action followed by a wait
-for the check that ends it. The wait is the only loop that moves the
-machine, a run's start-up homing included, on 1 ms ticks
-(``HarvestConfig.dt_s``); a check that already holds takes no tick. A wait
-jumps to the tick where its check first holds, or where a beam sees a
-fruit, replaying blocks of ticks as arrays (clock, trapper, fruit fall and
-etch) and bisecting the block where the check first holds. On a beam tick
-the block reports the fruit and beam, and :func:`check_interrupters` fires.
+A cycle is straight-line code: each phase is its action followed by a wait for
+the check that ends it. The wait is the only loop that moves the machine, a
+run's start-up homing included, on 1 ms ticks (``HarvestConfig.dt_s``); a
+check that already holds takes no tick. A wait jumps to the first tick its
+check holds or a beam sees a fruit, replaying ticks as arrays (clock, trapper,
+fruit fall, etch) up to when the check is due in closed form and bisecting
+only if that overshot; on a beam tick :func:`check_interrupters` fires.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import MotionError, require_positive
-from .gantry import FallEvent, GantryConfig, GantrySim, check_interrupters
+from .gantry import GRAVITY, FallEvent, GantryConfig, GantrySim, check_interrupters
 from .laser import CutModel, EtchState, etch_rate, etch_track
 from .laser import etch_step  # noqa: F401 -- wrapped by benchmarks/tracing.py
 from .localization import BerryBox
@@ -183,7 +182,7 @@ class _Cycle:
 
     def __init__(self, sim: GantrySim, world: list[FruitBody], box: BerryBox,
                  model: CutModel, config: HarvestConfig,
-                 next_box: BerryBox | None):
+                 next_box: BerryBox | None = None):
         self.sim = sim
         self.world = world
         self.box = box
@@ -218,13 +217,13 @@ class _Cycle:
                 best, best_d = fruit, d
         return best
 
-    def _wait(self, done: Callable[[float], bool]) -> None:
-        """Jump tick to tick until ``done(sim.time)`` holds, firing the
-        event each beam tick reports."""
+    def _wait(self, done: Callable[[float], bool], end: float) -> None:
+        """Jump tick to tick until ``done(sim.time)`` holds, due at sim time
+        ``end``, firing the event each beam tick reports."""
         sim, cfg, world = self.sim, self.cfg, self.world
         cutting = self.phases[-1:] == [HarvestPhase.CUTTING]
         while not done(sim.time):
-            seen = _jump(sim, cfg.dt_s, done, world, self if cutting else None)
+            seen = _jump(sim, cfg.dt_s, done, end, world, self if cutting else None)
             if seen is not None:
                 event = check_interrupters(sim, seen)
                 if event.fruit_uid == getattr(self.target, "uid", None):
@@ -235,7 +234,7 @@ class _Cycle:
         sim, cfg = self.sim, self.cfg
         self._enter(HarvestPhase.HOMING_LENS)
         sim.home_lens()
-        self._wait(sim.lens.homing_done_at)
+        self._wait(sim.lens.homing_done_at, sim.lens.homing_end)
 
         target = self.target = self._pick_target()
         if target is not None and target.toughness != self.model.toughness:
@@ -249,24 +248,25 @@ class _Cycle:
         for phase, waypoint in zip(_APPROACH, waypoints):
             sim.command_move(*waypoint)
             self._enter(phase)
-            self._wait(sim.axes_done_at)
+            self._wait(sim.axes_done_at, sim.axes_end)
 
         sim.set_trapper(closed=True)
         self._enter(HarvestPhase.CLOSE_TRAPPER)
-        self._wait(lambda now: sim.trapper.idle)
+        self._wait(lambda now: sim.trapper.idle, sim.trapper.slew_end(sim.time))
         if target is None or not sim.captures(target.stem_x, target.stem_y):
             return self._fail(FAIL_TRAP)
 
-        gx, gy, _ = sim.tool_position()
-        target.snap_to(gx, gy)
+        target.snap_to(*sim.tool_position()[:2])
         sim.start_lens_oscillation(cfg.lateral_velocity_mm_s)
         sim.set_laser(True)
         t_laser_on = sim.time
         self.etch = EtchState.for_stem(target.stem_diameter_mm)
-        self.etch_rate = etch_rate(self.model, cfg.spot_diameter_mm,
-                                   cfg.lateral_velocity_mm_s)
+        rate = self.etch_rate = etch_rate(self.model, cfg.spot_diameter_mm,
+                                          cfg.lateral_velocity_mm_s)
         self._enter(HarvestPhase.CUTTING)
-        self._wait(lambda now: self.etch.severed or now - t_laser_on >= cfg.cut_timeout_s)
+        sever_s = self.etch.target_area / rate if rate else math.inf
+        self._wait(lambda now: self.etch.severed or now - t_laser_on >= cfg.cut_timeout_s,
+                   t_laser_on + min(cfg.cut_timeout_s, sever_s))
         if not self.etch.severed:
             return self._fail(FAIL_CUT_TIMEOUT)
         self.cut_time = sim.time - t_laser_on
@@ -276,23 +276,25 @@ class _Cycle:
         target.fall_velocity = 0.0
         deadline = sim.time + cfg.fall_timeout_s
         self._enter(HarvestPhase.AWAIT_FALL)
-        self._wait(lambda now: self.fall_event is not None or now >= deadline)
+        drop = target.z - sim.z.position + max(sim.interrupters.offsets_m)   # lowest beam
+        self._wait(lambda now: self.fall_event is not None or now >= deadline,
+                   min(deadline, sim.time + math.sqrt(2.0 * max(drop, 0.0) / GRAVITY)))
         if self.fall_event is None:
             return self._fail(FAIL_FALL_TIMEOUT)
         self._enter(HarvestPhase.LASER_OFF)
-        self._wait(lambda now: now > self.fall_event.time)   # one tick later
+        self._wait(lambda now: now > self.fall_event.time, sim.time + cfg.dt_s)   # one tick
 
         sim.set_laser(False)
         sim.stop_lens_oscillation()
         sim.set_trapper(closed=False)
         self._enter(HarvestPhase.OPEN_TRAPPER)
-        self._wait(lambda now: sim.trapper.idle)
+        self._wait(lambda now: sim.trapper.idle, sim.trapper.slew_end(sim.time))
         follow = self.next_box if self.next_box is not None else self.box
         x, y, _ = sim.tool_position()
         lo, hi = sim.config.z_limits     # a fruit out of reach fails its own plan
         sim.command_move(x, y, min(max(_approach_z(follow), lo), hi))
         self._enter(HarvestPhase.DESCEND_Z)
-        self._wait(sim.axes_done_at)
+        self._wait(sim.axes_done_at, sim.axes_end)
         self._enter(HarvestPhase.DONE)
 
     def cleanup(self) -> None:
@@ -302,24 +304,26 @@ class _Cycle:
             sim.set_laser(False)
         sim.stop_lens_oscillation()
         sim.set_trapper(closed=False)
-        self._wait(lambda now: sim.trapper.idle)
+        self._wait(lambda now: sim.trapper.idle, sim.trapper.slew_end(sim.time))
 
 
 _FIRST_BLOCK, _MAX_BLOCK = 256, 2 ** 14    # ticks; the cap keeps a block near 1 MB
 
 
-def _jump(sim: GantrySim, dt: float, done: Callable[[float], bool],
+def _jump(sim: GantrySim, dt: float, done: Callable[[float], bool], end: float,
           world=(), cut: _Cycle | None = None) -> tuple[FruitBody, int] | None:
     """Move ``sim`` to the first tick where ``done`` holds or a beam sees a
     fruit, and return the (fruit, beam index) seen if it is the beam tick.
 
-    It replays blocks of ticks as arrays (:meth:`GantrySim.replay`, and while
-    ``cut`` is given its etch), growing ×4 up to ``_MAX_BLOCK``, calls
-    ``done`` at each block's end and bisects the block where it first holds:
-    every wait's check is monotone in the tick, and fails at tick 0.
+    It replays ticks as arrays (:meth:`GantrySim.replay`, and while ``cut``
+    is given its etch) to a tick past ``end``, when ``done`` is due in closed
+    form, calls ``done`` on the last two and bisects only if ``end`` overshot;
+    past ``end``, blocks grow ×4. ``done`` is monotone and fails at tick 0.
     """
-    n = _FIRST_BLOCK
+    n = _FIRST_BLOCK // 4                       # so the first block past end is _FIRST_BLOCK
     while True:
+        left = (end - sim.time) / dt                    # ticks to the closed-form end
+        n = min(round(left) + 1 if 0 < left < math.inf else 4 * n, _MAX_BLOCK)
         block = sim.replay(n, dt, world)
         if cut is not None:
             area, stem = etch_track(cut.etch, n, dt, cut.etch_rate), cut.etch.target_area
@@ -330,15 +334,18 @@ def _jump(sim: GantrySim, dt: float, done: Callable[[float], bool],
             return block.at(sim, k)
 
         lo, hi = 0, min(n, block.beam)
-        if hi == block.beam or done(at(hi)):
+        if hi > 1 and done(at(hi - 1)):                 # holds before the last tick: bisect
+            hi, mid = hi - 1, hi - 2
             while hi - lo > 1:
-                mid = (lo + hi) // 2
                 lo, hi = (lo, mid) if done(at(mid)) else (mid, hi)
-            at(hi)
-            block.land(sim, hi)
-            return block.seen if hi == block.beam else None
-        block.land(sim, n)
-        n = min(4 * n, _MAX_BLOCK)
+                mid = (lo + hi) // 2
+        elif hi < block.beam and not done(at(hi)):      # not due in this block
+            block.land(sim, n)
+            continue
+        if cut is not None:
+            at(hi)                                      # the etch of the landing tick
+        block.land(sim, hi)
+        return block.seen if hi == block.beam else None
 
 
 def run_cycle(sim: GantrySim, world: list[FruitBody], box: BerryBox,
@@ -377,8 +384,8 @@ def run_demo(sim: GantrySim, world: list[FruitBody], boxes: list[BerryBox],
     every cycle, so a run over n fruits homes n + 1 times. Each cut takes
     its toughness from the body being cut, as in :func:`run_cycle`.
     """
-    sim.home_lens()
-    _Cycle(sim, [], None, model, config, None)._wait(sim.lens.homing_done_at)  # no fruit watched
+    sim.home_lens()                                     # watching no fruit
+    _Cycle(sim, [], None, model, config)._wait(sim.lens.homing_done_at, sim.lens.homing_end)
     records = []
     for i, box in enumerate(boxes):
         next_box = boxes[i + 1] if i + 1 < len(boxes) else None

@@ -190,6 +190,10 @@ class LensAxis:
         return (self.mode is not LensMode.HOMING
                 or self.homing_speed_mm_s * (now - self._t_start) >= self._start_pos)
 
+    @property
+    def homing_end(self) -> float:      # when homing_done_at first holds, homing under way
+        return self._t_start + self._start_pos / self.homing_speed_mm_s
+
 
 class TrapperMode(Enum):
     OPEN = "open"
@@ -222,6 +226,9 @@ class TrapperState:
     @property
     def idle(self) -> bool:
         return self.angle_deg == self.target_deg
+
+    def slew_end(self, now: float) -> float:     # when a slew from sim time now ends
+        return now + abs(self.target_deg - self.angle_deg) / self.rate_deg_s
 
 
 @dataclass(frozen=True)
@@ -281,7 +288,8 @@ class TickBlock:
         if not k:
             return
         sim.advance_to(float(self.time[k]))
-        self.at(sim, k)
+        if self.trapper is not None:
+            sim.trapper.angle_deg = float(self.trapper[k])
         for fruit, v, z in self.falls:
             fruit.fall_velocity, fruit.prev_z, fruit.z = float(v[k]), float(z[k - 1]), float(z[k])
             fruit.landed = bool(z[k] <= 0.0)
@@ -377,6 +385,11 @@ class GantrySim:
     def axes_done_at(self, now: float) -> bool:
         """Whether every axis has finished its move by sim time ``now``."""
         return self.x.done_at(now) and self.y.done_at(now) and self.z.done_at(now)
+
+    @property
+    def axes_end(self) -> float:        # when axes_done_at first holds: the last move's end
+        return max((a.profile.t0 + a.profile.duration for a in (self.x, self.y, self.z)
+                    if a.profile is not None), default=-math.inf)
 
     def tool_path(self, t: np.ndarray) -> tuple:
         """Groove positions at the sim times ``t``, as stepping there reads them."""

@@ -108,8 +108,7 @@ class LaserSettings:
 MAX_WAIT_TICKS = 10 ** 7
 #: Longest controller timestep: the trapper's close time (30 deg at
 #: 150 deg/s, 0.2 s), so no tick steps over a whole trapper close.
-MAX_DT_S = ((TrapperState.closed_angle_deg - TrapperState.open_angle_deg)
-            / TrapperState.rate_deg_s)
+MAX_DT_S = TrapperState(target_deg=TrapperState.closed_angle_deg).slew_end(0.0)
 
 
 def _check_tick_budget(gantry: GantryConfig, harvest: HarvestConfig) -> None:
@@ -329,10 +328,10 @@ def load_scenario(path: str | Path) -> Scenario:
         On bad ``[gantry]``, ``[localization]`` (window bounds aside) or
         ``[laser]`` values.
     """
-    parser = configparser.ConfigParser(strict=True, delimiters=("=",),
-                                       comment_prefixes=("#", ";"),
-                                       inline_comment_prefixes=None,
-                                       interpolation=None)
+    # no line can name a default section "\n", so [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(strict=True, delimiters=("=",), comment_prefixes=("#", ";"),
+                                       inline_comment_prefixes=None, interpolation=None,
+                                       default_section="\n")
     parser.optionxform = str
     text = decode_utf8(Path(path).read_bytes(),
                        lambda message, line: ScenarioError(f"{message} (line {line})"))

@@ -100,8 +100,10 @@ def tick(sim, world, dt):
     return check_interrupters(sim, world)
 
 
-def stepped_wait(cycle, done):
-    """``_Cycle._wait`` one tick at a time: tick, check the beams, etch a cut."""
+def stepped_wait(cycle, done, end):
+    """``_Cycle._wait`` one tick at a time: tick, check the beams, etch a cut.
+    The closed-form ``end`` only sizes the jumped wait's blocks; stepping
+    ignores it."""
     sim, cfg, world = cycle.sim, cycle.cfg, cycle.world
     cutting = cycle.phases[-1:] == [HarvestPhase.CUTTING]
     while not done(sim.time):

@@ -5,6 +5,7 @@ stroke, some too low to approach, some stems off their box) plus drawn toughness
 speed limit, beam speed and timeouts, so every failure path is reachable.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -137,6 +138,36 @@ def test_cycle_invariants(world):
 @given(worlds(max_fruit=3, max_toughness=1.0))   # stepping is slow
 def test_jumped_run_equals_stepping(world):
     jumped = _state(*_run(world))
+    with mock.patch.object(controller._Cycle, "_wait", stepped_wait):
+        stepped = _state(*_run(world))
+    assert jumped == stepped
+
+
+# wrong closed-form ends, from the sim time, the end and the timestep
+_WRONG_ENDS = {
+    "zero": lambda now, end, dt: 0.0,
+    "half": lambda now, end, dt: now + (end - now) / 2,
+    "double": lambda now, end, dt: now + 2 * (end - now),
+    "tick early": lambda now, end, dt: end - dt,
+    "tick late": lambda now, end, dt: end + dt,
+    "inf": lambda now, end, dt: math.inf,
+    "past": lambda now, end, dt: now - dt,
+}
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(worlds(max_fruit=3, max_toughness=1.0),
+       st.lists(st.sampled_from(sorted(_WRONG_ENDS)), min_size=1, max_size=7))
+def test_a_wrong_end_only_costs_probes(world, wrong):
+    """The check alone picks each landing tick: waits given wrong ends, one
+    per wait in turn, still leave the run exactly as stepping does."""
+    wait, turn = controller._Cycle._wait, itertools.cycle(wrong)
+
+    def misled(cycle, done, end):
+        return wait(cycle, done, _WRONG_ENDS[next(turn)](cycle.sim.time, end, cycle.cfg.dt_s))
+
+    with mock.patch.object(controller._Cycle, "_wait", misled):
+        jumped = _state(*_run(world))
     with mock.patch.object(controller._Cycle, "_wait", stepped_wait):
         stepped = _state(*_run(world))
     assert jumped == stepped

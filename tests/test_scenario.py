@@ -167,6 +167,11 @@ def test_parse_errors(tmp_path, text, fragment):
 
 @pytest.mark.parametrize("text,message", [
     ("[scenario]\nseed = 1\n[mystery]\n", "unknown section [mystery]"),
+    # configparser's implicit default section is a section like any other:
+    # unknown, and its keys reach no other section
+    ("[DEFAULT]\nseed = 5\n[scenario]\nseed = 1\n", "unknown section [DEFAULT]"),
+    ("[scenario]\nseed = 1\n[DEFAULT]\n", "unknown section [DEFAULT]"),
+    ("[DEFAULT]\nseed = 5\n[scenario]\n", "missing required key 'seed' in [scenario]"),
     ("[scenario]\nseed = 1\n[berry 1]\nx = 0\ny = 0\nz = 0.6\ncolour = red\n",
      "unknown key 'colour' in [berry 1]"),
     ("[scenario]\nseed = 1\n[camera 1]\nx = 0\ny = 0\nz = 0.4\nroll = 5\n",

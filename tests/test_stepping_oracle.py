@@ -16,6 +16,7 @@ import pytest
 from laserberry import (Aabb, BerryBox, CutModel, GantryConfig, GantrySim,
                         HarvestConfig, controller, load_datasets, run_demo)
 from laserberry.controller import HarvestPhase, _Cycle
+from laserberry.gantry import TickBlock
 from laserberry.pipeline import simulate_scenario
 from laserberry.scenario import bundled_scenario_path, load_scenario
 from laserberry.scene import FruitBody
@@ -122,8 +123,8 @@ def test_worlds_cover_every_outcome():
 
 
 def test_demo_run_steps_only_near_events(monkeypatch):
-    calls = {"step": 0, "replay": 0, "cp": 0}
-    events, check_interrupters = [], controller.check_interrupters
+    calls = {"step": 0, "replay": 0, "ticks": 0, "at": 0, "cp": 0}
+    events, check_interrupters, replay = [], controller.check_interrupters, GantrySim.replay
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -135,14 +136,24 @@ def test_demo_run_steps_only_near_events(monkeypatch):
         events.append(check_interrupters(*args))
         return events[-1]
 
+    def replayed(sim, n, dt, fruits=()):
+        calls["ticks"] += n
+        return replay(sim, n, dt, fruits)
+
     monkeypatch.setattr(GantrySim, "step", counted("step", GantrySim.step))
-    monkeypatch.setattr(GantrySim, "replay", counted("replay", GantrySim.replay))
+    monkeypatch.setattr(GantrySim, "replay", counted("replay", replayed))
+    monkeypatch.setattr(TickBlock, "at", counted("at", TickBlock.at))
     monkeypatch.setattr(CutModel, "cp", counted("cp", CutModel.cp))
     monkeypatch.setattr(controller, "check_interrupters", check)
     result = simulate_scenario(load_scenario(bundled_scenario_path("demo_11")))
     assert result.metrics.attempted == 11
     assert calls["step"] == 0
-    assert calls["replay"] <= 165
+    # each wait replays one block sized to its closed-form end and probes
+    # about two ticks of it; the run lands 61,706 ticks in 99 replays, 62,052
+    # ticks replayed and 187 probes
+    assert calls["replay"] <= 105
+    assert calls["ticks"] <= 66_000
+    assert calls["at"] <= 300
     # one check per fall event, each on the tick its beam fires
     assert len(events) == result.metrics.successes == 11
     assert None not in events
@@ -169,7 +180,7 @@ def test_two_fruits_crossing_on_one_tick(heights, dt, until, beam, monkeypatch):
                        HarvestConfig(dt_s=dt), None)
         cycle.target = bodies[0]
         cycle.phases.append(HarvestPhase.AWAIT_FALL)
-        cycle._wait(lambda now: now >= until)
+        cycle._wait(lambda now: now >= until, until)
         return (sim.time, [(f.z, f.prev_z, f.fall_velocity, f.landed) for f in bodies],
                 sim.interrupters._fired, cycle.fall_event)
 
