@@ -4,10 +4,10 @@ Coordinates are metric and expressed in named frames; color channels are
 8-bit RGB. All containers are immutable after construction so they can be
 shared freely between the localization pipeline and tests.
 
-:class:`KdTree` answers radius queries. Clustering builds its own voxel
-grid (see :mod:`laserberry.localization`) and asks the tree for every
-linked pair only for a cloud too wide for that grid with no gap wider
-than the tolerance along any axis.
+:class:`KdTree` answers radius queries from the points sorted by x.
+Clustering does not use it: it builds its own voxel grid, and cuts a cloud
+too wide for that grid into overlapping slabs (see
+:mod:`laserberry.localization`).
 """
 
 from __future__ import annotations
@@ -198,10 +198,10 @@ class Aabb:
 class KdTree:
     """Spatial index over a fixed point set supporting exact radius queries.
 
-    Median splits along the widest axis (``balanced_tree`` construction), so
-    the structure is deterministic for a fixed input order. Radius queries
-    return sorted index arrays and are exact: a linear scan over
-    ``‖p - q‖ <= r`` yields the same set.
+    The points are sorted by x once. A query tests only the rows whose x
+    lies in a window found by two binary searches, padded past the radius
+    for rounding, underflow and overflow, against the rule of the linear scan,
+    ``((p - q) ** 2).sum(1) <= r * r``, so both yield the same set.
     """
 
     def __init__(self, points: np.ndarray):
@@ -211,33 +211,30 @@ class KdTree:
         if points.size and not np.isfinite(points).all():
             raise ValidationError("points contain non-finite coordinates")
         self.points = _readonly(points)
-        from scipy.spatial import cKDTree     # here, not at the top: scipy is slow to load
-
-        self._tree = cKDTree(points, balanced_tree=True) if len(points) else None
+        self._order = np.argsort(points[:, 0], kind="stable")
+        self._x = points[self._order, 0]
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     def radius_search(self, query, radius: float) -> np.ndarray:
-        """Indices of all points within ``radius`` of ``query`` (inclusive).
-
-        Returns an ascending int64 array; empty for an empty tree.
-        """
+        """Ascending int64 indices of the points within ``radius`` of ``query`` (inclusive)."""
         if not 0 <= radius < math.inf:
             raise ValidationError(f"radius must be non-negative and finite, got {radius}")
         q = np.asarray(query, dtype=np.float64).reshape(-1)
-        if q.shape != (3,):
-            raise ValidationError("query must be a 3-vector")
-        if self._tree is None:
-            return np.empty(0, dtype=np.int64)
-        idx = self._tree.query_ball_point(q, radius)
-        return np.sort(np.asarray(idx, dtype=np.int64))
+        if q.shape != (3,) or not np.isfinite(q).all():
+            raise ValidationError("query must be a finite 3-vector")
+        with np.errstate(over="ignore"):
+            # rounding, dx ** 2 underflowing to 0 and r * r overflowing to inf widen the rule
+            pad = math.sqrt(radius * radius) * (1 + 1e-6) + 1e-150 + 1e-15 * abs(q[0])
+            rows = self._order[np.searchsorted(self._x, q[0] - pad):
+                               np.searchsorted(self._x, q[0] + pad, "right")]
+            return np.sort(rows[((self.points[rows] - q) ** 2).sum(1) <= radius * radius])
 
     def pairs_within(self, radius: float) -> np.ndarray:
-        """All index pairs (i < j) whose points lie within ``radius``."""
+        """All index pairs (i < j) within ``radius``, one :meth:`radius_search` per point."""
         if not 0 <= radius < math.inf:
             raise ValidationError(f"radius must be non-negative and finite, got {radius}")
-        if self._tree is None:
-            return np.empty((0, 2), dtype=np.int64)
-        return self._tree.query_pairs(radius, output_type="ndarray")
-
+        pairs = [(i, j) for i, p in enumerate(self.points)
+                 for j in self.radius_search(p, radius) if i < j]
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)

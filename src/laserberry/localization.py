@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ValidationError, require_positive
-from .geometry import Aabb, BASE_FRAME, KdTree, PointCloud, RigidTransform, _readonly
+from .geometry import Aabb, BASE_FRAME, PointCloud, RigidTransform, _readonly
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,8 @@ _REACH = 2
 _COLUMNS = np.array([(0, 0, 1)] + [(dx, dy, -_REACH) for dx, dy in itertools.product(
     range(-_REACH, _REACH + 1), repeat=2) if (dx, dy) > (0, 0)], dtype=np.int64)
 #: Cells per axis, padding included, stay below this so that the packed
-#: cell key fits an int64 and binning rounding stays far below the margin
-#: in ``_CELL_SIDE``; wider clouds are split first (``_component_labels``).
+#: cell key fits an int64 and binning rounding stays far below the margin in
+#: ``_CELL_SIDE``; wider clouds are cut into overlapping slabs (``_component_labels``).
 _MAX_CELLS = 2 ** 21
 #: Cells whose candidate neighbours are looked up at once, and point pairs
 #: tested at once when cell pairs are checked exhaustively: both bound the
@@ -256,45 +256,41 @@ def _grid_labels(xyz: np.ndarray, tol: float) -> np.ndarray | None:
     return labels
 
 
-def _split_at_gap(xyz: np.ndarray, tol: float) -> list[np.ndarray] | None:
-    """Row sets of the runs left after cutting the cloud at every gap wider
-    than ``tol`` along the first axis that has one, or None."""
-    for axis in range(3):
-        order = np.argsort(xyz[:, axis], kind="stable")
-        with np.errstate(over="ignore"):
-            cuts = np.flatnonzero(np.diff(xyz[order, axis]) > tol) + 1
-        if len(cuts):
-            return np.split(order, cuts)
-    return None
-
-
 def _component_labels(xyz: np.ndarray, tol: float) -> np.ndarray:
     """Component label of each point of the proximity graph.
 
-    A cloud too wide for one grid is cut at gaps wider than ``tol`` (no
-    pair straddles one), and each run is labelled on its own, on a grid
-    if it fits or cut again. A run with no such gap on any axis spans at
-    most ``n * tol`` per axis, so it only misses the grid when it holds
-    about a million points; its labels come from every linked pair of a
-    k-d tree instead.
+    A cloud too wide for one grid is sorted along its widest axis and cut
+    into slabs of at most ``_MAX_CELLS // 2`` cells. Each slab starts at a
+    point and overlaps the one before by ``2 * tol``, so some slab holds
+    both points of every linked pair. Each slab is labelled on its own (cut
+    again along another axis if that one is still too wide), and the two
+    labels of every point that lies in two slabs are joined.
     """
-    labels = np.empty(len(xyz), dtype=np.int64)
-    found = 0
-    todo = [np.arange(len(xyz))] if len(xyz) else []
-    while todo:
-        rows = todo.pop()
-        part = xyz[rows]
-        sub = _grid_labels(part, tol)
-        if sub is None:
-            runs = _split_at_gap(part, tol)
-            if runs is not None:
-                todo.extend(rows[run] for run in runs)
-                continue
-            pairs = KdTree(part).pairs_within(tol)
-            sub = _components(len(part), pairs[:, 0], pairs[:, 1])
-        labels[rows] = sub + found
-        found += int(sub.max()) + 1
-    return labels
+    if tol * tol == math.inf or len(xyz) < 2:    # with tol * tol = inf the rule links every pair
+        return np.zeros(len(xyz), dtype=np.int64)
+    labels = _grid_labels(xyz, tol)
+    if labels is not None:
+        return labels
+    with np.errstate(over="ignore"):
+        axis = int(np.ptp(xyz, axis=0).argmax())
+    order = np.argsort(xyz[:, axis], kind="stable")
+    v = xyz[order, axis]
+    width = _MAX_CELLS // 2 * tol * _CELL_SIDE
+    node = np.empty(len(v), dtype=np.int64)    # label of each point in the last slab holding it
+    edges, found, at, end = [], 0, 0, 0
+    while end < len(v):
+        hi = v[at] + width
+        if hi - v[at] > width:          # rounded up: the slab would be too wide
+            hi = np.nextafter(hi, -np.inf)
+        top = int(np.searchsorted(v, hi, "right"))
+        sub = _component_labels(xyz[order[at:top]], tol) + found
+        edges.append((node[at:end].copy(), sub[:end - at]))
+        node[at:top] = sub
+        found, end = int(sub.max()) + 1, top
+        # the next slab starts within 2 * tol of hi, or past hi where floats are over tol apart
+        nxt = int(np.searchsorted(v, hi - 2 * tol))
+        at = nxt if nxt > at else end
+    return _components(found, *map(np.concatenate, zip(*edges)))[node][np.argsort(order)]
 
 
 def _run_boxes(cols: np.ndarray, start: np.ndarray, size: np.ndarray):
@@ -333,8 +329,8 @@ def euclidean_clusters(cloud: PointCloud, params: ClusterParams) -> list[PointCl
     Components come from an exact voxel-grid union (the grid form of
     Euclidean cluster extraction) that never builds the full list of
     linked pairs. A cloud spanning more than about two million cells along
-    an axis (points near +-1e300, say) is first cut at its gaps wider
-    than the tolerance.
+    an axis (points near +-1e300, say) is cut along it into overlapping
+    slabs, each labelled on its own grid, and the labels are joined.
     """
     _, size, ranked, order, start = _pick_runs(cloud.xyz, params)
     return [cloud.select(order[start[k]:start[k] + size[k]]) for k in ranked]

@@ -117,7 +117,9 @@ def _check_tick_budget(gantry: GantryConfig, harvest: HarvestConfig) -> None:
     The waits are a lens homing (from power-up, the longest), a cut and a
     fall, each bounded by its time, and the longest move across the travel box.
     """
-    homing = LensAxis.position_mm / LensAxis.homing_speed_mm_s
+    lens = LensAxis()
+    lens.begin_homing(0.0)
+    homing = lens.homing_end
     move = max((MotionProfile.plan(lo, hi, 0.0, gantry.max_velocity, gantry.max_accel)
                 for lo, hi in (gantry.x_limits, gantry.y_limits, gantry.z_limits)),
                key=lambda p: p.duration)

@@ -1,7 +1,7 @@
 """Grid clustering against two references, on edge cases and under a memory cap.
 
 ``euclidean_clusters`` must return exactly what the pair route returns:
-every linked pair from :meth:`KdTree.pairs_within`, sparse connected
+every linked pair from scipy's ``cKDTree.query_pairs``, sparse connected
 components, the size band, then the order of the (y, x) centroids that
 :func:`bounding_boxes` reports (same clusters, same point order).
 Membership is also checked against the O(n^2) union-find oracle of
@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from laserberry import localization
-from laserberry.geometry import KdTree, PointCloud
+from laserberry.geometry import PointCloud
 from laserberry.localization import ClusterParams, bounding_boxes, euclidean_clusters
 from test_acceptance import _union_find_clusters
 
@@ -37,7 +38,7 @@ def _indices(cluster):
 def _pair_route(xyz, params):
     """Clusters as index arrays, computed from every linked pair."""
     n = len(xyz)
-    pairs = KdTree(xyz).pairs_within(params.tolerance)
+    pairs = cKDTree(xyz).query_pairs(params.tolerance, output_type="ndarray")
     adj = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
                      shape=(n, n))
     labels = connected_components(adj, directed=False)[1]
@@ -114,21 +115,21 @@ def test_exact_tolerance_distance_links():
     assert sorted(g.tolist() for g in got) == [[0, 1], [2], [3]]
 
 
-def _count_pair_queries(monkeypatch):
+def _count_grid_calls(monkeypatch):
     calls = []
-    original = KdTree.pairs_within
+    original = localization._grid_labels
 
-    def counting(tree, radius):
-        calls.append(len(tree))
-        return original(tree, radius)
+    def counting(xyz, tol):
+        calls.append(len(xyz))
+        return original(xyz, tol)
 
-    monkeypatch.setattr(KdTree, "pairs_within", counting)
+    monkeypatch.setattr(localization, "_grid_labels", counting)
     return calls
 
 
 def test_extreme_extent_is_cut_at_gaps(monkeypatch):
-    # points near +-1e300: no int64 cell key fits, and a k-d tree over the
-    # whole cloud overflows, so the cloud is cut at its gaps first
+    # points near +-1e300: no int64 cell key fits, and the differences
+    # overflow, so the cloud is cut into slabs, each far one holding one x
     rng = np.random.default_rng(77)
     near = rng.normal(scale=0.004, size=(60, 3))
     far = np.array([[1e300, -1e300, 5e299], [1e300, -1e300, 5e299],
@@ -137,9 +138,9 @@ def test_extreme_extent_is_cut_at_gaps(monkeypatch):
     xyz = np.vstack([near, far, near[:5] - 1e300])
     params = ClusterParams(tolerance=0.01, min_size=1, max_size=1000)
     assert localization._grid_labels(xyz, params.tolerance) is None
-    calls = _count_pair_queries(monkeypatch)
+    calls = _count_grid_calls(monkeypatch)
     got = [_indices(c) for c in euclidean_clusters(_cloud(xyz), params)]
-    assert calls == []
+    assert calls[0] == len(xyz) and len(calls) <= 12
     with np.errstate(over="ignore", invalid="ignore"):
         uf = _union_find_clusters(xyz, params.tolerance, 1, 1000)
     assert {frozenset(g.tolist()) for g in got} == uf
@@ -149,7 +150,18 @@ def test_extreme_extent_is_cut_at_gaps(monkeypatch):
     assert localization._grid_labels(wide, params.tolerance) is not None
 
 
-def test_gap_free_run_too_wide_for_the_grid_takes_the_pair_route(monkeypatch):
+def test_tolerance_whose_square_overflows_links_every_pair():
+    # tol * tol is inf, so by the rule every pair is linked however far apart;
+    # the x extent overflows the grid, and the slab width overflows too
+    xyz = np.array([[-1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0], [0.0, 1e300, 0.0]])
+    params = ClusterParams(tolerance=1e303, min_size=1, max_size=10)
+    with np.errstate(over="ignore"):
+        assert _union_find_clusters(xyz, params.tolerance, 1, 10) == {frozenset({0, 1, 2})}
+    got = euclidean_clusters(_cloud(xyz), params)
+    assert [_indices(c).tolist() for c in got] == [[0, 1, 2]]
+
+
+def test_gap_free_run_too_wide_for_the_grid_is_cut_into_slabs(monkeypatch):
     # such a run needs about a million points at the real grid limit; a
     # tiny limit makes an ordinary cloud exercise the same routes
     monkeypatch.setattr(localization, "_MAX_CELLS", 16)
@@ -157,15 +169,30 @@ def test_gap_free_run_too_wide_for_the_grid_takes_the_pair_route(monkeypatch):
     chain = rng.uniform(0.0, 0.003, size=(200, 3))
     chain[:, 0] = np.cumsum(rng.uniform(0.001, 0.008, size=200))
     params = ClusterParams(tolerance=0.01, min_size=1, max_size=1000)
-    calls = _count_pair_queries(monkeypatch)
+    calls = _count_grid_calls(monkeypatch)
     euclidean_clusters(_cloud(chain), params)
-    assert calls == [200]
+    # the chain misses the grid once; its overlapping slabs cover every point
+    assert calls[0] == 200 and max(calls[1:]) < 200 and sum(calls[1:]) >= 200
     assert len(_check(chain, params)) == 1
     for trial in range(40):
         tol = float(np.exp(rng.uniform(np.log(0.003), np.log(0.3))))
         n = int(rng.integers(2, 300))
         _check(_fuzz_cloud(rng, tol, n), ClusterParams(tolerance=tol, min_size=1,
                                                        max_size=n))
+
+
+def test_chain_with_many_gaps_takes_few_grid_calls(monkeypatch):
+    # about half the gaps exceed the tolerance: cutting at each of them would
+    # label ~1,900 runs one grid call at a time, while the chain spans four slabs
+    monkeypatch.setattr(localization, "_MAX_CELLS", 2 ** 12)
+    rng = np.random.default_rng(12)
+    chain = rng.uniform(0.0, 0.003, size=(4000, 3))
+    chain[:, 0] = np.cumsum(rng.uniform(0.001, 0.0185, size=4000))
+    params = ClusterParams(tolerance=0.01, min_size=1, max_size=4000)
+    calls = _count_grid_calls(monkeypatch)
+    got = _check(chain, params, oracle=False)
+    assert len(calls) <= 8
+    assert sum(len(g) for g in got) == 4000
 
 
 def test_parallel_sheets_phase_two_is_chunked(monkeypatch):

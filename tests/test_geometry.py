@@ -1,6 +1,6 @@
-"""Point cloud, rigid transform, and kd-tree tests.
+"""Point cloud, rigid transform, and radius-query tests.
 
-The kd-tree checks run against a brute-force linear scan; the transform
+The ``KdTree`` checks run against a brute-force linear scan; the transform
 checks run against explicit R @ p + t matrix math.
 """
 
@@ -166,7 +166,7 @@ def test_aabb_rejects_empty_and_reversed():
 
 
 # ---------------------------------------------------------------------------
-# kd-tree vs linear scan
+# KdTree vs linear scan
 
 def _linear_scan(xyz, center, radius):
     d2 = np.sum((xyz - np.asarray(center)) ** 2, axis=1)
@@ -223,9 +223,35 @@ def test_pairs_within_matches_bruteforce():
 
 
 @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("query", ["radius_search", "pairs_within"])
+@pytest.mark.parametrize("query", ["radius_search", "pairs_within", "query_coordinate"])
 def test_radius_must_be_finite(query, radius):
     tree = KdTree(np.random.default_rng(3).uniform(-1, 1, size=(50, 3)))
+    if query == "query_coordinate":
+        # the same values as a coordinate of the query point
+        with pytest.raises(ValidationError, match="query must be a finite 3-vector$"):
+            tree.radius_search((0.0, radius, 0.0), 0.5)
+        return
     args = ((0.0, 0.0, 0.0), radius) if query == "radius_search" else (radius,)
     with pytest.raises(ValidationError, match=f"non-negative and finite, got {radius}$"):
         getattr(tree, query)(*args)
+
+
+def test_tree_over_huge_coordinates_answers_by_the_rule():
+    # squared differences between the 1e200 points and the rest overflow to inf
+    xyz = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1e200, 0.0, 0.0],
+                    [1e200, 0.5, 0.0], [-1e200, 0.0, 1.0]])
+    tree = KdTree(xyz)
+    with np.errstate(over="ignore"):
+        for center in xyz:
+            for radius in (0.0, 0.6, 2.0):
+                np.testing.assert_array_equal(tree.radius_search(center, radius),
+                                              _linear_scan(xyz, center, radius))
+    assert {tuple(p) for p in tree.pairs_within(0.6).tolist()} == {(0, 1), (2, 3)}
+
+
+@pytest.mark.parametrize("radius", [0.0, 1e-200])
+def test_radius_search_where_squares_underflow(radius):
+    # 1e-170 squared underflows to 0, so the rule counts the point as within r
+    xyz = np.array([[0.0, 0.0, 0.0], [1e-170, 0.0, 0.0], [1e-100, 0.0, 0.0]])
+    assert _linear_scan(xyz, xyz[0], radius).tolist() == [0, 1]
+    np.testing.assert_array_equal(KdTree(xyz).radius_search(xyz[0], radius), [0, 1])
