@@ -20,6 +20,7 @@ from .controller import CycleMetrics
 from .datasets import load_datasets, load_lateral_csv, load_pierce_csv
 from .errors import (CalibrationError, PcdParseError, ScenarioError,
                      ValidationError)
+from .geometry import BASE_FRAME, PointCloud
 from .laser import CutModel, optimal_spot, verify_tables
 from .localization import bounding_boxes, localize_clusters
 from .pcdio import read_pcd, write_pcd
@@ -27,11 +28,11 @@ from .pipeline import simulate_scenario
 from .scenario import Scenario, bundled_scenario_path, load_scenario
 from .scene import generate_scene
 
-_CLUSTER_COLORS = [
+_CLUSTER_COLORS = np.array([
     (230, 60, 60), (60, 160, 230), (60, 200, 120), (230, 170, 50),
     (170, 90, 220), (240, 120, 180), (120, 200, 210), (200, 200, 80),
     (150, 110, 70), (90, 120, 230), (240, 90, 40), (100, 180, 90),
-]
+], dtype=np.uint8)
 
 
 def _scenario(args) -> Scenario:
@@ -151,14 +152,11 @@ def cmd_localize(args) -> int:
     out = _out_dir(args)
     if out is not None:
         (out / "boxes.csv").write_text(_boxes_csv(boxes))
-        if clusters:
-            from .geometry import BASE_FRAME, PointCloud
-            xyz = np.vstack([c.xyz for c in clusters])
-            rgb = np.vstack([
-                np.tile(_CLUSTER_COLORS[i % len(_CLUSTER_COLORS)], (len(c), 1))
-                for i, c in enumerate(clusters)])
-            write_pcd(PointCloud(xyz, rgb.astype(np.uint8), BASE_FRAME),
-                      out / "clusters.pcd")
+        # written when no fruit is found too, so no earlier run's clusters stay
+        xyz = np.vstack([c.xyz for c in clusters] or [np.empty((0, 3))])
+        rgb = np.repeat(_CLUSTER_COLORS[np.arange(len(clusters)) % len(_CLUSTER_COLORS)],
+                        [len(c) for c in clusters], axis=0)
+        write_pcd(PointCloud(xyz, rgb, BASE_FRAME), out / "clusters.pcd")
     return 0
 
 

@@ -21,12 +21,12 @@ only if that overshot; on a beam tick :func:`check_interrupters` fires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable
 
-from .errors import MotionError, require_positive
+from .errors import MotionError, require
 from .gantry import GRAVITY, FallEvent, GantryConfig, GantrySim, check_interrupters
 from .laser import CutModel, EtchState, etch_rate, etch_track
 from .laser import etch_step  # noqa: F401 -- wrapped by benchmarks/tracing.py
@@ -79,7 +79,7 @@ class HarvestConfig:
     fall_timeout_s: float = 2.0
 
     def __post_init__(self):
-        require_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
+        require("positive and finite", **vars(self))
 
 
 @dataclass(frozen=True)

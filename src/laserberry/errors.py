@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the one positive-value
-check, and the one UTF-8 decode of the text inputs.
+"""Exception types shared across the package, the one domain check
+(:func:`require`: finite, positive, non-negative), and the one UTF-8
+decode of the text inputs.
 
 The command line front-end maps these onto exit codes: file and parse
 problems exit with 1, domain and validation problems exit with 2.
@@ -13,12 +14,27 @@ class ValidationError(ValueError):
     """An argument or state is outside its documented domain."""
 
 
-def require_positive(**values: float) -> None:
-    """Raise :class:`ValidationError` naming the first value that is not
-    finite and > 0 (NaN fails every comparison, so it cannot slip through)."""
+#: Each rule of :func:`require` and its test; NaN fails every comparison.
+_RULES = {
+    "finite": lambda v: -math.inf < v < math.inf,
+    "positive": lambda v: v > 0,
+    "positive and finite": lambda v: 0 < v < math.inf,
+    "non-negative and finite": lambda v: 0 <= v < math.inf,
+}
+
+
+def require(*rules: str, error: type[Exception] = ValidationError, **values) -> None:
+    """Raise ``error(f"{name} must be {rule}, got {value}")`` for the first of
+    ``values`` that fails one of ``rules``, which are tried in order on each
+    value (a rule is a key of ``_RULES``). Item i of a tuple or list is
+    named ``name[i]``; None passes."""
     for name, value in values.items():
-        if not 0.0 < value < math.inf:
-            raise ValidationError(f"{name} must be positive and finite, got {value}")
+        if isinstance(value, (tuple, list)):
+            require(*rules, error=error, **{f"{name}[{i}]": v for i, v in enumerate(value)})
+        elif value is not None:
+            for rule in rules:
+                if not _RULES[rule](value):
+                    raise error(f"{name} must be {rule}, got {value}")
 
 
 def decode_utf8(raw: bytes, fail: Callable[[str, int], Exception]) -> str:

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import MotionError, ValidationError, require_positive
+from .errors import MotionError, ValidationError, require
 
 GRAVITY = 9.81  # m/s^2
 
@@ -162,7 +162,7 @@ class LensAxis:
     def begin_oscillation(self, lateral_velocity_mm_s: float, now: float) -> None:
         if not self.homed:
             raise ValidationError("lens oscillation requested before homing")
-        require_positive(lateral_velocity_mm_s=lateral_velocity_mm_s)
+        require("positive and finite", lateral_velocity_mm_s=lateral_velocity_mm_s)
         self.mode = LensMode.OSCILLATING
         self._t_start = now
         self._start_pos = self.position_mm
@@ -315,16 +315,15 @@ class GantryConfig:
     home_position: tuple[float, float, float] = (0.0, -0.25, 0.30)
 
     def __post_init__(self):
-        require_positive(max_velocity=self.max_velocity, max_accel=self.max_accel)
-        for axis, home in zip("xyz", self.home_position):
-            lo, hi = getattr(self, f"{axis}_limits")
-            for key, value in ((f"{axis}_min", lo), (f"{axis}_max", hi), (f"home_{axis}", home)):
-                if not math.isfinite(value):
-                    raise ValidationError(f"{key} must be finite, got {value}")
-            if lo >= hi:
-                raise ValidationError(f"{axis}_limits must be an increasing pair")
+        require("positive and finite", max_velocity=self.max_velocity, max_accel=self.max_accel)
+        require("finite", x_limits=self.x_limits, y_limits=self.y_limits,
+                z_limits=self.z_limits, home_position=self.home_position)
+        for i, pair in enumerate(("x_limits", "y_limits", "z_limits")):
+            (lo, hi), home = getattr(self, pair), self.home_position[i]
+            if not lo < hi:
+                raise ValidationError(f"{pair}[1] must be above {pair}[0] = {lo:g}, got {hi:g}")
             if not lo <= home <= hi:
-                raise ValidationError(f"home_{axis} must lie within [{axis}_min, {axis}_max]"
+                raise ValidationError(f"home_position[{i}] must lie within [{pair}[0], {pair}[1]]"
                                       f" = [{lo:g}, {hi:g}], got {home:g}")
 
 
@@ -417,7 +416,7 @@ class GantrySim:
         Raises :class:`ValidationError` before anything moves unless ``now``
         is finite and later than the clock.
         """
-        require_positive(timestep=now - self.time)
+        require("positive and finite", timestep=now - self.time)
         self.time = now
         self.x.advance(now)
         self.y.advance(now)

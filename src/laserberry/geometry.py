@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require
 
 # Canonical frame names used throughout the pipeline.
 BASE_FRAME = "harvester-base"
@@ -219,8 +219,7 @@ class KdTree:
 
     def radius_search(self, query, radius: float) -> np.ndarray:
         """Ascending int64 indices of the points within ``radius`` of ``query`` (inclusive)."""
-        if not 0 <= radius < math.inf:
-            raise ValidationError(f"radius must be non-negative and finite, got {radius}")
+        require("non-negative and finite", radius=radius)
         q = np.asarray(query, dtype=np.float64).reshape(-1)
         if q.shape != (3,) or not np.isfinite(q).all():
             raise ValidationError("query must be a finite 3-vector")
@@ -233,8 +232,7 @@ class KdTree:
 
     def pairs_within(self, radius: float) -> np.ndarray:
         """All index pairs (i < j) within ``radius``, one :meth:`radius_search` per point."""
-        if not 0 <= radius < math.inf:
-            raise ValidationError(f"radius must be non-negative and finite, got {radius}")
+        require("non-negative and finite", radius=radius)
         pairs = [(i, j) for i, p in enumerate(self.points)
                  for j in self.radius_search(p, radius) if i < j]
         return np.array(pairs, dtype=np.int64).reshape(-1, 2)

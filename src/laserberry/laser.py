@@ -18,13 +18,12 @@ predict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, UnsupportedRegimeError, ValidationError,
-                     require_positive)
+from .errors import DomainError, UnsupportedRegimeError, ValidationError, require
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datasets import Datasets
@@ -44,7 +43,7 @@ class PierceRecord:
     pierce_constant_mm2_s: float
 
     def __post_init__(self):
-        require_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
+        require("positive and finite", **vars(self))
 
 
 @dataclass(frozen=True)
@@ -58,25 +57,20 @@ class LateralCutRecord:
     cut_velocity_mm_s: float
 
     def __post_init__(self):
-        require_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
-
-
-def _require_non_negative(name: str, value: float) -> None:
-    if not 0.0 <= value < math.inf:     # NaN fails every comparison
-        raise ValidationError(f"{name} must be non-negative and finite, got {value}")
+        require("positive and finite", **vars(self))
 
 
 def pierce_velocity(stem_diameter_mm: float, pierce_time_s: float) -> float:
     """Stem diameter over pierce time, mm/s. Zero diameter gives zero."""
-    _require_non_negative("stem diameter", stem_diameter_mm)
-    require_positive(pierce_time_s=pierce_time_s)
+    require("non-negative and finite", **{"stem diameter": stem_diameter_mm})
+    require("positive and finite", pierce_time_s=pierce_time_s)
     return stem_diameter_mm / pierce_time_s
 
 
 def pierce_constant(pierce_velocity_mm_s: float, spot_diameter_mm: float) -> float:
     """Pierce velocity times spot diameter, mm^2/s. Zero velocity gives zero."""
-    _require_non_negative("pierce velocity", pierce_velocity_mm_s)
-    require_positive(spot_diameter_mm=spot_diameter_mm)
+    require("non-negative and finite", **{"pierce velocity": pierce_velocity_mm_s})
+    require("positive and finite", spot_diameter_mm=spot_diameter_mm)
     return pierce_velocity_mm_s * spot_diameter_mm
 
 
@@ -97,7 +91,7 @@ class CutModel:
     def __post_init__(self):
         if not self.records:
             raise ValidationError("cut model needs at least one pierce record")
-        require_positive(toughness=self.toughness)
+        require("positive and finite", toughness=self.toughness)
         ordered = tuple(sorted(self.records, key=lambda r: r.spot_diameter_mm))
         knots = np.array([r.spot_diameter_mm for r in ordered])
         repeated = knots[1:][np.diff(knots) == 0]
@@ -127,7 +121,7 @@ def cut_time(stem_diameter_mm: float, model: CutModel, spot_diameter_mm: float,
     speed below ``V_L_MIN``, NaN or inf raises
     :class:`UnsupportedRegimeError`.
     """
-    _require_non_negative("stem diameter", stem_diameter_mm)
+    require("non-negative and finite", **{"stem diameter": stem_diameter_mm})
     if not V_L_MIN <= lateral_velocity_mm_s < math.inf:
         raise UnsupportedRegimeError(
             f"lateral velocity {lateral_velocity_mm_s} mm/s is not a finite speed "
@@ -144,8 +138,7 @@ class EtchState:
     target_area: float
 
     def __post_init__(self):
-        if self.target_area <= 0:
-            raise ValidationError("target area must be positive")
+        require("positive and finite", target_area=self.target_area)
         if not 0.0 <= self.cut_area <= self.target_area:
             raise ValidationError("cut area must lie in [0, target_area]")
 
@@ -155,7 +148,7 @@ class EtchState:
 
     @classmethod
     def for_stem(cls, stem_diameter_mm: float) -> "EtchState":
-        require_positive(stem_diameter_mm=stem_diameter_mm)
+        require("positive and finite", stem_diameter_mm=stem_diameter_mm)
         return cls(0.0, math.pi * (stem_diameter_mm / 2.0) ** 2)
 
 
@@ -282,7 +275,7 @@ def verify_tables(datasets: "Datasets", tolerance: float = 0.03) -> TableAudit:
     Published values carry rounding, so deviations up to ``tolerance``
     (default 0.03) are expected.
     """
-    require_positive(tolerance=tolerance)
+    require("positive and finite", tolerance=tolerance)
     out: list[RowDeviation] = []
     for table, records in (("pierce-coarse", datasets.coarse),
                            ("pierce-fine", datasets.fine)):

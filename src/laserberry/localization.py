@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, ValidationError, require_positive
+from .errors import CalibrationError, ValidationError, require
 from .geometry import Aabb, BASE_FRAME, PointCloud, RigidTransform, _readonly
 
 
@@ -38,9 +38,7 @@ class SpatialWindow:
     z_max: float
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+        require("finite", **vars(self))
         for axis in ("x", "y", "z"):
             lo = getattr(self, f"{axis}_min")
             hi = getattr(self, f"{axis}_max")
@@ -73,7 +71,7 @@ class ColorReference:
     b_th: float
 
     def __post_init__(self):
-        require_positive(r_th=self.r_th, g_th=self.g_th, b_th=self.b_th)
+        require("positive and finite", r_th=self.r_th, g_th=self.g_th, b_th=self.b_th)
 
     @property
     def mean(self) -> np.ndarray:
@@ -133,9 +131,8 @@ class ClusterParams:
     max_size: int = 50000
 
     def __post_init__(self):
-        require_positive(tolerance=self.tolerance)
-        if not 0 < self.min_size:
-            raise ValidationError(f"min_size must be positive, got {self.min_size}")
+        require("positive and finite", tolerance=self.tolerance)
+        require("positive", min_size=self.min_size)
         if not self.min_size <= self.max_size:
             raise ValidationError(f"max_size must be at least min_size = {self.min_size}, "
                                   f"got {self.max_size}")
@@ -351,8 +348,7 @@ class BerryBox:
             raise ValidationError("centroid must be a 3-vector")
         if not self.box.contains(c):
             raise ValidationError("centroid lies outside its bounding box")
-        if self.point_count <= 0:
-            raise ValidationError("point_count must be positive")
+        require("positive", point_count=self.point_count)
         object.__setattr__(self, "centroid", c)
 
 
@@ -403,7 +399,7 @@ class LocalizationConfig:
     cluster: ClusterParams = field(default_factory=ClusterParams)
 
     def __post_init__(self):
-        require_positive(r_th=self.r_th, g_th=self.g_th, b_th=self.b_th)
+        require("positive and finite", r_th=self.r_th, g_th=self.g_th, b_th=self.b_th)
 
 
 def _rows_inside(window: SpatialWindow, pose: RigidTransform,

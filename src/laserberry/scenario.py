@@ -15,31 +15,16 @@ from __future__ import annotations
 import configparser
 import functools
 import inspect
-import math
 import re
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
 from .controller import HarvestConfig
-from .errors import ScenarioError, ValidationError, decode_utf8, require_positive
+from .errors import ScenarioError, ValidationError, decode_utf8, require
 from .gantry import GantryConfig, LensAxis, MotionProfile, TrapperState
 from .geometry import RigidTransform
 from .localization import ClusterParams, LocalizationConfig, SpatialWindow
-
-
-def _require(positive: bool, **values) -> None:
-    """Raise ScenarioError naming the first of ``values`` that is not finite
-    or, with ``positive``, not above zero. Item i of a tuple is named
-    ``name[i]``; None passes."""
-    for name, value in values.items():
-        if isinstance(value, tuple):
-            _require(positive, **{f"{name}[{i}]": v for i, v in enumerate(value)})
-        elif value is not None:
-            fault = ("finite" if not -math.inf < value < math.inf     # NaN is not finite
-                     else "positive" if positive and not value > 0 else None)
-            if fault:
-                raise ScenarioError(f"{name} must be {fault}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -53,9 +38,10 @@ class BerrySpec:
     toughness: float | None = None              # falls back to [laser] toughness
 
     def __post_init__(self):
-        _require(False, center=self.center)
-        _require(True, diameter_m=self.diameter_m, stem_diameter_mm=self.stem_diameter_mm,
-                 stem_length_m=self.stem_length_m, toughness=self.toughness)
+        require("finite", error=ScenarioError, center=self.center)
+        require("finite", "positive", error=ScenarioError, diameter_m=self.diameter_m,
+                stem_diameter_mm=self.stem_diameter_mm, stem_length_m=self.stem_length_m,
+                toughness=self.toughness)
 
 
 @dataclass(frozen=True)
@@ -67,8 +53,8 @@ class PaletteSpec:
     points: int = 400
 
     def __post_init__(self):
-        _require(False, center=self.center)
-        _require(True, size=self.size, points=self.points)
+        require("finite", error=ScenarioError, center=self.center)
+        require("finite", "positive", error=ScenarioError, size=self.size, points=self.points)
 
 
 @dataclass(frozen=True)
@@ -99,7 +85,7 @@ class LaserSettings:
     toughness: float = 1.0
 
     def __post_init__(self):
-        require_positive(toughness=self.toughness)
+        require("positive and finite", toughness=self.toughness)
         if self.dataset not in ("fine", "coarse"):
             raise ScenarioError(f"laser dataset must be 'fine' or 'coarse', got {self.dataset!r}")
 
@@ -157,7 +143,8 @@ def _check_point_budget(scenario: "Scenario") -> None:
 def _camera(x: float, y: float, z: float, roll_deg: float = 0.0, pitch_deg: float = 0.0,
             yaw_deg: float = 0.0) -> RigidTransform:
     """The pose a ``[camera N]`` section gives; each value must be finite."""
-    _require(False, x=x, y=y, z=z, roll_deg=roll_deg, pitch_deg=pitch_deg, yaw_deg=yaw_deg)
+    require("finite", error=ScenarioError, x=x, y=y, z=z, roll_deg=roll_deg,
+            pitch_deg=pitch_deg, yaw_deg=yaw_deg)
     return RigidTransform.from_euler_deg(roll_deg, pitch_deg, yaw_deg, (x, y, z))
 
 

@@ -15,7 +15,7 @@ from laserberry import cli
 from laserberry.cli import main
 from laserberry.errors import ScenarioError, ValidationError
 from laserberry.geometry import PointCloud
-from laserberry.pcdio import write_pcd
+from laserberry.pcdio import read_pcd, write_pcd
 from laserberry.scenario import bundled_scenario_path, load_scenario
 from test_localization import _flat_fruit_clouds
 
@@ -110,6 +110,19 @@ def test_localize_writes_artifacts(tmp_path, capsys):
     assert boxes[0].startswith("rank,centroid_x_m")
     assert len(boxes) == 12
     assert (out / "clusters.pcd").exists()
+
+
+def test_localize_without_fruit_overwrites_the_clusters_of_an_earlier_run(tmp_path, capsys):
+    out = tmp_path / "loc"
+    assert main(["localize", "--scenario", "demo_11", "--out", str(out)]) == 0
+    assert len(read_pcd(out / "clusters.pcd")) > 0
+    empty = tmp_path / "empty.ini"
+    empty.write_text("[scenario]\nseed = 1\n")
+    assert main(["localize", "--scenario", str(empty), "--out", str(out)]) == 0
+    assert "localized 0 fruit" in capsys.readouterr().out
+    assert len((out / "boxes.csv").read_text().splitlines()) == 1
+    assert len(read_pcd(out / "clusters.pcd")) == 0
+    assert "POINTS 0\n" in (out / "clusters.pcd").read_text()
 
 
 def test_localize_from_pcd_files(tmp_path, capsys):

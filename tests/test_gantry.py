@@ -1,6 +1,7 @@
 """Axis kinematics, lens, trapper, interrupters, and the stepping sim."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from laserberry import GantryConfig, GantrySim, MotionProfile, ValidationError
 from laserberry.errors import MotionError
 from laserberry.gantry import (AxisState, FallEvent, InterrupterBank,
                                LensAxis, LensMode, TrapperState)
+from laserberry.scenario import _KEYS
 from laserberry.scene import FruitBody
 from stepping import (check, check_interrupters, fall_step, sample, slew, step,
                       tick)
@@ -490,12 +492,17 @@ def test_lens_oscillation_speed_must_be_positive_and_finite(value):
     assert lens.mode is LensMode.IDLE
 
 
+#: The field item each ``[gantry]`` key sets (``x_min`` is ``x_limits[0]``).
+#: Built in code, a config names the item; the loader names the key.
+_ITEM = {key: label for key, (label, _) in _KEYS["gantry"]["gantry"][1].items()}
+
+
 @pytest.mark.parametrize("field,value,key", [
     ("x_limits", (math.nan, 0.24), "x_min"), ("z_limits", (0.0, math.inf), "z_max"),
     ("home_position", (math.nan, -0.25, 0.30), "home_x"),
     ("home_position", (0.0, -0.25, -math.inf), "home_z")])
 def test_gantry_config_rejects_non_finite_geometry(field, value, key):
-    with pytest.raises(ValidationError, match=f"{key} must be finite"):
+    with pytest.raises(ValidationError, match=rf"^{re.escape(_ITEM[key])} must be finite"):
         GantryConfig(**{field: value})
 
 
@@ -503,5 +510,14 @@ def test_gantry_config_rejects_non_finite_geometry(field, value, key):
                                       ((0.0, 100.0, 0.30), "home_y"),
                                       ((0.0, -0.25, -0.01), "home_z")])
 def test_gantry_config_rejects_a_home_pose_outside_the_travel(home, key):
-    with pytest.raises(ValidationError, match=rf"^{key} must lie within"):
+    lo, hi = _ITEM[f"{key[-1]}_min"], _ITEM[f"{key[-1]}_max"]
+    within = f"{_ITEM[key]} must lie within [{lo}, {hi}] = "
+    with pytest.raises(ValidationError, match="^" + re.escape(within)):
         GantryConfig(home_position=home)
+
+
+@pytest.mark.parametrize("limits", [(0.1, 0.1), (0.1, -0.1)])
+def test_gantry_config_rejects_a_travel_pair_that_does_not_increase(limits):
+    with pytest.raises(ValidationError, match=re.escape(
+            f"y_limits[1] must be above y_limits[0] = 0.1, got {limits[1]:g}")):
+        GantryConfig(y_limits=limits, home_position=(0.0, 0.1, 0.3))

@@ -188,6 +188,13 @@ def test_etch_state_validation():
         EtchState.for_stem(0.0)
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1.0])
+def test_etch_state_refuses_a_target_area_that_is_not_positive_and_finite(target):
+    with pytest.raises(ValidationError,
+                       match=rf"^target_area must be positive and finite, got {target}$"):
+        EtchState(0.0, target)
+
+
 # ---------------------------------------------------------------------------
 # spot optimization
 
