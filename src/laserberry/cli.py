@@ -47,6 +47,7 @@ def _scenario(args) -> Scenario:
 
 
 def _out_dir(args) -> Path | None:
+    """The ``--out`` directory, made before any work so a bad path fails first."""
     if args.out is None:
         return None
     out = Path(args.out)
@@ -137,6 +138,7 @@ def cmd_localize(args) -> int:
     scenario = _scenario(args)
     if (args.cloud1 is None) != (args.cloud2 is None):
         raise ValidationError("--cloud1 and --cloud2 must be given together")
+    out = _out_dir(args)
     if args.cloud1 is not None:
         cloud1, cloud2 = read_pcd(args.cloud1), read_pcd(args.cloud2)
     else:
@@ -149,7 +151,6 @@ def cmd_localize(args) -> int:
         c = b.centroid
         print(f"  rank {b.rank}: centroid ({c[0]:+.4f}, {c[1]:+.4f}, {c[2]:+.4f}) m, "
               f"{b.point_count} points")
-    out = _out_dir(args)
     if out is not None:
         (out / "boxes.csv").write_text(_boxes_csv(boxes))
         # written when no fruit is found too, so no earlier run's clusters stay
@@ -175,9 +176,9 @@ def cmd_simulate(args) -> int:
     if args.svg and args.out is None:
         raise ValidationError("--svg needs --out")
     scenario = _scenario(args)
+    out = _out_dir(args)
     result = simulate_scenario(scenario)
     _print_metrics(result.metrics)
-    out = _out_dir(args)
     if out is not None:
         result.metrics.write_csv(out / "metrics.csv")
         if args.svg:
@@ -196,12 +197,12 @@ def cmd_optimize_spot(args) -> int:
         ds = load_datasets()
         records = ds.fine if args.table == "fine" else ds.coarse
     model = CutModel(records)
+    out = _out_dir(args)
     lo = args.lo if args.lo is not None else float(model.knots[0])
     hi = args.hi if args.hi is not None else float(model.knots[-1])
     spot = optimal_spot(model.records, lo, hi, continuous=args.continuous)
     print(f"optimal spot diameter: {spot:g} mm (pierce constant {model.cp(spot):.4g} "
           f"mm^2/s) over [{lo:g}, {hi:g}] mm")
-    out = _out_dir(args)
     if args.svg:
         _svg_curve(out / "cp_curve.svg", model.knots, model.cps,
                    "Pierce constant vs spot diameter",

@@ -12,10 +12,10 @@ float sum ``motion + cut`` matches the cycle to within one rounding.
 A cycle is straight-line code: each phase is its action followed by a wait for
 the check that ends it. The wait is the only loop that moves the machine, a
 run's start-up homing included, on 1 ms ticks (``HarvestConfig.dt_s``); a
-check that already holds takes no tick. A wait jumps to the first tick its
-check holds or a beam sees a fruit, replaying ticks as arrays (clock, trapper,
-fruit fall, etch) up to when the check is due in closed form and bisecting
-only if that overshot; on a beam tick :func:`check_interrupters` fires.
+check that already holds takes no tick. A wait hands its check, and the sim
+time the check is due in closed form, to :meth:`GantrySim.jump`: ``gantry``
+holds every tick rule, the cut's too, and lands the wait on the first tick
+the check holds or a beam sees a fruit, where :func:`check_interrupters` fires.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable
 
 from .errors import MotionError, require
 from .gantry import GRAVITY, FallEvent, GantryConfig, GantrySim, check_interrupters
-from .laser import CutModel, EtchState, etch_rate, etch_track
+from .laser import CutModel, EtchState, etch_rate
 from .laser import etch_step  # noqa: F401 -- wrapped by benchmarks/tracing.py
 from .localization import BerryBox
 from .scene import FruitBody
@@ -194,8 +194,6 @@ class _Cycle:
         self.cut_time = 0.0
         self.target: FruitBody | None = None
         self.fall_event: FallEvent | None = None
-        self.etch: EtchState | None = None
-        self.etch_rate = 0.0             # mm^2/s while cutting
 
     def _enter(self, phase: HarvestPhase) -> None:
         self.phases.append(phase)
@@ -220,10 +218,9 @@ class _Cycle:
     def _wait(self, done: Callable[[float], bool], end: float) -> None:
         """Jump tick to tick until ``done(sim.time)`` holds, due at sim time
         ``end``, firing the event each beam tick reports."""
-        sim, cfg, world = self.sim, self.cfg, self.world
-        cutting = self.phases[-1:] == [HarvestPhase.CUTTING]
+        sim = self.sim
         while not done(sim.time):
-            seen = _jump(sim, cfg.dt_s, done, end, world, self if cutting else None)
+            seen = sim.jump(self.cfg.dt_s, done, end, self.world)
             if seen is not None:
                 event = check_interrupters(sim, seen)
                 if event.fruit_uid == getattr(self.target, "uid", None):
@@ -260,14 +257,14 @@ class _Cycle:
         sim.start_lens_oscillation(cfg.lateral_velocity_mm_s)
         sim.set_laser(True)
         t_laser_on = sim.time
-        self.etch = EtchState.for_stem(target.stem_diameter_mm)
-        rate = self.etch_rate = etch_rate(self.model, cfg.spot_diameter_mm,
-                                          cfg.lateral_velocity_mm_s)
+        sim.etch = EtchState.for_stem(target.stem_diameter_mm)
+        rate = sim.etch_rate = etch_rate(self.model, cfg.spot_diameter_mm,
+                                         cfg.lateral_velocity_mm_s)
         self._enter(HarvestPhase.CUTTING)
-        sever_s = self.etch.target_area / rate if rate else math.inf
-        self._wait(lambda now: self.etch.severed or now - t_laser_on >= cfg.cut_timeout_s,
+        sever_s = sim.etch.target_area / rate if rate else math.inf
+        self._wait(lambda now: sim.etch.severed or now - t_laser_on >= cfg.cut_timeout_s,
                    t_laser_on + min(cfg.cut_timeout_s, sever_s))
-        if not self.etch.severed:
+        if not sim.etch.severed:
             return self._fail(FAIL_CUT_TIMEOUT)
         self.cut_time = sim.time - t_laser_on
 
@@ -305,47 +302,6 @@ class _Cycle:
         sim.stop_lens_oscillation()
         sim.set_trapper(closed=False)
         self._wait(lambda now: sim.trapper.idle, sim.trapper.slew_end(sim.time))
-
-
-_FIRST_BLOCK, _MAX_BLOCK = 256, 2 ** 14    # ticks; the cap keeps a block near 1 MB
-
-
-def _jump(sim: GantrySim, dt: float, done: Callable[[float], bool], end: float,
-          world=(), cut: _Cycle | None = None) -> tuple[FruitBody, int] | None:
-    """Move ``sim`` to the first tick where ``done`` holds or a beam sees a
-    fruit, and return the (fruit, beam index) seen if it is the beam tick.
-
-    It replays ticks as arrays (:meth:`GantrySim.replay`, and while ``cut``
-    is given its etch) to a tick past ``end``, when ``done`` is due in closed
-    form, calls ``done`` on the last two and bisects only if ``end`` overshot;
-    past ``end``, blocks grow ×4. ``done`` is monotone and fails at tick 0.
-    """
-    n = _FIRST_BLOCK // 4                       # so the first block past end is _FIRST_BLOCK
-    while True:
-        left = (end - sim.time) / dt                    # ticks to the closed-form end
-        n = min(round(left) + 1 if 0 < left < math.inf else 4 * n, _MAX_BLOCK)
-        block = sim.replay(n, dt, world)
-        if cut is not None:
-            area, stem = etch_track(cut.etch, n, dt, cut.etch_rate), cut.etch.target_area
-
-        def at(k: int) -> float:
-            if cut is not None:
-                cut.etch = EtchState(float(area[k]), stem)
-            return block.at(sim, k)
-
-        lo, hi = 0, min(n, block.beam)
-        if hi > 1 and done(at(hi - 1)):                 # holds before the last tick: bisect
-            hi, mid = hi - 1, hi - 2
-            while hi - lo > 1:
-                lo, hi = (lo, mid) if done(at(mid)) else (mid, hi)
-                mid = (lo + hi) // 2
-        elif hi < block.beam and not done(at(hi)):      # not due in this block
-            block.land(sim, n)
-            continue
-        if cut is not None:
-            at(hi)                                      # the etch of the landing tick
-        block.land(sim, hi)
-        return block.seen if hi == block.beam else None
 
 
 def run_cycle(sim: GantrySim, world: list[FruitBody], box: BerryBox,

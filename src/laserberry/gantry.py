@@ -3,14 +3,14 @@
 Axes follow trapezoidal velocity profiles (triangular when the move is too
 short to reach cruise speed), the focus lens homes against a limit switch
 and oscillates the beam laterally, the v-groove trapper sweeps between its
-open and closed angles, and three interrupter beams below the groove report
-when a severed fruit falls past. Everything advances on fixed ticks by one
-rule, :meth:`GantrySim.replay`: axes and lens are closed forms of sim time,
-and the clock, the trapper and the fall of detached fruit run over a block
-of ticks as numpy running sums that add left to right. The replay also
-finds the first tick a beam sees a fruit, and the fruit and beam it reports,
-from the tool path in closed form. ``tests/stepping.py`` states each rule as
-the scalar tick the replay is checked against.
+open and closed angles, the laser etches the stem in the groove, and three
+interrupter beams below it report when a severed fruit falls past. Every
+tick rule is here, in :meth:`GantrySim.replay`: axes and lens are closed
+forms of sim time, and the clock, the trapper, the cut and the fall of
+detached fruit run over a block of ticks as running sums (:func:`_running`).
+The replay also finds the first tick a beam sees a fruit from the tool path
+in closed form, and :meth:`GantrySim.jump` lands each wait. ``tests/stepping.py``
+states each rule as the scalar tick the replay is checked against.
 """
 
 from __future__ import annotations
@@ -22,8 +22,18 @@ from enum import Enum
 import numpy as np
 
 from .errors import MotionError, ValidationError, require
+from .laser import EtchState
 
 GRAVITY = 9.81  # m/s^2
+_FIRST_BLOCK, _MAX_BLOCK = 256, 2 ** 14    # ticks; the cap keeps a block near 1 MB
+
+
+def _running(start: float, step, n: int) -> np.ndarray:
+    """``start`` and its sums after each of ``n`` adds of ``step`` (a float, or
+    one per tick, index 0 unused), added left to right as stepping adds."""
+    out = np.full(n + 1, step)
+    out[0] = start
+    return np.add.accumulate(out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +282,21 @@ class TickBlock:
 
     time: np.ndarray               # clock per tick
     trapper: np.ndarray | None     # trapper angle per tick; None while idle
+    cut: np.ndarray | None         # cut area per tick; None unless the laser etches
     falls: list                    # (fruit, speeds, heights) per tick
     beam: int                      # first tick a beam fires at; n + 1 if none
     seen: tuple | None             # (fruit, beam index); None if no beam fires
 
     def at(self, sim: "GantrySim", k: int) -> float:
-        """Set the trapper to tick ``k`` and return that tick's time."""
+        """Set the trapper and the cut to tick ``k`` and return that tick's time."""
+        self._pose(sim, k)
+        return float(self.time[k])
+
+    def _pose(self, sim: "GantrySim", k: int) -> None:
         if self.trapper is not None:
             sim.trapper.angle_deg = float(self.trapper[k])
-        return float(self.time[k])
+        if self.cut is not None:
+            sim.etch = EtchState(float(self.cut[k]), sim.etch.target_area)
 
     def land(self, sim: "GantrySim", k: int) -> None:
         """Leave the machine and the falling fruit at tick ``k``; the clock
@@ -288,11 +304,30 @@ class TickBlock:
         if not k:
             return
         sim.advance_to(float(self.time[k]))
-        if self.trapper is not None:
-            sim.trapper.angle_deg = float(self.trapper[k])
+        self._pose(sim, k)
         for fruit, v, z in self.falls:
             fruit.fall_velocity, fruit.prev_z, fruit.z = float(v[k]), float(z[k - 1]), float(z[k])
             fruit.landed = bool(z[k] <= 0.0)
+
+
+def _fall(fruit, n: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Speeds and heights of a detached ``fruit`` over the next ``n`` ticks.
+
+    Index 0 is now. Each tick adds ``GRAVITY*dt`` to the speed, then takes
+    ``v*dt`` off the height (``z - v*dt`` is ``z + -(v*dt)``). From the
+    landing tick on both rest, so no beam plane sweeping past later sees a
+    landed fruit cross.
+    """
+    if fruit.landed:
+        return np.full(n + 1, fruit.fall_velocity), np.full(n + 1, fruit.z)
+    v = _running(fruit.fall_velocity, GRAVITY * dt, n)
+    z = _running(fruit.z, -(v * dt), n)
+    down = z <= 0.0
+    down[0] = False
+    k = int(down.argmax())
+    if down[k]:
+        v[k + 1:], z[k + 1:] = v[k], z[k]
+    return v, z
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +376,8 @@ class GantrySim:
         self.trapper = TrapperState()
         self.interrupters = InterrupterBank()
         self.laser_on = False
+        self.etch: EtchState | None = None     # the cut the laser works on
+        self.etch_rate = 0.0                    # its mm^2/s while the laser is on
         self.homing_count = 0
 
     # -- commands ----------------------------------------------------------
@@ -404,7 +441,7 @@ class GantrySim:
     # -- integration -------------------------------------------------------
 
     def step(self, dt: float) -> None:
-        """Advance the mechanism, fruit aside, by one tick of ``dt`` seconds."""
+        """Advance the mechanism and the cut, fruit aside, by one ``dt`` tick."""
         self.replay(1, dt).land(self, 1)
 
     def advance_to(self, now: float) -> None:
@@ -424,31 +461,32 @@ class GantrySim:
         self.lens.advance(now)
 
     def replay(self, n: int, dt: float, fruits=()) -> TickBlock:
-        """The next ``n`` ticks of the clock, the trapper slew and the fall of
-        the detached ``fruits``, as arrays.
+        """The next ``n`` ticks of the clock, the trapper slew, the cut and
+        the fall of the detached ``fruits``, as arrays.
 
+        The cut advances while the laser is on and the stem is not severed;
+        clamping its sum at the stem area once equals clamping every tick.
         The block's ``beam`` is the first tick at which a beam sees a fruit,
         and ``seen`` the fruit and beam it reports there; the caller that
         lands on that tick fires the event.
         """
-        time = np.full(n + 1, dt)
-        time[0] = self.time
-        np.add.accumulate(time, out=time)
+        time = _running(self.time, dt, n)
         angle, tr = None, self.trapper
         if not tr.idle:
             step = tr.rate_deg_s * dt
-            angle = np.full(n + 1, step if tr.target_deg > tr.angle_deg else -step)
-            angle[0] = tr.angle_deg
-            np.add.accumulate(angle, out=angle)
+            angle = _running(tr.angle_deg, step if tr.target_deg > tr.angle_deg else -step, n)
             there = np.abs(tr.target_deg - angle) <= step
             j = int(there.argmax())
             if there[j]:
                 angle[j + 1:] = tr.target_deg
+        cut, etch = None, self.etch
+        if self.laser_on and etch is not None and not etch.severed:
+            cut = np.minimum(etch.target_area, _running(etch.cut_area, dt * self.etch_rate, n))
         falls, beam, seen, tool = [], n + 1, None, None
         for fruit in fruits:
             if fruit.attached or (fruit.landed and fruit.prev_z == fruit.z):
                 continue                        # a tick leaves it as it is
-            v, z = fruit.fall_track(n, dt, GRAVITY)
+            v, z = _fall(fruit, n, dt)
             falls.append((fruit, v, z))
             if fruit.landed or fruit.uid in self.interrupters._fired:
                 continue                        # at rest or seen: no beam fires
@@ -457,7 +495,33 @@ class GantrySim:
             ticks = np.flatnonzero(hit.any(axis=0))
             if ticks.size:                      # earlier than any fruit before it
                 beam, seen = int(ticks[0]) + 1, (fruit, int(hit[:, ticks[0]].argmax()))
-        return TickBlock(time, angle, falls, beam, seen)
+        return TickBlock(time, angle, cut, falls, beam, seen)
+
+    def jump(self, dt: float, done, end: float, fruits=()) -> tuple | None:
+        """Move to the first tick where ``done`` holds or a beam sees one of
+        ``fruits``; return the (fruit, beam index) seen if it is the beam tick.
+
+        It replays a block to a tick past ``end``, when ``done`` is due in
+        closed form, calls ``done`` on its last two ticks and bisects only if
+        ``end`` overshot; past ``end``, blocks grow ×4. ``done`` is monotone
+        and fails at tick 0.
+        """
+        n = _FIRST_BLOCK // 4                       # so the first block past end is _FIRST_BLOCK
+        while True:
+            left = (end - self.time) / dt                   # ticks to the closed-form end
+            n = min(round(left) + 1 if 0 < left < math.inf else 4 * n, _MAX_BLOCK)
+            block = self.replay(n, dt, fruits)
+            lo, hi = 0, min(n, block.beam)
+            if hi > 1 and done(block.at(self, hi - 1)):    # holds before the last tick: bisect
+                hi, mid = hi - 1, hi - 2
+                while hi - lo > 1:
+                    lo, hi = (lo, mid) if done(block.at(self, mid)) else (mid, hi)
+                    mid = (lo + hi) // 2
+            elif hi < block.beam and not done(block.at(self, hi)):   # not due in this block
+                block.land(self, n)
+                continue
+            block.land(self, hi)
+            return block.seen if hi == block.beam else None
 
 
 def check_interrupters(sim: GantrySim, seen) -> FallEvent:

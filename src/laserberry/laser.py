@@ -181,19 +181,6 @@ def etch_step(state: EtchState, dt: float, laser_on: bool, model: CutModel,
     return EtchState(area, state.target_area)
 
 
-def etch_track(state: EtchState, n: int, dt: float, rate: float) -> np.ndarray:
-    """Cut areas over the next ``n`` laser-on calls of :func:`etch_step`.
-
-    Index 0 is now. The running sum adds left to right as the steps do and
-    clamping it at the target once equals clamping every step, so it matches
-    them float for float.
-    """
-    area = np.full(n + 1, dt * rate)
-    area[0] = state.cut_area
-    np.add.accumulate(area, out=area)
-    return np.minimum(state.target_area, area)
-
-
 def optimal_spot(records: Sequence[PierceRecord], lo_mm: float, hi_mm: float,
                  continuous: bool = False) -> float:
     """Spot diameter with the highest pierce constant in [lo_mm, hi_mm].

@@ -149,7 +149,7 @@ class FruitBody:
 
     The stem hangs the fruit from directly above its centroid; capture by
     the trapper snaps the stem onto the groove center, severing detaches
-    the body, and gravity then integrates its fall.
+    the body, and its fall is a tick rule of ``gantry``.
     """
 
     uid: int
@@ -177,29 +177,6 @@ class FruitBody:
         """Funnel the stem (and the hanging fruit) onto the groove center."""
         self.x = self.stem_x = x
         self.y = self.stem_y = y
-
-    def fall_track(self, n: int, dt: float, gravity: float):
-        """Speeds and heights over the next ``n`` ticks of the fall.
-
-        Index 0 is now. Each tick adds ``gravity*dt`` to the speed, then
-        takes ``v*dt`` off the height (``z - v*dt`` is ``z + -(v*dt)``), in
-        running sums that add left to right. From the landing tick on both
-        rest, so no beam plane sweeping past later sees a landed fruit cross.
-        """
-        if self.landed:
-            return np.full(n + 1, self.fall_velocity), np.full(n + 1, self.z)
-        v = np.full(n + 1, gravity * dt)
-        v[0] = self.fall_velocity
-        np.add.accumulate(v, out=v)
-        z = -(v * dt)
-        z[0] = self.z
-        np.add.accumulate(z, out=z)
-        down = z <= 0.0
-        down[0] = False
-        k = int(down.argmax())
-        if down[k]:
-            v[k + 1:], z[k + 1:] = v[k], z[k]
-        return v, z
 
 
 def make_world(truth: SceneTruth) -> list[FruitBody]:

@@ -1,13 +1,16 @@
 """The machine stepped one tick at a time: the reference the replay must equal.
 
-``laserberry`` states each machine rule once, as arrays: axes through
-:meth:`MotionProfile.position_at`, beams through
-:meth:`InterrupterBank.crossings`, and every tick through
-:meth:`GantrySim.replay`, which builds blocks of ticks as numpy running sums
-and reports the fruit and beam of the first beam tick. This module states
-the same rules as scalar code, one float operation after another: the
-profile's position and velocity at one time, the beam check over the world
-in order, and a wait that takes every tick in turn. Patching
+``laserberry`` states each machine rule once, as arrays, in ``gantry``: axes
+through :meth:`MotionProfile.position_at`, beams through
+:meth:`InterrupterBank.crossings`, and every tick (clock, trapper, cut and
+fall) through :meth:`GantrySim.replay`, which builds blocks of ticks as
+numpy running sums and reports the fruit and beam of the first beam tick;
+:meth:`GantrySim.jump` lands each wait. This module states the same rules as
+scalar code, one float operation after another: the profile's position and
+velocity at one time, the beam check over the world in order, and a wait
+that takes every tick in turn. The wait etches the cut while the cycle is
+in its cutting phase, so the jumped runs, whose machine etches while the
+laser is on, are checked against the cycle's phases too. Patching
 ``_Cycle._wait`` with :func:`stepped_wait` gives the oracle the jumped runs
 are compared with.
 """
@@ -111,5 +114,5 @@ def stepped_wait(cycle, done, end):
         if event is not None and event.fruit_uid == getattr(cycle.target, "uid", None):
             cycle.fall_event = event
         if cutting:
-            cycle.etch = etch_step(cycle.etch, cfg.dt_s, sim.laser_on, cycle.model,
-                                   cfg.spot_diameter_mm, cfg.lateral_velocity_mm_s)
+            sim.etch = etch_step(sim.etch, cfg.dt_s, sim.laser_on, cycle.model,
+                                 cfg.spot_diameter_mm, cfg.lateral_velocity_mm_s)

@@ -240,6 +240,18 @@ def test_broken_scenario_exits_1(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["simulate", "--scenario", "demo_11"],
+                                  ["localize", "--scenario", "demo_11"],
+                                  ["optimize-spot", "--svg"]])
+def test_an_out_path_that_is_a_file_fails_before_any_work(tmp_path, capsys, args):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(args + ["--out", str(taken)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_broken_pcd_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.pcd"
     bad.write_text("VERSION 0.7\nnot a header\n")

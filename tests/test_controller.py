@@ -8,7 +8,7 @@ import pytest
 from laserberry import (Aabb, BerryBox, CutModel, GantryConfig, GantrySim,
                         HarvestConfig, HarvestPhase, cut_time, load_datasets,
                         plan_approach, run_cycle, run_demo)
-from laserberry.controller import (CYCLE_ORDER, FAIL_PLAN, FAIL_TRAP)
+from laserberry.controller import (CYCLE_ORDER, FAIL_CUT_TIMEOUT, FAIL_PLAN, FAIL_TRAP)
 from laserberry.errors import MotionError, ValidationError
 from laserberry.scene import FruitBody
 
@@ -125,6 +125,18 @@ def test_cycle_trap_miss_beyond_funnel(model):
     assert world[0].attached          # never cut
     assert not sim.laser_on           # cleanup left the rig safe
     assert sim.trapper.idle and sim.trapper.mode.value == "open"
+
+
+def test_cut_timeout_leaves_the_stem_uncut_and_the_laser_off(model):
+    sim = GantrySim(GantryConfig(max_velocity=0.168))
+    box, fruit = _box(0.05, -0.02, 0.60), _fruit(0, 0.05, -0.02, 0.60)
+    record = run_cycle(sim, [fruit], box, model, HarvestConfig(cut_timeout_s=0.5))
+    assert record.failure_reason == FAIL_CUT_TIMEOUT
+    assert fruit.attached and not sim.laser_on
+    # the cut stopped at the timeout (a tick past it at most, as the clock's
+    # float sum drifts), and the cleanup's dark waits left it there
+    assert not sim.etch.severed
+    assert 0.5 <= sim.etch.cut_area / sim.etch_rate <= 0.5 + 2 * DT
 
 
 def test_cycle_plan_failure_is_immediate(model):

@@ -6,14 +6,17 @@ import re
 import numpy as np
 import pytest
 
-from laserberry import GantryConfig, GantrySim, MotionProfile, ValidationError
+from laserberry import (CutModel, EtchState, GantryConfig, GantrySim, MotionProfile,
+                        ValidationError, etch_step, load_datasets)
 from laserberry.errors import MotionError
 from laserberry.gantry import (AxisState, FallEvent, InterrupterBank,
                                LensAxis, LensMode, TrapperState)
+from laserberry.laser import etch_rate
 from laserberry.scenario import _KEYS
 from laserberry.scene import FruitBody
 from stepping import (check, check_interrupters, fall_step, sample, slew, step,
                       tick)
+from test_laser import cutting_sim
 
 DT = 0.001
 
@@ -481,6 +484,31 @@ def test_replay_matches_stepping(move_z, heights, n):
         sim, fruits = setup()
         sim.replay(n, DT, fruits).land(sim, k)
         assert state(sim, fruits) == stepped[k]
+
+
+def test_step_while_cutting_takes_one_etch_step():
+    model = CutModel(load_datasets().fine)
+    state = EtchState.for_stem(2.2)
+    sim = cutting_sim(state, etch_rate(model, 0.9, 50.0))
+    for _ in range(5):
+        sim.step(DT)
+        state = etch_step(state, DT, True, model, 0.9, 50.0)
+        assert sim.etch == state
+    assert 0.0 < state.cut_area < state.target_area
+
+
+@pytest.mark.parametrize("severed", [False, True])
+def test_a_dark_laser_or_severed_stem_leaves_the_cut(severed):
+    sim = cutting_sim(EtchState.for_stem(2.2), 0.8)
+    if severed:
+        sim.etch = EtchState(sim.etch.target_area, sim.etch.target_area)
+    else:
+        sim.set_laser(False)
+    etch = sim.etch
+    block = sim.replay(50, DT)
+    assert block.cut is None
+    block.land(sim, 50)
+    assert sim.etch is etch
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -5.0])

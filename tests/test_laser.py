@@ -11,7 +11,8 @@ from laserberry import (CutModel, DomainError, EtchState, PierceRecord,
                         UnsupportedRegimeError, ValidationError, cut_time,
                         etch_step, load_datasets, optimal_spot,
                         pierce_constant, pierce_velocity, verify_tables)
-from laserberry.laser import etch_rate, etch_track
+from laserberry.gantry import GantrySim
+from laserberry.laser import etch_rate
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +139,22 @@ def test_cut_model_helpers_refuse_non_finite_inputs(fine_model, bad):
 # ---------------------------------------------------------------------------
 # etch integrator
 
+def cutting_sim(state, rate):
+    """A ``GantrySim`` with the trapper closed, the laser on and the cut
+    ``state`` set at ``rate``."""
+    sim = GantrySim()
+    sim.set_trapper(closed=True)
+    sim.trapper.angle_deg = sim.trapper.closed_angle_deg
+    sim.set_laser(True)
+    sim.etch, sim.etch_rate = state, rate
+    return sim
+
+
+def _cut_areas(state, n, dt, rate):
+    """The cut areas ``GantrySim.replay`` gives over ``n`` ticks of a cut."""
+    return cutting_sim(state, rate).replay(n, dt).cut
+
+
 def test_etch_reaches_severed_within_one_step(fine_model):
     rng = np.random.default_rng(77)
     for _ in range(50):
@@ -146,24 +163,25 @@ def test_etch_reaches_severed_within_one_step(fine_model):
         spot = float(rng.uniform(0.5, 1.1))
         expected = cut_time(stem, fine_model, spot, 50.0)
         state = EtchState.for_stem(stem)
-        areas = etch_track(state, math.ceil(expected / dt) + 2, dt,
+        areas = _cut_areas(state, math.ceil(expected / dt) + 2, dt,
                            etch_rate(fine_model, spot, 50.0))
         steps = int(np.argmax(areas == state.target_area))
         assert steps > 0
         t = np.add.accumulate(np.full(steps, dt))[-1]   # t += dt, left to right
         assert abs(t - expected) <= dt + 1e-12
-        # the track is etch_step's (see below): one step from the tick before severs
+        # the replay is etch_step's (see below): one step from the tick before severs
         before = EtchState(float(areas[steps - 1]), state.target_area)
         after = etch_step(before, dt, True, fine_model, spot, 50.0)
         assert after.severed and after.cut_area == areas[steps]
 
 
 def test_etch_track_matches_etch_step(fine_model):
+    """The replayed cut is etch_step's, float for float, up to the sever."""
     rate = etch_rate(fine_model, 0.9, 50.0)
     for dt in (0.0005, 0.001, 0.002):       # the timesteps the trials above draw
         state = EtchState.for_stem(2.2)
         n = round(4.0 / dt)
-        areas = etch_track(state, n, dt, rate)
+        areas = _cut_areas(state, n, dt, rate)
         for k in range(1, n + 1):
             state = etch_step(state, dt, True, fine_model, 0.9, 50.0)
             assert state.cut_area == areas[k]

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from laserberry import load_scenario
+from laserberry import GantrySim, load_scenario
 from laserberry.geometry import transform_cloud
 from laserberry.scenario import BerrySpec, Scenario, bundled_scenario_path
 from laserberry.scene import (LABEL_FOLIAGE, LABEL_PALETTE, FruitBody,
@@ -152,9 +152,11 @@ def test_fruit_fall_integration():
 
 
 def test_fall_track_matches_fall_step():
+    """The fall ``GantrySim.replay`` builds is fall_step's, tick for tick."""
     f = FruitBody(uid=0, x=0.0, y=0.0, z=0.61, stem_x=0.0, stem_y=0.0,
-                  stem_diameter_mm=2.2, toughness=1.0, fall_velocity=0.3)
-    v, z = f.fall_track(300, 0.0007, 9.81)
+                  stem_diameter_mm=2.2, toughness=1.0, fall_velocity=0.3, attached=False)
+    (fruit, v, z), = GantrySim().replay(300, 0.0007, [f]).falls
+    assert fruit is f
     for k in range(1, 301):
         fall_step(f, 0.0007, 9.81)
         assert (f.fall_velocity, f.z) == (v[k], z[k])

@@ -16,7 +16,7 @@ import pytest
 from laserberry import (Aabb, BerryBox, CutModel, GantryConfig, GantrySim,
                         HarvestConfig, controller, load_datasets, run_demo)
 from laserberry.controller import HarvestPhase, _Cycle
-from laserberry.gantry import TickBlock
+from laserberry.gantry import _MAX_BLOCK, TickBlock
 from laserberry.pipeline import simulate_scenario
 from laserberry.scenario import bundled_scenario_path, load_scenario
 from laserberry.scene import FruitBody
@@ -216,8 +216,8 @@ def test_long_wait_replays_in_small_blocks(monkeypatch):
         tracemalloc.stop()
     assert record.failure_reason == "cut-timeout"
     assert record.cycle_time_s > 1e4
-    assert max(blocks) == controller._MAX_BLOCK
+    assert max(blocks) == _MAX_BLOCK
     # the cut's 10^7 ticks in full blocks, plus a few for the other waits
-    assert len(blocks) <= 1e4 / config.dt_s / controller._MAX_BLOCK + 30
+    assert len(blocks) <= 1e4 / config.dt_s / _MAX_BLOCK + 30
     assert checks == []
     assert peak < 4e6
