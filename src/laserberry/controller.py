@@ -10,12 +10,11 @@ time plus laser-on-to-severed cut time: motion is ``cycle - cut``, so the
 float sum ``motion + cut`` matches the cycle to within one rounding.
 
 A cycle is straight-line code: each phase is its action followed by a wait for
-the check that ends it. The wait is the only loop that moves the machine, a
-run's start-up homing included, on 1 ms ticks (``HarvestConfig.dt_s``); a
-check that already holds takes no tick. A wait hands its check, and the sim
-time the check is due in closed form, to :meth:`GantrySim.jump`: ``gantry``
-holds every tick rule, the cut's too, and lands the wait on the first tick
-the check holds or a beam sees a fruit, where :func:`check_interrupters` fires.
+the check that ends it. One :meth:`GantrySim.jump` call runs each wait, a
+run's start-up homing included, on 1 ms ticks (``HarvestConfig.dt_s``), given
+the check and the sim time it is due in closed form; a check that already
+holds takes no tick. ``gantry`` holds every tick rule, the cut's too, and
+hands each beam tick on the way to the cycle, where :func:`check_interrupters` fires.
 """
 
 from __future__ import annotations
@@ -216,15 +215,14 @@ class _Cycle:
         return best
 
     def _wait(self, done: Callable[[float], bool], end: float) -> None:
-        """Jump tick to tick until ``done(sim.time)`` holds, due at sim time
-        ``end``, firing the event each beam tick reports."""
-        sim = self.sim
-        while not done(sim.time):
-            seen = sim.jump(self.cfg.dt_s, done, end, self.world)
-            if seen is not None:
-                event = check_interrupters(sim, seen)
-                if event.fruit_uid == getattr(self.target, "uid", None):
-                    self.fall_event = event
+        """Run the machine until ``done(sim.time)`` holds, due at sim time
+        ``end``, firing the event of each beam tick on the way."""
+        self.sim.jump(self.cfg.dt_s, done, end, self.world, self._seen)
+
+    def _seen(self, seen) -> None:          # a beam tick: fire it, keep the target's
+        event = check_interrupters(self.sim, seen)
+        if event.fruit_uid == getattr(self.target, "uid", None):
+            self.fall_event = event
 
     def run(self) -> None:
         """Run the phases in order; a failure sets ``failure`` and returns."""
@@ -281,11 +279,8 @@ class _Cycle:
         self._enter(HarvestPhase.LASER_OFF)
         self._wait(lambda now: now > self.fall_event.time, sim.time + cfg.dt_s)   # one tick
 
-        sim.set_laser(False)
-        sim.stop_lens_oscillation()
-        sim.set_trapper(closed=False)
         self._enter(HarvestPhase.OPEN_TRAPPER)
-        self._wait(lambda now: sim.trapper.idle, sim.trapper.slew_end(sim.time))
+        self.cleanup()
         follow = self.next_box if self.next_box is not None else self.box
         x, y, _ = sim.tool_position()
         lo, hi = sim.config.z_limits     # a fruit out of reach fails its own plan
@@ -295,10 +290,9 @@ class _Cycle:
         self._enter(HarvestPhase.DONE)
 
     def cleanup(self) -> None:
-        """Leave the mechanism safe after a failed cycle."""
+        """Leave the machine safe (laser off, lens stopped, trapper open), cut or failed."""
         sim = self.sim
-        if sim.laser_on:
-            sim.set_laser(False)
+        sim.set_laser(False)
         sim.stop_lens_oscillation()
         sim.set_trapper(closed=False)
         self._wait(lambda now: sim.trapper.idle, sim.trapper.slew_end(sim.time))
@@ -341,7 +335,7 @@ def run_demo(sim: GantrySim, world: list[FruitBody], boxes: list[BerryBox],
     its toughness from the body being cut, as in :func:`run_cycle`.
     """
     sim.home_lens()                                     # watching no fruit
-    _Cycle(sim, [], None, model, config)._wait(sim.lens.homing_done_at, sim.lens.homing_end)
+    sim.jump(config.dt_s, sim.lens.homing_done_at, sim.lens.homing_end)
     records = []
     for i, box in enumerate(boxes):
         next_box = boxes[i + 1] if i + 1 < len(boxes) else None

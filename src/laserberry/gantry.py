@@ -9,8 +9,9 @@ tick rule is here, in :meth:`GantrySim.replay`: axes and lens are closed
 forms of sim time, and the clock, the trapper, the cut and the fall of
 detached fruit run over a block of ticks as running sums (:func:`_running`).
 The replay also finds the first tick a beam sees a fruit from the tool path
-in closed form, and :meth:`GantrySim.jump` lands each wait. ``tests/stepping.py``
-states each rule as the scalar tick the replay is checked against.
+in closed form, and one :meth:`GantrySim.jump` call runs each wait, firing its
+beam ticks. ``tests/stepping.py`` states each rule as the scalar tick the
+replay is checked against.
 """
 
 from __future__ import annotations
@@ -205,12 +206,6 @@ class LensAxis:
         return self._t_start + self._start_pos / self.homing_speed_mm_s
 
 
-class TrapperMode(Enum):
-    OPEN = "open"
-    CLOSED = "closed"
-    MOVING = "moving"
-
-
 @dataclass
 class TrapperState:
     """V-groove trapper jaw: angle slews between open and closed stops."""
@@ -226,12 +221,8 @@ class TrapperState:
         self.target_deg = self.closed_angle_deg if closed else self.open_angle_deg
 
     @property
-    def mode(self) -> TrapperMode:
-        if self.angle_deg == self.open_angle_deg == self.target_deg:
-            return TrapperMode.OPEN
-        if self.angle_deg == self.closed_angle_deg == self.target_deg:
-            return TrapperMode.CLOSED
-        return TrapperMode.MOVING
+    def closed(self) -> bool:          # at the closed stop and staying there
+        return self.angle_deg == self.closed_angle_deg == self.target_deg
 
     @property
     def idle(self) -> bool:
@@ -408,7 +399,7 @@ class GantrySim:
         self.trapper.command(closed)
 
     def set_laser(self, on: bool) -> None:
-        if on and self.trapper.mode is not TrapperMode.CLOSED:
+        if on and not self.trapper.closed:
             raise ValidationError("laser may only be energized with the trapper closed")
         self.laser_on = on
 
@@ -497,17 +488,15 @@ class GantrySim:
                 beam, seen = int(ticks[0]) + 1, (fruit, int(hit[:, ticks[0]].argmax()))
         return TickBlock(time, angle, cut, falls, beam, seen)
 
-    def jump(self, dt: float, done, end: float, fruits=()) -> tuple | None:
-        """Move to the first tick where ``done`` holds or a beam sees one of
-        ``fruits``; return the (fruit, beam index) seen if it is the beam tick.
-
-        It replays a block to a tick past ``end``, when ``done`` is due in
-        closed form, calls ``done`` on its last two ticks and bisects only if
-        ``end`` overshot; past ``end``, blocks grow ×4. ``done`` is monotone
-        and fails at tick 0.
-        """
+    def jump(self, dt: float, done, end: float, fruits=(), beam=None) -> None:
+        """Run one wait: land on the first tick where ``done`` holds (none if
+        it holds now), calling ``beam((fruit, beam index))`` on each tick up to
+        it where a beam sees one of ``fruits``. ``done`` is monotone and due at
+        sim time ``end`` in closed form: each block runs to a tick past ``end``
+        (or the beam tick), ``done`` is called on its last two ticks, and it
+        bisects only if ``end`` overshot. Past ``end``, blocks grow ×4."""
         n = _FIRST_BLOCK // 4                       # so the first block past end is _FIRST_BLOCK
-        while True:
+        while not done(self.time):
             left = (end - self.time) / dt                   # ticks to the closed-form end
             n = min(round(left) + 1 if 0 < left < math.inf else 4 * n, _MAX_BLOCK)
             block = self.replay(n, dt, fruits)
@@ -517,11 +506,9 @@ class GantrySim:
                 while hi - lo > 1:
                     lo, hi = (lo, mid) if done(block.at(self, mid)) else (mid, hi)
                     mid = (lo + hi) // 2
-            elif hi < block.beam and not done(block.at(self, hi)):   # not due in this block
-                block.land(self, n)
-                continue
-            block.land(self, hi)
-            return block.seen if hi == block.beam else None
+            block.land(self, hi)                # the loop's check probes the last tick
+            if hi == block.beam:
+                beam(block.seen)
 
 
 def check_interrupters(sim: GantrySim, seen) -> FallEvent:

@@ -103,14 +103,27 @@ class CutModel:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "cps", cps)
 
-    def cp(self, spot_diameter_mm: float) -> float:
-        """Pierce constant interpolated linearly between the knots; a spot
-        outside them raises :class:`DomainError` (no extrapolation)."""
+    def check_spot(self, spot_diameter_mm: float) -> None:
+        """Raise :class:`DomainError` for a spot outside the knots (no extrapolation)."""
         if not self.knots[0] <= spot_diameter_mm <= self.knots[-1]:
-            raise DomainError(
-                f"spot diameter {spot_diameter_mm} mm outside calibrated range "
-                f"[{self.knots[0]}, {self.knots[-1]}] mm")
+            raise DomainError(f"spot_diameter_mm {spot_diameter_mm} mm outside calibrated "
+                              f"range [{self.knots[0]}, {self.knots[-1]}] mm")
+
+    def cp(self, spot_diameter_mm: float) -> float:
+        """Pierce constant interpolated linearly between the knots, after :meth:`check_spot`."""
+        self.check_spot(spot_diameter_mm)
         return float(np.interp(spot_diameter_mm, self.knots, self.cps))
+
+
+def stem_area(stem_diameter_mm: float, rule: str = "finite", error=ValidationError) -> float:
+    """A stem's cross-section, mm^2; ``error`` names ``stem_diameter_mm`` if it fails ``rule``."""
+    try:
+        area = math.pi * (stem_diameter_mm / 2.0) ** 2
+    except OverflowError:                   # the square is past the largest float
+        area = math.inf
+    require(rule, error=error,
+            **{f"stem_diameter_mm: the cross-section of a {stem_diameter_mm:g} mm stem": area})
+    return area
 
 
 def cut_time(stem_diameter_mm: float, model: CutModel, spot_diameter_mm: float,
@@ -126,8 +139,7 @@ def cut_time(stem_diameter_mm: float, model: CutModel, spot_diameter_mm: float,
         raise UnsupportedRegimeError(
             f"lateral velocity {lateral_velocity_mm_s} mm/s is not a finite speed "
             f"of at least the calibrated minimum {V_L_MIN} mm/s")
-    area = math.pi * (stem_diameter_mm / 2.0) ** 2
-    return model.toughness * area / model.cp(spot_diameter_mm)
+    return model.toughness * stem_area(stem_diameter_mm) / model.cp(spot_diameter_mm)
 
 
 @dataclass(frozen=True)
@@ -149,7 +161,7 @@ class EtchState:
     @classmethod
     def for_stem(cls, stem_diameter_mm: float) -> "EtchState":
         require("positive and finite", stem_diameter_mm=stem_diameter_mm)
-        return cls(0.0, math.pi * (stem_diameter_mm / 2.0) ** 2)
+        return cls(0.0, stem_area(stem_diameter_mm, "positive and finite"))
 
 
 def etch_rate(model: CutModel, spot_diameter_mm: float,

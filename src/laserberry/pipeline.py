@@ -38,8 +38,10 @@ def localize_scenario(scenario: Scenario) -> tuple[list[BerryBox], SceneTruth]:
 
 
 def simulate_scenario(scenario: Scenario) -> SimulationResult:
-    """Generate, localize, and harvest a scenario."""
+    """Generate, localize, and harvest a scenario; a spot off the cut table fails first."""
+    model = cut_model_for(scenario)
+    model.check_spot(scenario.harvest.spot_diameter_mm)
     boxes, truth = localize_scenario(scenario)
-    metrics = run_demo(GantrySim(scenario.gantry), make_world(truth), boxes,
-                       cut_model_for(scenario), scenario.harvest)
+    metrics = run_demo(GantrySim(scenario.gantry), make_world(truth), boxes, model,
+                       scenario.harvest)
     return SimulationResult(boxes=boxes, metrics=metrics, truth=truth)

@@ -24,6 +24,7 @@ from .controller import HarvestConfig
 from .errors import ScenarioError, ValidationError, decode_utf8, require
 from .gantry import GantryConfig, LensAxis, MotionProfile, TrapperState
 from .geometry import RigidTransform
+from .laser import stem_area
 from .localization import ClusterParams, LocalizationConfig, SpatialWindow
 
 
@@ -42,6 +43,8 @@ class BerrySpec:
         require("finite", "positive", error=ScenarioError, diameter_m=self.diameter_m,
                 stem_diameter_mm=self.stem_diameter_mm, stem_length_m=self.stem_length_m,
                 toughness=self.toughness)
+        if self.stem_diameter_mm is not None:       # and its cross-section, which a cut uses
+            stem_area(self.stem_diameter_mm, "positive and finite", ScenarioError)
 
 
 @dataclass(frozen=True)

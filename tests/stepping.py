@@ -5,14 +5,16 @@ through :meth:`MotionProfile.position_at`, beams through
 :meth:`InterrupterBank.crossings`, and every tick (clock, trapper, cut and
 fall) through :meth:`GantrySim.replay`, which builds blocks of ticks as
 numpy running sums and reports the fruit and beam of the first beam tick;
-:meth:`GantrySim.jump` lands each wait. This module states the same rules as
-scalar code, one float operation after another: the profile's position and
-velocity at one time, the beam check over the world in order, and a wait
-that takes every tick in turn. The wait etches the cut while the cycle is
-in its cutting phase, so the jumped runs, whose machine etches while the
-laser is on, are checked against the cycle's phases too. Patching
-``_Cycle._wait`` with :func:`stepped_wait` gives the oracle the jumped runs
-are compared with.
+one :meth:`GantrySim.jump` call runs each wait and fires its beam ticks.
+This module states the same rules as scalar code, one float operation after
+another: the profile's position and velocity at one time, the beam check
+over the world in order, and a wait that takes every tick in turn. The
+wait etches the cut while the cycle is in its cutting phase, so the jumped
+runs, whose machine etches while the laser is on, are checked against the
+cycle's phases too. Patching ``_Cycle._wait`` with :func:`stepped_wait`
+gives the oracle the jumped runs are compared with; a run's start-up
+homing, a plain ``jump`` in ``run_demo`` that watches no fruit, is jumped
+in both.
 """
 
 from laserberry.controller import HarvestPhase

@@ -94,7 +94,7 @@ def test_cycle_success_phases_and_timing(model):
     fruit = world[0]
     assert not fruit.attached
     assert not sim.laser_on
-    assert sim.trapper.mode.value == "open"
+    assert sim.trapper.angle_deg == sim.trapper.target_deg == sim.trapper.open_angle_deg
 
 
 def test_laser_switches_off_only_after_fall_event(model):
@@ -124,7 +124,7 @@ def test_cycle_trap_miss_beyond_funnel(model):
     assert record.cycle_time_s == pytest.approx(record.motion_time_s)
     assert world[0].attached          # never cut
     assert not sim.laser_on           # cleanup left the rig safe
-    assert sim.trapper.idle and sim.trapper.mode.value == "open"
+    assert sim.trapper.idle and sim.trapper.angle_deg == sim.trapper.open_angle_deg
 
 
 def test_cut_timeout_leaves_the_stem_uncut_and_the_laser_off(model):

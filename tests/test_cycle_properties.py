@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from laserberry import (Aabb, BerryBox, CutModel, GantryConfig, GantrySim,
                         HarvestConfig, controller, load_datasets, run_demo)
 from laserberry.controller import CYCLE_ORDER, HarvestPhase
-from laserberry.gantry import TrapperMode
 from laserberry.scene import FruitBody
 from stepping import stepped_wait
 
@@ -32,7 +31,7 @@ class _LogSim(GantrySim):
 
     def set_laser(self, on):
         super().set_laser(on)
-        self.log.append(("laser", on, self.trapper.mode))
+        self.log.append(("laser", on, self.trapper.closed))
 
     def set_trapper(self, closed):
         self.log.append(("trapper", closed, self.laser_on))
@@ -127,7 +126,7 @@ def test_cycle_invariants(world):
     # is never opened while the laser is on
     for kind, value, other in sim.log:
         if kind == "laser" and value:
-            assert other is TrapperMode.CLOSED
+            assert other is True
         if kind == "trapper" and not value:
             assert other is False
     assert not sim.laser_on

@@ -181,14 +181,14 @@ def test_trapper_close_takes_200ms():
         slew(trap, DT)
         steps += 1
     assert steps == 200   # 30 deg at 150 deg/s
-    assert trap.mode.value == "closed"
+    assert trap.closed
     trap.command(closed=False)
     steps = 0
     while not trap.idle:
         slew(trap, DT)
         steps += 1
     assert steps == 200
-    assert trap.mode.value == "open"
+    assert trap.angle_deg == trap.target_deg == trap.open_angle_deg
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,17 @@ def test_cut_time_zero_diameter(fine_model):
         cut_time(-1.0, fine_model, 0.9, 50.0)
 
 
+def test_a_stem_too_wide_for_a_float_area_names_its_diameter(fine_model):
+    """The square of 1e200 overflows a float; it is a ValidationError, not an
+    OverflowError, and so is a positive diameter whose area underflows to 0."""
+    for stem in (1e200, 1e-200):
+        with pytest.raises(ValidationError, match=r"^stem_diameter_mm: the cross-section of a "):
+            EtchState.for_stem(stem)
+    with pytest.raises(ValidationError, match=r"^stem_diameter_mm: .* got inf$"):
+        cut_time(1e200, fine_model, 0.9, 50.0)
+    assert cut_time(1e-200, fine_model, 0.9, 50.0) == 0.0     # as for a 0 mm stem
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_cut_model_helpers_refuse_non_finite_inputs(fine_model, bad):
     # NaN fails every comparison, so each check is written to pass only

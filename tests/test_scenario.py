@@ -524,6 +524,40 @@ def test_an_odd_value_loads_or_fails_naming_its_key(tmp_path_factory, case, valu
         assert re.search(rf"\b{key}\b", str(exc)), str(exc)
 
 
+_ONE_BERRY = "[berry 1]\nx = 0\ny = 0\nz = 0.6\n"
+
+
+@pytest.mark.parametrize("section,key,value,berry,code", [
+    pytest.param("berry 1", "stem_diameter_mm", "1e200", "", 1, id="stem-area-overflows"),
+    pytest.param("berry 1", "stem_diameter_mm", "1e-200", "", 1, id="stem-area-underflows"),
+    pytest.param("laser", "spot_diameter_mm", "2.0", _ONE_BERRY, 2, id="spot-2.0-one-berry"),
+    pytest.param("laser", "spot_diameter_mm", "2.0", "", 2, id="spot-2.0-no-cut"),
+    pytest.param("laser", "spot_diameter_mm", "0.1", _ONE_BERRY, 2, id="spot-0.1-one-berry"),
+    pytest.param("laser", "spot_diameter_mm", "0.1", "", 2, id="spot-0.1-no-cut"),
+])
+def test_a_stem_or_spot_the_cut_cannot_use_fails_before_the_scene(
+        tmp_path, capsys, monkeypatch, section, key, value, berry, code):
+    monkeypatch.setattr("laserberry.pipeline.generate_scene",
+                        lambda *args: pytest.fail("the scene was generated"))
+    path = tmp_path / "s.ini"
+    path.write_text(_pinned_scenario(section, key, value) + berry, encoding="utf-8")
+    assert main(["simulate", "--scenario", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert re.search(rf"\b{key}\b", err), err
+    if key == "spot_diameter_mm":
+        assert "[0.5, 1.1] mm" in err                     # the fine table's knots
+
+
+def test_the_coarse_table_takes_a_spot_the_fine_one_refuses(tmp_path, capsys):
+    path = tmp_path / "s.ini"
+    path.write_text(_pinned_scenario("laser", "spot_diameter_mm", "2.0") + "dataset = coarse\n",
+                    encoding="utf-8")
+    assert main(["simulate", "--scenario", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_a_berry_built_in_code_refuses_what_the_loader_refuses():
     with pytest.raises(ScenarioError, match=r"^center\[0\] must be finite, got nan$"):
         Scenario(seed=1, berries=(BerrySpec(center=(math.nan, 0, 0.6), diameter_m=-1.0),))

@@ -148,9 +148,9 @@ def test_demo_run_steps_only_near_events(monkeypatch):
     result = simulate_scenario(load_scenario(bundled_scenario_path("demo_11")))
     assert result.metrics.attempted == 11
     assert calls["step"] == 0
-    # each wait replays one block sized to its closed-form end and probes
-    # about two ticks of it; the run lands 61,706 ticks in 99 replays, 62,052
-    # ticks replayed and 187 probes
+    # each wait replays one block sized to its closed-form end and checks
+    # its last two ticks, the last after landing; the run lands 61,706 ticks
+    # in 99 replays, 62,052 ticks replayed and 148 probes
     assert calls["replay"] <= 105
     assert calls["ticks"] <= 66_000
     assert calls["at"] <= 300
@@ -158,6 +158,31 @@ def test_demo_run_steps_only_near_events(monkeypatch):
     assert len(events) == result.metrics.successes == 11
     assert None not in events
     assert calls["cp"] <= 2 * result.metrics.attempted
+
+
+def test_one_jump_runs_each_wait(monkeypatch):
+    """Every wait of a run is one ``GantrySim.jump`` call: a wait whose check
+    already holds (each RETRACT onto the pose the rise ended at) and the
+    start-up homing, which ``run_demo`` runs outside any cycle, included."""
+    calls, held = {"jump": 0, "_wait": 0}, []
+    jump, wait = GantrySim.jump, _Cycle._wait
+
+    def jumped(sim, dt, done, end, *args):
+        calls["jump"] += 1
+        held.append(done(sim.time))
+        return jump(sim, dt, done, end, *args)
+
+    def waited(*args):
+        calls["_wait"] += 1
+        return wait(*args)
+
+    monkeypatch.setattr(GantrySim, "jump", jumped)
+    monkeypatch.setattr(_Cycle, "_wait", waited)
+    result = simulate_scenario(load_scenario(bundled_scenario_path("demo_11")))
+    # ten waits per harvested fruit, and the start-up homing
+    assert result.metrics.successes == result.metrics.attempted == 11
+    assert calls["jump"] == calls["_wait"] + 1 == 111
+    assert sum(held) == 12
 
 
 @pytest.mark.parametrize("heights,dt,until,beam", [
