@@ -215,8 +215,7 @@ class _Cycle:
         return best
 
     def _wait(self, done: Callable[[float], bool], end: float) -> None:
-        """Run the machine until ``done(sim.time)`` holds, due at sim time
-        ``end``, firing the event of each beam tick on the way."""
+        """Run the machine until ``done(sim.time)`` holds, due at sim time ``end``."""
         self.sim.jump(self.cfg.dt_s, done, end, self.world, self._seen)
 
     def _seen(self, seen) -> None:          # a beam tick: fire it, keep the target's
@@ -335,7 +334,7 @@ def run_demo(sim: GantrySim, world: list[FruitBody], boxes: list[BerryBox],
     its toughness from the body being cut, as in :func:`run_cycle`.
     """
     sim.home_lens()                                     # watching no fruit
-    sim.jump(config.dt_s, sim.lens.homing_done_at, sim.lens.homing_end)
+    sim.jump(config.dt_s, sim.lens.homing_done_at, sim.lens.homing_end, (), None)
     records = []
     for i, box in enumerate(boxes):
         next_box = boxes[i + 1] if i + 1 < len(boxes) else None

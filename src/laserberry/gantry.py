@@ -488,13 +488,13 @@ class GantrySim:
                 beam, seen = int(ticks[0]) + 1, (fruit, int(hit[:, ticks[0]].argmax()))
         return TickBlock(time, angle, cut, falls, beam, seen)
 
-    def jump(self, dt: float, done, end: float, fruits=(), beam=None) -> None:
-        """Run one wait: land on the first tick where ``done`` holds (none if
-        it holds now), calling ``beam((fruit, beam index))`` on each tick up to
-        it where a beam sees one of ``fruits``. ``done`` is monotone and due at
-        sim time ``end`` in closed form: each block runs to a tick past ``end``
-        (or the beam tick), ``done`` is called on its last two ticks, and it
-        bisects only if ``end`` overshot. Past ``end``, blocks grow ×4."""
+    def jump(self, dt: float, done, end: float, fruits, beam) -> None:
+        """Run one wait: land on the first tick where ``done`` holds (none if it
+        holds now), calling ``beam((fruit, beam index))`` on each tick on the way
+        where a beam sees one of ``fruits``. ``done`` is monotone and due at sim
+        time ``end`` in closed form: a block runs to a tick past ``end`` or to the
+        beam tick, ``done`` is called on its last two ticks, and it bisects only
+        if ``end`` overshot. Past ``end``, blocks grow ×4, anew after a beam tick."""
         n = _FIRST_BLOCK // 4                       # so the first block past end is _FIRST_BLOCK
         while not done(self.time):
             left = (end - self.time) / dt                   # ticks to the closed-form end
@@ -509,6 +509,7 @@ class GantrySim:
             block.land(self, hi)                # the loop's check probes the last tick
             if hi == block.beam:
                 beam(block.seen)
+                n = _FIRST_BLOCK // 4
 
 
 def check_interrupters(sim: GantrySim, seen) -> FallEvent:

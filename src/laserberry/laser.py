@@ -115,14 +115,15 @@ class CutModel:
         return float(np.interp(spot_diameter_mm, self.knots, self.cps))
 
 
-def stem_area(stem_diameter_mm: float, rule: str = "finite", error=ValidationError) -> float:
-    """A stem's cross-section, mm^2; ``error`` names ``stem_diameter_mm`` if it fails ``rule``."""
+def stem_area(stem_diameter_mm: float, error=ValidationError) -> float:
+    """A stem's cross-section, mm^2; ``error`` if a positive diameter's over- or underflows."""
     try:
         area = math.pi * (stem_diameter_mm / 2.0) ** 2
     except OverflowError:                   # the square is past the largest float
         area = math.inf
-    require(rule, error=error,
-            **{f"stem_diameter_mm: the cross-section of a {stem_diameter_mm:g} mm stem": area})
+    if stem_diameter_mm > 0 and not 0 < area < math.inf:
+        raise error(f"stem_diameter_mm {stem_diameter_mm:g} mm has a cross-section of "
+                    f"{area} mm^2, which is not positive and finite")
     return area
 
 
@@ -134,7 +135,7 @@ def cut_time(stem_diameter_mm: float, model: CutModel, spot_diameter_mm: float,
     speed below ``V_L_MIN``, NaN or inf raises
     :class:`UnsupportedRegimeError`.
     """
-    require("non-negative and finite", **{"stem diameter": stem_diameter_mm})
+    require("non-negative and finite", stem_diameter_mm=stem_diameter_mm)
     if not V_L_MIN <= lateral_velocity_mm_s < math.inf:
         raise UnsupportedRegimeError(
             f"lateral velocity {lateral_velocity_mm_s} mm/s is not a finite speed "
@@ -161,7 +162,7 @@ class EtchState:
     @classmethod
     def for_stem(cls, stem_diameter_mm: float) -> "EtchState":
         require("positive and finite", stem_diameter_mm=stem_diameter_mm)
-        return cls(0.0, stem_area(stem_diameter_mm, "positive and finite"))
+        return cls(0.0, stem_area(stem_diameter_mm))
 
 
 def etch_rate(model: CutModel, spot_diameter_mm: float,

@@ -44,7 +44,7 @@ class BerrySpec:
                 stem_diameter_mm=self.stem_diameter_mm, stem_length_m=self.stem_length_m,
                 toughness=self.toughness)
         if self.stem_diameter_mm is not None:       # and its cross-section, which a cut uses
-            stem_area(self.stem_diameter_mm, "positive and finite", ScenarioError)
+            stem_area(self.stem_diameter_mm, ScenarioError)
 
 
 @dataclass(frozen=True)

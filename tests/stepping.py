@@ -13,8 +13,8 @@ wait etches the cut while the cycle is in its cutting phase, so the jumped
 runs, whose machine etches while the laser is on, are checked against the
 cycle's phases too. Patching ``_Cycle._wait`` with :func:`stepped_wait`
 gives the oracle the jumped runs are compared with; a run's start-up
-homing, a plain ``jump`` in ``run_demo`` that watches no fruit, is jumped
-in both.
+homing, a plain ``jump`` in ``run_demo`` that watches no fruit, is stepped
+by patching ``GantrySim.jump`` with :func:`stepped_jump` as well.
 """
 
 from laserberry.controller import HarvestPhase
@@ -118,3 +118,10 @@ def stepped_wait(cycle, done, end):
         if cutting:
             sim.etch = etch_step(sim.etch, cfg.dt_s, sim.laser_on, cycle.model,
                                  cfg.spot_diameter_mm, cfg.lateral_velocity_mm_s)
+
+
+def stepped_jump(sim, dt, done, end, fruits, beam):
+    """``GantrySim.jump`` one tick at a time, for a wait that watches no fruit."""
+    assert not fruits
+    while not done(sim.time):
+        step(sim, dt)

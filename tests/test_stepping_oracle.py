@@ -16,11 +16,11 @@ import pytest
 from laserberry import (Aabb, BerryBox, CutModel, GantryConfig, GantrySim,
                         HarvestConfig, controller, load_datasets, run_demo)
 from laserberry.controller import HarvestPhase, _Cycle
-from laserberry.gantry import _MAX_BLOCK, TickBlock
+from laserberry.gantry import _FIRST_BLOCK, _MAX_BLOCK, TickBlock
 from laserberry.pipeline import simulate_scenario
 from laserberry.scenario import bundled_scenario_path, load_scenario
 from laserberry.scene import FruitBody
-from stepping import stepped_wait
+from stepping import stepped_jump, stepped_wait
 
 LAYOUT = [(-0.02, -0.03, 0.58), (0.03, 0.00, 0.61), (0.00, 0.03, 0.57),
           (0.05, 0.05, 0.60)]
@@ -115,6 +115,16 @@ def test_jumped_cycle_matches_stepping(world, monkeypatch):
     monkeypatch.setattr(_Cycle, "_wait", stepped_wait)
     stepped = _run(world)
     assert jumped == stepped
+
+
+@pytest.mark.parametrize("world", WORLDS)
+def test_jumped_run_matches_stepping_from_the_start_up_homing(world, monkeypatch):
+    """``run_demo`` homes the lens with a plain ``jump`` outside any cycle;
+    stepping that wait too leaves the same state."""
+    jumped = _run(world)
+    monkeypatch.setattr(_Cycle, "_wait", stepped_wait)
+    monkeypatch.setattr(GantrySim, "jump", stepped_jump)
+    assert jumped == _run(world)
 
 
 def test_worlds_cover_every_outcome():
@@ -214,6 +224,31 @@ def test_two_fruits_crossing_on_one_tick(heights, dt, until, beam, monkeypatch):
     assert jumped == run()
     assert jumped[2] == {0}
     assert (jumped[3].fruit_uid, jumped[3].beam_index) == (0, beam)
+
+
+def test_a_beam_tick_starts_the_blocks_again(monkeypatch):
+    """Past ``end``, blocks grow ×4 from ``_FIRST_BLOCK``; each beam tick on
+    the way starts them again, so two falls cost two small blocks more."""
+    blocks, events = [], []
+    replay, check = GantrySim.replay, controller.check_interrupters
+
+    def counted(sim, n, dt, fruits=()):
+        blocks.append(n)
+        return replay(sim, n, dt, fruits)
+
+    monkeypatch.setattr(GantrySim, "replay", counted)
+    monkeypatch.setattr(controller, "check_interrupters",
+                        lambda *args: events.append(args[1][0].uid) or check(*args))
+    bodies = [FruitBody(uid=i, x=0.005 * i, y=0.0, z=z, stem_x=0.005 * i, stem_y=0.0,
+                        stem_diameter_mm=2.0, toughness=1.0, attached=False)
+              for i, z in enumerate((0.58, 0.65))]
+    sim = GantrySim(GantryConfig(home_position=(0.0, 0.0, 0.60)))
+    cycle = _Cycle(sim, bodies, _box(0.0, 0.0, 0.55), CutModel(load_datasets().fine),
+                   HarvestConfig(), None)
+    cycle._wait(lambda now: now >= 0.5, 0.0)            # due at 0.5 s; end says now
+    assert events == [0, 1]                             # at ticks 45 and 128
+    assert blocks == [_FIRST_BLOCK] * 3 + [4 * _FIRST_BLOCK]
+    assert sim.time == pytest.approx(0.5)
 
 
 def test_long_wait_replays_in_small_blocks(monkeypatch):
