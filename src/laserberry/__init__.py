@@ -2,9 +2,9 @@
 
 Three layers, importable separately:
 
-* perception — point clouds, rigid transforms, kd-tree radius search,
-  color-window filtering and Euclidean clustering (:mod:`geometry`,
-  :mod:`localization`, :mod:`pcdio`);
+* perception — point clouds, rigid transforms, color-window filtering
+  and Euclidean clustering, plus ``KdTree``, an x-sorted radius query that
+  clustering does not use (:mod:`geometry`, :mod:`localization`, :mod:`pcdio`);
 * laser — calibrated pierce/cut model, spot-diameter optimization and
   calibration-table audit (:mod:`laser`, :mod:`datasets`);
 * machine — gantry kinematics, lens/trapper/interrupter peripherals and

@@ -25,7 +25,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable
 
-from .errors import MotionError, require
+from .errors import MotionError, ValidationError, require
 from .gantry import GRAVITY, FallEvent, GantryConfig, GantrySim, check_interrupters
 from .laser import CutModel, EtchState, etch_rate
 from .laser import etch_step  # noqa: F401 -- wrapped by benchmarks/tracing.py
@@ -79,6 +79,13 @@ class HarvestConfig:
 
     def __post_init__(self):
         require("positive and finite", **vars(self))
+        # LensAxis.advance takes speed * elapsed; the factor 2 is a margin for rounding
+        longest = self.cut_timeout_s + self.fall_timeout_s + 3.0 * self.dt_s
+        if not 2.0 * self.lateral_velocity_mm_s * longest < math.inf:
+            raise ValidationError(
+                f"lateral_velocity_mm_s {self.lateral_velocity_mm_s:g} mm/s sweeps past the "
+                f"largest float over the longest beam oscillation, {longest:g} s "
+                f"(cut_timeout_s + fall_timeout_s + 3 ticks)")
 
 
 @dataclass(frozen=True)

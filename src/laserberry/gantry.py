@@ -176,7 +176,6 @@ class LensAxis:
         require("positive and finite", lateral_velocity_mm_s=lateral_velocity_mm_s)
         self.mode = LensMode.OSCILLATING
         self._t_start = now
-        self._start_pos = self.position_mm
         self._osc_speed = lateral_velocity_mm_s
 
     def stop(self) -> None:

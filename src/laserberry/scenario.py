@@ -313,8 +313,8 @@ def load_scenario(path: str | Path) -> Scenario:
     Raises
     ------
     ScenarioError
-        On unknown sections or keys (checked after every read, before the
-        point and tick budgets), duplicated keys, missing required keys,
+        On unknown sections or keys (checked after every read, before any
+        record is built), duplicated keys, missing required keys,
         or values outside their documented domains.
     ValidationError
         On bad ``[gantry]``, ``[localization]`` (window bounds aside) or
@@ -364,12 +364,8 @@ def load_scenario(path: str | Path) -> Scenario:
                     else f"[{section}] window needs all six bounds, missing {missing}"
                     if kind is SpatialWindow
                     else f"missing required key '{missing[0]}' in [{section}]")
-    # the gantry limits and the cluster band are checked in pairs, so they are
-    # built after the unknown-key check: a misspelt key must be reported, not
-    # the pair its default breaks
-    built = {record: _build(*spec) for record, spec in records.items()
-             if record not in ("gantry", "cluster", "localization", "scenario")}
-    # every key has been read now, so what was never read is unknown
+    # every key has been read, so what was never read is unknown; no record is built
+    # before this, so a misspelt key is not reported as the check its default fails
     for name, raw in sections.items():
         if name not in order:
             raise ScenarioError(f"unknown section [{name}]")
@@ -378,12 +374,9 @@ def load_scenario(path: str | Path) -> Scenario:
             if key not in known:
                 raise ScenarioError(f"unknown key '{key}' in [{name}]")
 
-    built["gantry"] = _build(*records.get("gantry", (GantryConfig, {}, {})))
-    kind, values, names = records.get("localization", (LocalizationConfig, {}, {}))
-    nested = {name: built.pop(name) for name in ("reduced_window", "palette_window")
-              if name in built}
-    if "cluster" in records:
-        nested["cluster"] = _build(*records["cluster"])
+    kind, values, names = records.pop("localization", (LocalizationConfig, {}, {}))
+    built = {record: _build(*spec) for record, spec in records.items() if record != "scenario"}
+    nested = {record: built.pop(record) for record in _KEYS["localization"] if record in built}
     built["localization"] = _build(kind, {**values, **nested}, names)
     return Scenario(**records["scenario"][1],
                     berries=tuple(built.pop(b.replace(" ", "_")) for b in berries), **built)

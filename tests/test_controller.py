@@ -245,3 +245,12 @@ def test_harvest_config_timing_must_be_positive_and_finite(name, value):
 def test_harvest_config_cut_parameters_must_be_positive_and_finite(name, value):
     with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
         HarvestConfig(**{name: value})
+
+
+def test_harvest_config_refuses_a_beam_sweep_a_float_cannot_hold():
+    # the lens position is speed * elapsed, which overflowed to inf and went nan
+    with pytest.raises(ValidationError, match=r"^lateral_velocity_mm_s 1e\+308 mm/s .* 32\.003 s"):
+        HarvestConfig(lateral_velocity_mm_s=1e308)
+    with pytest.raises(ValidationError, match=r"^lateral_velocity_mm_s 1e\+300 mm/s "):
+        HarvestConfig(lateral_velocity_mm_s=1e300, cut_timeout_s=1e8)
+    HarvestConfig(lateral_velocity_mm_s=1e300)

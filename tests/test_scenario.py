@@ -194,6 +194,20 @@ def test_keys_the_loader_never_reads_are_rejected(tmp_path, text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("text,message", [
+    # a value read as a number is checked only once no key is unknown...
+    ("[scenario]\nseed = 1\n[berry 1]\nx = nan\ny = 0\nz = 0.6\n[mystery]\n",
+     "unknown section [mystery]"),
+    # ...but text that is not a number fails as it is read
+    ("[scenario]\nseed = 1\n[berry 1]\nx = zero\ny = 0\nz = 0.6\ncolour = red\n",
+     "[berry 1] x: not a number: 'zero'"),
+])
+def test_unknown_keys_are_refused_before_any_record_is_built(tmp_path, text, message):
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(_write(tmp_path, text))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("key", ["spot_diameter_mm", "lateral_velocity_mm_s", "toughness"])
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 def test_laser_values_fail_at_load(tmp_path, key, value):
@@ -548,6 +562,23 @@ def test_a_stem_or_spot_the_cut_cannot_use_fails_before_the_scene(
     assert re.search(rf"\b{key}\b", err), err
     if key == "spot_diameter_mm":
         assert "[0.5, 1.1] mm" in err                     # the fine table's knots
+
+
+@pytest.mark.parametrize("speed,code", [("1e308", 2), ("1e300", 0)])
+def test_a_beam_too_fast_for_a_float_fails_at_load(tmp_path, capsys, speed, code):
+    # at 1e308 mm/s the lens position overflowed mid-cut, and the next fruit's
+    # lens homing started from nan and never ended
+    text = bundled_scenario_path("demo_11").read_text(encoding="utf-8")
+    path = tmp_path / "s.ini"
+    path.write_text(text.replace("lateral_velocity_mm_s = 50.0",
+                                 f"lateral_velocity_mm_s = {speed}"), encoding="utf-8")
+    assert main(["simulate", "--scenario", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: lateral_velocity_mm_s ")
+    else:
+        assert err == "" and "harvested 11/11 fruit" in out
 
 
 def test_the_coarse_table_takes_a_spot_the_fine_one_refuses(tmp_path, capsys):
