@@ -149,7 +149,8 @@ class LensAxis:
 
     Positions are millimetres on a short stroke. Oscillation sweeps the
     beam as a triangle wave from the home end; it is refused until the
-    axis has been referenced at least once.
+    axis has been referenced at least once, and a sweep past the largest
+    float raises :class:`ValidationError` instead of leaving a nan position.
     """
 
     stroke_mm: float = 4.0          # oscillation sweep length
@@ -191,8 +192,14 @@ class LensAxis:
                 self.position_mm = (self._start_pos
                                     - self.homing_speed_mm_s * (now - self._t_start))
         elif self.mode is LensMode.OSCILLATING:
-            # triangle wave over [0, stroke] starting from the home end
-            u = (self._osc_speed * (now - self._t_start)) % (2.0 * self.stroke_mm)
+            # triangle wave over [0, stroke] starting from the home end; fmod
+            # is % here, but refuses a sweep that overflowed, which % turns nan
+            try:
+                u = math.fmod(self._osc_speed * (now - self._t_start), 2.0 * self.stroke_mm)
+            except ValueError:
+                raise ValidationError(
+                    f"lateral_velocity_mm_s {self._osc_speed:g} mm/s sweeps past the largest "
+                    f"float after {now - self._t_start:g} s of oscillation") from None
             self.position_mm = u if u <= self.stroke_mm else 2.0 * self.stroke_mm - u
 
     def homing_done_at(self, now: float) -> bool:

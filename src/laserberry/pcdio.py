@@ -6,12 +6,14 @@ The source frame rides along in a leading ``# frame`` comment. Colors
 round-trip exactly; coordinates round-trip to float32. Files are UTF-8,
 whatever the locale.
 
-Rows are written and read in blocks with numpy. The writer finds each
-coordinate's shortest round-trip digits with float64 arrays; :func:`_fmt32`
-(Dragon4) formats the few values the arrays cannot vouch for. The reader
-takes the rows after ``DATA`` from the file's bytes when they follow the
-writer's grammar; the row loop reads every other layout the format allows
-(tabs, CRLF, comments among the rows, exponents) and names a bad line.
+Rows are written and read in blocks with numpy. The writer tries two digit
+counts per coordinate, bracketed by its float32 spacing (Schubfach), for its
+shortest round-trip digits; :func:`_fmt32` (Dragon4) formats the few values
+the arrays cannot vouch for. Running sums of the token lengths place every
+token in one byte buffer. The reader decodes only the header; it takes the
+rows after ``DATA`` from the file's bytes when they follow the writer's
+grammar, and the row loop reads every other layout the format allows (tabs,
+CRLF, comments among the rows, exponents) and names a bad line.
 """
 
 from __future__ import annotations
@@ -37,12 +39,15 @@ _EXPECTED = {
     "DATA": "ascii",
 }
 
-#: Rows per written block, and a read block's bytes over 64: big enough to
-#: amortize the numpy calls, small enough that a block stays near 100 kB.
-_BLOCK = 1024
+#: Rows per written block, and bytes per read block: big enough to amortize
+#: the numpy calls, small enough that a block's arrays stay near 100 kB each.
+_BLOCK, _READ_BLOCK = 4096, 1 << 16
 
 _EOL = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"      # what ends a line for str.splitlines()
 _LINE = re.compile(rf"[^{_EOL}]+\Z|[^{_EOL}]*(?:\r\n|[{_EOL}])")
+#: Lines that start with DATA after a \n: the header is decoded through the
+#: first one (a DATA key after another line end or Unicode spaces is earlier).
+_DATA = re.compile(rb"^\s*DATA", re.M)
 
 
 def _fmt32(v: np.float32) -> str:
@@ -50,101 +55,98 @@ def _fmt32(v: np.float32) -> str:
     return np.format_float_positional(v, unique=True, trim="0")
 
 
-#: The ASCII digits of 0..9999 as little-endian uint32 words, two pairs each,
-#: and masks that keep the first (_FIRST) or last (_LAST) j bytes at 32 + j.
-_n = np.arange(100, dtype=np.uint32)
-_PAIRS = (_n // 10 + 48) | (_n % 10 + 48) << 8
-_WORDS = (_PAIRS[:, None] | _PAIRS << 16).ravel()
-_j = np.clip(np.arange(-32, 32), 0, 4)
-_FIRST = ((1 << 8 * _j) - 1).astype(np.uint32)
-_LAST = ((1 << 32) - (1 << 32 - 8 * _j)).astype(np.uint32)
+#: The ASCII digits of 0..9999 as little-endian uint32 words.
+_n = np.arange(10000, dtype=np.uint32)
+_WORDS = sum((_n // 10 ** (3 - i) % 10 + ord("0")) << 8 * i for i in range(4))
 #: 10**j at index j + _K (j = -17..22), exact for j >= 0. Multiplying by _UP
 #: and dividing by _DOWN at k + _K scales by 10**k in one rounding (k = -17..13).
 _K = 17
 _P10 = np.array([10 ** j / 1 if j >= 0 else 1 / 10 ** -j for j in range(-_K, 23)])
 _UP, _DOWN = _P10[np.arange(31).clip(_K)], _P10[(2 * _K - np.arange(31)).clip(_K)]
+#: By t = 2 * biased float32 exponent + last mantissa bit: whether |v| lies
+#: outside [2**-14, 2**53) and falls back; f + _K, where 10**-f <= spacing <
+#: 10**(1-f); and half a spacing times 10**f, an ulp more for an even
+#: mantissa, whose rounding interval keeps its edges.
+_e2 = np.arange(512) // 2 - 127
+_OUT, _e2 = (_e2 < -14) | (_e2 > 52), _e2.clip(-14, 52)
+_F = _K - ((_e2 - 23) * 78913 >> 18)                  # the shift floors log10 2**(e2-23)
+_HALF = np.ldexp(_UP[_F], _e2 - 24)
+_HALF[::2] = np.nextafter(_HALF[::2], np.inf)
 
 
-def _digits(v32: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(d, p, k, fall)``: ``|v32| == float32(d / 10**k)``, ``d`` the nearest
-    decimal of the fewest digits p, and the lanes left to :func:`_fmt32`.
-    p is binary-searched over 1..9: scale by 10**k, ``rint``, scale back in
-    one rounding, compare as float32. For k >= 0 the scaled value is exact and
-    a tie goes to the even digit, as in Dragon4; for k < 0 a fraction within
-    1e-5 of .5 falls back. Up to k = 8 a decimal is a float32 midpoint (which
-    goes to the even neighbour, as in Dragon4) or over a float64 ulp from one;
-    beyond, one within 2 ulps falls back. So do zero, subnormals, powers of
-    two (an asymmetric interval) and |v| outside [1e-4, 1e16)."""
+def _digits(v32: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(whole, frac, nf, fall)``: ``|v32| == float32(whole + frac / 10**nf)``,
+    the nearest decimal of the fewest digits, and the lanes left to
+    :func:`_fmt32` (0.1 there). An interval one float32 spacing wide holds a
+    multiple of 10**-f and at most one of 10**(1-f) (Schubfach): the nearest
+    multiple of 10**(1-f) if its exact distance is under half a spacing, else
+    that of 10**-f, trailing zeros stripped. Scaled by 10**f in one rounding,
+    the value is exact for f >= 0 (a tie goes to the even digit, as in
+    Dragon4); for f < 0 a digit that is not the nearest falls back, as do
+    subnormals and powers of two (an asymmetric interval) but not zero."""
     bits = v32.view(np.uint32)
-    e2 = (bits >> 23 & 0xFF).astype(np.intp) - 127
-    fall = ((bits & 0x7FFFFF) == 0) | (e2 < -14) | (e2 > 53)
-    e2[fall] = 0
-    a32 = np.where(fall, np.float32(1.5), np.abs(v32))
-    a = a32.astype(np.float64)
-    e10 = (e2 * 78913) >> 18                          # floor(e2 log10 2)
-    e10 += a >= _P10[e10 + 1 + _K]                    # now floor(log10 a)
-    fall |= (e10 < -4) | (e10 > 15)
-    half = np.ldexp(1.0, e2 - 24)                     # half a float32 spacing
-
-    def probe(p):
-        k = p + _K - 1 - e10
-        up, down = _UP[k], _DOWN[k]
-        s = a * up / down
-        d = np.rint(s)
-        r = d * down / up
-        fall[(k > _K + 8) & (np.abs(np.abs(r - a) - half) <= half * 2.0 ** -27)] = True
-        return r.astype(np.float32) == a32, s, d, k
-
-    lo, hi = np.ones_like(e10), np.full_like(e10, 9)
-    for _ in range(4):
-        mid = (lo + hi) >> 1
-        ok = probe(mid)[0]
-        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid + 1)
-    ok, s, d, k = probe(hi)
-    fall |= ~ok | ((k < _K) & (np.abs(s - d) > 0.5 - 1e-5))
-    carry = d == _UP[hi + _K]                         # 9.99 -> 10.0
-    return np.where(carry, d / 10, d), hi, k - _K - carry, fall
-
-
-def _words(x: np.ndarray, n: np.ndarray, g: int) -> np.ndarray:
-    """The n-digit whole numbers ``x`` as ``g`` words of :data:`_WORDS`,
-    right-aligned, leading zeros 0. Exact: ``x`` < 2**52 or ends in zeros."""
-    q = np.floor(x[:, None] / _P10[_K + 4 * np.arange(g - 1, -1, -1)])
-    return (_WORDS[(q - np.floor(q / 1e4) * 1e4).astype(np.intp)]
-            & _LAST[32 + np.reshape(n, (-1, 1)) - 4 * np.arange(g - 1, -1, -1)])
-
-
-def _format_rows(xyz32: np.ndarray, packed: np.ndarray) -> bytes:
-    """The data lines of one block of rows. Each row is a row of uint32 words.
-    A coordinate's whole digits are right-aligned, its separator and sign in
-    the two bytes before them; its fraction, led by ``.``, is left-aligned.
-    Bytes no token uses stay 0, and all are dropped at the end."""
-    rows, v32 = len(packed), xyz32.ravel()
-    d, p, k, fall = _digits(v32)
-    up, down = _UP[k + _K], _DOWN[k + _K]
+    t = ((bits >> 22 & 0x1FE) | (bits & 1)).astype(np.intp)
+    fall = _OUT[t] | ((bits & 0x7FFFFF) == 0)
+    a = np.abs(v32, dtype=np.float64)
+    f = _F[t]
+    up, down = _UP[f], _DOWN[f]
+    scaled = a * up                                   # exact, as a / down is for f < 0
+    s = scaled / down
+    d, coarse = np.rint(s), np.rint(s / 10)
+    ok = np.abs(coarse * (10 * down) - scaled) < _HALF[t]  # exact
+    k = f - ok
+    np.copyto(d, coarse, where=ok)
+    if f.min() <= _K:                                 # s rounded: is rint's digit the nearest?
+        fall |= ~ok & (np.abs(d * down - scaled) * 2 > down)
+    d[fall], k[fall] = 1, _K + 1
+    z = np.flatnonzero(d == np.floor(d / 10) * 10)
+    while z.size:                                     # only a coarse decimal ends in 0
+        d[z] /= 10
+        k[z] -= 1
+        z = z[d[z] == np.floor(d[z] / 10) * 10]
+    up, down = _UP[k], _DOWN[k]
     whole = np.floor(d / up)                          # exact: d < 2**53
-    ni, nf = np.maximum(p - k, 1), np.maximum(k, 1)   # digits before and after the point
-    gi, gf = (ni.max() + 5) // 4, (nf.max() + 4) // 4
-    left = _words(whole * down, ni, gi).reshape(rows, 3, gi)
-    left[..., 0] |= (v32.view(np.uint32) >> 31).reshape(rows, 3) * 0x2D00 + np.uint32([0, 32, 32])
-    # the fraction as 4 * gf - 1 digits behind a '0' turned into '.'
-    right = (_words((d - whole * up) * _P10[_K + 4 * gf - 1 - nf], 4 * gf, gf)
-             & _FIRST[33 + nf[:, None] - 4 * np.arange(gf)])
-    right[:, 0] -= ord("0") - ord(".")
-    tokens = {i: b" "[:i % 3] + _fmt32(v32[i]).encode() for i in np.flatnonzero(fall)}
-    s = max([gi + gf] + [-(-len(t) // 4) for t in tokens.values()])
-    mat = np.zeros((rows, 3 * s + 3), np.uint32)
-    cells = mat[:, :3 * s].reshape(rows, 3, s)        # a view: it splits the last axis
-    cells[..., :gi] = left
-    cells[..., gi:gi + gf] = right.reshape(rows, 3, gf)
+    zero = bits << 1 == 0                             # 0.0 and -0.0
+    return whole * down, (d - whole * up) * ~zero, np.maximum(k - _K, 1), fall & ~zero
+
+
+def _format_rows(xyz32: np.ndarray, rgb: np.ndarray) -> np.ndarray:
+    """The data lines of one block. A coordinate's token is the whole number of
+    its digits with 0s for the '.' and separator, the rgb's ends in a 0 for the
+    newline. Summed token lengths place them in one buffer, last token first
+    (numpy assigns in index order), as w zero-padded bytes ending on its last
+    byte: the tokens before overwrite the padding. Dots, signs, fallbacks last."""
+    rows, v32 = len(rgb), xyz32.ravel()
+    whole, frac, nf, fall = _digits(v32)
+    neg = v32.view(np.int32) < 0
+    packed = rgb @ np.array([65536.0, 256.0, 1.0])
+    num = np.column_stack(((whole.astype(np.int64) * (10 ** np.arange(14))[nf + 1]
+                            + frac.astype(np.int64)).reshape(rows, 3), packed.astype(np.int64)))
+    # digits of whole parts and rgbs, of <= 9 significant digits: 2**-40 is
+    # far more than log10's error, far less than a gap to the next power of ten
+    ni = np.log10(np.concatenate((whole, packed)) * (1 + 2 ** -40) + 0.5).astype(np.intp) + 1
+    size = ni[:-rows] + nf + 2                        # with the '.' and the separator
+    w = (max(size.max(), ni[-rows:].max() + 1) + 3) // 4 * 4
+    lens = np.column_stack(((size + neg).reshape(rows, 3), ni[-rows:] + 1))
+    tokens = {i: _fmt32(v32[i]).encode() for i in np.flatnonzero(fall)}
     for i, token in tokens.items():
-        cells[i // 3, i % 3].view(np.uint8)[:] = np.frombuffer(token.ljust(4 * s, b"\0"), np.uint8)
-    # rgb * 10, its last '0' turned into a newline and a space ahead
-    mat[:, -3:] = _words(packed * 10.0, np.searchsorted(_P10[_K + 1:], packed, "right") + 2, 3)
-    mat[:, -3] |= ord(" ")
-    mat[:, -1] -= ord("0") - ord("\n") << 24
-    out = mat.view(np.uint8)
-    return out[out != 0].tobytes()
+        lens[i // 3, i % 3] = len(token) + 1
+    end = np.cumsum(lens).reshape(rows, 4) + (w - 1)  # each token's last byte, after w spare
+    u, words = np.flip(num.ravel()) * 10, np.empty((4 * rows, w // 4), np.uint32)
+    for j in range(w // 4 - 1, -1, -1):               # four digits at a time, last first
+        q = u // 10000
+        words[:, j] = _WORDS[u - q * 10000]
+        u = q
+    words.view(np.uint8)[:, -1] = np.frombuffer(b"\n   " * rows, np.uint8)
+    buf = np.empty(end[-1, 3] + 1, np.uint8)
+    np.ndarray((len(buf) - w + 1,), f"V{w}", buf, strides=(1,))[end.ravel()[::-1] - (w - 1)] = (
+        words.view(f"V{w}").ravel())
+    dot = end[:, :3] - nf.reshape(rows, 3) - 1
+    buf[dot] = ord(".")
+    buf[(dot - ni[:-rows].reshape(rows, 3))[neg.reshape(rows, 3)] - 1] = ord("-")
+    for i, token in tokens.items():
+        buf[end[i // 3, i % 3] - len(token):end[i // 3, i % 3]] = np.frombuffer(token, np.uint8)
+    return buf[w:]
 
 
 def write_pcd(cloud: PointCloud, path: str | Path) -> None:
@@ -156,15 +158,13 @@ def write_pcd(cloud: PointCloud, path: str | Path) -> None:
     for row, col in np.argwhere(~np.isfinite(xyz32))[:1]:
         raise ValidationError(f"{cloud.frame} row {row}: coordinate {float(cloud.xyz[row, col])}"
                               " is beyond the float32 range of a PCD file")
-    rgb = cloud.rgb.astype(np.int64)
-    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
     n = len(cloud)
     values = {**_EXPECTED, "WIDTH": n, "VIEWPOINT": "0 0 0 1 0 0 0", "POINTS": n}
     with open(path, "wb") as fh:
         fh.write((f"# frame {cloud.frame}\n"
                   + "".join(f"{key} {values[key]}\n" for key in _HEADER_ORDER)).encode())
         for start in range(0, n, _BLOCK):
-            fh.write(_format_rows(xyz32[start:start + _BLOCK], packed[start:start + _BLOCK]))
+            fh.write(_format_rows(xyz32[start:start + _BLOCK], cloud.rgb[start:start + _BLOCK]))
 
 
 #: Masks that keep the last j = 0..16 bytes of two little-endian words.
@@ -183,7 +183,7 @@ def _parse_bytes(raw: bytes, at: int, n: int) -> tuple[np.ndarray, np.ndarray] |
         return None
     body, xyz, packed, s = np.frombuffer(raw, np.uint8), np.empty((n, 3)), np.empty(n, np.int64), 0
     while at < len(raw):
-        end = raw.rfind(b"\n", at, at + 64 * _BLOCK) + 1  # whole rows; 0 if none fits
+        end = raw.rfind(b"\n", at, at + _READ_BLOCK) + 1  # whole rows; 0 if none fits
         c, at = body[at:end], end
         # rows: '. . . \n' among digits and a coordinate's '-'; rgb: 1-8 digits, no 0 first
         marks = np.flatnonzero((c <= 46) & (c != 45))
@@ -265,7 +265,8 @@ def read_pcd(path: str | Path) -> PointCloud:
         the message carries the 1-based line number.
     """
     raw = Path(path).read_bytes()
-    text = decode_utf8(raw, PcdParseError)
+    key = _DATA.search(raw)                           # only the header is decoded
+    text = decode_utf8(raw[:raw.find(b"\n", key.end()) + 1 or None] if key else raw, PcdParseError)
     frame, data_start, lineno = "unknown", None, None
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}
@@ -304,7 +305,6 @@ def read_pcd(path: str | Path) -> PointCloud:
         raise PcdParseError("WIDTH does not match POINTS", data_start)
     if n < 0:
         raise PcdParseError(f"negative POINTS value {n}", header_line["POINTS"])
-    del text                                          # the rows are read from raw
     xyz, packed = _parse_bytes(raw, at, n) or _parse_rows(
         decode_utf8(raw, PcdParseError).splitlines(), data_start, n, header_line["POINTS"])
     rgb = packed.astype("<u4").view(np.uint8).reshape(-1, 4)[:, 2::-1]  # bytes b, g, r, 0

@@ -169,6 +169,21 @@ def test_oscillation_triangle_wave():
         assert -1e-9 <= lens.position_mm <= 4.0 + 1e-9
 
 
+def test_a_sweep_past_the_largest_float_is_refused_and_the_lens_stays_finite():
+    # at 1e308 mm/s the sweep overflows after ~1.8 s; % would make the
+    # position nan, and the next homing's end with it, which no wait reaches
+    sim = GantrySim()
+    sim.home_lens()
+    sim.jump(DT, sim.lens.homing_done_at, sim.lens.homing_end, (), None)
+    sim.start_lens_oscillation(1e308)
+    end = sim.time + 2.0
+    with pytest.raises(ValidationError, match=r"^lateral_velocity_mm_s 1e\+308 mm/s sweeps past"):
+        sim.jump(DT, lambda now: now >= end, end, (), None)
+    sim.stop_lens_oscillation()
+    sim.home_lens()
+    assert math.isfinite(sim.lens.position_mm) and math.isfinite(sim.lens.homing_end)
+
+
 # ---------------------------------------------------------------------------
 # trapper
 

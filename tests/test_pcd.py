@@ -1,8 +1,10 @@
 """ASCII PCD writer/reader: round-trips and parse diagnostics."""
 
 import hashlib
+import math
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -225,7 +227,7 @@ def _awkward_float32(rng):
     return np.concatenate([vals, -vals])
 
 
-@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025])
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 4095, 4096, 4097])
 def test_writer_rows_match_the_row_loop(tmp_path, rows):
     rng = np.random.default_rng(rows)
     pool = rng.permutation(_awkward_float32(rng))
@@ -408,6 +410,23 @@ def test_a_non_utf8_data_row_names_its_line(tmp_path):
         read_pcd(path)
 
 
+def test_a_header_fault_is_reported_before_a_bad_byte_in_the_rows(tmp_path):
+    # only the header is decoded before it is read
+    path = tmp_path / "bad.pcd"
+    text = _valid_text().replace("VERSION 0.7", "VERSION 0.6").replace("1 2 3 255", "1 2 3 25\xe9")
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(PcdParseError, match=r"^line 2: unsupported VERSION '0.6'"):
+        read_pcd(path)
+
+
+@pytest.mark.parametrize("key", ["\u00a0DATA ascii", "\x85DATA ascii", "\rDATA ascii"])
+def test_a_data_key_the_header_search_misses_still_ends_the_header(tmp_path, key):
+    # after Unicode spaces or a line end other than \n: the whole file is decoded
+    path = tmp_path / "v.pcd"
+    path.write_bytes(_valid_text().replace("\nDATA ascii", "\n" + key).encode())
+    np.testing.assert_array_equal(read_pcd(path).xyz, [[0.5, -1, 2], [1, 2, 3]])
+
+
 def _ulps_around(values, n):
     """The float32 values within ``n`` ulps of each of ``values``, both sides."""
     bits = np.float32(values).view(np.int32)
@@ -508,6 +527,71 @@ def test_written_float32_values_round_trip(xyz, seed):
         back = read_pcd(path)
     np.testing.assert_array_equal(back.xyz, cloud.xyz)
     np.testing.assert_array_equal(back.rgb, rgb)
+
+
+def _written_tokens(tmp_path, values):
+    """The coordinate tokens the writer gives float32 ``values``, both signs."""
+    vals = np.float32(values).ravel()
+    vals = np.concatenate([vals, -vals, np.float32([0.0] * (-2 * len(vals) % 3))])
+    path = tmp_path / "d.pcd"
+    write_pcd(PointCloud(vals.reshape(-1, 3).astype(np.float64),
+                         np.zeros((len(vals) // 3, 3), np.uint8), "cam"), path)
+    rows = path.read_text().split("DATA ascii\n")[1].split("\n")[:-1]
+    return [t for row in rows for t in row.split()[:3]], [_fmt32(v) for v in vals]
+
+
+def _interval(v):
+    """The rounding interval of a normal float32 that is not a power of two:
+    half a float32 spacing either side, as fractions."""
+    e = math.frexp(float(v))[1]                       # 2**(e-1) <= |v| < 2**e
+    half = Fraction(2) ** (e - 25)
+    return Fraction(float(v)) - half, Fraction(float(v)) + half
+
+
+def test_a_shortest_decimal_far_shorter_than_the_spacing_is_found(tmp_path):
+    # the coarse of the two probed lengths leaves trailing zeros to strip
+    got, want = _written_tokens(tmp_path, [0.1, 0.5, 100.0, 1e5, 123456.0])
+    assert got == want
+    assert want[:5] == ["0.1", "0.5", "100.0", "100000.0", "123456.0"]
+
+
+def test_the_nearest_of_several_fine_decimals_is_written(tmp_path):
+    # no decimal of the coarse length lies in the interval, two or more of
+    # the fine length do: the nearest must be written
+    rng = np.random.default_rng(29)
+    pool = np.float32(rng.uniform(0.5, 1.0, 2000)).tolist() + np.float32(
+        rng.uniform(4e6, 8e6, 2000)).tolist()
+    picked = []
+    for v in pool:
+        lo, hi = _interval(v)
+        step = Fraction(10) ** math.floor(math.log10(hi - lo))   # the fine length's step
+        count = math.floor(hi / step) - math.ceil(lo / step) + 1
+        coarse = math.floor(hi / step / 10) - math.ceil(lo / step / 10) + 1
+        if coarse == 0 and count >= 2:
+            picked.append(v)
+    assert len(picked) > 500
+    got, want = _written_tokens(tmp_path, picked)
+    assert got == want
+
+
+def test_a_decimal_on_the_interval_edge_is_kept_for_an_even_mantissa_only(tmp_path):
+    # from 2**26 the spacing is 8: a ± 4 is a float32 midpoint, here a
+    # multiple of 10 that reparses to a only when a's mantissa is even
+    edge = [a for a in [*range(2 ** 26 + 8, 2 ** 26 + 8000, 8), *range(2 ** 27 - 8000, 2 ** 27, 8)]
+            if (a + 4) % 10 == 0 or (a - 4) % 10 == 0]
+    even = [a for a in edge if not a >> 3 & 1]
+    odd = [a for a in edge if a >> 3 & 1]
+    for values, shorter in ((even, True), (odd, False)):
+        got, want = _written_tokens(tmp_path, values)
+        assert got == want
+        assert all((t != f"{a}.0") == shorter for t, a in zip(want, values))
+
+
+def test_the_lowest_value_of_a_binade_is_written_as_dragon4_writes_it(tmp_path):
+    # a power of two has a narrower interval below it than above
+    powers = np.float32(2.0) ** np.arange(-30, 70)
+    got, want = _written_tokens(tmp_path, np.concatenate([powers, np.nextafter(powers, 0)]))
+    assert got == want
 
 
 @pytest.mark.parametrize("name", ["demo_11", "perf_300k"])
