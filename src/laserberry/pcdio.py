@@ -95,7 +95,7 @@ def _digits(v32: np.ndarray) -> tuple[np.ndarray, ...]:
     d, coarse = np.rint(s), np.rint(s / 10)
     ok = np.abs(coarse * (10 * down) - scaled) < _HALF[t]  # exact
     k = f - ok
-    np.copyto(d, coarse, where=ok)
+    d += (coarse - d) * ok                            # the coarse one if it reparses; exact
     if f.min() <= _K:                                 # s rounded: is rint's digit the nearest?
         fall |= ~ok & (np.abs(d * down - scaled) * 2 > down)
     d[fall], k[fall] = 1, _K + 1
@@ -118,7 +118,7 @@ def _format_rows(xyz32: np.ndarray, rgb: np.ndarray) -> np.ndarray:
     byte: the tokens before overwrite the padding. Dots, signs, fallbacks last."""
     rows, v32 = len(rgb), xyz32.ravel()
     whole, frac, nf, fall = _digits(v32)
-    neg = v32.view(np.int32) < 0
+    neg = (v32.view(np.int32) < 0).reshape(rows, 3)
     packed = rgb @ np.array([65536.0, 256.0, 1.0])
     num = np.column_stack(((whole.astype(np.int64) * (10 ** np.arange(14))[nf + 1]
                             + frac.astype(np.int64)).reshape(rows, 3), packed.astype(np.int64)))
@@ -127,7 +127,7 @@ def _format_rows(xyz32: np.ndarray, rgb: np.ndarray) -> np.ndarray:
     ni = np.log10(np.concatenate((whole, packed)) * (1 + 2 ** -40) + 0.5).astype(np.intp) + 1
     size = ni[:-rows] + nf + 2                        # with the '.' and the separator
     w = (max(size.max(), ni[-rows:].max() + 1) + 3) // 4 * 4
-    lens = np.column_stack(((size + neg).reshape(rows, 3), ni[-rows:] + 1))
+    lens = np.column_stack((size.reshape(rows, 3) + neg, ni[-rows:] + 1))
     tokens = {i: _fmt32(v32[i]).encode() for i in np.flatnonzero(fall)}
     for i, token in tokens.items():
         lens[i // 3, i % 3] = len(token) + 1
@@ -143,7 +143,7 @@ def _format_rows(xyz32: np.ndarray, rgb: np.ndarray) -> np.ndarray:
         words.view(f"V{w}").ravel())
     dot = end[:, :3] - nf.reshape(rows, 3) - 1
     buf[dot] = ord(".")
-    buf[(dot - ni[:-rows].reshape(rows, 3))[neg.reshape(rows, 3)] - 1] = ord("-")
+    buf[(dot - ni[:-rows].reshape(rows, 3) - 1) * neg] = ord("-")  # else to spare byte 0
     for i, token in tokens.items():
         buf[end[i // 3, i % 3] - len(token):end[i // 3, i % 3]] = np.frombuffer(token, np.uint8)
     return buf[w:]
