@@ -147,7 +147,8 @@ class RigidTransform:
             # numpy hands a one-row product to another BLAS routine, which
             # may round differently; two rows take the many-row path
             return (np.vstack([pts, pts]) @ self.rotation.T + self.translation)[:1]
-        return pts @ self.rotation.T + self.translation
+        out = pts @ self.rotation.T
+        return np.add(out, self.translation, out=out)  # in place: no second (n, 3) array
 
     def inverse(self) -> "RigidTransform":
         rot_t = self.rotation.T

@@ -4,7 +4,9 @@ Scenes are drawn from a counter-based Philox generator keyed by the
 scenario seed, so output is bit-identical across runs and platforms. Draw
 order is fixed: stem diameters for all berries, then per berry its surface
 directions and colors, then foliage positions / colors / camera
-assignment, then palette positions and colors.
+assignment, then palette positions and colors. Colors are drawn in chunks
+(same draws, same order) and each part is freed once used: the peak is the
+foliage positions plus the outputs, 17.7 MB for perf_300k's 9.3 MB.
 
 Each berry is a slightly prolate ellipsoid sampled on its surface; berry
 and foliage points are partitioned between the two cameras by which camera
@@ -34,6 +36,9 @@ _ELONGATION = 1.15
 #: Stem diameters are drawn uniformly from this band (mm) when unspecified.
 STEM_DIAMETER_RANGE_MM = (2.0, 2.4)
 
+#: Rows of color jitter drawn, shifted and clipped into the uint8 colors at a time.
+_COLOR_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class SceneTruth:
@@ -62,19 +67,22 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
         spec.stem_diameter_mm if spec.stem_diameter_mm is not None else drawn_stems[i]
         for i, spec in enumerate(scenario.berries)])
 
-    parts1: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # xyz, rgb, labels
-    parts2: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    parts1: list[tuple[np.ndarray, np.ndarray, int]] = []  # xyz, rgb, label
+    parts2: list[tuple[np.ndarray, np.ndarray, int]] = []
 
-    def _split(to_cam1: np.ndarray, *arrays: np.ndarray) -> None:
+    def _split(to_cam1: np.ndarray, pts: np.ndarray, rgb: np.ndarray, label: int) -> None:
         """Append each camera's rows; take() on row indices gathers (n, 3)
         rows faster than a boolean mask does."""
         for parts, mask in ((parts1, to_cam1), (parts2, ~to_cam1)):
             rows = np.flatnonzero(mask)
-            parts.append(tuple(a.take(rows, axis=0) for a in arrays))
+            parts.append((pts.take(rows, axis=0), rgb.take(rows, axis=0), label))
 
     def _colored(n: int, base: tuple[int, int, int], jitter: int) -> np.ndarray:
-        jit = rng.integers(-jitter, jitter + 1, size=(n, 3))
-        return np.clip(np.asarray(base, dtype=np.int16) + jit, 0, 255).astype(np.uint8)
+        rgb = np.empty((n, 3), np.uint8)
+        for start in range(0, n, _COLOR_CHUNK):        # int64 a chunk at a time
+            jit = rng.integers(-jitter, jitter + 1, size=(min(_COLOR_CHUNK, n - start), 3)) + base
+            rgb[start:start + _COLOR_CHUNK] = jit.clip(0, 255, out=jit)
+        return rgb
 
     centers = np.zeros((nb, 3))
     for i, spec in enumerate(scenario.berries):
@@ -87,31 +95,32 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
         semi = np.array([radius, radius, _ELONGATION * radius])
         pts = center + directions * semi
         rgb = _colored(n, colors.berry_base, colors.berry_jitter)
-        labels = np.full(n, i, dtype=np.int32)
         outward = pts - center
         facing1 = np.einsum("ij,ij->i", outward, cam1_pos - pts)
         facing2 = np.einsum("ij,ij->i", outward, cam2_pos - pts)
-        _split(facing1 >= facing2, pts, rgb, labels)
+        _split(facing1 >= facing2, pts, rgb, i)
 
     fw = scenario.foliage_window
     nf = scenario.foliage_points
     fol_pts = rng.uniform([fw.x_min, fw.y_min, fw.z_min],
                           [fw.x_max, fw.y_max, fw.z_max], size=(nf, 3))
     fol_rgb = _colored(nf, colors.foliage_base, colors.foliage_jitter)
-    fol_labels = np.full(nf, LABEL_FOLIAGE, dtype=np.int32)
-    _split(rng.integers(0, 2, size=nf) == 0, fol_pts, fol_rgb, fol_labels)
+    _split(rng.integers(0, 2, size=nf) == 0, fol_pts, fol_rgb, LABEL_FOLIAGE)
+    del fol_pts, fol_rgb
 
     pal = scenario.palette
     c = np.asarray(pal.center)
     half = np.asarray(pal.size) / 2.0
     pal_pts = rng.uniform(c - half, c + half, size=(pal.points, 3))
     pal_rgb = _colored(pal.points, colors.berry_base, colors.palette_jitter)
-    pal_labels = np.full(pal.points, LABEL_PALETTE, dtype=np.int32)
-    parts1.append((pal_pts, pal_rgb, pal_labels))
-    parts2.append((pal_pts, pal_rgb, pal_labels))
+    parts1.append((pal_pts, pal_rgb, LABEL_PALETTE))
+    parts2.append((pal_pts, pal_rgb, LABEL_PALETTE))
 
     def _assemble(parts, frame, pose):
-        xyz, rgb, labels = (np.concatenate(p) for p in zip(*parts))
+        xyz, rgb, labels = zip(*parts)
+        labels = np.repeat(np.array(labels, np.int32), [len(p) for p in xyz])
+        xyz, rgb = np.concatenate(xyz), np.concatenate(rgb)
+        parts.clear()                                 # before the transform allocates
         return PointCloud(pose.inverse().apply(xyz), rgb, frame), labels
 
     cloud1, labels1 = _assemble(parts1, CAMERA_1_FRAME, scenario.camera_1)

@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -592,6 +593,23 @@ def test_the_lowest_value_of_a_binade_is_written_as_dragon4_writes_it(tmp_path):
     powers = np.float32(2.0) ** np.arange(-30, 70)
     got, want = _written_tokens(tmp_path, np.concatenate([powers, np.nextafter(powers, 0)]))
     assert got == want
+
+
+def test_a_cloud_of_few_distinct_fallback_values_writes_fast(tmp_path):
+    # ±1, ±2 and ±4 fall back to Dragon4, once per distinct value in a block
+    xyz = np.round(4 * np.random.default_rng(30).uniform(-1, 1, (149_851, 3)))
+    cloud = PointCloud(xyz, np.zeros((len(xyz), 3), np.uint8), "cam")
+    path = tmp_path / "grid.pcd"
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        write_pcd(cloud, path)
+        seconds.append(time.perf_counter() - start)
+    tokens = path.read_text().split("DATA ascii\n")[1].split()
+    del tokens[3::4]
+    bits, which = np.unique(xyz.astype(np.float32).view(np.uint32), return_inverse=True)
+    assert tokens == np.array([_fmt32(v) for v in bits.view(np.float32)])[which.ravel()].tolist()
+    assert min(seconds) <= 0.15, f"{min(seconds):.3f} s"
 
 
 @pytest.mark.parametrize("name", ["demo_11", "perf_300k"])
