@@ -69,8 +69,12 @@ def _embedded(name: str, record_type: type) -> tuple:
                     record_type, name)
 
 
+def embedded_pierce(dataset: str) -> tuple[PierceRecord, ...]:
+    """Parse one embedded pierce sweep, ``"fine"`` or ``"coarse"``."""
+    return _embedded(f"pierce_{dataset}.csv", PierceRecord)
+
+
 def load_datasets() -> Datasets:
     """Load the three embedded calibration tables."""
     return Datasets(lateral=_embedded("lateral_velocity.csv", LateralCutRecord),
-                    coarse=_embedded("pierce_coarse.csv", PierceRecord),
-                    fine=_embedded("pierce_fine.csv", PierceRecord))
+                    coarse=embedded_pierce("coarse"), fine=embedded_pierce("fine"))

@@ -3,9 +3,9 @@
 Each camera cloud is calibrated against a palette patch visible to both
 cameras and reduced to the points near that reference color inside the
 scene volume; the survivors of both cameras, merged in the gantry base
-frame, are clustered per fruit by an exact voxel-grid union (see
-:func:`euclidean_clusters`) and ranked along the picking axis. One stable
-sort by cluster label makes each cluster a run of contiguous coordinate
+frame, are clustered per fruit by an exact voxel-grid union in two reaches
+(see :func:`euclidean_clusters`) and ranked along the picking axis. One sort
+by cluster label, then row, makes each cluster a run of contiguous coordinate
 rows, and :func:`localize` boxes the runs straight from those rows.
 """
 
@@ -142,12 +142,12 @@ class ClusterParams:
 #: binned into one cell are within the tolerance even after the rounding
 #: of the binning arithmetic.
 _CELL_SIDE = (1.0 - 2.0 ** -20) / math.sqrt(3.0)
-#: A linked pair can lie sqrt(3) cells apart along an axis, so candidate cells
-#: reach two each way: 62 forward offsets in 13 (x, y) columns (dx, dy, first dz)
-#: up to dz = _REACH, each a run of sorted keys (z is the fastest, padded key axis).
+#: A linked pair's cells lie at most _REACH apart per axis. Forward cells up to r
+#: apart fill (x, y) columns (dx, dy, first dz) of sorted keys up to dz = r (z is
+#: the fastest, padded key axis): 5 columns for r = 1, 13 for r = 2.
 _REACH = 2
-_COLUMNS = np.array([(0, 0, 1)] + [(dx, dy, -_REACH) for dx, dy in itertools.product(
-    range(-_REACH, _REACH + 1), repeat=2) if (dx, dy) > (0, 0)], dtype=np.int64)
+_COLUMNS = {r: np.array([(0, 0, 1)] + [(dx, dy, -r) for dx, dy in itertools.product(
+    range(-r, r + 1), repeat=2) if (dx, dy) > (0, 0)], dtype=np.int64) for r in (1, _REACH)}
 #: Cells per axis, padding included, stay below this so that the packed
 #: cell key fits an int64 and binning rounding stays far below the margin in
 #: ``_CELL_SIDE``; wider clouds are cut into overlapping slabs (``_component_labels``).
@@ -195,18 +195,48 @@ def _any_pair_within(cols, start, count, a, b, tol) -> np.ndarray:
     return linked
 
 
+def _cell_pairs(cells: np.ndarray, stride: np.ndarray, reach: int):
+    """Forward pairs ``(a, b)`` of the sorted keys ``cells`` at most ``reach`` apart
+    per axis, ``_CELL_BLOCK`` cells ``a`` at a time: two binary searches a column."""
+    dxy, dz = _COLUMNS[reach][:, :2] @ stride[:2], _COLUMNS[reach][:, 2]
+    for block in range(0, len(cells), _CELL_BLOCK):
+        here = cells[block:block + _CELL_BLOCK, None] + dxy
+        first = np.searchsorted(cells, here + dz).ravel()
+        width = np.searchsorted(cells, here + reach, side="right").ravel() - first
+        a = np.repeat(np.arange(block, block + len(here)), width.reshape(here.shape).sum(1))
+        yield a, np.arange(len(a)) + np.repeat(first - (np.cumsum(width) - width), width)
+
+
+def _touching(q: np.ndarray, comp: np.ndarray, stride: np.ndarray) -> np.ndarray:
+    """Ascending indices of the sorted cells (grid coordinates ``q``) where two of the
+    components ``comp`` can meet: none unless cells of two lie at most two apart along
+    x, else those of each 2x2x2-cell block beside a block of another component."""
+    changes = np.cumsum(np.concatenate(([0], comp[1:] != comp[:-1])))
+    if not changes[-1] or (
+            changes[np.searchsorted(q[0], q[0] + 2, side="right") - 1] == changes).all():
+        return changes[:0]
+    key = stride @ (q // 2)     # the padding keeps a block's neighbours on the grid
+    order = np.argsort(key)
+    key = key[order]
+    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    low, high = (f.reduceat(comp[order], start) for f in (np.minimum, np.maximum))
+    meet = low < high
+    for a, b in _cell_pairs(key[start], stride, 1):
+        apart = np.minimum(low[a], low[b]) < np.maximum(high[a], high[b])
+        meet[a[apart]] = meet[b[apart]] = True
+    return np.sort(order[np.repeat(meet, np.diff(start, append=len(key)))])
+
+
 def _grid_labels(xyz: np.ndarray, tol: float) -> np.ndarray | None:
     """Component label of each point, or None when the grid would not fit.
 
-    Points are binned into cells of side just under ``tol / sqrt(3)``, so
-    the points of one cell are linked without a distance test. Each column
-    of ``_COLUMNS`` is found by two binary searches. Phase 1 tests one
-    representative pair (the first point of each cell) per candidate cell
-    pair and labels the cell components. Phase 2 tests every point pair of
-    the candidate cell pairs whose cells are still in different components
-    (unless both cells hold one point, so the representative pair was the
-    only one), then labels again. Every pair within ``tol`` lies in one
-    cell or in a candidate cell pair, so the result is exact.
+    Points are binned into cells of side just under ``tol / sqrt(3)``, so the
+    points of one cell are linked without a distance test and a linked pair's
+    cells lie at most two apart per axis. Reach 1 tests one representative pair
+    (each cell's first point) per cell pair one apart and labels the cell
+    components. Reach 2, on the cells :func:`_touching` finds, tests that pair
+    for cell pairs up to two apart in different components, then every point pair
+    where it did not decide (unless both cells hold one point), and relabels.
     """
     # (3, n) rows: numpy reduces (n, 3) along axis 0 one 3-wide row at a time
     cols = xyz.T.copy()
@@ -220,34 +250,28 @@ def _grid_labels(xyz: np.ndarray, tol: float) -> np.ndarray | None:
     stride = np.array([dims[1] * dims[2], dims[2], 1])
     q = ((cols - lo[:, None]) / side).astype(np.int64) + _REACH
     key = q[0] * stride[0] + q[1] * stride[1] + q[2]
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)     # labels depend only on the cell order, not on ties
     key = key[order]
-    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    cells = key[start]
-    count = np.diff(np.r_[start, len(key)])
+    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    cells, count = key[start], np.diff(start, append=len(key))
     cols = cols[:, order]
     rep = cols[:, start]
-    column = _COLUMNS[:, :2] @ stride[:2]
-    linked, undecided = [], []
-    for block in range(0, len(cells), _CELL_BLOCK):
-        here = cells[block:block + _CELL_BLOCK, None] + column
-        first = np.searchsorted(cells, here + _COLUMNS[:, 2]).ravel()
-        width = np.searchsorted(cells, here + _REACH, side="right").ravel() - first
-        a = np.repeat(np.arange(block, block + len(here)), width.reshape(here.shape).sum(1))
-        b = np.arange(len(a)) + np.repeat(first - (np.cumsum(width) - width), width)
+    linked = [(a[near], b[near]) for a, b in _cell_pairs(cells, stride, 1)
+              for near in [_within(rep, a, b, tol)]]
+    comp = _components(len(cells), *map(np.concatenate, zip(*linked)))
+    touching = _touching(q[:, order[start]], comp, stride)
+    if len(touching):
+        pairs = []
+        for a, b in _cell_pairs(cells[touching], stride, _REACH):
+            a, b = touching[a], touching[b]
+            pairs.append((a[comp[a] != comp[b]], b[comp[a] != comp[b]]))
+        a, b = map(np.concatenate, zip(*pairs))
         near = _within(rep, a, b, tol)
-        linked.append((a[near], b[near]))
-        # with one point in each cell the representative test was exhaustive
-        far = ~near & (count[a] * count[b] > 1)
-        undecided.append((a[far], b[far]))
-    a, b = (np.concatenate(x) for x in zip(*linked))
-    comp = _components(len(cells), a, b)
-    a2, b2 = (np.concatenate(x) for x in zip(*undecided))
-    unresolved = comp[a2] != comp[b2]
-    if unresolved.any():
-        a2, b2 = a2[unresolved], b2[unresolved]
-        second = _any_pair_within(cols, start, count, a2, b2, tol)
-        comp = _components(len(cells), np.r_[a, a2[second]], np.r_[b, b2[second]])
+        comp = _components(comp.max() + 1, comp[a[near]], comp[b[near]])[comp]
+        far = ~near & (count[a] * count[b] > 1) & (comp[a] != comp[b])
+        if far.any():
+            second = _any_pair_within(cols, start, count, a[far], b[far], tol)
+            comp = _components(comp.max() + 1, comp[a[far][second]], comp[b[far][second]])[comp]
     labels = np.empty(len(xyz), dtype=np.int64)
     labels[order] = np.repeat(comp, count)
     return labels
@@ -301,11 +325,11 @@ def _run_boxes(cols: np.ndarray, start: np.ndarray, size: np.ndarray):
 def _pick_runs(xyz: np.ndarray, params: ClusterParams):
     """The bounds and centroids of each label's run (:func:`_run_boxes`), its
     ``size``, the labels in the size band in pick order (ascending centroid y,
-    then x, then first point index), and the one stable sort by label: its
+    then x, then first point index), and the one sort by label, then row: its
     ``order`` and each run's ``start`` in it."""
     labels = _component_labels(xyz, params.tolerance)
     size = np.bincount(labels)
-    order = np.argsort(labels, kind="stable")
+    order = np.argsort(labels * len(labels) + np.arange(len(labels)))   # unique keys
     start = np.cumsum(size) - size
     boxes = _run_boxes(xyz[order].T.copy(), start, size)
     keep = np.flatnonzero((size >= params.min_size) & (size <= params.max_size))
@@ -324,10 +348,11 @@ def euclidean_clusters(cloud: PointCloud, params: ClusterParams) -> list[PointCl
     order; the centroid is the one :func:`bounding_boxes` reports.
 
     Components come from an exact voxel-grid union (the grid form of
-    Euclidean cluster extraction) that never builds the full list of
-    linked pairs. A cloud spanning more than about two million cells along
-    an axis (points near +-1e300, say) is cut along it into overlapping
-    slabs, each labelled on its own grid, and the labels are joined.
+    Euclidean cluster extraction) in two reaches: cells one apart first,
+    then cells two apart only in the 2x2x2-cell blocks where two components
+    meet. A cloud spanning more than about two million cells along an axis
+    (points near +-1e300, say) is cut along it into overlapping slabs, each
+    labelled on its own grid, and the labels are joined.
     """
     _, size, ranked, order, start = _pick_runs(cloud.xyz, params)
     return [cloud.select(order[start[k]:start[k] + size[k]]) for k in ranked]

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .controller import CycleMetrics, run_demo
-from .datasets import load_datasets
+from .datasets import embedded_pierce
+from .datasets import load_datasets  # noqa: F401 -- wrapped by benchmarks/tracing.py
 from .gantry import GantrySim
 from .laser import CutModel
 from .localization import BerryBox, localize
@@ -14,10 +15,8 @@ from .scene import SceneTruth, generate_scene, make_world
 
 
 def cut_model_for(scenario: Scenario) -> CutModel:
-    """The cut model a scenario asks for (fine or coarse pierce sweep)."""
-    ds = load_datasets()
-    records = ds.fine if scenario.laser.dataset == "fine" else ds.coarse
-    return CutModel(records, toughness=scenario.laser.toughness)
+    """The cut model a scenario asks for; only its pierce sweep (fine or coarse) is parsed."""
+    return CutModel(embedded_pierce(scenario.laser.dataset), toughness=scenario.laser.toughness)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Embedded calibration tables and the CSV loaders around them."""
 
+import dataclasses
+
 import pytest
 
-from laserberry import (ValidationError, load_datasets, load_lateral_csv,
-                        load_pierce_csv)
+from laserberry import (CutModel, ValidationError, datasets, load_datasets,
+                        load_lateral_csv, load_pierce_csv, load_scenario)
+from laserberry.pipeline import cut_model_for
+from laserberry.scenario import LaserSettings, bundled_scenario_path
 
 PIERCE_HEADER = ("spot_diameter_mm,stem_diameter_mm,pierce_time_s,"
                  "pierce_velocity_mm_s,pierce_constant_mm2_s")
@@ -105,3 +109,20 @@ def test_a_field_longer_than_the_csv_module_allows_names_its_line(tmp_path):
     with pytest.raises(ValidationError,
                        match=r"^p\.csv line 2: pierce_constant_mm2_s must be positive and finite"):
         load_pierce_csv(path)
+
+
+@pytest.mark.parametrize("dataset,toughness", [("fine", 1.0), ("coarse", 2.5)])
+def test_cut_model_for_parses_only_the_named_pierce_sweep(monkeypatch, dataset, toughness):
+    scenario = dataclasses.replace(load_scenario(bundled_scenario_path("demo_11")),
+                                   laser=LaserSettings(dataset, toughness))
+    parsed = []
+    original = datasets._embedded
+
+    def recording(name, record_type):
+        parsed.append(name)
+        return original(name, record_type)
+
+    monkeypatch.setattr(datasets, "_embedded", recording)
+    model = cut_model_for(scenario)
+    assert parsed == [f"pierce_{dataset}.csv"]
+    assert model == CutModel(getattr(load_datasets(), dataset), toughness=toughness)
