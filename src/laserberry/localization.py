@@ -254,12 +254,13 @@ def _grid_labels(xyz: np.ndarray, tol: float) -> np.ndarray | None:
     key = key[order]
     start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     cells, count = key[start], np.diff(start, append=len(key))
+    q = q[:, order[start]]      # only the cells' grid coordinates outlive the sort
     cols = cols[:, order]
     rep = cols[:, start]
     linked = [(a[near], b[near]) for a, b in _cell_pairs(cells, stride, 1)
               for near in [_within(rep, a, b, tol)]]
     comp = _components(len(cells), *map(np.concatenate, zip(*linked)))
-    touching = _touching(q[:, order[start]], comp, stride)
+    touching = _touching(q, comp, stride)
     if len(touching):
         pairs = []
         for a, b in _cell_pairs(cells[touching], stride, _REACH):

@@ -6,19 +6,20 @@ The source frame rides along in a leading ``# frame`` comment. Colors
 round-trip exactly; coordinates round-trip to float32. Files are UTF-8,
 whatever the locale.
 
-Rows are written and read in blocks with numpy. The writer tries two digit
-counts per coordinate, bracketed by its float32 spacing (Schubfach), for its
-shortest round-trip digits; :func:`_fmt32` (Dragon4) formats once a block
-each value the arrays cannot vouch for. Running sums of the token lengths
-place every token in one byte buffer. The reader decodes only the header; it
-takes the rows after ``DATA`` from the file's bytes when they follow the
-writer's grammar, and the row loop reads every other layout the format allows
-(tabs, CRLF, comments among the rows, exponents) and names a bad line.
+Rows are written in blocks with numpy. The writer tries two digit counts per
+coordinate, bracketed by its float32 spacing (Schubfach), for its shortest
+round-trip digits; :func:`_fmt32` (Dragon4) formats once a block each value
+the arrays cannot vouch for. Running sums of the token lengths place every
+token in one byte buffer. The reader decodes only the header; numpy's C text
+reader takes the rows after ``DATA`` wherever it reads them as the row loop
+does, and the row loop reads every other layout the format allows (comments
+and blank lines among the rows, other line ends) and names a bad line.
 """
 
 from __future__ import annotations
 
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +40,10 @@ _EXPECTED = {
     "DATA": "ascii",
 }
 
-#: Rows per written block, and bytes per read block: big enough to amortize
-#: the numpy calls, small enough that a block's arrays stay near 100 kB each.
-_BLOCK, _READ_BLOCK = 4096, 1 << 16
+#: Rows per written block: big enough to amortize the numpy calls, small
+#: enough that a block's arrays stay near 100 kB each.
+_BLOCK = 4096
 
-_EOL = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"      # what ends a line for str.splitlines()
-_LINE = re.compile(rf"[^{_EOL}]+\Z|[^{_EOL}]*(?:\r\n|[{_EOL}])")
 #: Lines that start with DATA after a \n: the header is decoded through the
 #: first one (a DATA key after another line end or Unicode spaces is earlier).
 _DATA = re.compile(rb"^\s*DATA", re.M)
@@ -172,55 +171,29 @@ def write_pcd(cloud: PointCloud, path: str | Path) -> None:
             fh.write(_format_rows(xyz32[start:start + _BLOCK], cloud.rgb[start:start + _BLOCK]))
 
 
-#: Masks that keep the last j = 0..16 bytes of two little-endian words.
-_KEEP = np.frombuffer(b"".join(bytes(16 - j) + b"\xff" * j for j in range(17)), "(2,)<u8")
+#: One row as numpy reads it: the three coordinates and the packed color.
+_ROW = np.dtype([("xyz", np.float32, 3), ("rgb", np.int64)])
+#: Line ends of str.splitlines() that numpy reads as blanks: \v \f \x1c-\x1e, and
+#: the UTF-8 lead bytes of U+0085 (0xc2) and U+2028, U+2029 (0xe2).
+_BLANK_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e", b"\xc2", b"\xe2")
 
 
-@np.errstate(over="ignore")                           # a float32 overflow is refused below
-def _parse_bytes(raw: bytes, at: int, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Coordinates and packed colors when ``raw[at:]`` is ``n`` rows as the
-    writer lays them out, else ``None``. A token's last 16 bytes are two words
-    of eight digits, '.' and '-' read as 0, summed by SWAR arithmetic (Lemire,
-    "Number Parsing at a Gigabyte per Second") into S = I * 10**(k+1) + F. In
-    15 bytes, M = I * 10**k + F < 2**53 and k <= 22, so M / 10**k is rounded
-    once (Clinger's fast path) and equals ``float(token)``."""
-    if 14 * n > len(raw) - at:                        # bound n: no row is under 14 bytes
+def _load_rows(path: Path, data_start: int, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``n`` rows after line ``data_start`` as numpy's C text reader parses
+    them (a token as ``float``, narrowed to float32, or as ``int``), or ``None``
+    where it fails, warns, or reads a count or value the row loop refuses."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")                # a blank line warns: the row loop skips it
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # POINTS 0
+        try:
+            rows = np.loadtxt(path, _ROW, comments=None, skiprows=data_start, max_rows=n + 1,
+                              encoding="utf-8", ndmin=1)
+        except (ValueError, Warning):
+            return None
+    xyz, packed = rows["xyz"], rows["rgb"]
+    if len(rows) != n or not np.isfinite(xyz).all() or not (packed >> 24 == 0).all():
         return None
-    body, xyz, packed, s = np.frombuffer(raw, np.uint8), np.empty((n, 3)), np.empty(n, np.int64), 0
-    while at < len(raw):
-        end = raw.rfind(b"\n", at, at + _READ_BLOCK) + 1  # whole rows; 0 if none fits
-        c, at = body[at:end], end
-        # rows: '. . . \n' among digits and a coordinate's '-'; rgb: 1-8 digits, no 0 first
-        marks = np.flatnonzero((c <= 46) & (c != 45))
-        r = len(marks) // 7
-        if not 0 < r <= n - s or c[marks].tobytes() != b". . . \n" * r:
-            return None
-        marks = marks.reshape(r, 7)
-        sep = marks[:, [1, 3, 5, 6]].ravel()
-        start = np.concatenate(([0], sep[:-1] + 1))
-        size, dots, digit, neg = sep - start, marks[:, :5:2], c >= 48, c[start] == 45
-        rgb = size[3::4]
-        if (c.max() > 57 or np.count_nonzero(digit) != c.size - 7 * r - np.count_nonzero(neg)
-                or not (digit[dots - 1] & digit[dots + 1]).all()
-                or not ((rgb >= 1) & (rgb <= 8) & (c[start[3::4]] > 47 + (rgb > 1))).all()):
-            return None
-        d = np.concatenate((np.zeros(16, np.uint8), (c - 48) * digit))  # digit values
-        w = np.ndarray((d.size - 15,), "V16", d, strides=(1,))[sep].view("<u8").reshape(-1, 2)
-        w &= _KEEP.take(np.minimum(size, 16), axis=0)
-        w = w * 10 + (w >> 8)                         # pairs, then eight digits per word
-        w = ((w & 0xFF000000FF) * (100 + (10 ** 6 << 32))
-             + (w >> 16 & 0xFF000000FF) * (1 + (10 ** 4 << 32))) >> 32
-        v = (w[:, 0] * 10 ** 8 + w[:, 1]).reshape(r, 4)
-        packed[s:s + r] = v[:, 3]
-        v, p = v[:, :3].astype(np.float64), _P10[_K + np.minimum(marks[:, 1:6:2] - dots - 1, 15)]
-        q = np.floor(v / p)                           # 10 * I, exact as v < 10**15 < 2**53
-        val = np.copysign((v - q * p + q / 10 * p) / p, 0.5 - neg.reshape(r, 4)[:, :3])
-        for t in np.flatnonzero(size > 15):
-            val[t // 4, t % 4] = float(c[start[t]:sep[t]].tobytes())
-        xyz[s:s + r] = val.astype(np.float32)
-        s += r
-    ok = s == n and np.isfinite(xyz).all() and packed.max(initial=0) <= 0xFFFFFF
-    return (xyz, packed) if ok else None
+    return xyz.astype(np.float64), packed
 
 
 @np.errstate(over="ignore")                           # np.float32("1e39") is inf: refused below
@@ -275,8 +248,8 @@ def read_pcd(path: str | Path) -> PointCloud:
     frame, data_start, lineno = "unknown", None, None
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}
-    for lineno, line in enumerate(_LINE.finditer(text), start=1):
-        stripped = line[0].strip()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
         if not stripped:
             continue
         if stripped.startswith("#"):
@@ -295,7 +268,7 @@ def read_pcd(path: str | Path) -> PointCloud:
             raise PcdParseError(
                 f"unsupported {key} {header[key]!r} (expected {_EXPECTED[key]!r})", lineno)
         if key == "DATA":
-            data_start, at = lineno, len(text[:line.end()].encode())  # bytes before the rows
+            data_start = lineno
             break
     if data_start is None:
         raise PcdParseError("missing DATA header", lineno or 1)
@@ -310,7 +283,13 @@ def read_pcd(path: str | Path) -> PointCloud:
         raise PcdParseError("WIDTH does not match POINTS", data_start)
     if n < 0:
         raise PcdParseError(f"negative POINTS value {n}", header_line["POINTS"])
-    xyz, packed = _parse_bytes(raw, at, n) or _parse_rows(
-        decode_utf8(raw, PcdParseError).splitlines(), data_start, n, header_line["POINTS"])
+    # numpy opens a Path (no "//" to take for a URL) unless its name asks to decompress,
+    # and allocates the n rows first: a row takes 8 bytes or more
+    plain = (8 * n <= len(raw) and Path(path).suffix not in (".gz", ".bz2", ".xz", ".lzma")
+             and not any(b in raw for b in _BLANK_BREAKS))
+    del raw
+    rows = _load_rows(Path(path), data_start, n) if plain else None
+    xyz, packed = rows or _parse_rows(decode_utf8(Path(path).read_bytes(), PcdParseError)
+                                      .splitlines(), data_start, n, header_line["POINTS"])
     rgb = packed.astype("<u4").view(np.uint8).reshape(-1, 4)[:, 2::-1]  # bytes b, g, r, 0
     return PointCloud(xyz, rgb.copy(), frame)

@@ -8,6 +8,8 @@ with the pair route and the union-find oracle of ``test_clustering``. The
 fruit rows of the bundled dense scenes must never need reach 2.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,17 @@ def test_pick_runs_orders_tied_labels_by_row(monkeypatch):
     monkeypatch.setattr(localization, "_component_labels", lambda xyz, tol: tied)
     order = localization._pick_runs(xyz[:7], ClusterParams(min_size=1))[3]
     assert order.tolist() == [1, 4, 3, 6, 0, 2, 5]
+
+
+def test_a_sparse_cloud_is_labelled_in_under_eight_times_its_size():
+    # nearly every cell is its own 2x2x2 block: the block test's arrays are
+    # cell-length, so the points' own grid coordinates must be gone by then
+    xyz = np.random.default_rng(0).uniform(0, 3, (200_000, 3))
+    tracemalloc.start()
+    try:
+        labels = localization._grid_labels(xyz, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(np.unique(labels)) > 190_000
+    assert peak < 8 * xyz.nbytes, f"peak {peak / xyz.nbytes:.2f}x the input"
