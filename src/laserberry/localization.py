@@ -103,10 +103,15 @@ def calibration_reference(palette_cloud: PointCloud, r_th: float, g_th: float,
     CalibrationError
         If the palette cloud is empty (patch not visible to the camera).
     """
-    if len(palette_cloud) == 0:
+    return _palette_reference(palette_cloud.rgb, r_th, g_th, b_th)
+
+
+def _palette_reference(rgb, r_th, g_th, b_th) -> ColorReference:
+    """:func:`calibration_reference` from the palette colors ``rgb`` alone."""
+    if len(rgb) == 0:
         raise CalibrationError("palette patch not visible: empty calibration cloud")
-    mean = palette_cloud.rgb.astype(np.float64).mean(axis=0)
-    return ColorReference(mean[0], mean[1], mean[2], r_th, g_th, b_th)
+    mean = np.ones(len(rgb)) @ rgb / len(rgb)   # integer sums under 2**53 are exact in any order
+    return ColorReference(*mean, r_th, g_th, b_th)
 
 
 def filter_red(cloud: PointCloud, ref: ColorReference) -> PointCloud:
@@ -157,6 +162,7 @@ _MAX_CELLS = 2 ** 21
 #: memory a large cloud needs.
 _CELL_BLOCK = 2 ** 12
 _PAIR_CHUNK = 2 ** 17
+_BOX_GATE = 64     # components whose cell boxes _touching compares pairwise
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,24 +203,36 @@ def _any_pair_within(cols, start, count, a, b, tol) -> np.ndarray:
 
 def _cell_pairs(cells: np.ndarray, stride: np.ndarray, reach: int):
     """Forward pairs ``(a, b)`` of the sorted keys ``cells`` at most ``reach`` apart
-    per axis, ``_CELL_BLOCK`` cells ``a`` at a time: two binary searches a column."""
+    per axis, ``_CELL_BLOCK`` cells ``a`` at a time: two searches a column, needles ascending."""
     dxy, dz = _COLUMNS[reach][:, :2] @ stride[:2], _COLUMNS[reach][:, 2]
     for block in range(0, len(cells), _CELL_BLOCK):
-        here = cells[block:block + _CELL_BLOCK, None] + dxy
-        first = np.searchsorted(cells, here + dz).ravel()
+        here = cells[block:block + _CELL_BLOCK] + dxy[:, None]
+        first = np.searchsorted(cells, here + dz[:, None]).ravel()
         width = np.searchsorted(cells, here + reach, side="right").ravel() - first
-        a = np.repeat(np.arange(block, block + len(here)), width.reshape(here.shape).sum(1))
+        a = block + np.repeat(np.arange(width.size) % here.shape[1], width)
         yield a, np.arange(len(a)) + np.repeat(first - (np.cumsum(width) - width), width)
 
 
 def _touching(q: np.ndarray, comp: np.ndarray, stride: np.ndarray) -> np.ndarray:
     """Ascending indices of the sorted cells (grid coordinates ``q``) where two of the
-    components ``comp`` can meet: none unless cells of two lie at most two apart along
-    x, else those of each 2x2x2-cell block beside a block of another component."""
-    changes = np.cumsum(np.concatenate(([0], comp[1:] != comp[:-1])))
-    if not changes[-1] or (
-            changes[np.searchsorted(q[0], q[0] + 2, side="right") - 1] == changes).all():
-        return changes[:0]
+    components ``comp`` can meet. None if no two lie within two cells: of 2 to
+    ``_BOX_GATE`` components, their cell boxes on every axis, else their cells along x.
+    Otherwise the cells of each 2x2x2-cell block beside a block of another component."""
+    k = comp.max() + 1
+    if k == 1:
+        return comp[:0]
+    if k > _BOX_GATE:
+        changes = np.cumsum(np.concatenate(([0], comp[1:] != comp[:-1])))
+        if (changes[np.searchsorted(q[0], q[0] + 2, side="right") - 1] == changes).all():
+            return comp[:0]
+    else:
+        lo, hi = np.full((3, k), _MAX_CELLS), np.zeros((3, k), dtype=np.int64)
+        for axis in range(3):
+            np.minimum.at(lo[axis], comp, q[axis])
+            np.maximum.at(hi[axis], comp, q[axis])
+        near = (lo[:, :, None] <= hi[:, None] + 2).all(axis=0)
+        if (near & near.T).sum() == k:      # only the diagonal
+            return comp[:0]
     key = stride @ (q // 2)     # the padding keeps a block's neighbours on the grid
     order = np.argsort(key)
     key = key[order]
@@ -254,9 +272,7 @@ def _grid_labels(xyz: np.ndarray, tol: float) -> np.ndarray | None:
     key = key[order]
     start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     cells, count = key[start], np.diff(start, append=len(key))
-    q = q[:, order[start]]      # only the cells' grid coordinates outlive the sort
-    cols = cols[:, order]
-    rep = cols[:, start]
+    q, rep = q[:, order[start]], cols[:, order[start]]  # only these outlive the sort
     linked = [(a[near], b[near]) for a, b in _cell_pairs(cells, stride, 1)
               for near in [_within(rep, a, b, tol)]]
     comp = _components(len(cells), *map(np.concatenate, zip(*linked)))
@@ -271,7 +287,7 @@ def _grid_labels(xyz: np.ndarray, tol: float) -> np.ndarray | None:
         comp = _components(comp.max() + 1, comp[a[near]], comp[b[near]])[comp]
         far = ~near & (count[a] * count[b] > 1) & (comp[a] != comp[b])
         if far.any():
-            second = _any_pair_within(cols, start, count, a[far], b[far], tol)
+            second = _any_pair_within(cols[:, order], start, count, a[far], b[far], tol)
             comp = _components(comp.max() + 1, comp[a[far][second]], comp[b[far][second]])[comp]
     labels = np.empty(len(xyz), dtype=np.int64)
     labels[order] = np.repeat(comp, count)
@@ -330,7 +346,7 @@ def _pick_runs(xyz: np.ndarray, params: ClusterParams):
     ``order`` and each run's ``start`` in it."""
     labels = _component_labels(xyz, params.tolerance)
     size = np.bincount(labels)
-    order = np.argsort(labels * len(labels) + np.arange(len(labels)))   # unique keys
+    order = np.argsort(labels, kind="stable")
     start = np.cumsum(size) - size
     boxes = _run_boxes(xyz[order].T.copy(), start, size)
     keep = np.flatnonzero((size >= params.min_size) & (size <= params.max_size))
@@ -456,9 +472,8 @@ def _fruit_rows(cloud_1: PointCloud, cloud_2: PointCloud, t_base_cam1: RigidTran
     and the rows of each camera's cloud they come from."""
     xyz_parts, row_parts = [], []
     for cloud, pose in ((cloud_1, t_base_cam1), (cloud_2, t_base_cam2)):
-        rows, xyz = _rows_inside(config.palette_window, pose, cloud.xyz)
-        ref = calibration_reference(PointCloud(xyz, cloud.rgb[rows], BASE_FRAME),
-                                    config.r_th, config.g_th, config.b_th)
+        rows, _ = _rows_inside(config.palette_window, pose, cloud.xyz)
+        ref = _palette_reference(cloud.rgb[rows], config.r_th, config.g_th, config.b_th)
         rows = ref.rows(cloud.rgb)
         xyz = pose.apply(cloud.xyz[rows])
         inside = config.reduced_window.mask(xyz) & ~config.palette_window.mask(xyz)

@@ -57,11 +57,11 @@ def _fmt32(v: np.float32) -> str:
 #: The ASCII digits of 0..9999 as little-endian uint32 words.
 _n = np.arange(10000, dtype=np.uint32)
 _WORDS = sum((_n // 10 ** (3 - i) % 10 + ord("0")) << 8 * i for i in range(4))
-#: 10**j at index j + _K (j = -17..22), exact for j >= 0. Multiplying by _UP
-#: and dividing by _DOWN at k + _K scales by 10**k in one rounding (k = -17..13).
+#: 10**j at index j (j = 0..17), exact. Multiplying by _UP and dividing by
+#: _DOWN at k + _K scales by 10**k in one rounding (k = -17..13).
 _K = 17
-_P10 = np.array([10 ** j / 1 if j >= 0 else 1 / 10 ** -j for j in range(-_K, 23)])
-_UP, _DOWN = _P10[np.arange(31).clip(_K)], _P10[(2 * _K - np.arange(31)).clip(_K)]
+_P10 = np.array([10 ** j for j in range(_K + 1)], dtype=np.float64)
+_UP, _DOWN = _P10[(np.arange(31) - _K).clip(0)], _P10[(_K - np.arange(31)).clip(0)]
 #: By t = 2 * biased float32 exponent + last mantissa bit: whether |v| lies
 #: outside [2**-14, 2**53) and falls back; f + _K, where 10**-f <= spacing <
 #: 10**(1-f); and half a spacing times 10**f, an ulp more for an even

@@ -17,8 +17,9 @@ from laserberry import (Aabb, BerryBox, CalibrationError, ClusterParams, ColorRe
                         PointCloud, RigidTransform, SpatialWindow, ValidationError,
                         bounding_boxes, calibration_reference,
                         euclidean_clusters, load_scenario, localize)
-from laserberry.localization import (LocalizationConfig, _components, extract_window,
-                                     filter_red, localize_clusters, merge_clouds)
+from laserberry.localization import (LocalizationConfig, _components, _palette_reference,
+                                     extract_window, filter_red, localize_clusters,
+                                     merge_clouds)
 from laserberry.scenario import bundled_scenario_path
 from laserberry.scene import apply_color_gain, generate_scene
 from test_acceptance import _union_find_clusters
@@ -103,6 +104,19 @@ def test_calibration_reference_is_palette_mean():
 def test_calibration_reference_empty_palette():
     with pytest.raises(CalibrationError):
         calibration_reference(PointCloud.empty("harvester-base"), 45, 45, 45)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 255, 4097, 100_000])
+@pytest.mark.parametrize("colors", ["random", "saturated"])
+def test_palette_mean_is_the_float64_mean_bit_for_bit(rows, colors):
+    rng = np.random.default_rng(rows)
+    rgb = rng.integers(0, 256, size=(rows, 3), dtype=np.uint8)
+    if colors == "saturated":
+        rgb[:] = 255
+    want = rgb.astype(np.float64).mean(axis=0).tobytes()
+    assert _palette_reference(rgb, 45, 45, 45).mean.tobytes() == want
+    cloud = _cloud(np.zeros((rows, 3)), rgb)
+    assert calibration_reference(cloud, 45, 45, 45).mean.tobytes() == want
 
 
 def test_filter_red_strict_thresholds():

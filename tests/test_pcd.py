@@ -668,6 +668,24 @@ def _interval(v):
     return Fraction(float(v)) - half, Fraction(float(v)) + half
 
 
+def test_the_writer_tables_equal_those_built_from_forty_powers_of_ten():
+    # the tables once indexed 10**j for j = -17..22; only j = 0..17 is read,
+    # so building from those 18 powers must give the same bytes
+    k = 17
+    p10 = np.array([10 ** j / 1 if j >= 0 else 1 / 10 ** -j for j in range(-k, 23)])
+    up, down = p10[np.arange(31).clip(k)], p10[(2 * k - np.arange(31)).clip(k)]
+    e2 = np.arange(512) // 2 - 127
+    out, e2 = (e2 < -14) | (e2 > 52), e2.clip(-14, 52)
+    f = k - ((e2 - 23) * 78913 >> 18)
+    half = np.ldexp(up[f], e2 - 24)
+    half[::2] = np.nextafter(half[::2], np.inf)
+    for name, want in [("_UP", up), ("_DOWN", down), ("_HALF", half), ("_F", f),
+                       ("_OUT", out)]:
+        got = getattr(pcdio, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
 def test_a_shortest_decimal_far_shorter_than_the_spacing_is_found(tmp_path):
     # the coarse of the two probed lengths leaves trailing zeros to strip
     got, want = _written_tokens(tmp_path, [0.1, 0.5, 100.0, 1e5, 123456.0])
