@@ -32,7 +32,8 @@ _FIRST_BLOCK, _MAX_BLOCK = 256, 2 ** 14    # ticks; the cap keeps a block near 1
 def _running(start: float, step, n: int) -> np.ndarray:
     """``start`` and its sums after each of ``n`` adds of ``step`` (a float, or
     one per tick, index 0 unused), added left to right as stepping adds."""
-    out = np.full(n + 1, step)
+    out = np.empty(n + 1)                   # np.full's Python wrapper costs more than the fill
+    out[:] = step
     out[0] = start
     return np.add.accumulate(out, out=out)
 
@@ -450,7 +451,8 @@ class GantrySim:
         Raises :class:`ValidationError` before anything moves unless ``now``
         is finite and later than the clock.
         """
-        require("positive and finite", timestep=now - self.time)
+        if not 0 < now - self.time < math.inf:     # the message is built only on failure
+            require("positive and finite", timestep=now - self.time)
         self.time = now
         self.x.advance(now)
         self.y.advance(now)

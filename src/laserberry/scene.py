@@ -4,8 +4,10 @@ Scenes are drawn from a counter-based Philox generator keyed by the
 scenario seed, so output is bit-identical across runs and platforms. Draw
 order is fixed: stem diameters for all berries, then per berry its surface
 directions and colors, then foliage positions / colors / camera
-assignment, then palette positions and colors. Colors are drawn in chunks
-(same draws, same order) and each part is freed once used: the peak is the
+assignment, then palette positions and colors. Berries go in groups of about
+``_COLOR_CHUNK`` rows: each draws into the group's buffers in turn, then the
+group is shaped and split as one block. Colors are drawn in chunks (same
+draws, same order) and each part is freed once used: the peak is the
 foliage positions plus the outputs, 17.7 MB for perf_300k's 9.3 MB.
 
 Each berry is a slightly prolate ellipsoid sampled on its surface; berry
@@ -58,8 +60,6 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
     """Synthesize the two camera clouds and their ground truth."""
     rng = np.random.Generator(np.random.Philox(scenario.seed))
     colors = scenario.colors
-    cam1_pos = scenario.camera_1.translation
-    cam2_pos = scenario.camera_2.translation
 
     nb = len(scenario.berries)
     drawn_stems = rng.uniform(*STEM_DIAMETER_RANGE_MM, size=nb)
@@ -67,66 +67,74 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
         spec.stem_diameter_mm if spec.stem_diameter_mm is not None else drawn_stems[i]
         for i, spec in enumerate(scenario.berries)])
 
-    parts1: list[tuple[np.ndarray, np.ndarray, int]] = []  # xyz, rgb, label
-    parts2: list[tuple[np.ndarray, np.ndarray, int]] = []
+    parts1: list[tuple] = []        # xyz, rgb, a label per run of rows, rows per run
+    parts2: list[tuple] = []
 
-    def _split(to_cam1: np.ndarray, pts: np.ndarray, rgb: np.ndarray, label: int) -> None:
-        """Append each camera's rows; take() on row indices gathers (n, 3)
-        rows faster than a boolean mask does."""
+    def _split(to_cam1: np.ndarray, pts: np.ndarray, rgb: np.ndarray, labels) -> None:
+        """Append each camera's rows of ``labels``' equal runs; take() on row
+        indices gathers (n, 3) rows faster than a boolean mask does."""
         for parts, mask in ((parts1, to_cam1), (parts2, ~to_cam1)):
             rows = np.flatnonzero(mask)
-            parts.append((pts.take(rows, axis=0), rgb.take(rows, axis=0), label))
+            counts = np.count_nonzero(mask.reshape(len(labels), -1), axis=1)
+            parts.append((pts.take(rows, axis=0), rgb.take(rows, axis=0), labels, counts))
 
-    def _colored(n: int, base: tuple[int, int, int], jitter: int) -> np.ndarray:
-        rgb = np.empty((n, 3), np.uint8)
-        for start in range(0, n, _COLOR_CHUNK):        # int64 a chunk at a time
-            jit = rng.integers(-jitter, jitter + 1, size=(min(_COLOR_CHUNK, n - start), 3)) + base
-            rgb[start:start + _COLOR_CHUNK] = jit.clip(0, 255, out=jit)
+    def _colored(rgb: np.ndarray, base: tuple[int, int, int], jitter: int) -> np.ndarray:
+        for chunk in (rgb[s:s + _COLOR_CHUNK] for s in range(0, len(rgb), _COLOR_CHUNK)):
+            jit = rng.integers(-jitter, jitter + 1, size=chunk.shape) + base  # int64 rows
+            chunk[:] = jit.clip(0, 255, out=jit)
         return rgb
 
-    centers = np.zeros((nb, 3))
-    for i, spec in enumerate(scenario.berries):
-        center = np.asarray(spec.center, dtype=np.float64)
-        centers[i] = center
-        n = scenario.berry_points
-        directions = rng.normal(size=(n, 3))
-        directions /= np.maximum(np.linalg.norm(directions, axis=1, keepdims=True), 1e-12)
-        radius = spec.diameter_m / 2.0
-        semi = np.array([radius, radius, _ELONGATION * radius])
-        pts = center + directions * semi
-        rgb = _colored(n, colors.berry_base, colors.berry_jitter)
-        outward = pts - center
-        facing1 = np.einsum("ij,ij->i", outward, cam1_pos - pts)
-        facing2 = np.einsum("ij,ij->i", outward, cam2_pos - pts)
-        _split(facing1 >= facing2, pts, rgb, i)
+    centers = np.array([spec.center for spec in scenario.berries], np.float64).reshape(nb, 3)
+    diameters = np.array([s.diameter_m for s in scenario.berries])
+    semi = diameters[:, None] / 2.0 * [1.0, 1.0, _ELONGATION]
+    n = scenario.berry_points
+
+    def _berries(labels: range) -> None:
+        """Draw the berries of ``labels`` in turn, then shape and split them as one block."""
+        directions = np.empty((len(labels) * n, 3))
+        rgb = np.empty(directions.shape, np.uint8)
+        for j in range(0, len(rgb), n):
+            rng.standard_normal(out=directions[j:j + n])
+            _colored(rgb[j:j + n], colors.berry_base, colors.berry_jitter)
+        x, y, z = directions.T                          # np.linalg.norm's left-to-right sum
+        directions /= np.maximum(np.sqrt((x * x + y * y) + z * z), 1e-12)[:, None]
+        center = np.repeat(centers[labels], n, axis=0)  # per row: numpy is slow to
+        pts = np.repeat(semi[labels], n, axis=0) * directions  # broadcast a (3,) operand
+        pts += center
+        outward = np.subtract(pts, center, out=directions)
+        facing1, facing2 = (np.einsum("ij,ij->i", outward, cam.translation - pts)
+                            for cam in (scenario.camera_1, scenario.camera_2))
+        _split(facing1 >= facing2, pts, rgb, labels)
+
+    group = max(1, _COLOR_CHUNK // n)                   # whole berries, about a chunk of rows
+    for g in range(0, nb, group):
+        _berries(range(g, min(g + group, nb)))
 
     fw = scenario.foliage_window
     nf = scenario.foliage_points
     fol_pts = rng.uniform([fw.x_min, fw.y_min, fw.z_min],
                           [fw.x_max, fw.y_max, fw.z_max], size=(nf, 3))
-    fol_rgb = _colored(nf, colors.foliage_base, colors.foliage_jitter)
-    _split(rng.integers(0, 2, size=nf) == 0, fol_pts, fol_rgb, LABEL_FOLIAGE)
+    fol_rgb = _colored(np.empty((nf, 3), np.uint8), colors.foliage_base, colors.foliage_jitter)
+    _split(rng.integers(0, 2, size=nf) == 0, fol_pts, fol_rgb, [LABEL_FOLIAGE])
     del fol_pts, fol_rgb
 
     pal = scenario.palette
     c = np.asarray(pal.center)
     half = np.asarray(pal.size) / 2.0
     pal_pts = rng.uniform(c - half, c + half, size=(pal.points, 3))
-    pal_rgb = _colored(pal.points, colors.berry_base, colors.palette_jitter)
-    parts1.append((pal_pts, pal_rgb, LABEL_PALETTE))
-    parts2.append((pal_pts, pal_rgb, LABEL_PALETTE))
+    pal_rgb = _colored(np.empty_like(pal_pts, np.uint8), colors.berry_base, colors.palette_jitter)
+    parts1.append((pal_pts, pal_rgb, [LABEL_PALETTE], [pal.points]))
+    parts2.append((pal_pts, pal_rgb, [LABEL_PALETTE], [pal.points]))
 
     def _assemble(parts, frame, pose):
-        xyz, rgb, labels = zip(*parts)
-        labels = np.repeat(np.array(labels, np.int32), [len(p) for p in xyz])
-        xyz, rgb = np.concatenate(xyz), np.concatenate(rgb)
+        xyz, rgb, labels, counts = (np.concatenate(a) for a in zip(*parts))
+        labels = np.repeat(labels.astype(np.int32), counts)
         parts.clear()                                 # before the transform allocates
         return PointCloud(pose.inverse().apply(xyz), rgb, frame), labels
 
     cloud1, labels1 = _assemble(parts1, CAMERA_1_FRAME, scenario.camera_1)
     cloud2, labels2 = _assemble(parts2, CAMERA_2_FRAME, scenario.camera_2)
 
-    diameters = np.array([s.diameter_m for s in scenario.berries])
     stem_bottom = centers[:, 2] + _ELONGATION * diameters / 2.0
     stem_lengths = np.array([s.stem_length_m for s in scenario.berries])
     toughness = np.array([

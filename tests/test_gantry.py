@@ -9,8 +9,8 @@ import pytest
 from laserberry import (CutModel, EtchState, GantryConfig, GantrySim, MotionProfile,
                         ValidationError, etch_step, load_datasets)
 from laserberry.errors import MotionError
-from laserberry.gantry import (AxisState, FallEvent, InterrupterBank,
-                               LensAxis, LensMode, TrapperState)
+from laserberry.gantry import (GRAVITY, AxisState, FallEvent, InterrupterBank,
+                               LensAxis, LensMode, TrapperState, _running)
 from laserberry.laser import etch_rate
 from laserberry.scenario import _KEYS
 from laserberry.scene import FruitBody
@@ -29,6 +29,34 @@ def _step_until_idle(axis, t, dt=DT, limit=60.0):
         steps += 1
         assert steps * dt < limit
     return t, steps
+
+
+# ---------------------------------------------------------------------------
+# running sums
+
+def _full_running(start, step, n):
+    """``_running`` as first written: ``np.full``, then one accumulate."""
+    out = np.full(n + 1, step)
+    out[0] = start
+    return np.add.accumulate(out, out=out)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 2 ** 14])
+def test_running_sums_equal_the_full_array_accumulate(n):
+    """Bit for bit: the clock (dt), the trapper closing and opening (a step of
+    either sign), the cut area, and the fall's per-tick height steps."""
+    rng = np.random.default_rng(n)
+    for start, step in [(0.0, DT), (0.0, 0.0), (12.3456, DT), (5.0, 1e-3 / 3),
+                        (30.0, -150.0 * DT), (0.0, -150.0 * DT), (-0.0, 0.0),
+                        *zip(rng.uniform(-1e4, 1e4, 20), rng.uniform(-3e-3, 3e-3, 20))]:
+        got, want = _running(start, step, n), _full_running(start, step, n)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes(), (start, step)
+    for v0, z0 in [(0.0, 0.6), (0.31, 0.55), *zip(rng.uniform(0, 3, 5), rng.uniform(0, 1, 5))]:
+        v = _running(v0, GRAVITY * DT, n)
+        assert v.tobytes() == _full_running(v0, GRAVITY * DT, n).tobytes()
+        got, want = _running(z0, -(v * DT), n), _full_running(z0, -(v * DT), n)
+        assert got.tobytes() == want.tobytes(), (v0, z0)
 
 
 # ---------------------------------------------------------------------------

@@ -98,3 +98,26 @@ def test_perf_scene_peaks_under_2_2_times_its_output():
         tracemalloc.stop()
     output = sum(a.nbytes for a in _arrays(scene).values())
     assert peak <= 2.2 * output, f"peak {peak / 1e6:.1f} MB for {output / 1e6:.1f} MB out"
+
+
+@pytest.mark.parametrize("berries, points", [(12, C // 3 - 1), (12, C // 3), (12, C // 3 + 1),
+                                             (1, C + 1)])
+def test_berry_counts_on_group_seams(demo, berries, points):
+    """Berries are shaped in groups of ``C // points`` whole berries: three, three
+    and two a group around ``C // 3``, and one berry of more than a chunk alone."""
+    specs = (demo.berries * 2)[:berries]
+    assert_same_scene(dataclasses.replace(demo, berries=specs, berry_points=points))
+
+
+def test_large_berries_peak_under_1_7_times_their_output(demo):
+    """Each group's working arrays die with the group (here one berry of twenty
+    thousand points), so they never pile up on the parts built so far."""
+    scenario = dataclasses.replace(demo, berry_points=20000)
+    tracemalloc.start()
+    try:
+        scene = generate_scene(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(a.nbytes for a in _arrays(scene).values())
+    assert peak <= 1.7 * output, f"peak {peak / 1e6:.1f} MB for {output / 1e6:.1f} MB out"
