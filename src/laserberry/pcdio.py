@@ -6,14 +6,14 @@ The source frame rides along in a leading ``# frame`` comment. Colors
 round-trip exactly; coordinates round-trip to float32. Files are UTF-8,
 whatever the locale.
 
-Rows are written in blocks with numpy. The writer tries two digit counts per
-coordinate, bracketed by its float32 spacing (Schubfach), for its shortest
-round-trip digits; :func:`_fmt32` (Dragon4) formats once a block each value
-the arrays cannot vouch for. Running sums of the token lengths place every
-token in one byte buffer. The reader decodes only the header; numpy's C text
-reader takes the rows after ``DATA`` wherever it reads them as the row loop
-does, and the row loop reads every other layout the format allows (comments
-and blank lines among the rows, other line ends) and names a bad line.
+Rows are written in blocks with numpy. Each coordinate's shortest round-trip
+digits ``d * 10**e`` come from two digit counts bracketed by its float32
+spacing (Schubfach), or from :func:`_fmt32` (Dragon4) once a block per
+magnitude the arrays cannot vouch for. Running sums of the token lengths place
+every token's digits in one byte buffer. The reader decodes only the header;
+numpy's C text reader takes the rows after ``DATA`` wherever it reads them as
+the row loop does, and the row loop reads every other layout the format allows
+(comments and blank lines among the rows, other line ends) and names a bad line.
 """
 
 from __future__ import annotations
@@ -73,16 +73,22 @@ _HALF = np.ldexp(_UP[_F], _e2 - 24)
 _HALF[::2] = np.nextafter(_HALF[::2], np.inf)
 
 
-def _digits(v32: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(whole, frac, nf, fall)``: ``|v32| == float32(whole + frac / 10**nf)``,
-    the nearest decimal of the fewest digits, and the lanes left to
-    :func:`_fmt32` (0.1 there). An interval one float32 spacing wide holds a
-    multiple of 10**-f and at most one of 10**(1-f) (Schubfach): the nearest
-    multiple of 10**(1-f) if its exact distance is under half a spacing, else
-    that of 10**-f, trailing zeros stripped. Scaled by 10**f in one rounding,
-    the value is exact for f >= 0 (a tie goes to the even digit, as in
-    Dragon4); for f < 0 a digit that is not the nearest falls back, as do
-    subnormals and powers of two (an asymmetric interval) but not zero."""
+def _parse(token: str) -> tuple[int, int]:
+    # a Dragon4 token "W.F" as (d, e), d without trailing zeros: "0.0" is (0, 0)
+    digits = token.replace(".", "").rstrip("0") or "0"
+    return int(digits), token.index(".") - len(digits)
+
+
+def _digits(v32: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, e)``: ``|v32| == float32(d * 10**e)``, the nearest decimal of the
+    fewest (at most 9) digits, none of them trailing zeros. An interval one
+    float32 spacing wide holds a multiple of 10**-f and at most one of 10**(1-f)
+    (Schubfach): the nearest multiple of 10**(1-f) if its exact distance is under
+    half a spacing, else that of 10**-f. Scaled by 10**f in one rounding, the
+    value is exact for f >= 0 (a tie goes to the even digit, as in Dragon4); for
+    f < 0 a digit that is not the nearest falls back, as do zeros, subnormals and
+    powers of two (an asymmetric interval): :func:`_fmt32` formats each magnitude
+    there once."""
     bits = v32.view(np.uint32)
     t = ((bits >> 22 & 0x1FE) | (bits & 1)).astype(np.intp)
     fall = _OUT[t] | ((bits & 0x7FFFFF) == 0)
@@ -93,64 +99,57 @@ def _digits(v32: np.ndarray) -> tuple[np.ndarray, ...]:
     s = scaled / down
     d, coarse = np.rint(s), np.rint(s / 10)
     ok = np.abs(coarse * (10 * down) - scaled) < _HALF[t]  # exact
-    k = f - ok
+    e = _K - f + ok
     d += (coarse - d) * ok                            # the coarse one if it reparses; exact
     if f.min() <= _K:                                 # s rounded: is rint's digit the nearest?
         fall |= ~ok & (np.abs(d * down - scaled) * 2 > down)
-    d[fall], k[fall] = 1, _K + 1
-    z = np.flatnonzero(d == np.floor(d / 10) * 10)
-    while z.size:                                     # only a coarse decimal ends in 0
-        d[z] /= 10
-        k[z] -= 1
-        z = z[d[z] == np.floor(d[z] / 10) * 10]
-    up, down = _UP[k], _DOWN[k]
-    whole = np.floor(d / up)                          # exact: d < 2**53
-    zero = bits << 1 == 0                             # 0.0 and -0.0
-    return whole * down, (d - whole * up) * ~zero, np.maximum(k - _K, 1), fall & ~zero
+    z = np.flatnonzero(d == np.floor(d / 10) * 10)    # only a coarse decimal ends in 0
+    dz, ez = d[z], e[z]
+    for p in (8, 4, 2, 1):                            # d < 10**9: at most 8 zeros
+        q = np.floor(dz / 10 ** p)
+        cut = q * 10 ** p == dz
+        dz, ez = np.where(cut, q, dz), ez + p * cut
+    d[z], e[z] = dz, ez
+    lanes = np.flatnonzero(fall)
+    if lanes.size:                                    # Dragon4 once per distinct magnitude
+        # stable sorts only (return_index picks one): quicksort maps ~0.3 MB more code
+        values, _, which = np.unique(a[lanes].astype(np.float32), True, True)
+        d[lanes], e[lanes] = np.array([_parse(_fmt32(v)) for v in values]).T[:, which]
+    return d, e
 
 
 def _format_rows(xyz32: np.ndarray, rgb: np.ndarray) -> np.ndarray:
-    """The data lines of one block. A coordinate's token is the whole number of
-    its digits with 0s for the '.' and separator, the rgb's ends in a 0 for the
-    newline. Summed token lengths place them in one buffer, last token first
-    (numpy assigns in index order), as w zero-padded bytes ending on its last
-    byte: the tokens before overwrite the padding. Dots, signs, fallbacks last."""
-    rows, v32 = len(rgb), xyz32.ravel()
-    whole, frac, nf, fall = _digits(v32)
-    neg = (v32.view(np.int32) < 0).reshape(rows, 3)
-    packed = rgb @ np.array([65536.0, 256.0, 1.0])
-    num = np.column_stack(((whole.astype(np.int64) * (10 ** np.arange(14))[nf + 1]
-                            + frac.astype(np.int64)).reshape(rows, 3), packed.astype(np.int64)))
-    # digits of whole parts and rgbs, of <= 9 significant digits: 2**-40 is
-    # far more than log10's error, far less than a gap to the next power of ten
-    ni = np.log10(np.concatenate((whole, packed)) * (1 + 2 ** -40) + 0.5).astype(np.intp) + 1
-    size = ni[:-rows] + nf + 2                        # with the '.' and the separator
-    w = (max(size.max(), ni[-rows:].max() + 1) + 3) // 4 * 4
-    lens = np.column_stack((size.reshape(rows, 3) + neg, ni[-rows:] + 1))
-    lanes, tokens, groups = np.flatnonzero(fall), [], []
-    if lanes.size:                                    # Dragon4 once per distinct value
-        # stable sorts only (return_index picks one): quicksort maps ~0.3 MB more code
-        values, _, which, counts = np.unique(v32[lanes], True, True, True)
-        tokens = [np.frombuffer(_fmt32(v).encode(), np.uint8) for v in values]
-        cells = lanes + lanes // 3                    # each lane's place in lens and end
-        np.put(lens, cells, np.array([len(t) + 1 for t in tokens])[which])
-        groups = np.split(cells[np.argsort(which, kind="stable")], np.cumsum(counts)[:-1])
-    end = np.cumsum(lens).reshape(rows, 4) + (w - 1)  # each token's last byte, after w spare
-    u, words = np.flip(num.ravel()) * 10, np.empty((4 * rows, w // 4), np.uint32)
-    for j in range(w // 4 - 1, -1, -1):               # four digits at a time, last first
+    """The data lines of one block, in a buffer of ASCII 0s. A token's digits,
+    ``d`` with a 0 inserted -e digits from its end (its '.', or for e >= 0 the
+    first 0 after them), fill a 12-byte zero-padded field ending -e bytes after
+    the '.'; an rgb is a token of e = 0 whose '.' falls on its newline. Summed
+    token lengths place the fields, last token first (numpy assigns in index
+    order): the tokens before overwrite the padding. Then dots, signs, separators."""
+    rows = len(rgb)
+    d, e = (x.reshape(rows, 3) for x in _digits(xyz32.ravel()))
+    d = np.column_stack((d, rgb @ np.array([65536.0, 256.0, 1.0])))
+    e = np.column_stack((e, np.zeros(rows, np.intp)))
+    neg = np.column_stack((xyz32.view(np.int32) < 0, np.zeros(rows, bool)))
+    # digits of d (< 10**9): 2**-40 exceeds log10's error, not a gap to 10**k
+    nd = np.log10(d * (1 + 2 ** -40) + 0.5).astype(np.intp) + 1
+    whole, frac = np.maximum(nd + e, 1), np.maximum(-e, 1)
+    frac[:, 3] = -1                                   # an rgb's '.' is its newline
+    sep = np.cumsum(whole + frac + 2 + neg).reshape(rows, 4) + 10  # 11 spare bytes first
+    dot = sep - frac - 1
+    p = _P10[(-e).clip(0, 9)]                         # d < 10**9: no '.' past 9 digits
+    u = np.flip((d + np.floor(d / p) * (9 * p)).ravel()).astype(np.int64)
+    words = np.empty((4 * rows, 3), np.uint32)
+    for j in (2, 1, 0):                               # four digits at a time, last first
         q = u // 10000
         words[:, j] = _WORDS[u - q * 10000]
         u = q
-    words.view(np.uint8)[:, -1] = np.frombuffer(b"\n   " * rows, np.uint8)
-    buf = np.empty(end[-1, 3] + 1, np.uint8)
-    np.ndarray((len(buf) - w + 1,), f"V{w}", buf, strides=(1,))[end.ravel()[::-1] - (w - 1)] = (
-        words.view(f"V{w}").ravel())
-    dot = end[:, :3] - nf.reshape(rows, 3) - 1
+    buf = np.full(sep[-1, 3] + 1, ord("0"), np.uint8)
+    np.ndarray((len(buf) - 11,), "V12", buf, strides=(1,))[np.flip((dot - e).ravel()) - 11] = (
+        words.view("V12").ravel())
     buf[dot] = ord(".")
-    buf[(dot - ni[:-rows].reshape(rows, 3) - 1) * neg] = ord("-")  # else to spare byte 0
-    for token, group in zip(tokens, groups):          # all lanes of one value at once
-        buf[(end.take(group) - len(token))[:, None] + np.arange(len(token))] = token
-    return buf[w:]
+    buf[(dot - whole - 1) * neg] = ord("-")           # else to spare byte 0
+    buf[sep] = np.frombuffer(b"   \n" * rows, np.uint8).reshape(rows, 4)
+    return buf[11:]
 
 
 def write_pcd(cloud: PointCloud, path: str | Path) -> None:

@@ -101,9 +101,11 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
         center = np.repeat(centers[labels], n, axis=0)  # per row: numpy is slow to
         pts = np.repeat(semi[labels], n, axis=0) * directions  # broadcast a (3,) operand
         pts += center
-        outward = np.subtract(pts, center, out=directions)
-        facing1, facing2 = (np.einsum("ij,ij->i", outward, cam.translation - pts)
-                            for cam in (scenario.camera_1, scenario.camera_2))
+        # outward . (camera - pts), summed left to right whatever numpy's SIMD kernels
+        (ox, oy, oz), (px, py, pz) = np.subtract(pts, center, out=directions).T, pts.T
+        facing1, facing2 = ((ox * (cx - px) + oy * (cy - py)) + oz * (cz - pz)
+                            for cx, cy, cz in (scenario.camera_1.translation,
+                                               scenario.camera_2.translation))
         _split(facing1 >= facing2, pts, rgb, labels)
 
     group = max(1, _COLOR_CHUNK // n)                   # whole berries, about a chunk of rows

@@ -53,9 +53,10 @@ def reference_scene(scenario):
         pts = center + directions * semi
         rgb = _colored(n, colors.berry_base, colors.berry_jitter)
         labels = np.full(n, i, dtype=np.int32)
-        outward = pts - center
-        facing1 = np.einsum("ij,ij->i", outward, cam1_pos - pts)
-        facing2 = np.einsum("ij,ij->i", outward, cam2_pos - pts)
+        ox, oy, oz = (pts - center).T
+        (ax, ay, az), (bx, by, bz) = (cam1_pos - pts).T, (cam2_pos - pts).T
+        facing1 = (ox * ax + oy * ay) + oz * az
+        facing2 = (ox * bx + oy * by) + oz * bz
         _split(facing1 >= facing2, pts, rgb, labels)
 
     fw = scenario.foliage_window

@@ -10,6 +10,7 @@ and the lean one must peak under a fixed multiple of its output's size.
 import dataclasses
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +46,16 @@ def demo():
 @pytest.mark.parametrize("name", ["demo_11", "demo_overreach", "perf_300k"])
 def test_bundled_scenes_equal_the_reference(name):
     assert_same_scene(load_scenario(bundled_scenario_path(name)))
+
+
+def test_the_camera_split_needs_no_einsum(demo, monkeypatch):
+    # einsum's kernel rounds a three-term dot product by CPU features and
+    # memory layout: both generators sum each facing left to right instead
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    assert_same_scene(demo)
 
 
 @pytest.mark.parametrize("foliage", [0, 1, C - 1, C, C + 1, 2 * C + 1])
