@@ -2,7 +2,9 @@
 
 Coordinates are metric and expressed in named frames; color channels are
 8-bit RGB. All containers are immutable after construction so they can be
-shared freely between the localization pipeline and tests.
+shared freely between the localization pipeline and tests. Transforms sum
+in a fixed order with elementwise operations, so their results depend on
+neither the BLAS, the CPU, the thread count nor the array layout.
 
 :class:`KdTree` answers radius queries from the points sorted by x.
 Clustering does not use it: it builds its own voxel grid, and cuts a cloud
@@ -27,22 +29,22 @@ CAMERA_2_FRAME = "camera-2"
 _ROT_TOL = 1e-9
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _readonly(a: np.ndarray, order: str = "C") -> np.ndarray:
+    a = np.asarray(a, order=order)
     a.setflags(write=False)
     return a
 
 
 @dataclass(frozen=True)
 class PointCloud:
-    """An ordered set of colored points in a named frame.
+    """An ordered set of colored points in a named frame, stored column-major.
 
     Parameters
     ----------
     xyz : (n, 3) float64 array
-        Metric coordinates. Must be finite.
+        Metric coordinates, each axis one contiguous column. Must be finite.
     rgb : (n, 3) uint8 array
-        Color channels, row-aligned with ``xyz``.
+        Color channels, each one contiguous column, row-aligned with ``xyz``.
     frame : str
         Name of the coordinate frame the points are expressed in.
     """
@@ -64,8 +66,8 @@ class PointCloud:
             if rgb.size and (rgb.min() < 0 or rgb.max() > 255):
                 raise ValidationError("color channels outside [0, 255]")
             rgb = rgb.astype(np.uint8)
-        object.__setattr__(self, "xyz", _readonly(xyz))
-        object.__setattr__(self, "rgb", _readonly(rgb))
+        object.__setattr__(self, "xyz", _readonly(xyz, "F"))
+        object.__setattr__(self, "rgb", _readonly(rgb, "F"))
 
     @classmethod
     def empty(cls, frame: str) -> "PointCloud":
@@ -137,22 +139,23 @@ class RigidTransform:
         return cls(np.array(rot), np.asarray(translation, dtype=np.float64))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform an (n, 3) array of points.
+        """Transform an (n, 3) array of points into a column-major (n, 3) array.
 
-        Each row's result depends on that row alone, bit for bit, so
-        ``apply(x[rows])`` equals ``apply(x)[rows]`` for every index set.
-        """
-        pts = np.asarray(points, dtype=np.float64)
-        if len(pts) == 1:
-            # numpy hands a one-row product to another BLAS routine, which
-            # may round differently; two rows take the many-row path
-            return (np.vstack([pts, pts]) @ self.rotation.T + self.translation)[:1]
-        out = pts @ self.rotation.T
-        return np.add(out, self.translation, out=out)  # in place: no second (n, 3) array
+        Column ``i`` is ``((x*r0 + y*r1) + z*r2) + t`` for rotation row ``r`` and translation
+        ``t`` number ``i``. So each row depends on that row alone, and on neither the BLAS, the
+        CPU, the thread count nor the array layout: ``apply(x[rows])`` is ``apply(x)[rows]``."""
+        x, y, z = np.asarray(points, dtype=np.float64).T
+        out, term = np.empty((3, len(x))), np.empty(len(x))
+        for o, (r0, r1, r2), t in zip(out, self.rotation.tolist(), self.translation.tolist()):
+            np.multiply(x, r0, out=o)
+            o += np.multiply(y, r1, out=term)
+            o += np.multiply(z, r2, out=term)
+            o += t
+        return out.T
 
     def inverse(self) -> "RigidTransform":
-        rot_t = self.rotation.T
-        return RigidTransform(rot_t, -rot_t @ self.translation)
+        rot_t, (x, y, z) = self.rotation.T, self.translation.tolist()  # -(R^T t), apply's order
+        return RigidTransform(rot_t, [-((x * a + y * b) + z * c) for a, b, c in rot_t.tolist()])
 
 
 def _quat_product(p, q) -> tuple[float, float, float, float]:
@@ -165,10 +168,7 @@ def _quat_product(p, q) -> tuple[float, float, float, float]:
 
 
 def transform_cloud(t: RigidTransform, cloud: PointCloud, target_frame: str) -> PointCloud:
-    """Re-express a cloud in ``target_frame`` through the rigid transform ``t``.
-
-    Colors and point order are preserved; only coordinates change.
-    """
+    """Re-express a cloud in ``target_frame`` through ``t``; colors and point order are kept."""
     return PointCloud(t.apply(cloud.xyz), cloud.rgb, target_frame)
 
 

@@ -84,14 +84,18 @@ class ColorReference:
     def rows(self, rgb: np.ndarray) -> np.ndarray:
         """Ascending row indices of colors within the half-width on every channel.
 
-        A channel value ``v`` passes when ``|v - mean| < threshold``; the
-        test is tabulated once for the 256 possible values of each channel
-        and looked up per point: red on every row, green and blue only on
-        the rows red passes (red rejects most of a cluttered frame).
+        A channel value ``v`` passes when ``|v - mean| < threshold``, tabulated once
+        for the 256 values. ``|v - mean|`` rounds monotonically on either side of the
+        mean, so the ``n`` passing values of a channel are ``lo .. lo + n - 1``: one
+        wrapped uint8 compare, red on every row, green and blue on the rows red
+        passes (red rejects most of a cluttered frame).
         """
-        table = (np.abs(np.arange(256.0)[:, None] - self.mean) < self.thresholds).T
-        rows = np.flatnonzero(table[0].take(rgb[:, 0]))
-        return rows[table[1].take(rgb[rows, 1]) & table[2].take(rgb[rows, 2])]
+        table = np.abs(np.arange(256.0)[:, None] - self.mean) < self.thresholds
+        lo, top = table.argmax(axis=0).tolist(), (table.sum(axis=0) - 1).tolist()  # none: -1
+        r, g, b = rgb.T
+        rows = np.flatnonzero(np.subtract(r, lo[0], dtype=np.uint8) <= top[0])
+        return rows[(np.subtract(g[rows], lo[1], dtype=np.uint8) <= top[1])
+                    & (np.subtract(b[rows], lo[2], dtype=np.uint8) <= top[2])]
 
 
 def calibration_reference(palette_cloud: PointCloud, r_th: float, g_th: float,
@@ -110,7 +114,7 @@ def _palette_reference(rgb, r_th, g_th, b_th) -> ColorReference:
     """:func:`calibration_reference` from the palette colors ``rgb`` alone."""
     if len(rgb) == 0:
         raise CalibrationError("palette patch not visible: empty calibration cloud")
-    mean = np.ones(len(rgb)) @ rgb / len(rgb)   # integer sums under 2**53 are exact in any order
+    mean = rgb.T @ np.ones(len(rgb)) / len(rgb)   # integer sums under 2**53: exact in any order
     return ColorReference(*mean, r_th, g_th, b_th)
 
 
@@ -204,7 +208,7 @@ def _any_pair_within(cols, start, count, a, b, tol) -> np.ndarray:
 def _cell_pairs(cells: np.ndarray, stride: np.ndarray, reach: int):
     """Forward pairs ``(a, b)`` of the sorted keys ``cells`` at most ``reach`` apart
     per axis, ``_CELL_BLOCK`` cells ``a`` at a time: two searches a column, needles ascending."""
-    dxy, dz = _COLUMNS[reach][:, :2] @ stride[:2], _COLUMNS[reach][:, 2]
+    dxy, dz = _COLUMNS[reach][:, :2] @ stride[:2], _COLUMNS[reach][:, 2]  # exact in any order
     for block in range(0, len(cells), _CELL_BLOCK):
         here = cells[block:block + _CELL_BLOCK] + dxy[:, None]
         first = np.searchsorted(cells, here + dz[:, None]).ravel()
@@ -233,7 +237,7 @@ def _touching(q: np.ndarray, comp: np.ndarray, stride: np.ndarray) -> np.ndarray
         near = (lo[:, :, None] <= hi[:, None] + 2).all(axis=0)
         if (near & near.T).sum() == k:      # only the diagonal
             return comp[:0]
-    key = stride @ (q // 2)     # the padding keeps a block's neighbours on the grid
+    key = stride @ (q // 2)     # exact in any order; the padding keeps neighbours on the grid
     order = np.argsort(key)
     key = key[order]
     start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -256,8 +260,7 @@ def _grid_labels(xyz: np.ndarray, tol: float) -> np.ndarray | None:
     for cell pairs up to two apart in different components, then every point pair
     where it did not decide (unless both cells hold one point), and relabels.
     """
-    # (3, n) rows: numpy reduces (n, 3) along axis 0 one 3-wide row at a time
-    cols = xyz.T.copy()
+    cols = xyz.T     # (3, n): numpy reduces (n, 3) along axis 0 one 3-wide row at a time
     lo = cols.min(axis=1)
     side = tol * _CELL_SIDE
     with np.errstate(over="ignore"):
@@ -312,7 +315,7 @@ def _component_labels(xyz: np.ndarray, tol: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         axis = int(np.ptp(xyz, axis=0).argmax())
     order = np.argsort(xyz[:, axis], kind="stable")
-    v = xyz[order, axis]
+    v = xyz[:, axis][order]
     width = _MAX_CELLS // 2 * tol * _CELL_SIDE
     node = np.empty(len(v), dtype=np.int64)    # label of each point in the last slab holding it
     edges, found, at, end = [], 0, 0, 0
@@ -321,7 +324,7 @@ def _component_labels(xyz: np.ndarray, tol: float) -> np.ndarray:
         if hi - v[at] > width:          # rounded up: the slab would be too wide
             hi = np.nextafter(hi, -np.inf)
         top = int(np.searchsorted(v, hi, "right"))
-        sub = _component_labels(xyz[order[at:top]], tol) + found
+        sub = _component_labels(xyz.T.take(order[at:top], axis=1).T, tol) + found
         edges.append((node[at:end].copy(), sub[:end - at]))
         node[at:top] = sub
         found, end = int(sub.max()) + 1, top
@@ -348,7 +351,7 @@ def _pick_runs(xyz: np.ndarray, params: ClusterParams):
     size = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
     start = np.cumsum(size) - size
-    boxes = _run_boxes(xyz[order].T.copy(), start, size)
+    boxes = _run_boxes(xyz.T.take(order, axis=1), start, size)
     keep = np.flatnonzero((size >= params.min_size) & (size <= params.max_size))
     centroid = boxes[2][keep]
     ranked = keep[np.lexsort((order[start[keep]], centroid[:, 0], centroid[:, 1]))]
@@ -453,15 +456,14 @@ def _rows_inside(window: SpatialWindow, pose: RigidTransform,
     w = window
     corners = np.array(list(itertools.product((w.x_min, w.x_max), (w.y_min, w.y_max),
                                               (w.z_min, w.z_max))))
-    back = (corners - pose.translation) @ pose.rotation     # the inverse pose, unchecked
+    back = (corners - pose.translation) @ pose.rotation  # the inverse; the pad covers its rounding
     pad = 1e-6 * (1.0 + np.abs(corners).max() + np.abs(pose.translation).max())
     lo, hi = back.min(axis=0) - pad, back.max(axis=0) + pad
-    x = np.ascontiguousarray(xyz[:, 0])     # compared ~3x faster than a strided column
-    rows = np.flatnonzero((x >= lo[0]) & (x <= hi[0]))
+    rows = np.flatnonzero((xyz[:, 0] >= lo[0]) & (xyz[:, 0] <= hi[0]))
     for axis in (1, 2):
-        v = xyz[rows, axis]
+        v = xyz[:, axis][rows]
         rows = rows[(v >= lo[axis]) & (v <= hi[axis])]
-    base = pose.apply(xyz[rows])
+    base = pose.apply(xyz.T.take(rows, axis=1).T)   # gathers ~3x faster than xyz[rows]
     inside = window.mask(base)
     return rows[inside], base[inside]
 
@@ -473,13 +475,14 @@ def _fruit_rows(cloud_1: PointCloud, cloud_2: PointCloud, t_base_cam1: RigidTran
     xyz_parts, row_parts = [], []
     for cloud, pose in ((cloud_1, t_base_cam1), (cloud_2, t_base_cam2)):
         rows, _ = _rows_inside(config.palette_window, pose, cloud.xyz)
-        ref = _palette_reference(cloud.rgb[rows], config.r_th, config.g_th, config.b_th)
+        ref = _palette_reference(cloud.rgb.T.take(rows, axis=1).T, config.r_th, config.g_th,
+                                 config.b_th)
         rows = ref.rows(cloud.rgb)
-        xyz = pose.apply(cloud.xyz[rows])
-        inside = config.reduced_window.mask(xyz) & ~config.palette_window.mask(xyz)
-        xyz_parts.append(xyz[inside])
+        xyz = pose.apply(cloud.xyz.T.take(rows, axis=1).T)
+        inside = np.flatnonzero(config.reduced_window.mask(xyz) & ~config.palette_window.mask(xyz))
+        xyz_parts.append(xyz.T.take(inside, axis=1))
         row_parts.append(rows[inside])
-    return np.vstack(xyz_parts), row_parts
+    return np.concatenate(xyz_parts, axis=1).T, row_parts
 
 
 def localize_clusters(cloud_1: PointCloud, cloud_2: PointCloud,

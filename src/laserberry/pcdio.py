@@ -127,7 +127,7 @@ def _format_rows(xyz32: np.ndarray, rgb: np.ndarray) -> np.ndarray:
     order): the tokens before overwrite the padding. Then dots, signs, separators."""
     rows = len(rgb)
     d, e = (x.reshape(rows, 3) for x in _digits(xyz32.ravel()))
-    d = np.column_stack((d, rgb @ np.array([65536.0, 256.0, 1.0])))
+    d = np.column_stack((d, rgb @ np.array([65536.0, 256.0, 1.0])))  # exact in any order
     e = np.column_stack((e, np.zeros(rows, np.intp)))
     neg = np.column_stack((xyz32.view(np.int32) < 0, np.zeros(rows, bool)))
     # digits of d (< 10**9): 2**-40 exceeds log10's error, not a gap to 10**k
@@ -157,7 +157,7 @@ def write_pcd(cloud: PointCloud, path: str | Path) -> None:
     coordinate beyond the float32 range raises :class:`ValidationError`,
     naming its row (0-based) and value, before the file is opened."""
     with np.errstate(over="ignore"):
-        xyz32 = cloud.xyz.astype(np.float32)
+        xyz32 = cloud.xyz.astype(np.float32, order="C")  # a block's ravel() stays a view
     for row, col in np.argwhere(~np.isfinite(xyz32))[:1]:
         raise ValidationError(f"{cloud.frame} row {row}: coordinate {float(cloud.xyz[row, col])}"
                               " is beyond the float32 range of a PCD file")
@@ -192,7 +192,7 @@ def _load_rows(path: Path, data_start: int, n: int) -> tuple[np.ndarray, np.ndar
     xyz, packed = rows["xyz"], rows["rgb"]
     if len(rows) != n or not np.isfinite(xyz).all() or not (packed >> 24 == 0).all():
         return None
-    return xyz.astype(np.float64), packed
+    return xyz.astype(np.float64, order="F"), packed
 
 
 @np.errstate(over="ignore")                           # np.float32("1e39") is inf: refused below
@@ -203,7 +203,7 @@ def _parse_rows(lines: list[str], data_start: int, n: int,
     if n > len(lines) - data_start:                   # every row needs a line after DATA
         raise PcdParseError(f"expected {n} data rows, only {len(lines) - data_start} "
                             "lines follow DATA", points_line)
-    xyz, packed, count = np.empty((n, 3)), np.empty(n, dtype=np.int64), 0
+    xyz, packed, count = np.empty((n, 3), order="F"), np.empty(n, dtype=np.int64), 0
     for lineno in range(data_start + 1, len(lines) + 1):
         stripped = lines[lineno - 1].strip()
         if not stripped or stripped.startswith("#"):
@@ -291,4 +291,4 @@ def read_pcd(path: str | Path) -> PointCloud:
     xyz, packed = rows or _parse_rows(decode_utf8(Path(path).read_bytes(), PcdParseError)
                                       .splitlines(), data_start, n, header_line["POINTS"])
     rgb = packed.astype("<u4").view(np.uint8).reshape(-1, 4)[:, 2::-1]  # bytes b, g, r, 0
-    return PointCloud(xyz, rgb.copy(), frame)
+    return PointCloud(xyz, rgb.copy(order="F"), frame)  # column-major: PointCloud copies none

@@ -129,8 +129,10 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
     parts2.append((pal_pts, pal_rgb, [LABEL_PALETTE], [pal.points]))
 
     def _assemble(parts, frame, pose):
-        xyz, rgb, labels, counts = (np.concatenate(a) for a in zip(*parts))
-        labels = np.repeat(labels.astype(np.int32), counts)
+        xyz, rgb, labels, counts = zip(*parts)      # xyz and rgb joined column-major
+        xyz, rgb = (np.concatenate(a, out=np.empty((sum(map(len, a)), 3), a[0].dtype, order="F"))
+                    for a in (xyz, rgb))
+        labels = np.repeat(np.concatenate(labels).astype(np.int32), np.concatenate(counts))
         parts.clear()                                 # before the transform allocates
         return PointCloud(pose.inverse().apply(xyz), rgb, frame), labels
 

@@ -11,6 +11,8 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+from comparing import assert_same_text
+
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden" / "calibrate_gantry_speed.txt"
 GOLDEN_SHA256 = "56b71c4a9cf3d684ddbb43749b21ff0c55a27fb9b697194ad958acba889fb550"
@@ -24,4 +26,4 @@ def test_calibration_demo_prints_the_golden_bytes(capsys):
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
     demo.main()
-    assert capsys.readouterr().out.encode() == golden
+    assert_same_text(capsys.readouterr().out.encode(), golden)

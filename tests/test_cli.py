@@ -17,6 +17,7 @@ from laserberry.errors import ScenarioError, ValidationError
 from laserberry.geometry import PointCloud
 from laserberry.pcdio import read_pcd, write_pcd
 from laserberry.scenario import bundled_scenario_path, load_scenario
+from comparing import assert_same_text
 from test_localization import _flat_fruit_clouds
 
 
@@ -177,7 +178,7 @@ def test_simulate_writes_deterministic_metrics(tmp_path, capsys):
     capsys.readouterr()
     b1 = (out1 / "metrics.csv").read_bytes()
     b2 = (out2 / "metrics.csv").read_bytes()
-    assert b1 == b2
+    assert_same_text(b1, b2)
     text = b1.decode()
     assert text.count("\n") == 14   # header + 11 rows + 2 footer comments
     assert "# successes=11 attempted=11" in text

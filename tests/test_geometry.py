@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from laserberry import (Aabb, KdTree, PointCloud, RigidTransform,
-                        ValidationError, bounding_boxes, load_scenario)
+                        ValidationError, bounding_boxes, load_scenario, read_pcd, write_pcd)
 from laserberry.geometry import transform_cloud
 from laserberry.scenario import bundled_scenario_path
 from laserberry.scene import generate_scene
@@ -51,6 +51,33 @@ def test_cloud_arrays_are_readonly():
         cloud.xyz[0, 0] = 99.0
     with pytest.raises(ValueError):
         cloud.rgb[0, 0] = 99
+
+
+def _assert_column_major(cloud, xyz, rgb):
+    for got, want in ((cloud.xyz, np.asarray(xyz, np.float64)), (cloud.rgb, np.asarray(rgb))):
+        assert got.flags.f_contiguous and not got.flags.writeable
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_clouds_store_each_column_contiguously(tmp_path):
+    rng = np.random.default_rng(71)
+    xyz = rng.normal(size=(40, 3))
+    rgb = rng.integers(0, 256, size=(40, 3), dtype=np.uint8)
+    for make in (np.ascontiguousarray, np.asfortranarray, np.ndarray.tolist):
+        cloud = PointCloud(make(xyz), make(rgb), "f")
+        _assert_column_major(cloud, xyz, rgb)
+    rows = rng.permutation(40)[:17]
+    _assert_column_major(cloud.select(rows), xyz[rows], rgb[rows])
+    _assert_column_major(cloud.select(xyz[:, 0] > 0), xyz[xyz[:, 0] > 0], rgb[xyz[:, 0] > 0])
+    with pytest.raises(IndexError):
+        cloud.select(np.ones(39, bool))
+    assert RigidTransform.identity().apply(xyz).flags.f_contiguous
+    for cloud in generate_scene(load_scenario(bundled_scenario_path("demo_11")))[:2]:
+        _assert_column_major(cloud, cloud.xyz.copy(order="C"), cloud.rgb.copy(order="C"))
+        write_pcd(cloud, tmp_path / "c.pcd")
+        back = read_pcd(tmp_path / "c.pcd")
+        _assert_column_major(back, cloud.xyz.astype(np.float32), cloud.rgb)
 
 
 def test_empty_cloud():
@@ -124,6 +151,48 @@ def test_apply_is_row_independent(name):
             assert np.array_equal(pose.apply(cloud.xyz[rows]), full[rows]), size
         for i in rng.choice(len(cloud), 300, replace=False):
             assert np.array_equal(pose.apply(cloud.xyz[i:i + 1]), full[i:i + 1]), i
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _scalar_apply(pose, rows):
+    """``apply``'s documented order, one Python float operation at a time."""
+    rot, t = pose.rotation.tolist(), pose.translation.tolist()
+    return np.array([[((x * r0 + y * r1) + z * r2) + ti for (r0, r1, r2), ti in zip(rot, t)]
+                     for x, y, z in rows.tolist()]).reshape(-1, 3)
+
+
+def _bundled_poses():
+    scenarios = [load_scenario(bundled_scenario_path(name))
+                 for name in ("demo_11", "demo_overreach", "perf_300k")]
+    return [pose for s in scenarios for pose in (s.camera_1, s.camera_2)]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_apply_and_inverse_equal_a_scalar_evaluation_bit_for_bit(order):
+    # no BLAS product: the bits follow from the documented order alone
+    rng = np.random.default_rng(83)
+    poses = _bundled_poses() + [RigidTransform.from_euler_deg(*rng.uniform(-180, 180, 3),
+                                                              rng.uniform(-1, 1, 3))
+                                for _ in range(4)]
+    rows = rng.choice([-1.0, 1.0], (2000, 3)) * 10.0 ** rng.uniform(-3, 3, (2000, 3))
+    rows = np.asarray(rows, order=order)
+    for pose in poses + [p.inverse() for p in poses]:
+        got, want = pose.apply(rows), _scalar_apply(pose, rows)
+        differ = (_bits(got) != _bits(want)).any(axis=1)
+        assert not differ.any(), f"{differ.sum()} of {len(rows)} rows differ"
+        for pts in (rows[:0], rows[:2]):
+            assert _bits(pose.apply(pts)).tobytes() == _bits(_scalar_apply(pose, pts)).tobytes()
+        single = [(_bits(pose.apply(p)) != _bits(_scalar_apply(pose, p))).any()
+                  for p in rows[:200, None]]
+        assert not any(single), f"{sum(single)} of 200 one-row inputs differ"
+        inv = pose.inverse()
+        x, y, z = pose.translation.tolist()
+        want_t = [-((x * r0 + y * r1) + z * r2) for r0, r1, r2 in pose.rotation.T.tolist()]
+        assert inv.translation.tobytes() == np.array(want_t).tobytes()
+        assert inv.rotation.tobytes() == np.ascontiguousarray(pose.rotation.T).tobytes()
 
 
 def test_transform_cloud_relabels_frame():

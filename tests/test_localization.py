@@ -145,6 +145,27 @@ def test_filter_red_matches_predicate_fuzz():
         np.testing.assert_array_equal(out.rgb, rgb[keep])
 
 
+@pytest.mark.parametrize("mean, th", [
+    ((300.0, 100.0, 100.0), (20.0, 45.0, 45.0)),       # an empty red band
+    ((100.0, 100.0, 40.5), (45.0, 45.0, 0.5)),         # ... and an empty blue one
+    ((127.5, 0.0, 255.0), (128.5, 300.0, 1e300)),      # every value passes
+    ((0.0, 255.0, 10.0), (45.0, 45.0, 45.0)),          # clipped at 0 and at 255
+    ((-20.0, 270.0, 127.5), (45.5, 45.5, 128.0)),
+    ((100.5, 40.5, 200.5), (0.75, 1.0, 0.5000001)),    # half-integer means
+    ((100.0, 40.0, 200.0), (0.25, 1.0, 1e-9)),         # thresholds below 1
+])
+def test_color_rows_equal_the_brute_force_rule(mean, th):
+    rng = np.random.default_rng(41)
+    rgb = np.vstack([rng.integers(0, 256, (5000, 3), dtype=np.uint8),
+                     np.repeat(np.arange(256, dtype=np.uint8), 3).reshape(-1, 3)])
+    refs = [ColorReference(*mean, *th)] + [
+        ColorReference(*rng.uniform(-30, 285, 3), *rng.uniform(0.1, 120, 3)) for _ in range(20)]
+    for ref in refs:
+        want = np.flatnonzero((np.abs(rgb - ref.mean) < ref.thresholds).all(axis=1))
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            np.testing.assert_array_equal(ref.rows(layout(rgb)), want)
+
+
 def test_merge_requires_common_frame():
     a = _cloud(np.zeros((2, 3)), frame="harvester-base")
     b = _cloud(np.ones((2, 3)), frame="camera-1")

@@ -20,6 +20,7 @@ from laserberry.cli import main
 from laserberry.pcdio import _fmt32
 from laserberry.scenario import bundled_scenario_path, load_scenario
 from laserberry.scene import generate_scene
+from comparing import assert_same_text
 
 
 def _cloud(rng, n, frame="camera-1"):
@@ -47,7 +48,7 @@ def test_write_read_write_is_stable(tmp_path):
     p1, p2 = tmp_path / "a.pcd", tmp_path / "b.pcd"
     write_pcd(cloud, p1)
     write_pcd(read_pcd(p1), p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    assert_same_text(p1.read_bytes(), p2.read_bytes())
 
 
 def test_empty_cloud_roundtrip(tmp_path):
@@ -251,7 +252,7 @@ def test_writer_rows_match_the_row_loop(tmp_path, rows):
     write_pcd(cloud, path)
     header, data = path.read_text().split("DATA ascii\n")
     assert header.endswith(f"POINTS {rows}\n")
-    assert data == _loop_rows(cloud)
+    assert_same_text(data, _loop_rows(cloud))
 
 
 def test_every_awkward_value_is_written_as_the_row_loop_writes_it(tmp_path):
@@ -260,7 +261,7 @@ def test_every_awkward_value_is_written_as_the_row_loop_writes_it(tmp_path):
                        np.zeros((len(vals) // 3, 3), dtype=np.uint8), "cam")
     path = tmp_path / "w.pcd"
     write_pcd(cloud, path)
-    assert path.read_text().split("DATA ascii\n")[1] == _loop_rows(cloud)
+    assert_same_text(path.read_text().split("DATA ascii\n")[1], _loop_rows(cloud))
     np.testing.assert_array_equal(read_pcd(path).xyz, cloud.xyz)
 
 
@@ -269,7 +270,7 @@ def test_legacy_print_mode_does_not_change_the_bytes(tmp_path):
     write_pcd(cloud, tmp_path / "a.pcd")
     with np.printoptions(legacy="1.13"):
         write_pcd(cloud, tmp_path / "b.pcd")
-    assert (tmp_path / "a.pcd").read_bytes() == (tmp_path / "b.pcd").read_bytes()
+    assert_same_text((tmp_path / "a.pcd").read_bytes(), (tmp_path / "b.pcd").read_bytes())
 
 
 def test_writer_emits_utf8(tmp_path):
@@ -625,7 +626,7 @@ def test_writer_matches_the_row_loop_on_fuzzed_floats(tmp_path, monkeypatch):
     cloud = PointCloud(vals[:3 * rows].reshape(rows, 3).astype(np.float64), rgb, "cam")
     path = tmp_path / "w.pcd"
     write_pcd(cloud, path)
-    assert path.read_text().split("DATA ascii\n")[1] == _loop_rows(cloud)
+    assert_same_text(path.read_text().split("DATA ascii\n")[1], _loop_rows(cloud))
     monkeypatch.setattr(pcdio, "_parse_rows",
                         lambda *args: pytest.fail("a written file took the row loop"))
     back = read_pcd(path)
@@ -643,7 +644,7 @@ def test_written_float32_values_round_trip(xyz, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "h.pcd"
         write_pcd(cloud, path)
-        assert path.read_text().split("DATA ascii\n")[1] == _loop_rows(cloud)
+        assert_same_text(path.read_text().split("DATA ascii\n")[1], _loop_rows(cloud))
         back = read_pcd(path)
     np.testing.assert_array_equal(back.xyz, cloud.xyz)
     np.testing.assert_array_equal(back.rgb, rgb)
