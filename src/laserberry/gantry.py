@@ -272,7 +272,7 @@ class InterrupterBank:
                     | (np.abs(fruit.y - ty) > self.halfspan_m)))
 
 
-@dataclass
+@dataclass(eq=False)
 class TickBlock:
     """Ticks ``0..n`` of the machine from now (tick 0), built by
     :meth:`GantrySim.replay`. At tick ``beam`` a beam reports ``seen``: the

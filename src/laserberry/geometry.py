@@ -1,8 +1,8 @@
 """Colored point clouds, rigid transforms, boxes, and radius queries.
 
 Coordinates are metric and expressed in named frames; color channels are
-8-bit RGB. All containers are immutable after construction so they can be
-shared freely between the localization pipeline and tests. Transforms sum
+8-bit RGB. A record freezes its own views, never its caller's arrays, and a
+record that holds arrays compares and hashes by identity. Transforms sum
 in a fixed order with elementwise operations, so their results depend on
 neither the BLAS, the CPU, the thread count nor the array layout.
 
@@ -30,12 +30,21 @@ _ROT_TOL = 1e-9
 
 
 def _readonly(a: np.ndarray, order: str = "C") -> np.ndarray:
-    a = np.asarray(a, order=order)
+    a = np.asarray(a, order=order).view()   # freeze a view, never the caller's array
     a.setflags(write=False)
     return a
 
 
-@dataclass(frozen=True)
+def _gather(rows, *arrays: np.ndarray) -> list[np.ndarray]:
+    """Rows of (n, 3) arrays, column-major: one ``take`` a column; masks checked as indexing."""
+    rows = np.asarray(rows)
+    if rows.dtype == bool and rows.shape != arrays[0].shape[:1]:
+        raise IndexError(f"boolean index of shape {rows.shape} for {len(arrays[0])} rows")
+    rows = np.flatnonzero(rows) if rows.dtype == bool else rows
+    return [a.T.take(rows, axis=1).T for a in arrays]
+
+
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """An ordered set of colored points in a named frame, stored column-major.
 
@@ -63,8 +72,8 @@ class PointCloud:
         if xyz.size and not np.isfinite(xyz).all():
             raise ValidationError("cloud contains non-finite coordinates")
         if rgb.dtype != np.uint8:
-            if rgb.size and (rgb.min() < 0 or rgb.max() > 255):
-                raise ValidationError("color channels outside [0, 255]")
+            if not ((rgb >= 0) & (rgb <= 255) & (np.trunc(rgb) == rgb)).all():   # NaN fails all
+                raise ValidationError("color channels must be whole numbers in [0, 255]")
             rgb = rgb.astype(np.uint8)
         object.__setattr__(self, "xyz", _readonly(xyz, "F"))
         object.__setattr__(self, "rgb", _readonly(rgb, "F"))
@@ -77,11 +86,11 @@ class PointCloud:
         return self.xyz.shape[0]
 
     def select(self, mask_or_indices) -> "PointCloud":
-        """Return the sub-cloud at the given boolean mask or index array."""
-        return PointCloud(self.xyz[mask_or_indices], self.rgb[mask_or_indices], self.frame)
+        """Return the sub-cloud at the given boolean mask or index array (:func:`_gather`)."""
+        return PointCloud(*_gather(mask_or_indices, self.xyz, self.rgb), self.frame)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidTransform:
     """A proper rigid transform ``p_out = rotation @ p_in + translation``.
 
@@ -172,7 +181,7 @@ def transform_cloud(t: RigidTransform, cloud: PointCloud, target_frame: str) -> 
     return PointCloud(t.apply(cloud.xyz), cloud.rgb, target_frame)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Aabb:
     """Axis-aligned bounding box with inclusive bounds."""
 
@@ -206,12 +215,11 @@ class KdTree:
     """
 
     def __init__(self, points: np.ndarray):
-        points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
+        self.points = points = _readonly(np.asarray(points, dtype=np.float64))
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValidationError(f"points must be (n, 3), got {points.shape}")
         if points.size and not np.isfinite(points).all():
             raise ValidationError("points contain non-finite coordinates")
-        self.points = _readonly(points)
         self._order = np.argsort(points[:, 0], kind="stable")
         self._x = points[self._order, 0]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ValidationError, require
-from .geometry import Aabb, BASE_FRAME, PointCloud, RigidTransform, _readonly
+from .geometry import Aabb, BASE_FRAME, PointCloud, RigidTransform, _gather, _readonly
 
 
 @dataclass(frozen=True)
@@ -324,7 +324,7 @@ def _component_labels(xyz: np.ndarray, tol: float) -> np.ndarray:
         if hi - v[at] > width:          # rounded up: the slab would be too wide
             hi = np.nextafter(hi, -np.inf)
         top = int(np.searchsorted(v, hi, "right"))
-        sub = _component_labels(xyz.T.take(order[at:top], axis=1).T, tol) + found
+        sub = _component_labels(*_gather(order[at:top], xyz), tol) + found
         edges.append((node[at:end].copy(), sub[:end - at]))
         node[at:top] = sub
         found, end = int(sub.max()) + 1, top
@@ -378,7 +378,7 @@ def euclidean_clusters(cloud: PointCloud, params: ClusterParams) -> list[PointCl
     return [cloud.select(order[start[k]:start[k] + size[k]]) for k in ranked]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BerryBox:
     """A localized fruit: bounding box, centroid, and pick order rank."""
 
@@ -394,7 +394,7 @@ class BerryBox:
         if not self.box.contains(c):
             raise ValidationError("centroid lies outside its bounding box")
         require("positive", point_count=self.point_count)
-        object.__setattr__(self, "centroid", c)
+        object.__setattr__(self, "centroid", _readonly(c))
 
 
 def _unchecked(cls, **fields):
@@ -463,7 +463,7 @@ def _rows_inside(window: SpatialWindow, pose: RigidTransform,
     for axis in (1, 2):
         v = xyz[:, axis][rows]
         rows = rows[(v >= lo[axis]) & (v <= hi[axis])]
-    base = pose.apply(xyz.T.take(rows, axis=1).T)   # gathers ~3x faster than xyz[rows]
+    base = pose.apply(*_gather(rows, xyz))   # ~3x faster than xyz[rows]
     inside = window.mask(base)
     return rows[inside], base[inside]
 
@@ -475,10 +475,9 @@ def _fruit_rows(cloud_1: PointCloud, cloud_2: PointCloud, t_base_cam1: RigidTran
     xyz_parts, row_parts = [], []
     for cloud, pose in ((cloud_1, t_base_cam1), (cloud_2, t_base_cam2)):
         rows, _ = _rows_inside(config.palette_window, pose, cloud.xyz)
-        ref = _palette_reference(cloud.rgb.T.take(rows, axis=1).T, config.r_th, config.g_th,
-                                 config.b_th)
+        ref = _palette_reference(*_gather(rows, cloud.rgb), config.r_th, config.g_th, config.b_th)
         rows = ref.rows(cloud.rgb)
-        xyz = pose.apply(cloud.xyz.T.take(rows, axis=1).T)
+        xyz = pose.apply(*_gather(rows, cloud.xyz))
         inside = np.flatnonzero(config.reduced_window.mask(xyz) & ~config.palette_window.mask(xyz))
         xyz_parts.append(xyz.T.take(inside, axis=1))
         row_parts.append(rows[inside])
@@ -506,8 +505,8 @@ def localize_clusters(cloud_1: PointCloud, cloud_2: PointCloud,
     CalibrationError
         If either camera sees no palette points.
     """
-    xyz, (rows_1, rows_2) = _fruit_rows(cloud_1, cloud_2, t_base_cam1, t_base_cam2, config)
-    rgb = np.vstack([cloud_1.rgb[rows_1], cloud_2.rgb[rows_2]])
+    xyz, rows = _fruit_rows(cloud_1, cloud_2, t_base_cam1, t_base_cam2, config)
+    rgb = np.concatenate([c.rgb.T.take(r, axis=1) for c, r in zip((cloud_1, cloud_2), rows)], 1).T
     return euclidean_clusters(PointCloud(xyz, rgb, BASE_FRAME), config.cluster)
 
 

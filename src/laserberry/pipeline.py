@@ -19,7 +19,7 @@ def cut_model_for(scenario: Scenario) -> CutModel:
     return CutModel(embedded_pierce(scenario.laser.dataset), toughness=scenario.laser.toughness)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
     """Everything a full scenario run produces."""
 

@@ -6,9 +6,9 @@ order is fixed: stem diameters for all berries, then per berry its surface
 directions and colors, then foliage positions / colors / camera
 assignment, then palette positions and colors. Berries go in groups of about
 ``_COLOR_CHUNK`` rows: each draws into the group's buffers in turn, then the
-group is shaped and split as one block. Colors are drawn in chunks (same
-draws, same order) and each part is freed once used: the peak is the
-foliage positions plus the outputs, 17.7 MB for perf_300k's 9.3 MB.
+group is shaped and split as one block. Jitter is drawn in chunks (same draws,
+same order) and clipped once per part, each part freed once used: the peak is
+the foliage positions plus the outputs, 17.7 MB for perf_300k's 9.3 MB.
 
 Each berry is a slightly prolate ellipsoid sampled on its surface; berry
 and foliage points are partitioned between the two cameras by which camera
@@ -38,11 +38,11 @@ _ELONGATION = 1.15
 #: Stem diameters are drawn uniformly from this band (mm) when unspecified.
 STEM_DIAMETER_RANGE_MM = (2.0, 2.4)
 
-#: Rows of color jitter drawn, shifted and clipped into the uint8 colors at a time.
+#: Rows of color jitter one ``integers`` call draws; base plus jitter fits int16.
 _COLOR_CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneTruth:
     """Generator-side ground truth for a synthetic scene."""
 
@@ -78,11 +78,15 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
             counts = np.count_nonzero(mask.reshape(len(labels), -1), axis=1)
             parts.append((pts.take(rows, axis=0), rgb.take(rows, axis=0), labels, counts))
 
-    def _colored(rgb: np.ndarray, base: tuple[int, int, int], jitter: int) -> np.ndarray:
-        for chunk in (rgb[s:s + _COLOR_CHUNK] for s in range(0, len(rgb), _COLOR_CHUNK)):
-            jit = rng.integers(-jitter, jitter + 1, size=chunk.shape) + base  # int64 rows
-            chunk[:] = jit.clip(0, 255, out=jit)
-        return rgb
+    def _jitter(rows: int, jitter: int) -> np.ndarray:
+        """``rows`` rows of int16 color jitter, one ``integers`` call per ``_COLOR_CHUNK``."""
+        jit = np.empty((rows, 3), np.int16)
+        for chunk in (jit[s:s + _COLOR_CHUNK] for s in range(0, rows, _COLOR_CHUNK)):
+            chunk[:] = rng.integers(-jitter, jitter + 1, size=chunk.shape)
+        return jit
+
+    def _colored(jit: np.ndarray, base: tuple[int, int, int]) -> np.ndarray:
+        return np.clip(np.add(jit, base, out=jit), 0, 255, out=jit).astype(np.uint8)
 
     centers = np.array([spec.center for spec in scenario.berries], np.float64).reshape(nb, 3)
     diameters = np.array([s.diameter_m for s in scenario.berries])
@@ -92,10 +96,11 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
     def _berries(labels: range) -> None:
         """Draw the berries of ``labels`` in turn, then shape and split them as one block."""
         directions = np.empty((len(labels) * n, 3))
-        rgb = np.empty(directions.shape, np.uint8)
+        rgb = np.empty(directions.shape, np.int16)      # the jitter, then the colors
         for j in range(0, len(rgb), n):
             rng.standard_normal(out=directions[j:j + n])
-            _colored(rgb[j:j + n], colors.berry_base, colors.berry_jitter)
+            rgb[j:j + n] = _jitter(n, colors.berry_jitter)
+        rgb = _colored(rgb, colors.berry_base)
         x, y, z = directions.T                          # np.linalg.norm's left-to-right sum
         directions /= np.maximum(np.sqrt((x * x + y * y) + z * z), 1e-12)[:, None]
         center = np.repeat(centers[labels], n, axis=0)  # per row: numpy is slow to
@@ -116,7 +121,7 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
     nf = scenario.foliage_points
     fol_pts = rng.uniform([fw.x_min, fw.y_min, fw.z_min],
                           [fw.x_max, fw.y_max, fw.z_max], size=(nf, 3))
-    fol_rgb = _colored(np.empty((nf, 3), np.uint8), colors.foliage_base, colors.foliage_jitter)
+    fol_rgb = _colored(_jitter(nf, colors.foliage_jitter), colors.foliage_base)
     _split(rng.integers(0, 2, size=nf) == 0, fol_pts, fol_rgb, [LABEL_FOLIAGE])
     del fol_pts, fol_rgb
 
@@ -124,7 +129,7 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
     c = np.asarray(pal.center)
     half = np.asarray(pal.size) / 2.0
     pal_pts = rng.uniform(c - half, c + half, size=(pal.points, 3))
-    pal_rgb = _colored(np.empty_like(pal_pts, np.uint8), colors.berry_base, colors.palette_jitter)
+    pal_rgb = _colored(_jitter(pal.points, colors.palette_jitter), colors.berry_base)
     parts1.append((pal_pts, pal_rgb, [LABEL_PALETTE], [pal.points]))
     parts2.append((pal_pts, pal_rgb, [LABEL_PALETTE], [pal.points]))
 
@@ -160,8 +165,7 @@ def generate_scene(scenario: Scenario) -> tuple[PointCloud, PointCloud, SceneTru
 
 def apply_color_gain(cloud: PointCloud, gain: float) -> PointCloud:
     """Scale every channel by ``gain`` (rounded, clipped to 8 bits)."""
-    rgb = np.clip(np.rint(cloud.rgb.astype(np.float64) * gain), 0, 255).astype(np.uint8)
-    return PointCloud(cloud.xyz, rgb, cloud.frame)
+    return PointCloud(cloud.xyz, np.clip(np.rint(cloud.rgb * float(gain)), 0, 255), cloud.frame)
 
 
 @dataclass
@@ -202,13 +206,7 @@ class FruitBody:
 
 def make_world(truth: SceneTruth) -> list[FruitBody]:
     """Instantiate fruit bodies from scene ground truth."""
-    world = []
-    for i in range(len(truth.berry_centers)):
-        cx, cy, cz = truth.berry_centers[i]
-        world.append(FruitBody(
-            uid=i, x=float(cx), y=float(cy), z=float(cz),
-            stem_x=float(cx), stem_y=float(cy),
-            stem_diameter_mm=float(truth.stem_diameters_mm[i]),
-            toughness=float(truth.toughness[i]),
-        ))
-    return world
+    return [FruitBody(uid=i, x=x, y=y, z=z, stem_x=x, stem_y=y, stem_diameter_mm=d, toughness=k)
+            for i, ((x, y, z), d, k) in enumerate(zip(truth.berry_centers.tolist(),
+                                                      truth.stem_diameters_mm.tolist(),
+                                                      truth.toughness.tolist()))]

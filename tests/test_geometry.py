@@ -4,10 +4,12 @@ The ``KdTree`` checks run against a brute-force linear scan; the transform
 checks run against explicit R @ p + t matrix math.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from laserberry import (Aabb, KdTree, PointCloud, RigidTransform,
+from laserberry import (Aabb, BerryBox, KdTree, PointCloud, RigidTransform,
                         ValidationError, bounding_boxes, load_scenario, read_pcd, write_pcd)
 from laserberry.geometry import transform_cloud
 from laserberry.scenario import bundled_scenario_path
@@ -78,6 +80,60 @@ def test_clouds_store_each_column_contiguously(tmp_path):
         write_pcd(cloud, tmp_path / "c.pcd")
         back = read_pcd(tmp_path / "c.pcd")
         _assert_column_major(back, cloud.xyz.astype(np.float32), cloud.rgb)
+
+
+def test_records_freeze_their_own_views_never_the_callers_arrays():
+    rng = np.random.default_rng(12)
+    xyz = rng.normal(size=(6, 3))
+    given = {"C xyz": xyz.copy(), "F xyz": np.asfortranarray(xyz),
+             "F rgb": np.asfortranarray(rng.integers(0, 256, (6, 3), dtype=np.uint8)),
+             "rotation": RigidTransform.from_euler_deg(10.0, 20.0, 30.0).rotation.copy(),
+             "translation": np.ones(3), "points": xyz.copy(), "lo": -np.ones(3),
+             "hi": np.ones(3), "centroid": np.zeros(3)}
+    clouds = [PointCloud(given[key], given["F rgb"], "f") for key in ("C xyz", "F xyz")]
+    pose = RigidTransform(given["rotation"], given["translation"])
+    box = BerryBox(Aabb(given["lo"], given["hi"]), given["centroid"], 3, 0)
+    held = [a for c in clouds for a in (c.xyz, c.rgb)] + [
+        pose.rotation, pose.translation, KdTree(given["points"]).points,
+        box.box.min, box.box.max, box.centroid]
+    assert [k for k, a in given.items() if not a.flags.writeable] == []
+    assert not any(a.flags.writeable for a in held)
+
+
+@pytest.mark.parametrize("by", ["indices", "mask"])
+def test_select_equals_fancy_indexing_in_one_copy(by):
+    rng = np.random.default_rng(37)
+    n = 150_000
+    cloud = _random_cloud(rng, n)
+    rows = np.sort(rng.permutation(n)[:n // 2])
+    if by == "mask":
+        rows = np.isin(np.arange(n), rows)
+    tracemalloc.start()
+    try:
+        sub = cloud.select(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_column_major(sub, cloud.xyz[rows], cloud.rgb[rows])
+    selected = sub.xyz.nbytes + sub.rgb.nbytes
+    assert peak <= 1.35 * selected, f"peak {peak / selected:.2f}x the selected cloud"
+    for bad in (np.ones(n - 1, bool), np.ones(n + 1, bool), [n], [-n - 1]):
+        with pytest.raises(IndexError):
+            cloud.select(bad)
+    np.testing.assert_array_equal(cloud.select([-1, 0]).xyz, cloud.xyz[[-1, 0]])
+
+
+@pytest.mark.parametrize("rgb, ok", [([[0, 128, 255]], True), ([[0.0, 128.0, 255.0]], True),
+                                     ([[1, 2, 256]], False), ([[-1, 2, 3]], False),
+                                     ([[10.7, 2, 3]], False), ([[np.nan, 2, 3]], False),
+                                     ([[np.inf, 2, 3]], False)])
+def test_colors_must_be_whole_numbers_in_0_255(rgb, ok):
+    make = lambda: PointCloud(np.zeros((1, 3)), np.array(rgb), "f")
+    if ok:
+        assert make().rgb.tolist() == [[0, 128, 255]]
+    else:
+        with pytest.raises(ValidationError, match="whole numbers in \\[0, 255\\]"):
+            make()
 
 
 def test_empty_cloud():

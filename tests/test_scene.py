@@ -121,6 +121,7 @@ def test_apply_color_gain_rounds_and_clips():
     cloud = PointCloud(np.zeros((1, 3)), rgb, "f")
     np.testing.assert_array_equal(apply_color_gain(cloud, 0.7).rgb, [[140, 70, 2]])
     np.testing.assert_array_equal(apply_color_gain(cloud, 2.0).rgb, [[255, 200, 6]])
+    np.testing.assert_array_equal(apply_color_gain(cloud, 2).rgb, [[255, 200, 6]])
 
 
 # ---------------------------------------------------------------------------
