@@ -38,6 +38,8 @@ def _readonly(a: np.ndarray, order: str = "C") -> np.ndarray:
 def _gather(rows, *arrays: np.ndarray) -> list[np.ndarray]:
     """Rows of (n, 3) arrays, column-major: one ``take`` a column; masks checked as indexing."""
     rows = np.asarray(rows)
+    if rows.ndim != 1:
+        raise IndexError(f"row index of shape {rows.shape}: rows are picked by a 1-D index")
     if rows.dtype == bool and rows.shape != arrays[0].shape[:1]:
         raise IndexError(f"boolean index of shape {rows.shape} for {len(arrays[0])} rows")
     rows = np.flatnonzero(rows) if rows.dtype == bool else rows
@@ -86,8 +88,12 @@ class PointCloud:
         return self.xyz.shape[0]
 
     def select(self, mask_or_indices) -> "PointCloud":
-        """Return the sub-cloud at the given boolean mask or index array (:func:`_gather`)."""
-        return PointCloud(*_gather(mask_or_indices, self.xyz, self.rgb), self.frame)
+        """Return the sub-cloud at the given boolean mask or index array (:func:`_gather`),
+        built from rows this cloud has checked: ``__post_init__`` does not run again."""
+        xyz, rgb = _gather(mask_or_indices, self.xyz, self.rgb)
+        sub = object.__new__(PointCloud)
+        sub.__dict__.update(xyz=_readonly(xyz, "F"), rgb=_readonly(rgb, "F"), frame=self.frame)
+        return sub
 
 
 @dataclass(frozen=True, eq=False)

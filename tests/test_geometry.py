@@ -123,6 +123,25 @@ def test_select_equals_fancy_indexing_in_one_copy(by):
     np.testing.assert_array_equal(cloud.select([-1, 0]).xyz, cloud.xyz[[-1, 0]])
 
 
+def test_select_builds_the_cloud_a_checked_construction_would():
+    rng = np.random.default_rng(38)
+    cloud = _random_cloud(rng, 300, frame="camera-2")
+    for rows in (rng.permutation(300)[:120], np.sort(rng.permutation(300)[:7]), [-1, 0],
+                 np.array([], np.intp), cloud.xyz[:, 1] > 0, np.zeros(300, bool)):
+        sub = cloud.select(rows)
+        want = PointCloud(cloud.xyz[rows], cloud.rgb[rows], cloud.frame)
+        assert type(sub) is PointCloud and vars(sub).keys() == vars(want).keys()
+        assert sub.frame == want.frame
+        for got, exp in ((sub.xyz, want.xyz), (sub.rgb, want.rgb)):
+            assert got.tobytes() == exp.tobytes()
+            assert (got.dtype, got.shape, got.strides) == (exp.dtype, exp.shape, exp.strides)
+            for flag in ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE", "ALIGNED"):
+                assert got.flags[flag] == exp.flags[flag], flag
+    for bad in (np.zeros((2, 2), np.intp), np.intp(3), np.ones((300, 1), bool)):
+        with pytest.raises(IndexError):
+            cloud.select(bad)
+
+
 @pytest.mark.parametrize("rgb, ok", [([[0, 128, 255]], True), ([[0.0, 128.0, 255.0]], True),
                                      ([[1, 2, 256]], False), ([[-1, 2, 3]], False),
                                      ([[10.7, 2, 3]], False), ([[np.nan, 2, 3]], False),

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from laserberry import PcdParseError, PointCloud, ValidationError, pcdio, read_pcd, write_pcd
 from laserberry.cli import main
+from laserberry.geometry import BASE_FRAME, CAMERA_1_FRAME, CAMERA_2_FRAME
 from laserberry.pcdio import _fmt32
 from laserberry.scenario import bundled_scenario_path, load_scenario
 from laserberry.scene import generate_scene
@@ -242,7 +243,11 @@ def _awkward_float32(rng):
     return np.concatenate([vals, -vals])
 
 
-@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 4095, 4096, 4097])
+_B = pcdio._BLOCK
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 4095, 4096, 4097,
+                                  _B - 1, _B, _B + 1, 2 * _B + 1])
 def test_writer_rows_match_the_row_loop(tmp_path, rows):
     rng = np.random.default_rng(rows)
     pool = rng.permutation(_awkward_float32(rng))
@@ -278,6 +283,47 @@ def test_writer_emits_utf8(tmp_path):
     write_pcd(cloud, tmp_path / "u.pcd")
     assert (tmp_path / "u.pcd").read_bytes().startswith("# frame kamera-ü\n".encode())
     assert read_pcd(tmp_path / "u.pcd").frame == "kamera-ü"
+
+
+@pytest.mark.parametrize("block, rows", [(1, 40), (3, 40), (4096, 2 * 4096 + 1)])
+def test_writer_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, block, rows):
+    cloud = _cloud(np.random.default_rng(block), rows)
+    write_pcd(cloud, tmp_path / "default.pcd")
+    monkeypatch.setattr(pcdio, "_BLOCK", block)
+    write_pcd(cloud, tmp_path / "patched.pcd")
+    assert_same_text((tmp_path / "patched.pcd").read_bytes(),
+                     (tmp_path / "default.pcd").read_bytes())
+
+
+def test_writer_memory_is_bounded_by_one_block(tmp_path):
+    # the writer holds one block's temporaries at a time, never a whole cloud's
+    peaks = []
+    for rows in (2 * _B, 4 * _B):
+        cloud = _cloud(np.random.default_rng(rows), rows)
+        tracemalloc.start()
+        try:
+            write_pcd(cloud, tmp_path / "m.pcd")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], f"peaks {peaks[0]:,} and {peaks[1]:,} bytes"
+
+
+@pytest.mark.parametrize("frame", ["cam\nPOINTS 3", "cam x\n", "  cam ", "cam\r", "", "\tcam",
+                                   "cam\u3000", "\ud800", "cam\udc85"]
+                         + [f"a{brk}b" for brk in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"])
+def test_writer_refuses_a_frame_that_would_not_read_back(tmp_path, frame):
+    path = tmp_path / "f.pcd"
+    with pytest.raises(ValidationError, match=re.escape(f"frame {frame!r} would not read back")):
+        write_pcd(PointCloud(np.zeros((2, 3)), np.zeros((2, 3), np.uint8), frame), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("frame", [CAMERA_1_FRAME, CAMERA_2_FRAME, BASE_FRAME,
+                                   "kamera-ü", "a  b", "#x", "unknown"])
+def test_written_frames_read_back(tmp_path, frame):
+    write_pcd(PointCloud(np.zeros((2, 3)), np.zeros((2, 3), np.uint8), frame), tmp_path / "f.pcd")
+    assert read_pcd(tmp_path / "f.pcd").frame == frame
 
 
 _FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
@@ -391,7 +437,7 @@ def test_reader_matches_the_row_loop(tmp_path, monkeypatch, kind, seed, rows):
     lines = data.splitlines()
     perturb, accepted = PERTURBATIONS[kind]
     if perturb is not None:
-        # near the 1,024-row block seam when there is one
+        # rows 1020-1027 of the longer file, any row of the shorter
         r = int(rng.integers(1020, 1028) if rows > 1024 else rng.integers(0, rows - 1))
         perturb(lines, r, rng)
     newline = "\r\n" if kind == "crlf" else "\n"
