@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .controller import CycleMetrics
-from .datasets import load_datasets, load_lateral_csv, load_pierce_csv
+from .datasets import embedded_pierce, load_datasets, load_lateral_csv, load_pierce_csv
 from .errors import (CalibrationError, PcdParseError, ScenarioError,
                      ValidationError)
 from .geometry import BASE_FRAME, PointCloud
@@ -173,14 +173,12 @@ def _print_metrics(metrics: CycleMetrics) -> None:
 
 
 def cmd_simulate(args) -> int:
-    if args.svg and args.out is None:
-        raise ValidationError("--svg needs --out")
     scenario = _scenario(args)
     out = _out_dir(args)
     result = simulate_scenario(scenario)
     _print_metrics(result.metrics)
     if out is not None:
-        result.metrics.write_csv(out / "metrics.csv")
+        (out / "metrics.csv").write_text(result.metrics.to_csv())
         if args.svg:
             _svg_bars(out / "cycle_times.svg",
                       [r.cycle_time_s for r in result.metrics.records],
@@ -189,14 +187,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize_spot(args) -> int:
-    if args.svg and args.out is None:
-        raise ValidationError("--svg needs --out")
-    if args.dataset is not None:
-        records = load_pierce_csv(args.dataset)
-    else:
-        ds = load_datasets()
-        records = ds.fine if args.table == "fine" else ds.coarse
-    model = CutModel(records)
+    model = CutModel(load_pierce_csv(args.dataset) if args.dataset is not None
+                     else embedded_pierce(args.table))
     out = _out_dir(args)
     lo = args.lo if args.lo is not None else float(model.knots[0])
     hi = args.hi if args.hi is not None else float(model.knots[-1])
@@ -304,6 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "svg", False) and args.out is None:    # before any file is read
+            raise ValidationError("--svg needs --out")
         return args.func(args)
     except (OSError, PcdParseError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)

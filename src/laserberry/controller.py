@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Callable
 
 from .errors import MotionError, ValidationError, require
@@ -141,9 +140,6 @@ class CycleMetrics:
                      f"mean_cut_time_s={self.mean_cut_s:.3f} "
                      f"mean_cycle_time_s={self.mean_cycle_s:.3f}")
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv())
 
 
 def _approach_z(box: BerryBox) -> float:

@@ -46,6 +46,13 @@ def _gather(rows, *arrays: np.ndarray) -> list[np.ndarray]:
     return [a.T.take(rows, axis=1).T for a in arrays]
 
 
+def _unchecked(cls, **fields):
+    """``cls(**fields)`` for a frozen dataclass, without ``__post_init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """An ordered set of colored points in a named frame, stored column-major.
@@ -91,9 +98,8 @@ class PointCloud:
         """Return the sub-cloud at the given boolean mask or index array (:func:`_gather`),
         built from rows this cloud has checked: ``__post_init__`` does not run again."""
         xyz, rgb = _gather(mask_or_indices, self.xyz, self.rgb)
-        sub = object.__new__(PointCloud)
-        sub.__dict__.update(xyz=_readonly(xyz, "F"), rgb=_readonly(rgb, "F"), frame=self.frame)
-        return sub
+        return _unchecked(PointCloud, xyz=_readonly(xyz, "F"), rgb=_readonly(rgb, "F"),
+                          frame=self.frame)
 
 
 @dataclass(frozen=True, eq=False)

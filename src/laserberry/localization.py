@@ -1,10 +1,11 @@
 """Fruit localization from a pair of registered RGB-D point clouds.
 
-Each camera cloud is calibrated against a palette patch visible to both
-cameras and reduced to the points near that reference color inside the
-scene volume; the survivors of both cameras, merged in the gantry base
-frame, are clustered per fruit by an exact voxel-grid union in two reaches
-(see :func:`euclidean_clusters`) and ranked along the picking axis. One sort
+Each camera calibrates with :func:`calibration_reference` on its palette
+sub-cloud, the points inside a palette patch visible to both cameras, and
+is reduced to the points near that reference color inside the scene
+volume; the survivors of both cameras, merged in the gantry base frame,
+are clustered per fruit by an exact voxel-grid union in two reaches (see
+:func:`euclidean_clusters`) and ranked along the picking axis. One sort
 by cluster label, then row, makes each cluster a run of contiguous coordinate
 rows, and :func:`localize` boxes the runs straight from those rows.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ValidationError, require
-from .geometry import Aabb, BASE_FRAME, PointCloud, RigidTransform, _gather, _readonly
+from .geometry import Aabb, BASE_FRAME, PointCloud, RigidTransform, _gather, _readonly, _unchecked
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,7 @@ def calibration_reference(palette_cloud: PointCloud, r_th: float, g_th: float,
     CalibrationError
         If the palette cloud is empty (patch not visible to the camera).
     """
-    return _palette_reference(palette_cloud.rgb, r_th, g_th, b_th)
-
-
-def _palette_reference(rgb, r_th, g_th, b_th) -> ColorReference:
-    """:func:`calibration_reference` from the palette colors ``rgb`` alone."""
+    rgb = palette_cloud.rgb
     if len(rgb) == 0:
         raise CalibrationError("palette patch not visible: empty calibration cloud")
     mean = rgb.T @ np.ones(len(rgb)) / len(rgb)   # integer sums under 2**53: exact in any order
@@ -397,13 +394,6 @@ class BerryBox:
         object.__setattr__(self, "centroid", _readonly(c))
 
 
-def _unchecked(cls, **fields):
-    """``cls(**fields)`` for a frozen dataclass, without ``__post_init__``."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 def _berry_boxes(boxes, size, ranked) -> list[BerryBox]:
     """Boxes of the runs ``ranked`` (in rank order) from their :func:`_run_boxes`
     and sizes; on finite points no ``Aabb`` or ``BerryBox`` check can fail."""
@@ -447,12 +437,11 @@ class LocalizationConfig:
         require("positive and finite", r_th=self.r_th, g_th=self.g_th, b_th=self.b_th)
 
 
-def _rows_inside(window: SpatialWindow, pose: RigidTransform,
-                 xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending rows of ``xyz`` that ``pose`` maps inside ``window``, and their
-    images. Only candidates in the box of the window's corners mapped back
-    through the inverse pose are transformed; the box is widened far beyond
-    the rounding of either transform, which grows with the magnitudes."""
+def _rows_inside(window: SpatialWindow, pose: RigidTransform, xyz: np.ndarray) -> np.ndarray:
+    """Ascending rows of ``xyz`` that ``pose`` maps inside ``window``. Only
+    candidates in the box of the window's corners mapped back through the
+    inverse pose are transformed; the box is widened far beyond the rounding
+    of either transform, which grows with the magnitudes."""
     w = window
     corners = np.array(list(itertools.product((w.x_min, w.x_max), (w.y_min, w.y_max),
                                               (w.z_min, w.z_max))))
@@ -463,19 +452,20 @@ def _rows_inside(window: SpatialWindow, pose: RigidTransform,
     for axis in (1, 2):
         v = xyz[:, axis][rows]
         rows = rows[(v >= lo[axis]) & (v <= hi[axis])]
-    base = pose.apply(*_gather(rows, xyz))   # ~3x faster than xyz[rows]
-    inside = window.mask(base)
-    return rows[inside], base[inside]
+    inside = window.mask(pose.apply(*_gather(rows, xyz)))   # ~3x faster than xyz[rows]
+    return rows[inside]
 
 
 def _fruit_rows(cloud_1: PointCloud, cloud_2: PointCloud, t_base_cam1: RigidTransform,
                 t_base_cam2: RigidTransform, config: LocalizationConfig):
     """Base-frame coordinates of both cameras' fruit points (camera 1 first),
-    and the rows of each camera's cloud they come from."""
+    and the rows of each camera's cloud they come from. Each camera calibrates
+    with :func:`calibration_reference` on its palette sub-cloud, the rows
+    that its pose maps inside the palette window."""
     xyz_parts, row_parts = [], []
     for cloud, pose in ((cloud_1, t_base_cam1), (cloud_2, t_base_cam2)):
-        rows, _ = _rows_inside(config.palette_window, pose, cloud.xyz)
-        ref = _palette_reference(*_gather(rows, cloud.rgb), config.r_th, config.g_th, config.b_th)
+        palette = cloud.select(_rows_inside(config.palette_window, pose, cloud.xyz))
+        ref = calibration_reference(palette, config.r_th, config.g_th, config.b_th)
         rows = ref.rows(cloud.rgb)
         xyz = pose.apply(*_gather(rows, cloud.xyz))
         inside = np.flatnonzero(config.reduced_window.mask(xyz) & ~config.palette_window.mask(xyz))

@@ -11,7 +11,7 @@ from importlib import resources
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from laserberry import cli
+from laserberry import cli, datasets
 from laserberry.cli import main
 from laserberry.errors import ScenarioError, ValidationError
 from laserberry.geometry import PointCloud
@@ -195,12 +195,29 @@ def test_simulate_svg(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["simulate", "--scenario", "demo_11"],
-                                     ["optimize-spot"]])
+                                     ["optimize-spot"],
+                                     # neither file exists: reading it first would exit 1
+                                     ["simulate", "--scenario", "no-such-scenario"],
+                                     ["optimize-spot", "--dataset", "no-such-dir/sweep.csv"]])
 def test_svg_without_out_exits_2(capsys, command):
     assert main(command + ["--svg"]) == 2
     captured = capsys.readouterr()
     assert "--svg needs --out" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("table", ["coarse", "fine"])
+def test_optimize_spot_parses_only_its_own_sweep(monkeypatch, table):
+    parsed = []
+    records = datasets._records
+
+    def counting(raw, record_type, source):
+        parsed.append(source)
+        return records(raw, record_type, source)
+
+    monkeypatch.setattr(datasets, "_records", counting)
+    assert main(["optimize-spot", "--table", table]) == 0
+    assert parsed == [f"pierce_{table}.csv"]
 
 
 def test_simulate_records_a_plan_failure_for_a_low_next_fruit(tmp_path, capsys):
