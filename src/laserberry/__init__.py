@@ -6,7 +6,7 @@ Three layers, importable separately:
   and Euclidean clustering, plus ``KdTree``, an x-sorted radius query that
   clustering does not use (:mod:`geometry`, :mod:`localization`, :mod:`pcdio`);
 * laser — calibrated pierce/cut model, spot-diameter optimization and
-  calibration-table audit (:mod:`laser`, :mod:`datasets`);
+  calibration tables and their audit (:mod:`laser`);
 * machine — gantry kinematics, lens/trapper/interrupter peripherals and
   the harvest-cycle state machine (:mod:`gantry`, :mod:`controller`).
 
@@ -16,13 +16,13 @@ Scenario files tie the layers together (:mod:`scenario`, :mod:`scene`,
 
 from .controller import (HarvestConfig, HarvestPhase, plan_approach, run_cycle,
                          run_demo)
-from .datasets import load_datasets, load_lateral_csv, load_pierce_csv
 from .errors import (CalibrationError, DomainError, MotionError,
                      PcdParseError, ScenarioError, UnsupportedRegimeError,
                      ValidationError)
 from .gantry import GantryConfig, GantrySim, MotionProfile
 from .geometry import Aabb, KdTree, PointCloud, RigidTransform
 from .laser import (CutModel, EtchState, PierceRecord, cut_time, etch_step,
+                    load_datasets, load_lateral_csv, load_pierce_csv,
                     optimal_spot, pierce_constant, pierce_velocity,
                     verify_tables)
 from .localization import (BerryBox, ClusterParams, ColorReference,

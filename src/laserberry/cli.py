@@ -17,11 +17,11 @@ import numpy as np
 
 from . import __version__
 from .controller import CycleMetrics
-from .datasets import embedded_pierce, load_datasets, load_lateral_csv, load_pierce_csv
 from .errors import (CalibrationError, PcdParseError, ScenarioError,
                      ValidationError)
 from .geometry import BASE_FRAME, PointCloud
-from .laser import CutModel, optimal_spot, verify_tables
+from .laser import (CutModel, embedded_pierce, load_datasets, load_lateral_csv,
+                    load_pierce_csv, optimal_spot, verify_tables)
 from .localization import bounding_boxes, localize_clusters
 from .pcdio import read_pcd, write_pcd
 from .pipeline import simulate_scenario
@@ -188,7 +188,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_optimize_spot(args) -> int:
     model = CutModel(load_pierce_csv(args.dataset) if args.dataset is not None
-                     else embedded_pierce(args.table))
+                     else embedded_pierce(args.table or "fine"))
     out = _out_dir(args)
     lo = args.lo if args.lo is not None else float(model.knots[0])
     hi = args.hi if args.hi is not None else float(model.knots[-1])
@@ -203,13 +203,11 @@ def cmd_optimize_spot(args) -> int:
 
 
 def cmd_verify_tables(args) -> int:
-    ds = load_datasets()
-    if args.pierce_coarse is not None:
-        ds = dataclasses.replace(ds, coarse=load_pierce_csv(args.pierce_coarse))
-    if args.pierce_fine is not None:
-        ds = dataclasses.replace(ds, fine=load_pierce_csv(args.pierce_fine))
-    if args.lateral is not None:
-        ds = dataclasses.replace(ds, lateral=load_lateral_csv(args.lateral))
+    external = (("coarse", load_pierce_csv, args.pierce_coarse),
+                ("fine", load_pierce_csv, args.pierce_fine),
+                ("lateral", load_lateral_csv, args.lateral))
+    ds = dataclasses.replace(load_datasets(), **{table: load(path) for table, load, path
+                                                 in external if path is not None})
     audit = verify_tables(ds, tolerance=args.tolerance)
     for dev in audit.failures():
         print(f"FAIL {dev.describe()}")
@@ -267,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize-spot", help="best spot diameter for cutting")
-    p.add_argument("--table", choices=("fine", "coarse"), default="fine",
-                   help="embedded pierce sweep to search (default fine)")
-    p.add_argument("--dataset", default=None, help="external pierce-sweep CSV to search")
+    table = p.add_mutually_exclusive_group()
+    table.add_argument("--table", choices=("fine", "coarse"),
+                       help="embedded pierce sweep to search (default fine)")
+    table.add_argument("--dataset", default=None, help="external pierce-sweep CSV to search")
     p.add_argument("--lo", type=float, default=None, help="lower spot diameter bound, mm")
     p.add_argument("--hi", type=float, default=None, help="upper spot diameter bound, mm")
     p.add_argument("--continuous", action="store_true",

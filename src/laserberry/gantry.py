@@ -149,9 +149,8 @@ class LensAxis:
     """Focus-lens axis: limit-switch homing and lateral beam oscillation.
 
     Positions are millimetres on a short stroke. Oscillation sweeps the
-    beam as a triangle wave from the home end; it is refused until the
-    axis has been referenced at least once, and a sweep past the largest
-    float raises :class:`ValidationError` instead of leaving a nan position.
+    beam as a triangle wave from the home end at any finite positive
+    speed; it is refused until the axis has been referenced at least once.
     """
 
     stroke_mm: float = 4.0          # oscillation sweep length
@@ -193,15 +192,11 @@ class LensAxis:
                 self.position_mm = (self._start_pos
                                     - self.homing_speed_mm_s * (now - self._t_start))
         elif self.mode is LensMode.OSCILLATING:
-            # triangle wave over [0, stroke] starting from the home end; fmod
-            # is % here, but refuses a sweep that overflowed, which % turns nan
-            try:
-                u = math.fmod(self._osc_speed * (now - self._t_start), 2.0 * self.stroke_mm)
-            except ValueError:
-                raise ValidationError(
-                    f"lateral_velocity_mm_s {self._osc_speed:g} mm/s sweeps past the largest "
-                    f"float after {now - self._t_start:g} s of oscillation") from None
-            self.position_mm = u if u <= self.stroke_mm else 2.0 * self.stroke_mm - u
+            # triangle wave over [0, stroke] from the home end, swept by its period so no
+            # speed overflows; fmod's remainder is under period / speed, so u <= period
+            period = 2.0 * self.stroke_mm
+            u = self._osc_speed * math.fmod(now - self._t_start, period / self._osc_speed)
+            self.position_mm = u if u <= self.stroke_mm else period - u
 
     def homing_done_at(self, now: float) -> bool:
         """Whether homing, if under way, has reached the switch by ``now``."""

@@ -13,20 +13,23 @@ where ``k`` scales stem toughness (1.0 for fresh stems). Cut time is
 insensitive to the lateral beam speed within the calibrated regime (10 to
 96 mm/s); below that the cut is unreliable and the model refuses to
 predict.
+
+The bench tables are CSV files, three shipped with the package (coarse and fine
+pierce sweeps over spot diameter, a lateral beam-speed sweep), headed by their
+record's field names, read as UTF-8 whatever the locale; errors name the line.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, field, fields
+from importlib import resources
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedRegimeError, ValidationError, require
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .datasets import Datasets
+from .errors import DomainError, UnsupportedRegimeError, ValidationError, decode_utf8, require
 
 #: Lateral beam speeds below this (mm/s) are outside the calibrated regime.
 V_L_MIN = 10.0
@@ -58,6 +61,67 @@ class LateralCutRecord:
 
     def __post_init__(self):
         require("positive and finite", **vars(self))
+
+
+@dataclass(frozen=True)
+class Datasets:
+    """The three embedded calibration tables."""
+
+    lateral: tuple[LateralCutRecord, ...]
+    coarse: tuple[PierceRecord, ...]
+    fine: tuple[PierceRecord, ...]
+
+
+def _records(raw: bytes, record_type: type, source: str) -> tuple:
+    """Typed records of a table whose header is ``record_type``'s field names."""
+    fail = lambda message, line: ValidationError(f"{source} line {line}: {message}")
+    lines = [(n, ln) for n, ln in enumerate(decode_utf8(raw, fail).splitlines(), start=1)
+             if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines:
+        raise ValidationError(f"{source}: empty dataset")
+    (_, head), *rows = lines
+    header = [f.name for f in fields(record_type)]
+    got = [h.strip() for h in head.split(",")]
+    if got != header:
+        raise ValidationError(f"{source}: bad header {got}, expected {header}")
+    if not rows:
+        raise ValidationError(f"{source}: no data rows")
+    records = []
+    for n, row in rows:
+        values = row.split(",")
+        if len(values) != len(header):
+            raise fail(f"expected {len(header)} fields, got {len(values)}", n)
+        try:
+            records.append(record_type(*map(float, values)))
+        except ValueError as exc:   # a bad float, or a ValidationError from the record
+            raise fail(exc, n) from exc
+    return tuple(records)
+
+
+def load_pierce_csv(path: str | Path) -> tuple[PierceRecord, ...]:
+    """Parse a piercing-sweep CSV from an arbitrary path."""
+    return _records(Path(path).read_bytes(), PierceRecord, Path(path).name)
+
+
+def load_lateral_csv(path: str | Path) -> tuple[LateralCutRecord, ...]:
+    """Parse a lateral-sweep CSV from an arbitrary path."""
+    return _records(Path(path).read_bytes(), LateralCutRecord, Path(path).name)
+
+
+def _embedded(name: str, record_type: type) -> tuple:
+    return _records((resources.files("laserberry") / "data" / name).read_bytes(),
+                    record_type, name)
+
+
+def embedded_pierce(dataset: str) -> tuple[PierceRecord, ...]:
+    """Parse one embedded pierce sweep, ``"fine"`` or ``"coarse"``."""
+    return _embedded(f"pierce_{dataset}.csv", PierceRecord)
+
+
+def load_datasets() -> Datasets:
+    """Load the three embedded calibration tables."""
+    return Datasets(lateral=_embedded("lateral_velocity.csv", LateralCutRecord),
+                    coarse=embedded_pierce("coarse"), fine=embedded_pierce("fine"))
 
 
 def pierce_velocity(stem_diameter_mm: float, pierce_time_s: float) -> float:
@@ -266,7 +330,7 @@ class TableAudit:
         return [d for d in self.deviations if d.deviation > self.tolerance]
 
 
-def verify_tables(datasets: "Datasets", tolerance: float = 0.03) -> TableAudit:
+def verify_tables(datasets: Datasets, tolerance: float = 0.03) -> TableAudit:
     """Re-derive velocity and pierce-constant columns and compare.
 
     For each pierce row, recompute the pierce velocity from stem diameter

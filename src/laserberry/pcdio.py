@@ -275,7 +275,8 @@ def read_pcd(path: str | Path) -> PointCloud:
     try:
         n = int(header["POINTS"])
     except ValueError:
-        raise PcdParseError(f"bad POINTS value {header['POINTS']!r}", data_start) from None
+        raise PcdParseError(f"bad POINTS value {header['POINTS']!r}",
+                            header_line["POINTS"]) from None
     if header["WIDTH"] != header["POINTS"]:
         raise PcdParseError("WIDTH does not match POINTS", data_start)
     if n < 0:

@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .controller import CycleMetrics, run_demo
-from .datasets import embedded_pierce
-from .datasets import load_datasets  # noqa: F401 -- wrapped by benchmarks/tracing.py
 from .gantry import GantrySim
-from .laser import CutModel
+from .laser import CutModel, embedded_pierce
+from .laser import load_datasets  # noqa: F401 -- wrapped by benchmarks/tracing.py
 from .localization import BerryBox, localize
 from .scenario import Scenario
 from .scene import SceneTruth, generate_scene, make_world

@@ -332,8 +332,12 @@ def load_scenario(path: str | Path) -> Scenario:
     except (configparser.DuplicateOptionError, configparser.DuplicateSectionError) as exc:
         what = f"key '{exc.option}' in" if hasattr(exc, "option") else "section"
         raise ScenarioError(f"duplicate {what} [{exc.section}] (line {exc.lineno})") from exc
-    except configparser.Error as exc:
-        raise ScenarioError(f"malformed scenario file: {exc}") from exc
+    except configparser.ParsingError as exc:     # a missing header is one; only the first line
+        n, fault = ((exc.lineno, "comes before any section header")
+                    if isinstance(exc, configparser.MissingSectionHeaderError)
+                    else (exc.errors[0][0], "is neither a section header nor 'key = value'"))
+        raise ScenarioError(f"malformed scenario file: {text.splitlines()[n - 1].strip()!r} "
+                            f"{fault} (line {n})") from exc
 
     sections = {name: dict(parser[name]) for name in parser.sections()}
     berries = [name for _, name in sorted((int(m.group(1)), name) for name, m in

@@ -11,7 +11,7 @@ from importlib import resources
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from laserberry import cli, datasets
+from laserberry import cli, laser
 from laserberry.cli import main
 from laserberry.errors import ScenarioError, ValidationError
 from laserberry.geometry import PointCloud
@@ -209,13 +209,13 @@ def test_svg_without_out_exits_2(capsys, command):
 @pytest.mark.parametrize("table", ["coarse", "fine"])
 def test_optimize_spot_parses_only_its_own_sweep(monkeypatch, table):
     parsed = []
-    records = datasets._records
+    records = laser._records
 
     def counting(raw, record_type, source):
         parsed.append(source)
         return records(raw, record_type, source)
 
-    monkeypatch.setattr(datasets, "_records", counting)
+    monkeypatch.setattr(laser, "_records", counting)
     assert main(["optimize-spot", "--table", table]) == 0
     assert parsed == [f"pierce_{table}.csv"]
 
@@ -379,6 +379,17 @@ def test_negative_pcd_points_exits_1(tmp_path, capsys):
     assert "line 4: negative POINTS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width,points,message", [
+    ("1000", "1e3", "line 4: bad POINTS value '1e3'"),
+    ("4", "5", "line 5: WIDTH does not match POINTS")])
+def test_a_bad_pcd_points_header_exits_1(tmp_path, capsys, width, points, message):
+    bad = tmp_path / "bad.pcd"
+    bad.write_text(f"VERSION 0.7\nFIELDS x y z rgb\nWIDTH {width}\nPOINTS {points}\nDATA ascii\n")
+    assert main(["localize", "--scenario", "demo_11",
+                 "--cloud1", str(bad), "--cloud2", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("section,key", [
     *(("berry 1", k) for k in ("x", "y", "z", "diameter", "stem_length",
                                "stem_diameter_mm", "toughness")),
@@ -407,6 +418,7 @@ def test_non_finite_berry_or_palette_value_exits_1(tmp_path, capsys, section, ke
      "[berry 1] toughness must be positive"),
     ("[colors]\nfoliage_jitter = -5\n", "[colors] foliage_jitter must be in [0, 255]"),
     ("[colors]\npalette_jitter = -1\n", "[colors] palette_jitter must be in [0, 255]"),
+    ("[colors]\nberry_base = 1,2,x\n", "[colors] berry_base: bad channel in '1,2,x'"),
 ])
 def test_bad_scenario_value_exits_1_naming_key(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.ini"
@@ -515,6 +527,28 @@ def test_non_finite_float_key_exits_with_its_documented_code(tmp_path, capsys, m
     assert main(["simulate", "--scenario", str(bad)]) == code
     err = capsys.readouterr().err
     assert f"{key} must be" in err and "Traceback" not in err
+
+
+def test_verify_tables_audits_an_external_coarse_table_in_place_of_the_embedded_one(
+        tmp_path, capsys):
+    coarse = tmp_path / "coarse.csv"
+    coarse.write_text("spot_diameter_mm,stem_diameter_mm,pierce_time_s,"
+                      "pierce_velocity_mm_s,pierce_constant_mm2_s\n0.5,2.0,1.0,2.5,1.25\n")
+    assert main(["verify-tables", "--pierce-coarse", str(coarse)]) == 2
+    assert capsys.readouterr().out == (
+        "FAIL pierce-coarse data row 1 (spot 0.5 mm): pierce_velocity_mm_s published 2.5 "
+        "recomputed 2.0000 deviation 0.5000\n"
+        "24 derived values audited; max deviation 0.5000 (tolerance 0.03): FAIL\n")
+
+
+def test_optimize_spot_refuses_a_table_and_a_dataset_together(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["optimize-spot", "--table", "fine", "--dataset", str(tmp_path / "sweep.csv")])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: argument --dataset: not allowed with argument --table\n")
 
 
 @pytest.mark.parametrize("args", [["optimize-spot", "--dataset"],

@@ -247,10 +247,8 @@ def test_harvest_config_cut_parameters_must_be_positive_and_finite(name, value):
         HarvestConfig(**{name: value})
 
 
-def test_harvest_config_refuses_a_beam_sweep_a_float_cannot_hold():
-    # the lens position is speed * elapsed, which overflowed to inf and went nan
-    with pytest.raises(ValidationError, match=r"^lateral_velocity_mm_s 1e\+308 mm/s .* 32\.003 s"):
-        HarvestConfig(lateral_velocity_mm_s=1e308)
-    with pytest.raises(ValidationError, match=r"^lateral_velocity_mm_s 1e\+300 mm/s "):
-        HarvestConfig(lateral_velocity_mm_s=1e300, cut_timeout_s=1e8)
-    HarvestConfig(lateral_velocity_mm_s=1e300)
+def test_harvest_config_takes_any_finite_beam_speed():
+    # the lens sweeps by its period, so no speed's sweep overflows, however long
+    for speed, timeout in ((1e308, 30.0), (1.7976931348623157e308, 1e8), (1e-300, 30.0)):
+        config = HarvestConfig(lateral_velocity_mm_s=speed, cut_timeout_s=timeout)
+        assert config.lateral_velocity_mm_s == speed

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from laserberry import (CutModel, ValidationError, datasets, load_datasets,
+from laserberry import (CutModel, ValidationError, laser, load_datasets,
                         load_lateral_csv, load_pierce_csv, load_scenario)
 from laserberry.pipeline import cut_model_for
 from laserberry.scenario import LaserSettings, bundled_scenario_path
@@ -116,13 +116,13 @@ def test_cut_model_for_parses_only_the_named_pierce_sweep(monkeypatch, dataset, 
     scenario = dataclasses.replace(load_scenario(bundled_scenario_path("demo_11")),
                                    laser=LaserSettings(dataset, toughness))
     parsed = []
-    original = datasets._embedded
+    original = laser._embedded
 
     def recording(name, record_type):
         parsed.append(name)
         return original(name, record_type)
 
-    monkeypatch.setattr(datasets, "_embedded", recording)
+    monkeypatch.setattr(laser, "_embedded", recording)
     model = cut_model_for(scenario)
     assert parsed == [f"pierce_{dataset}.csv"]
     assert model == CutModel(getattr(load_datasets(), dataset), toughness=toughness)

@@ -5,9 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from laserberry import (CutModel, EtchState, GantryConfig, GantrySim, MotionProfile,
-                        ValidationError, etch_step, load_datasets)
+from laserberry import (CutModel, EtchState, GantryConfig, GantrySim, HarvestConfig,
+                        MotionProfile, ValidationError, etch_step, load_datasets)
 from laserberry.errors import MotionError
 from laserberry.gantry import (GRAVITY, AxisState, FallEvent, InterrupterBank,
                                LensAxis, LensMode, TrapperState, _running)
@@ -197,19 +198,48 @@ def test_oscillation_triangle_wave():
         assert -1e-9 <= lens.position_mm <= 4.0 + 1e-9
 
 
-def test_a_sweep_past_the_largest_float_is_refused_and_the_lens_stays_finite():
-    # at 1e308 mm/s the sweep overflows after ~1.8 s; % would make the
-    # position nan, and the next homing's end with it, which no wait reaches
+def test_a_sweep_past_the_largest_float_keeps_the_lens_in_its_stroke():
+    # at 1e308 mm/s, speed * elapsed passes the largest float after ~1.8 s; the
+    # lens sweeps by its period instead, so it stays in its stroke and rehomes
     sim = GantrySim()
     sim.home_lens()
     sim.jump(DT, sim.lens.homing_done_at, sim.lens.homing_end, (), None)
     sim.start_lens_oscillation(1e308)
     end = sim.time + 2.0
-    with pytest.raises(ValidationError, match=r"^lateral_velocity_mm_s 1e\+308 mm/s sweeps past"):
-        sim.jump(DT, lambda now: now >= end, end, (), None)
+    sim.jump(DT, lambda now: now >= end, end, (), None)
+    assert 0.0 <= sim.lens.position_mm <= sim.lens.stroke_mm
     sim.stop_lens_oscillation()
     sim.home_lens()
-    assert math.isfinite(sim.lens.position_mm) and math.isfinite(sim.lens.homing_end)
+    assert math.isfinite(sim.lens.homing_end)
+
+
+_LONGEST_SWEEP_S = HarvestConfig().cut_timeout_s + HarvestConfig().fall_timeout_s
+
+
+@settings(max_examples=300, deadline=None)
+@given(speed=st.floats(1e-300, 1.7e308), elapsed=st.floats(0.0, _LONGEST_SWEEP_S),
+       start=st.floats(0.0, 1e4))
+def test_the_lens_stays_in_its_stroke_at_any_speed(speed, elapsed, start):
+    lens = LensAxis(position_mm=0.0, homed=True)
+    lens.begin_oscillation(speed, start)
+    lens.advance(start + elapsed)
+    assert 0.0 <= lens.position_mm <= lens.stroke_mm
+    lens.stop()
+    lens.begin_homing(start + elapsed)
+    assert math.isfinite(lens.homing_end)
+
+
+def test_the_last_instant_of_a_sweep_period_folds_to_at_least_0():
+    # fmod's remainder is at most the float below period / speed, and speed
+    # times it never rounds past the period, so the fold never goes below 0
+    lens = LensAxis(position_mm=0.0, homed=True)
+    period = 2.0 * lens.stroke_mm
+    for e in range(-996, 1024):
+        for m in (1.0, 1.1, 1.3, 1.5, 1.7, 1.9999999999999998):
+            speed = math.ldexp(m, e)
+            lens.begin_oscillation(speed, 0.0)
+            lens.advance(math.nextafter(period / speed, 0.0))
+            assert 0.0 <= lens.position_mm <= lens.stroke_mm, speed
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,15 @@ def test_transform_rejects_non_orthonormal():
         RigidTransform(refl, np.zeros(3))
 
 
+@pytest.mark.parametrize("rotation,translation,message", [
+    (np.eye(2), np.zeros(3), r"^rotation must be \(3, 3\), got \(2, 2\)$"),
+    (np.eye(3), np.zeros(2), r"^translation must be \(3,\), got \(2,\)$"),
+    (np.eye(3), [0.0, np.nan, 0.0], r"^transform contains non-finite values$")])
+def test_transform_rejects_a_wrong_shape_or_a_nan(rotation, translation, message):
+    with pytest.raises(ValidationError, match=message):
+        RigidTransform(rotation, translation)
+
+
 def test_identity_and_apply_oracle():
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(20, 3))
@@ -311,6 +320,14 @@ def test_aabb_rejects_empty_and_reversed():
 
 # ---------------------------------------------------------------------------
 # KdTree vs linear scan
+
+@pytest.mark.parametrize("points,message", [
+    (np.zeros((4, 2)), r"^points must be \(n, 3\), got \(4, 2\)$"),
+    (np.array([[0.0, 0.0, 0.0], [0.1, np.nan, 0.0]]), r"^points contain non-finite coordinates$")])
+def test_kdtree_refuses_points_that_are_not_finite_3_vectors(points, message):
+    with pytest.raises(ValidationError, match=message):
+        KdTree(points)
+
 
 def _linear_scan(xyz, center, radius):
     d2 = np.sum((xyz - np.asarray(center)) ** 2, axis=1)

@@ -355,6 +355,12 @@ def _flat_fruit_clouds():
     return _cloud(xyz, red, "camera"), _cloud(palette, red[:10], "camera")
 
 
+@pytest.mark.parametrize("centroid", [np.zeros(2), np.zeros(4), np.zeros((3, 3))])
+def test_berry_box_refuses_a_centroid_that_is_not_a_3_vector(centroid):
+    with pytest.raises(ValidationError, match=r"^centroid must be a 3-vector$"):
+        BerryBox(Aabb(-np.ones(3), np.ones(3)), centroid, 3, 0)
+
+
 def test_flat_and_repeated_point_clusters_box_inside():
     # outside input is still refused: three copies of 0.1 add up to
     # 0.30000000000000004, so their plain mean lies one ulp above the box
